@@ -16,7 +16,7 @@ import numpy as np
 
 from deepridge import dataio
 from deepridge.network import (DEFAULT_LAMBDA_GRID, NetConfig, evaluate,
-                               flat_random_feature_baseline, train)
+                               flat_random_feature_baseline, predict, train)
 
 
 def synthetic_images(n_per_class, seed):
@@ -63,7 +63,7 @@ with tempfile.TemporaryDirectory() as data_dir:
     for level in (0, 1, 2):
         split = dataio.add_feature_noise(base, level, seed=0)
         model = train(split, cfg, n_threads=2)
-        m = evaluate(model.cached_test_prediction, split.y_test,
+        m = evaluate(predict(model, split.x_test), split.y_test,
                      float(np.mean(split.y_train)))
         b = flat_random_feature_baseline(split, cfg.layer_width,
                                          DEFAULT_LAMBDA_GRID, seed=0)

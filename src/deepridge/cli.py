@@ -183,9 +183,10 @@ def _check_resources(n_total: int, d: int, cfg: network.NetConfig,
     kl = cfg.layer_width
     p = cfg.features_per_block
     weight_floats = (d + max(cfg.depth - 1, 0) * kl) * p * cfg.blocks
+    first, stop = network.group_bounds(cfg.blocks, p)[0]
     floats = (
         2 * n_total * kl                 # current + next representations
-        + n_total * p                    # one block's features per split
+        + n_total * (stop - first) * p   # one transform group's features
         + weight_floats                  # stored input weights
         + max(p, kl) ** 2                # largest Gram
         + cfg.blocks * p * cfg.n_penalties    # coefficients
@@ -266,8 +267,8 @@ class _Run:
     def train_and_score(self, split, net_cfg, seed, level, save_tag=None):
         t0 = time.perf_counter()
         model = network.train(split, net_cfg, n_threads=self.threads)
-        metrics = network.evaluate(model.cached_test_prediction, split.y_test,
-                                   float(np.mean(split.y_train)))
+        metrics = network.evaluate(network.predict(model, split.x_test),
+                                   split.y_test, float(np.mean(split.y_train)))
         wall = time.perf_counter() - t0
         self.add(seed, "deepridge", level, net_cfg.blocks, net_cfg.depth,
                  metrics, wall)
@@ -432,7 +433,7 @@ def inspect(model_path) -> str:
         f"seed:            {cfg.seed}",
     ]
     for m, layer in enumerate(model.layers, start=1):
-        gammas = np.array([b.gamma for b in layer.blocks], dtype=float)
+        gammas = layer.gammas
         lines.append(
             f"layer {m} gammas: min={gammas.min():.4f} "
             f"mean={gammas.mean():.4f} max={gammas.max():.4f}")

@@ -33,11 +33,11 @@ class FeatureBlockSpec:
 
 @dataclass(frozen=True)
 class FeatureBlock:
-    """Drawn weights and biases of one block; immutable after drawing."""
+    """Drawn weights and biases of one block, or of several blocks side by
+    side; immutable after drawing."""
 
     weights: np.ndarray  # (D, P)
     biases: np.ndarray   # (P,)
-    gamma: float | np.ndarray  # variance(s) the weights were drawn with
 
     @property
     def input_dim(self) -> int:
@@ -55,7 +55,7 @@ def draw_block(spec: FeatureBlockSpec, input_dim: int) -> FeatureBlock:
     rng = stream_rng(*spec.stream_key)
     weights = rng.standard_normal((input_dim, spec.p)) * np.sqrt(spec.gamma)
     biases = rng.uniform(-spec.bias_range, spec.bias_range, size=spec.p)
-    return FeatureBlock(weights=weights, biases=biases, gamma=spec.gamma)
+    return FeatureBlock(weights=weights, biases=biases)
 
 
 def apply_block(block: FeatureBlock, x) -> np.ndarray:

@@ -10,6 +10,12 @@ validation split, produces the usable predictor; when per-depth fits are
 kept, every intermediate depth gets its own final ridge from the same
 training pass, so depth can be selected afterwards at no extra cost.
 
+A trained layer is a few stacked arrays over its blocks. Training and
+prediction share one chunked transform: blocks are cut into fixed groups,
+each group's features come from one GEMM on a column slice of the layer's
+weights, and its grid predictions from one batched matmul. Training only
+ever transforms the train and validation splits.
+
 Training never backpropagates: input weights are drawn, output weights are
 closed-form ridge solutions.
 """
@@ -19,7 +25,7 @@ import json
 import os
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +44,11 @@ DEFAULT_LAMBDA_GRID = (
 )
 
 MODEL_FORMAT = "deepridge-model"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+
+# feature columns per transform GEMM: wide enough for BLAS to run near peak,
+# narrow enough that one group's (rows, columns) features stay small
+GROUP_COLUMNS = 2048
 
 # sub-stream tags (must never collide with block stream keys, which are
 # (seed, layer>=1, block) tuples of length 3)
@@ -107,11 +117,19 @@ class NetConfig:
 
 @dataclass(frozen=True)
 class LayerModel:
-    """One trained layer: feature blocks, per-block fits, column scales."""
+    """One trained layer of K blocks of P features, as stacked arrays.
 
-    blocks: tuple          # K FeatureBlocks
-    fits: tuple            # K RidgeGridFits
+    Block k owns weight and bias columns k*P:(k+1)*P, the coefficients
+    ``betas[k]`` of its ridge fit at every penalty and the column scales
+    ``scales[k]`` that normalize its L grid predictions.
+    """
+
+    weights: np.ndarray    # (D, K*P)
+    biases: np.ndarray     # (K*P,)
+    gammas: np.ndarray     # (K,) weight variance of each block
+    betas: np.ndarray      # (K, P, L)
     scales: np.ndarray     # (K, L), strictly positive
+    modes: tuple           # K ridge fit modes, "primal" or "dual"
 
 
 @dataclass(frozen=True)
@@ -136,7 +154,6 @@ class DeepRidgeModel:
     layers: tuple                       # depth LayerModels
     final_fits: tuple                   # FinalFits with ascending depth
     input_dim: int
-    cached_test_prediction: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def depth(self) -> int:
@@ -193,40 +210,89 @@ def _block_gammas(cfg: NetConfig, layer_index: int) -> np.ndarray:
     ])
 
 
-def train_layer(x_train, x_valid, x_test, y_train, cfg: NetConfig,
-                layer_index: int, n_threads: int = 1):
-    """Train one layer and return it plus the next-layer inputs.
+def group_bounds(blocks: int, p: int) -> list:
+    """Block ranges ``(a, b)`` that share one feature-transform GEMM.
 
-    Every block pipeline (draw, transform, fit, predict, normalize) is
-    independent, so blocks may run on ``n_threads`` workers; results are
-    identical for any thread count.
+    The groups depend only on the layer shape, never on the thread count,
+    so the arithmetic is the same for any ``n_threads``.
     """
-    xs = [np.asarray(a, dtype=float) for a in (x_train, x_valid, x_test)]
-    d = xs[0].shape[1]
-    if any(a.shape[1] != d for a in xs):
-        raise ValueError("train/valid/test must share column count")
+    size = max(1, GROUP_COLUMNS // p)
+    return [(a, min(a + size, blocks)) for a in range(0, blocks, size)]
+
+
+def _group_features(weights, biases, x, a, b, p):
+    # one GEMM for blocks a..b-1 on column-slice views of the layer arrays
+    cols = slice(a * p, b * p)
+    return apply_block(
+        FeatureBlock(weights=weights[:, cols], biases=biases[cols]), x)
+
+
+def _grid_predictions(z, betas) -> np.ndarray:
+    """Grid predictions of c side-by-side blocks in one batched matmul.
+
+    ``z`` (n, c*P) holds the blocks' features and ``betas`` (c, P, L) their
+    coefficients; block j fills columns j*L:(j+1)*L of the (n, c*L) result.
+    """
+    n = z.shape[0]
+    c, p, n_pen = betas.shape
+    pred = np.matmul(z.reshape(n, c, p).transpose(1, 0, 2), betas)
+    return pred.transpose(1, 0, 2).reshape(n, c * n_pen)
+
+
+def train_layer(x_train, x_valid, y_train, cfg: NetConfig,
+                layer_index: int, n_threads: int = 1):
+    """Train one layer and return it plus the next-layer train/valid inputs.
+
+    Each block is drawn from its own keyed stream, transformed with the
+    rest of its group on the stacked train and validation rows, fit on the
+    train rows over the whole penalty grid, and its grid predictions
+    normalized by their train-row scales. Groups are independent, so they
+    may run on ``n_threads`` workers; results are identical for any thread
+    count.
+    """
+    x_train = np.asarray(x_train, dtype=float)
+    x_valid = np.asarray(x_valid, dtype=float)
+    d = x_train.shape[1]
+    if x_valid.shape[1] != d:
+        raise ValueError("train/valid must share column count")
     y_train = np.asarray(y_train, dtype=float).ravel()
+    n_train = x_train.shape[0]
+    x = np.vstack([x_train, x_valid])
+    k_blocks, p, n_pen = cfg.blocks, cfg.features_per_block, cfg.n_penalties
     gammas = _block_gammas(cfg, layer_index)
+    weights = np.empty((d, k_blocks * p))
+    biases = np.empty(k_blocks * p)
+    betas = np.empty((k_blocks, p, n_pen))
+    scales = np.empty((k_blocks, n_pen))
+    rep = np.empty((x.shape[0], cfg.layer_width))
 
-    def build(k):
-        spec = FeatureBlockSpec(
-            gamma=float(gammas[k]), p=cfg.features_per_block,
-            bias_range=cfg.bias_range,
-            stream_key=(cfg.seed, layer_index, k))
-        block = draw_block(spec, d)
-        zs = [apply_block(block, a) for a in xs]
-        fit = fit_grid(zs[0], y_train, cfg.lambda_grid)
-        preds = [ridge_predict(fit, z) for z in zs]
-        scales = column_scales(preds[0])
-        return block, fit, scales, [p / scales for p in preds]
+    def build(bounds):
+        a, b = bounds
+        for k in range(a, b):
+            block = draw_block(FeatureBlockSpec(
+                gamma=float(gammas[k]), p=p, bias_range=cfg.bias_range,
+                stream_key=(cfg.seed, layer_index, k)), d)
+            weights[:, k * p:(k + 1) * p] = block.weights
+            biases[k * p:(k + 1) * p] = block.biases
+        z = _group_features(weights, biases, x, a, b, p)
+        modes = []
+        for k in range(a, b):
+            j = (k - a) * p
+            fit = fit_grid(z[:n_train, j:j + p], y_train, cfg.lambda_grid)
+            betas[k] = fit.betas
+            modes.append(fit.mode)
+        out = rep[:, a * n_pen:b * n_pen]
+        out[...] = _grid_predictions(z, betas[a:b])
+        group_scales = column_scales(out[:n_train])
+        scales[a:b] = group_scales.reshape(b - a, n_pen)
+        out /= group_scales
+        return modes
 
-    built = _map_ordered(build, range(cfg.blocks), n_threads)
-    blocks = tuple(b[0] for b in built)
-    fits = tuple(b[1] for b in built)
-    scales = np.vstack([b[2] for b in built])
-    next_xs = tuple(np.hstack([b[3][i] for b in built]) for i in range(3))
-    layer = LayerModel(blocks=blocks, fits=fits, scales=scales)
-    return layer, next_xs
+    built = _map_ordered(build, group_bounds(k_blocks, p), n_threads)
+    layer = LayerModel(weights=weights, biases=biases, gammas=gammas,
+                       betas=betas, scales=scales,
+                       modes=tuple(mode for modes in built for mode in modes))
+    return layer, (rep[:n_train], rep[n_train:])
 
 
 def _fit_final(depth, rep_train, rep_valid, y_train, y_valid, cfg):
@@ -245,21 +311,16 @@ def train(split: DataSplit, cfg: NetConfig, n_threads: int = 1) -> DeepRidgeMode
     when ``cfg.per_depth_final`` is off) a final ridge is fit on that
     depth's representation and its penalty picked by validation MSE.
     """
-    xs = (split.x_train, split.x_valid, split.x_test)
-    input_dim = split.d
+    xs = (split.x_train, split.x_valid)
     layers, finals = [], []
-    cached = None
     for m in range(1, cfg.depth + 1):
         layer, xs = train_layer(*xs, split.y_train, cfg, m, n_threads)
         layers.append(layer)
         if cfg.per_depth_final or m == cfg.depth:
-            ff = _fit_final(m, xs[0], xs[1], split.y_train, split.y_valid, cfg)
-            finals.append(ff)
-            if m == cfg.depth:
-                cached = ridge_predict(ff.fit, xs[2])[:, ff.lambda_star_index]
+            finals.append(_fit_final(m, xs[0], xs[1], split.y_train,
+                                     split.y_valid, cfg))
     return DeepRidgeModel(config=cfg, layers=tuple(layers),
-                          final_fits=tuple(finals), input_dim=input_dim,
-                          cached_test_prediction=cached)
+                          final_fits=tuple(finals), input_dim=split.d)
 
 
 def forward(model: DeepRidgeModel, x, depth: int | None = None) -> np.ndarray:
@@ -272,11 +333,14 @@ def forward(model: DeepRidgeModel, x, depth: int | None = None) -> np.ndarray:
     if cur.ndim != 2 or cur.shape[1] != model.input_dim:
         raise ValueError(f"expected {model.input_dim} input columns")
     for layer in model.layers[:depth]:
-        cols = []
-        for k, (block, fit) in enumerate(zip(layer.blocks, layer.fits)):
-            z = apply_block(block, cur)
-            cols.append(ridge_predict(fit, z) / layer.scales[k])
-        cur = np.hstack(cols)
+        k_blocks, p, n_pen = layer.betas.shape
+        nxt = np.empty((cur.shape[0], k_blocks * n_pen))
+        for a, b in group_bounds(k_blocks, p):
+            z = _group_features(layer.weights, layer.biases, cur, a, b, p)
+            np.divide(_grid_predictions(z, layer.betas[a:b]),
+                      layer.scales[a:b].ravel(),
+                      out=nxt[:, a * n_pen:b * n_pen])
+        cur = nxt
     return cur
 
 
@@ -358,7 +422,7 @@ def flat_random_feature_baseline(split: DataSplit, p_total: int, lambdas,
     d = split.d
     weights = rng.standard_normal((d, p_total)) * np.sqrt(gammas)
     biases = rng.uniform(-bias_range, bias_range, size=p_total)
-    block = FeatureBlock(weights=weights, biases=biases, gamma=gammas)
+    block = FeatureBlock(weights=weights, biases=biases)
 
     z_train = apply_block(block, split.x_train)
     fit = fit_grid(z_train, split.y_train, lambdas)
@@ -400,7 +464,7 @@ def _write_deterministic_zip(path, entries: dict) -> None:
 
 
 def save_model(model: DeepRidgeModel, path) -> None:
-    """Serialize a trained model (cached predictions are not stored)."""
+    """Serialize a trained model: a header plus five arrays per layer."""
     cfg = model.config
     header = {
         "format": MODEL_FORMAT,
@@ -416,7 +480,7 @@ def save_model(model: DeepRidgeModel, path) -> None:
             "per_depth_final": cfg.per_depth_final,
         },
         "input_dim": model.input_dim,
-        "layer_modes": [[f.mode for f in layer.fits] for layer in model.layers],
+        "layer_modes": [list(layer.modes) for layer in model.layers],
         "final_fits": [
             {"depth": ff.depth, "lambda_star_index": ff.lambda_star_index,
              "mode": ff.fit.mode}
@@ -427,13 +491,8 @@ def save_model(model: DeepRidgeModel, path) -> None:
         "header.json": json.dumps(header, sort_keys=True, indent=1).encode(),
     }
     for m, layer in enumerate(model.layers, start=1):
-        entries[f"layer{m}.scales.npy"] = _npy_bytes(layer.scales)
-        entries[f"layer{m}.gammas.npy"] = _npy_bytes(
-            np.array([b.gamma for b in layer.blocks], dtype=float))
-        for k, (block, fit) in enumerate(zip(layer.blocks, layer.fits)):
-            entries[f"layer{m}.block{k}.weights.npy"] = _npy_bytes(block.weights)
-            entries[f"layer{m}.block{k}.biases.npy"] = _npy_bytes(block.biases)
-            entries[f"layer{m}.block{k}.betas.npy"] = _npy_bytes(fit.betas)
+        for name in ("weights", "biases", "gammas", "betas", "scales"):
+            entries[f"layer{m}.{name}.npy"] = _npy_bytes(getattr(layer, name))
     for ff in model.final_fits:
         entries[f"final{ff.depth}.betas.npy"] = _npy_bytes(ff.fit.betas)
         entries[f"final{ff.depth}.valid_mse.npy"] = _npy_bytes(ff.valid_mse)
@@ -441,7 +500,11 @@ def save_model(model: DeepRidgeModel, path) -> None:
 
 
 def load_model(path) -> DeepRidgeModel:
-    """Load a model written by :func:`save_model`."""
+    """Load a model written by :func:`save_model`.
+
+    Every array's shape and dtype is checked against the header, so a
+    damaged or inconsistent file raises :class:`ModelFormatError`.
+    """
     try:
         with zipfile.ZipFile(path) as zf:
             names = set(zf.namelist())
@@ -456,12 +519,17 @@ def load_model(path) -> DeepRidgeModel:
                     f"{header.get('format_version')!r} (expected "
                     f"{MODEL_FORMAT_VERSION})")
 
-            def read_arr(name):
+            def read_arr(name, shape):
                 if name not in names:
                     raise ModelFormatError(f"{path}: corrupt model file "
                                            f"(missing {name})")
                 with zf.open(name) as f:
-                    return np.lib.format.read_array(f)
+                    arr = np.lib.format.read_array(f)
+                if arr.dtype != np.float64 or arr.shape != shape:
+                    raise ModelFormatError(
+                        f"{path}: corrupt model file ({name} is {arr.dtype} "
+                        f"{arr.shape}, expected float64 {shape})")
+                return arr
 
             cfg = NetConfig(**{
                 **header["config"],
@@ -470,35 +538,43 @@ def load_model(path) -> DeepRidgeModel:
                                if header["config"]["gamma_grid"] else None),
             })
             lam = np.asarray(cfg.lambda_grid, dtype=float)
+            k_blocks, p = cfg.blocks, cfg.features_per_block
+            n_pen, width = cfg.n_penalties, cfg.layer_width
+            input_dim = int(header["input_dim"])
             layers = []
             for m in range(1, cfg.depth + 1):
-                scales = read_arr(f"layer{m}.scales.npy")
-                gammas = read_arr(f"layer{m}.gammas.npy")
-                modes = header["layer_modes"][m - 1]
-                blocks, fits = [], []
-                for k in range(cfg.blocks):
-                    blocks.append(FeatureBlock(
-                        weights=read_arr(f"layer{m}.block{k}.weights.npy"),
-                        biases=read_arr(f"layer{m}.block{k}.biases.npy"),
-                        gamma=float(gammas[k])))
-                    fits.append(RidgeGridFit(
-                        lambdas=lam,
-                        betas=read_arr(f"layer{m}.block{k}.betas.npy"),
-                        mode=modes[k]))
-                layers.append(LayerModel(blocks=tuple(blocks),
-                                         fits=tuple(fits), scales=scales))
+                shapes = {
+                    "weights": (input_dim if m == 1 else width, k_blocks * p),
+                    "biases": (k_blocks * p,),
+                    "gammas": (k_blocks,),
+                    "betas": (k_blocks, p, n_pen),
+                    "scales": (k_blocks, n_pen),
+                }
+                modes = tuple(header["layer_modes"][m - 1])
+                if (len(modes) != k_blocks
+                        or not set(modes) <= {"primal", "dual"}):
+                    raise ModelFormatError(
+                        f"{path}: corrupt model file (layer {m} modes)")
+                layers.append(LayerModel(
+                    **{name: read_arr(f"layer{m}.{name}.npy", shape)
+                       for name, shape in shapes.items()},
+                    modes=modes))
             finals = []
             for spec in header["final_fits"]:
                 d = spec["depth"]
                 finals.append(FinalFit(
                     depth=d,
-                    fit=RidgeGridFit(lambdas=lam,
-                                     betas=read_arr(f"final{d}.betas.npy"),
-                                     mode=spec["mode"]),
+                    fit=RidgeGridFit(
+                        lambdas=lam,
+                        betas=read_arr(f"final{d}.betas.npy", (width, n_pen)),
+                        mode=spec["mode"]),
                     lambda_star_index=spec["lambda_star_index"],
-                    valid_mse=read_arr(f"final{d}.valid_mse.npy")))
+                    valid_mse=read_arr(f"final{d}.valid_mse.npy", (n_pen,))))
             return DeepRidgeModel(config=cfg, layers=tuple(layers),
                                   final_fits=tuple(finals),
-                                  input_dim=int(header["input_dim"]))
-    except (zipfile.BadZipFile, KeyError, json.JSONDecodeError) as exc:
+                                  input_dim=input_dim)
+    except ModelFormatError:
+        raise
+    except (zipfile.BadZipFile, KeyError, json.JSONDecodeError, TypeError,
+            ValueError) as exc:
         raise ModelFormatError(f"{path}: corrupt model file ({exc})") from exc

@@ -219,7 +219,7 @@ def single_neuron_runs():
             n=3000, d=50, noise_std=0.1, activation="relu", seed=seed))
         model = train(split, NetConfig(seed=seed, **CRIT7_CFG), n_threads=2)
         y_mean = float(np.mean(split.y_train))
-        deep = evaluate(model.cached_test_prediction, split.y_test, y_mean)
+        deep = evaluate(predict(model, split.x_test), split.y_test, y_mean)
         shallow = evaluate(predict(model, split.x_test, depth=1),
                            split.y_test, y_mean)
         base = flat_random_feature_baseline(
@@ -249,7 +249,7 @@ def test_criterion_8_ensembling_ablation():
             cfg = NetConfig(depth=2, blocks=k, features_per_block=2500 // k,
                             seed=seed)
             model = train(split, cfg, n_threads=2)
-            scores.append(evaluate(model.cached_test_prediction, split.y_test,
+            scores.append(evaluate(predict(model, split.x_test), split.y_test,
                                    float(np.mean(split.y_train))).one_minus_r2)
         means[k] = float(np.mean(scores))
     elapsed = time.perf_counter() - t0
@@ -303,7 +303,7 @@ def test_criterion_10_image_pair(tmp_path):
         split = dataio.add_feature_noise(base_split, level, seed=0)
         model = train(split, cfg, n_threads=2)
         y_mean = float(np.mean(split.y_train))
-        net_mse.append(evaluate(model.cached_test_prediction, split.y_test,
+        net_mse.append(evaluate(predict(model, split.x_test), split.y_test,
                                 y_mean).mse)
         flat_mse.append(flat_random_feature_baseline(
             split, cfg.layer_width, DEFAULT_LAMBDA_GRID,

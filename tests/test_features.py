@@ -54,8 +54,7 @@ def test_output_nonnegative():
 
 
 def test_one_by_one_hand_case():
-    block = FeatureBlock(weights=np.array([[1.0]]), biases=np.array([-1.0]),
-                         gamma=1.0)
+    block = FeatureBlock(weights=np.array([[1.0]]), biases=np.array([-1.0]))
     np.testing.assert_array_equal(apply_block(block, np.array([[4.0]])),
                                   np.array([[3.0]]))
 

@@ -1,13 +1,18 @@
+import io
+import zipfile
+
 import numpy as np
 import pytest
 
 from deepridge import network, ridge
 from deepridge.dataio import DataSplit, SimConfig, simulate_single_neuron
-from deepridge.features import FeatureBlockSpec, apply_block, draw_block
+from deepridge.features import (FeatureBlock, FeatureBlockSpec, apply_block,
+                                draw_block)
 from deepridge.network import (DeepRidgeModel, FinalFit, Metrics, NetConfig,
-                               evaluate, flat_random_feature_baseline,
-                               load_model, predict, save_model, select_depth,
-                               train, train_layer)
+                               _block_gammas, evaluate,
+                               flat_random_feature_baseline, load_model,
+                               predict, save_model, select_depth, train,
+                               train_layer)
 
 SMALL_GRID = (1e-4, 0.1, 1.0, 100.0)
 
@@ -55,14 +60,13 @@ def test_config_validation():
 def test_explicit_gamma_grid_used_verbatim(split):
     cfg = small_cfg(gamma_grid=(0.3, 0.6, 0.9), depth=1)
     model = train(split, cfg)
-    gammas = [b.gamma for b in model.layers[0].blocks]
-    assert gammas == [0.3, 0.6, 0.9]
+    assert model.layers[0].gammas.tolist() == [0.3, 0.6, 0.9]
 
 
 # --- layer training ----------------------------------------------------------
 
 def test_layer_width_arithmetic(split):
-    xs = (split.x_train, split.x_valid, split.x_test)
+    xs = (split.x_train, split.x_valid)
     cfg1 = small_cfg(blocks=1, lambda_grid=(1.0,))
     _, nxt = train_layer(*xs, split.y_train, cfg1, 1)
     assert all(a.shape[1] == 1 for a in nxt)
@@ -72,7 +76,7 @@ def test_layer_width_arithmetic(split):
 
 
 def test_layer_columns_unit_uncentered_std(split):
-    xs = (split.x_train, split.x_valid, split.x_test)
+    xs = (split.x_train, split.x_valid)
     _, nxt = train_layer(*xs, split.y_train, small_cfg(), 1)
     scales = np.sqrt(np.mean(nxt[0] ** 2, axis=0))
     np.testing.assert_allclose(scales, 1.0, rtol=1e-10)
@@ -81,26 +85,71 @@ def test_layer_columns_unit_uncentered_std(split):
 def test_second_layer_consumes_full_width(split):
     cfg = small_cfg()
     model = train(split, cfg)
-    assert model.layers[1].blocks[0].input_dim == cfg.layer_width
+    assert model.layers[1].weights.shape == (
+        cfg.layer_width, cfg.blocks * cfg.features_per_block)
 
 
 def test_planted_signal_recovered(split):
     # make the labels an exact combination of block 1's relu features
     cfg = small_cfg(blocks=2, lambda_grid=(1e-4, 1.0))
     # gamma for block 1 comes from its own stream; reproduce the draw
-    from deepridge.network import _block_gammas
     gamma = float(_block_gammas(cfg, 1)[1])
     block = draw_block(FeatureBlockSpec(gamma=gamma, p=cfg.features_per_block,
                                         bias_range=cfg.bias_range,
                                         stream_key=(7, 1, 1)), split.d)
     coef = np.arange(1.0, cfg.features_per_block + 1)
     y_train = apply_block(block, split.x_train) @ coef
-    xs = (split.x_train, split.x_valid, split.x_test)
+    xs = (split.x_train, split.x_valid)
     layer, nxt = train_layer(*xs, y_train, cfg, 1)
     # block 1, smallest penalty: first column of its group
     col = nxt[0][:, 1 * cfg.n_penalties + 0]
     corr = np.corrcoef(col, y_train)[0, 1]
     assert corr > 0.999
+
+
+def test_grouped_transform_matches_per_block_loop(split):
+    # P=700 makes groups of two blocks, so K=5 ends in a ragged group of one.
+    # A GEMM of another shape may sum in another order, so features can
+    # differ by a few ulps; near-interpolating penalties such as 1e-4 would
+    # amplify that by the Gram's condition number, hence penalties >= 0.1.
+    cfg = small_cfg(blocks=5, features_per_block=700,
+                    lambda_grid=(0.1, 1.0, 100.0))
+    p = cfg.features_per_block
+    assert [b - a for a, b in network.group_bounds(cfg.blocks, p)] == [2, 2, 1]
+    model = train(split, cfg)
+    xs = (split.x_train, split.x_valid)
+    for m in range(1, cfg.depth + 1):
+        blocks, fits, scales, reps = [], [], [], ([], [])
+        for k, gamma in enumerate(_block_gammas(cfg, m)):
+            block = draw_block(FeatureBlockSpec(
+                gamma=float(gamma), p=p, bias_range=cfg.bias_range,
+                stream_key=(cfg.seed, m, k)), xs[0].shape[1])
+            fit = ridge.fit_grid(apply_block(block, xs[0]), split.y_train,
+                                 cfg.lambda_grid)
+            preds = [ridge.predict(fit, apply_block(block, a)) for a in xs]
+            s = ridge.column_scales(preds[0])
+            for out, pred in zip(reps, preds):
+                out.append(pred / s)
+            blocks.append(block)
+            fits.append(fit)
+            scales.append(s)
+        ref = tuple(np.hstack(r) for r in reps)
+
+        layer, got = train_layer(*xs, split.y_train, cfg, m)
+        np.testing.assert_array_equal(
+            layer.weights, np.hstack([b.weights for b in blocks]))
+        np.testing.assert_array_equal(
+            layer.biases, np.concatenate([b.biases for b in blocks]))
+        assert layer.modes == tuple(f.mode for f in fits)
+        np.testing.assert_allclose(
+            layer.betas, np.stack([f.betas for f in fits]), rtol=1e-10)
+        np.testing.assert_allclose(layer.scales, np.vstack(scales),
+                                   rtol=1e-10)
+        for i, x in enumerate((split.x_train, split.x_valid)):
+            np.testing.assert_allclose(got[i], ref[i], rtol=1e-10)
+            np.testing.assert_allclose(network.forward(model, x, m), ref[i],
+                                       rtol=1e-10)
+        xs = ref
 
 
 # --- full training and prediction --------------------------------------------
@@ -111,18 +160,22 @@ def test_degenerate_width_equals_direct_ridge(split):
     layer = model.layers[0]
     rep = network.forward(model, split.x_train, 1)
     # un-normalize and compare against a direct fit with the same block
+    p = cfg.features_per_block
+    block = FeatureBlock(weights=layer.weights[:, :p], biases=layer.biases[:p])
     direct_fit = ridge.fit_grid(
-        apply_block(layer.blocks[0], split.x_train), split.y_train,
-        cfg.lambda_grid)
-    direct = ridge.predict(direct_fit,
-                           apply_block(layer.blocks[0], split.x_train))
+        apply_block(block, split.x_train), split.y_train, cfg.lambda_grid)
+    direct = ridge.predict(direct_fit, apply_block(block, split.x_train))
     assert np.abs(rep * layer.scales[0] - direct).max() < 1e-8
 
 
-def test_predict_matches_cached_test_predictions(split):
-    model = train(split, small_cfg())
-    np.testing.assert_array_equal(predict(model, split.x_test),
-                                  model.cached_test_prediction)
+def test_forward_reproduces_training_representation(split):
+    cfg = small_cfg()
+    model = train(split, cfg)
+    xs = (split.x_train, split.x_valid)
+    for m in range(1, cfg.depth + 1):
+        _, xs = train_layer(*xs, split.y_train, cfg, m)
+        np.testing.assert_allclose(network.forward(model, split.x_train, m),
+                                   xs[0], rtol=1e-10)
 
 
 def test_shallow_predictions_ignore_deeper_layers(split):
@@ -147,13 +200,16 @@ def test_predict_validation(split):
         predict(model, split.x_test[:, :3])
 
 
-def test_thread_count_does_not_change_anything(split, tmp_path):
+def test_thread_count_does_not_change_anything(split, tmp_path,
+                                               monkeypatch):
+    # groups of two blocks, so the workers share three groups
+    monkeypatch.setattr(network, "GROUP_COLUMNS", 10)
     cfg = small_cfg(blocks=6)
     serial = train(split, cfg, n_threads=1)
     threaded = train(split, cfg, n_threads=4)
     assert serial.lambda_star_index == threaded.lambda_star_index
-    np.testing.assert_array_equal(serial.cached_test_prediction,
-                                  threaded.cached_test_prediction)
+    np.testing.assert_array_equal(predict(serial, split.x_test),
+                                  predict(threaded, split.x_test))
     save_model(serial, tmp_path / "a.drz")
     save_model(threaded, tmp_path / "b.drz")
     assert (tmp_path / "a.drz").read_bytes() == (tmp_path / "b.drz").read_bytes()
@@ -302,3 +358,26 @@ def test_load_rejects_future_version(split, tmp_path, monkeypatch):
     monkeypatch.undo()
     with pytest.raises(network.ModelFormatError, match="version"):
         load_model(path)
+
+
+@pytest.mark.parametrize("entry, bad", [
+    ("layer1.betas.npy", lambda a: a[:, :-1]),                 # wrong shape
+    ("layer1.weights.npy", lambda a: np.vstack([a, a[:1]])),   # input width
+    ("layer1.scales.npy", lambda a: a.astype(np.float32)),     # wrong dtype
+])
+def test_load_rejects_inconsistent_array(split, tmp_path, entry, bad):
+    model = train(split, small_cfg(depth=1))
+    path = tmp_path / "model.drz"
+    save_model(model, path)
+    broken = tmp_path / "broken.drz"
+    with zipfile.ZipFile(path) as src, zipfile.ZipFile(broken, "w") as dst:
+        for name in src.namelist():
+            data = src.read(name)
+            if name == entry:
+                buf = io.BytesIO()
+                np.lib.format.write_array(
+                    buf, bad(np.lib.format.read_array(io.BytesIO(data))))
+                data = buf.getvalue()
+            dst.writestr(name, data)
+    with pytest.raises(network.ModelFormatError, match=entry):
+        load_model(broken)
