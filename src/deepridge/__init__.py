@@ -1,7 +1,8 @@
 """Layered random-feature ridge ensembles and their asymptotic risk theory.
 
 Modules:
-    dataio   -- simulated and IDX-image datasets, feature noise, splits
+    dataio   -- simulated and IDX-image datasets, feature noise,
+                atomic file writes
     features -- random relu feature blocks
     ridge    -- penalty-grid ridge fits from one eigendecomposition
     network  -- training, prediction, depth selection, flat baseline

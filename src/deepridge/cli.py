@@ -15,7 +15,6 @@ data.data_dir.
 import argparse
 import csv
 import hashlib
-import io
 import json
 import os
 import sys
@@ -200,18 +199,10 @@ def _check_resources(n_total: int, d: int, cfg: network.NetConfig,
 
 
 def _write_csv(path, columns, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(columns)
-    writer.writerows(rows)
-    tmp = f"{path}.tmp-{os.getpid()}"
-    try:
-        with open(tmp, "w", newline="") as f:
-            f.write(buf.getvalue())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with dataio.atomic_path(path) as tmp, open(tmp, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def _fmt(x) -> str:
@@ -407,14 +398,8 @@ def run(config_path, seed_override=None, threads: int = 1,
         "outputs": [os.path.basename(p) for p in sorted(state.outputs)],
     }
     manifest_path = os.path.join(cfg["output_dir"], "manifest.json")
-    tmp = f"{manifest_path}.tmp-{os.getpid()}"
-    try:
-        with open(tmp, "w") as f:
-            json.dump(manifest, f, sort_keys=True, indent=1)
-        os.replace(tmp, manifest_path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with dataio.atomic_path(manifest_path) as tmp, open(tmp, "w") as f:
+        json.dump(manifest, f, sort_keys=True, indent=1)
     return manifest
 
 

@@ -1,10 +1,13 @@
 """Datasets: simulated single-neuron regression, IDX image files, noise.
 
 Everything here is a pure function of its inputs plus an explicit seed, so
-any dataset can be regenerated exactly from its configuration.
+any dataset can be regenerated exactly from its configuration. The module
+also holds :func:`atomic_path`, through which every output file is written.
 """
 
+import contextlib
 import gzip
+import os
 import struct
 from dataclasses import dataclass
 
@@ -19,7 +22,6 @@ IDX_LABEL_MAGIC = 0x00000801
 _TAG_SIM = 101
 _TAG_PAIR = 102
 _TAG_NOISE = 103
-_TAG_SPLIT = 104
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,7 @@ def write_idx_images(path, images_uint8) -> None:
     arr = np.ascontiguousarray(images_uint8, dtype=np.uint8)
     if arr.ndim != 3:
         raise ValueError("expected a (count, rows, cols) array")
-    with open(path, "wb") as f:
+    with atomic_path(path) as tmp, open(tmp, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, *arr.shape))
         f.write(arr.tobytes())
 
@@ -181,7 +183,7 @@ def write_idx_labels(path, labels) -> None:
     arr = np.ascontiguousarray(labels, dtype=np.uint8)
     if arr.ndim != 1:
         raise ValueError("expected a 1-d label vector")
-    with open(path, "wb") as f:
+    with atomic_path(path) as tmp, open(tmp, "wb") as f:
         f.write(struct.pack(">II", IDX_LABEL_MAGIC, arr.shape[0]))
         f.write(arr.tobytes())
 
@@ -270,30 +272,17 @@ def add_feature_noise(split: DataSplit, level: int, seed: int = 0) -> DataSplit:
     )
 
 
-def split_indices(n: int, fractions, seed: int = 0):
-    """Partition ``range(n)`` into shuffled disjoint index sets.
+@contextlib.contextmanager
+def atomic_path(path):
+    """Yield a temporary path to write; move it onto ``path`` on success.
 
-    Sizes follow largest-remainder rounding of ``n * fractions``; remainder
-    ties go to the later split, so slack lands in the last set. Raises if
-    any split would be empty.
+    The temporary file is removed whatever happens, so a failed write
+    leaves no partial file behind and any file already at ``path`` intact.
     """
-    fractions = [float(f) for f in fractions]
-    if any(f <= 0 for f in fractions):
-        raise ValueError("fractions must be positive")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1")
-    exact = [n * f for f in fractions]
-    sizes = [int(np.floor(e)) for e in exact]
-    remainders = [e - s for e, s in zip(exact, sizes)]
-    leftover = n - sum(sizes)
-    for j in sorted(range(len(fractions)),
-                    key=lambda j: (-remainders[j], -j))[:leftover]:
-        sizes[j] += 1
-    if any(s == 0 for s in sizes):
-        raise ValueError(f"n={n} too small for nonempty splits {fractions}")
-    perm = stream_rng(seed, _TAG_SPLIT).permutation(n)
-    out, start = [], 0
-    for s in sizes:
-        out.append(perm[start:start + s])
-        start += s
-    return tuple(out)
+    tmp = f"{path}.tmp-{os.getpid()}"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)

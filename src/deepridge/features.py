@@ -43,10 +43,6 @@ class FeatureBlock:
     def input_dim(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def width(self) -> int:
-        return self.weights.shape[1]
-
 
 def draw_block(spec: FeatureBlockSpec, input_dim: int) -> FeatureBlock:
     """Draw a block; the content depends only on ``spec.stream_key``."""

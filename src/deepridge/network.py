@@ -20,21 +20,20 @@ Training never backpropagates: input weights are drawn, output weights are
 closed-form ridge solutions.
 """
 
+import dataclasses
 import io
 import json
-import os
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .dataio import DataSplit
+from .dataio import DataSplit, atomic_path
 from .features import FeatureBlock, FeatureBlockSpec, apply_block, draw_block
 from .ridge import RidgeGridFit, column_scales, fit_grid
 from .ridge import predict as ridge_predict
-from .seeding import stream_rng
+from .seeding import map_ordered, stream_rng
 
 # 29-point default penalty grid used throughout the experiments
 DEFAULT_LAMBDA_GRID = (
@@ -192,14 +191,6 @@ class BaselineResult:
     lambda_star_index: int
 
 
-def _map_ordered(fn, items, n_threads: int):
-    # results keyed by position, so scheduling never changes the output
-    if n_threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _block_gammas(cfg: NetConfig, layer_index: int) -> np.ndarray:
     if cfg.gamma_grid is not None:
         return np.asarray(cfg.gamma_grid, dtype=float)
@@ -288,15 +279,15 @@ def train_layer(x_train, x_valid, y_train, cfg: NetConfig,
         out /= group_scales
         return modes
 
-    built = _map_ordered(build, group_bounds(k_blocks, p), n_threads)
+    built = map_ordered(build, group_bounds(k_blocks, p), n_threads)
     layer = LayerModel(weights=weights, biases=biases, gammas=gammas,
                        betas=betas, scales=scales,
                        modes=tuple(mode for modes in built for mode in modes))
     return layer, (rep[:n_train], rep[n_train:])
 
 
-def _fit_final(depth, rep_train, rep_valid, y_train, y_valid, cfg):
-    fit = fit_grid(rep_train, y_train, cfg.lambda_grid)
+def _fit_final(depth, rep_train, rep_valid, y_train, y_valid, lambdas):
+    fit = fit_grid(rep_train, y_train, lambdas)
     valid_pred = ridge_predict(fit, rep_valid)
     valid_mse = np.mean((valid_pred - y_valid[:, None]) ** 2, axis=0)
     star = int(np.argmin(valid_mse))  # ties resolve to the smaller penalty
@@ -318,7 +309,7 @@ def train(split: DataSplit, cfg: NetConfig, n_threads: int = 1) -> DeepRidgeMode
         layers.append(layer)
         if cfg.per_depth_final or m == cfg.depth:
             finals.append(_fit_final(m, xs[0], xs[1], split.y_train,
-                                     split.y_valid, cfg))
+                                     split.y_valid, cfg.lambda_grid))
     return DeepRidgeModel(config=cfg, layers=tuple(layers),
                           final_fits=tuple(finals), input_dim=split.d)
 
@@ -332,6 +323,8 @@ def forward(model: DeepRidgeModel, x, depth: int | None = None) -> np.ndarray:
     cur = np.asarray(x, dtype=float)
     if cur.ndim != 2 or cur.shape[1] != model.input_dim:
         raise ValueError(f"expected {model.input_dim} input columns")
+    if not np.all(np.isfinite(cur)):
+        raise ValueError("input contains NaN or inf")
     for layer in model.layers[:depth]:
         k_blocks, p, n_pen = layer.betas.shape
         nxt = np.empty((cur.shape[0], k_blocks * n_pen))
@@ -424,61 +417,42 @@ def flat_random_feature_baseline(split: DataSplit, p_total: int, lambdas,
     biases = rng.uniform(-bias_range, bias_range, size=p_total)
     block = FeatureBlock(weights=weights, biases=biases)
 
-    z_train = apply_block(block, split.x_train)
-    fit = fit_grid(z_train, split.y_train, lambdas)
-    valid_mse = np.mean(
-        (ridge_predict(fit, apply_block(block, split.x_valid))
-         - split.y_valid[:, None]) ** 2, axis=0)
-    star = int(np.argmin(valid_mse))
-    test_pred = ridge_predict(fit, apply_block(block, split.x_test))[:, star]
+    ff = _fit_final(1, apply_block(block, split.x_train),
+                    apply_block(block, split.x_valid), split.y_train,
+                    split.y_valid, lambdas)
+    test_pred = ridge_predict(
+        ff.fit, apply_block(block, split.x_test))[:, ff.lambda_star_index]
     metrics = evaluate(test_pred, split.y_test, float(np.mean(split.y_train)))
-    return BaselineResult(metrics=metrics,
-                          lambda_star=float(fit.lambdas[star]),
-                          lambda_star_index=star)
+    return BaselineResult(metrics=metrics, lambda_star=ff.lambda_star,
+                          lambda_star_index=ff.lambda_star_index)
 
 
 # --- serialization ---------------------------------------------------------
 #
 # A model file is a zip archive of .npy payloads plus a JSON header. Entries
 # are written in sorted order with fixed timestamps and no compression, so
-# an identical model always produces identical bytes.
+# an identical model always produces identical bytes. Arrays are streamed
+# into the archive one at a time, never copied into memory first.
 
 
-def _npy_bytes(arr) -> bytes:
-    buf = io.BytesIO()
-    np.lib.format.write_array(buf, np.ascontiguousarray(arr), version=(1, 0))
-    return buf.getvalue()
-
-
-def _write_deterministic_zip(path, entries: dict) -> None:
-    tmp = f"{path}.tmp-{os.getpid()}"
-    try:
-        with zipfile.ZipFile(tmp, "w", compression=zipfile.ZIP_STORED) as zf:
-            for name in sorted(entries):
-                info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
-                zf.writestr(info, entries[name])
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+def _write_npy(zf, info, arr) -> None:
+    arr = np.ascontiguousarray(arr)
+    # preset the exact .npy length: zipfile decides on zip64 from it
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, np.lib.format.header_data_from_array_1_0(arr))
+    info.file_size = header.tell() + arr.nbytes
+    with zf.open(info, "w") as f:
+        np.lib.format.write_array(f, arr, version=(1, 0))
 
 
 def save_model(model: DeepRidgeModel, path) -> None:
     """Serialize a trained model: a header plus five arrays per layer."""
-    cfg = model.config
     header = {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
         "library_version": __version__,
-        "config": {
-            "depth": cfg.depth, "blocks": cfg.blocks,
-            "features_per_block": cfg.features_per_block,
-            "lambda_grid": list(cfg.lambda_grid),
-            "gamma_low": cfg.gamma_low, "gamma_high": cfg.gamma_high,
-            "gamma_grid": list(cfg.gamma_grid) if cfg.gamma_grid else None,
-            "bias_range": cfg.bias_range, "seed": cfg.seed,
-            "per_depth_final": cfg.per_depth_final,
-        },
+        "config": dataclasses.asdict(model.config),
         "input_dim": model.input_dim,
         "layer_modes": [list(layer.modes) for layer in model.layers],
         "final_fits": [
@@ -492,24 +466,40 @@ def save_model(model: DeepRidgeModel, path) -> None:
     }
     for m, layer in enumerate(model.layers, start=1):
         for name in ("weights", "biases", "gammas", "betas", "scales"):
-            entries[f"layer{m}.{name}.npy"] = _npy_bytes(getattr(layer, name))
+            entries[f"layer{m}.{name}.npy"] = getattr(layer, name)
     for ff in model.final_fits:
-        entries[f"final{ff.depth}.betas.npy"] = _npy_bytes(ff.fit.betas)
-        entries[f"final{ff.depth}.valid_mse.npy"] = _npy_bytes(ff.valid_mse)
-    _write_deterministic_zip(path, entries)
+        entries[f"final{ff.depth}.betas.npy"] = ff.fit.betas
+        entries[f"final{ff.depth}.valid_mse.npy"] = ff.valid_mse
+    with atomic_path(path) as tmp, zipfile.ZipFile(tmp, "w") as zf:
+        for name in sorted(entries):
+            info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
+            if name == "header.json":
+                zf.writestr(info, entries[name])
+            else:
+                _write_npy(zf, info, entries[name])
+
+
+def _int_in(value, low: int, high: int) -> bool:
+    # JSON booleans load as Python ints; they are not indices here
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and low <= value < high)
 
 
 def load_model(path) -> DeepRidgeModel:
     """Load a model written by :func:`save_model`.
 
-    Every array's shape and dtype is checked against the header, so a
-    damaged or inconsistent file raises :class:`ModelFormatError`.
+    Every array's shape and dtype and every index in the header are checked
+    against the header config, so a damaged or inconsistent file raises
+    :class:`ModelFormatError`.
     """
+    def corrupt(what):
+        return ModelFormatError(f"{path}: corrupt model file ({what})")
+
     try:
         with zipfile.ZipFile(path) as zf:
             names = set(zf.namelist())
             if "header.json" not in names:
-                raise ModelFormatError(f"{path}: corrupt model file (no header)")
+                raise corrupt("no header")
             header = json.loads(zf.read("header.json"))
             if header.get("format") != MODEL_FORMAT:
                 raise ModelFormatError(f"{path}: not a {MODEL_FORMAT} file")
@@ -521,26 +511,21 @@ def load_model(path) -> DeepRidgeModel:
 
             def read_arr(name, shape):
                 if name not in names:
-                    raise ModelFormatError(f"{path}: corrupt model file "
-                                           f"(missing {name})")
+                    raise corrupt(f"missing {name}")
                 with zf.open(name) as f:
                     arr = np.lib.format.read_array(f)
                 if arr.dtype != np.float64 or arr.shape != shape:
-                    raise ModelFormatError(
-                        f"{path}: corrupt model file ({name} is {arr.dtype} "
-                        f"{arr.shape}, expected float64 {shape})")
+                    raise corrupt(f"{name} is {arr.dtype} {arr.shape}, "
+                                  f"expected float64 {shape}")
                 return arr
 
-            cfg = NetConfig(**{
-                **header["config"],
-                "lambda_grid": tuple(header["config"]["lambda_grid"]),
-                "gamma_grid": (tuple(header["config"]["gamma_grid"])
-                               if header["config"]["gamma_grid"] else None),
-            })
+            cfg = NetConfig(**header["config"])
             lam = np.asarray(cfg.lambda_grid, dtype=float)
             k_blocks, p = cfg.blocks, cfg.features_per_block
             n_pen, width = cfg.n_penalties, cfg.layer_width
             input_dim = int(header["input_dim"])
+            if len(header["layer_modes"]) != cfg.depth:
+                raise corrupt("need one layer_modes entry per layer")
             layers = []
             for m in range(1, cfg.depth + 1):
                 shapes = {
@@ -553,22 +538,31 @@ def load_model(path) -> DeepRidgeModel:
                 modes = tuple(header["layer_modes"][m - 1])
                 if (len(modes) != k_blocks
                         or not set(modes) <= {"primal", "dual"}):
-                    raise ModelFormatError(
-                        f"{path}: corrupt model file (layer {m} modes)")
+                    raise corrupt(f"layer {m} modes")
                 layers.append(LayerModel(
                     **{name: read_arr(f"layer{m}.{name}.npy", shape)
                        for name, shape in shapes.items()},
                     modes=modes))
+            depths = [spec["depth"] for spec in header["final_fits"]]
+            if not (all(_int_in(d, 1, cfg.depth + 1) for d in depths)
+                    and depths == sorted(set(depths))
+                    and depths[-1:] == [cfg.depth]):
+                raise corrupt(f"final fit depths {depths}, need strictly "
+                              f"ascending depths in 1..{cfg.depth} ending "
+                              f"at {cfg.depth}")
             finals = []
             for spec in header["final_fits"]:
-                d = spec["depth"]
+                d, star = spec["depth"], spec["lambda_star_index"]
+                if not _int_in(star, 0, n_pen):
+                    raise corrupt(f"depth {d} lambda_star_index {star!r} "
+                                  f"outside 0..{n_pen - 1}")
                 finals.append(FinalFit(
                     depth=d,
                     fit=RidgeGridFit(
                         lambdas=lam,
                         betas=read_arr(f"final{d}.betas.npy", (width, n_pen)),
                         mode=spec["mode"]),
-                    lambda_star_index=spec["lambda_star_index"],
+                    lambda_star_index=star,
                     valid_mse=read_arr(f"final{d}.valid_mse.npy", (n_pen,))))
             return DeepRidgeModel(config=cfg, layers=tuple(layers),
                                   final_fits=tuple(finals),
@@ -577,4 +571,4 @@ def load_model(path) -> DeepRidgeModel:
         raise
     except (zipfile.BadZipFile, KeyError, json.JSONDecodeError, TypeError,
             ValueError) as exc:
-        raise ModelFormatError(f"{path}: corrupt model file ({exc})") from exc
+        raise corrupt(exc) from exc

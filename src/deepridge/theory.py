@@ -19,15 +19,13 @@ oracle :func:`monte_carlo_risk` in the test suite.
 """
 
 import csv
-import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import stream_rng
+from .dataio import atomic_path
+from .seeding import map_ordered, stream_rng
 
 _TAG_MC = 301
 
@@ -41,18 +39,14 @@ class ConsistencyError(ArithmeticError):
 
 @dataclass(frozen=True)
 class TheoryParams:
-    """Asymptotic regime: group aspect ratios, signal strengths, moments.
+    """Asymptotic regime: group aspect ratios and signal strengths.
 
-    ``sigma1..3`` are the limiting spectral moments of each group's feature
-    covariance; the closed forms implemented here cover the identity
-    covariance, where all three equal 1.
+    The features have identity covariance, the only case the closed forms
+    here cover.
     """
 
     c: tuple        # per-group aspect ratios p(k)/n
     b: tuple        # per-group signal strengths
-    sigma1: float = 1.0
-    sigma2: float = 1.0
-    sigma3: float = 1.0
     lambda_grid: tuple = ()
 
     def __post_init__(self):
@@ -62,8 +56,6 @@ class TheoryParams:
             raise ValueError("c and b must be equal-length and non-empty")
         if any(v <= 0 for v in c) or any(v <= 0 for v in b):
             raise ValueError("aspect ratios and signal strengths must be > 0")
-        if any(s <= 0 for s in (self.sigma1, self.sigma2, self.sigma3)):
-            raise ValueError("spectral moments must be positive")
         grid = tuple(float(v) for v in self.lambda_grid)
         if any(v <= 0 for v in grid):
             raise ValueError("lambda_grid entries must be positive")
@@ -77,8 +69,8 @@ class TheoryParams:
 
     @property
     def b_bar(self) -> float:
-        """Total signal, weighted by the first spectral moment."""
-        return float(sum(bk * self.sigma1 for bk in self.b))
+        """Total signal strength."""
+        return float(sum(self.b))
 
 
 @dataclass(frozen=True)
@@ -158,15 +150,15 @@ def xi_deriv(lam, c):
     return out if np.ndim(out) else float(out)
 
 
-def nu_family(lam, c, sigma1: float = 1.0):
+def nu_family(lam, c):
     """The trace functionals (nu, nu', nu_hat) driving every risk formula.
 
-    nu = sigma1 - lam*xi/c, nu' = -(xi + lam*xi')/c, nu_hat = nu + lam*nu'.
+    nu = 1 - lam*xi/c, nu' = -(xi + lam*xi')/c, nu_hat = nu + lam*nu'.
     Their signs (+, -, +) are structural; a violation raises.
     """
     x = xi(lam, c)
     xd = xi_deriv(lam, c)
-    nu = sigma1 - (np.asarray(lam, dtype=float) / c) * x
+    nu = 1.0 - (np.asarray(lam, dtype=float) / c) * x
     nu_prime = -(x + lam * xd) / c
     nu_hat = nu + lam * nu_prime
     if np.any(nu <= 0) or np.any(nu_prime >= 0) or np.any(nu_hat <= 0):
@@ -180,15 +172,14 @@ def nu_family(lam, c, sigma1: float = 1.0):
 def _group_quadratic(lam, k, params):
     """Coefficients (linear, quadratic) of the group-k risk in its weight.
 
-    Risk(alpha) = b*sigma1 - 2*alpha*(b*nu) + alpha^2 * A, where A bundles
+    Risk(alpha) = b - 2*alpha*(b*nu) + alpha^2 * A, where A bundles
     the group's own shrinkage with the noise contributed by the other
     groups' signals.
     """
     b, c = params.b[k], params.c[k]
-    s1 = params.sigma1
-    nu, nu_prime, nu_hat = nu_family(lam, c, s1)
+    nu, nu_prime, nu_hat = nu_family(lam, c)
     lin = b * nu
-    quad = b * nu_hat - c * nu_prime * (1.0 + params.b_bar - b * s1)
+    quad = b * nu_hat - c * nu_prime * (1.0 + params.b_bar - b)
     return lin, quad
 
 
@@ -198,7 +189,7 @@ def sub_model_risk(alpha: float, lam: float, k: int, params: TheoryParams) -> fl
         raise ValueError(f"group index {k} out of range")
     lin, quad = _group_quadratic(lam, k, params)
     b = params.b[k]
-    return float(b * params.sigma1 - 2.0 * alpha * lin + alpha * alpha * quad)
+    return float(b - 2.0 * alpha * lin + alpha * alpha * quad)
 
 
 def ensemble_risk(alphas, lams, params: TheoryParams) -> float:
@@ -217,7 +208,7 @@ def optimal_lambda(params: TheoryParams, k: int) -> float:
     if not 0 <= k < params.n_groups:
         raise ValueError(f"group index {k} out of range")
     b, c = params.b[k], params.c[k]
-    return float(c * (1.0 + params.b_bar - b * params.sigma1) / b)
+    return float(c * (1.0 + params.b_bar - b) / b)
 
 
 def optimal_alpha(lam: float, params: TheoryParams, k: int) -> float:
@@ -237,11 +228,11 @@ def flat_risk(a: float, lam: float, params: TheoryParams) -> float:
     """Risk of one ridge over all groups jointly, prediction scaled by ``a``.
 
     The resolvent functionals are evaluated at the pooled aspect ratio
-    c*K; requires equal group sizes with a shared spectral law.
+    c*K; requires equal group sizes.
     """
     ck = _flat_aspect(params)
     bb = params.b_bar
-    nu, nu_prime, nu_hat = nu_family(lam, ck, params.sigma1)
+    nu, nu_prime, nu_hat = nu_family(lam, ck)
     return float(bb - 2.0 * a * bb * nu + a * a * (bb * nu_hat - ck * nu_prime))
 
 
@@ -256,7 +247,7 @@ def flat_optima(params: TheoryParams, lam: float | None = None):
     bb = params.b_bar
     lambda_bar = ck / bb
     at = lambda_bar if lam is None else float(lam)
-    nu, nu_prime, nu_hat = nu_family(at, ck, params.sigma1)
+    nu, nu_prime, nu_hat = nu_family(at, ck)
     a_bar = bb * nu / (bb * nu_hat - ck * nu_prime)
     return float(lambda_bar), float(a_bar)
 
@@ -281,8 +272,6 @@ def risk_curves(params: TheoryParams, c_grid) -> np.ndarray:
     rows = []
     for cv in np.asarray(c_grid, dtype=float).ravel():
         at_c = TheoryParams(c=(cv,) * params.n_groups, b=params.b,
-                            sigma1=params.sigma1, sigma2=params.sigma2,
-                            sigma3=params.sigma3,
                             lambda_grid=params.lambda_grid)
         lambda_bar, _ = flat_optima(at_c)
         flat = flat_risk(1.0, lambda_bar, at_c)
@@ -311,13 +300,13 @@ def hetero_penalty_solution(params: TheoryParams, lambda_grid=None) -> HeteroPen
     the grid minimizing the limiting risk of sum_l w_l * fit(lambda_l).
     The limiting Gram of the fits has entries
 
-        Gram(l1, l2) = b*(sigma1 + (l1^2 xi(l1) - l2^2 xi(l2))/(c (l2-l1)))
+        Gram(l1, l2) = b*(1 + (l1^2 xi(l1) - l2^2 xi(l2))/(c (l2-l1)))
                        + (l2 xi(l2) - l1 xi(l1))/(l2 - l1),
 
     with the diagonal (and near-equal pairs) taken as the analytic limit
     l2 -> l1. The target cross-product vector is gamma_l = b * nu(l).
     Weights solve Gram w = gamma; the optimal risk is
-    b*sigma1 - gamma'w. Mixing across penalties applies an eigenvalue-
+    b - gamma'w. Mixing across penalties applies an eigenvalue-
     dependent (non-linear) shrinkage that no single penalty can match.
     """
     if params.n_groups != 1:
@@ -334,7 +323,7 @@ def hetero_penalty_solution(params: TheoryParams, lambda_grid=None) -> HeteroPen
                 raise ValueError(
                     f"duplicate penalties make the fit Gram singular: "
                     f"grid positions {i} and {j} both equal {lams[i]}")
-    b, c, s1 = params.b[0], params.c[0], params.sigma1
+    b, c = params.b[0], params.c[0]
 
     xis = np.array([xi(l, c) for l in lams])
     xids = np.array([xi_deriv(l, c) for l in lams])
@@ -344,14 +333,14 @@ def hetero_penalty_solution(params: TheoryParams, lambda_grid=None) -> HeteroPen
             l1, l2 = lams[i], lams[j]
             if abs(l2 - l1) < 1e-6 * min(l1, l2):
                 # analytic limit; the difference quotient would cancel badly
-                gram[i, j] = (b * (s1 - (2 * l1 * xis[i] + l1 * l1 * xids[i]) / c)
+                gram[i, j] = (b * (1.0 - (2 * l1 * xis[i] + l1 * l1 * xids[i]) / c)
                               + xis[i] + l1 * xids[i])
             else:
-                gram[i, j] = (b * (s1 + (l1 * l1 * xis[i] - l2 * l2 * xis[j])
+                gram[i, j] = (b * (1.0 + (l1 * l1 * xis[i] - l2 * l2 * xis[j])
                                    / (c * (l2 - l1)))
                               + (l2 * xis[j] - l1 * xis[i]) / (l2 - l1))
     gram = 0.5 * (gram + gram.T)  # symmetrize away rounding asymmetry
-    gamma_vec = b * np.array([nu_family(l, c, s1)[0] for l in lams])
+    gamma_vec = b * np.array([nu_family(l, c)[0] for l in lams])
     try:
         weights = np.linalg.solve(gram, gamma_vec)
     except np.linalg.LinAlgError as exc:
@@ -363,7 +352,7 @@ def hetero_penalty_solution(params: TheoryParams, lambda_grid=None) -> HeteroPen
             f"singular fit Gram; nearest penalty pair is grid positions "
             f"{min(close)} and {max(close)} "
             f"({lams[close[0]]}, {lams[close[1]]})") from exc
-    risk = float(b * s1 - gamma_vec @ weights)
+    risk = float(b - gamma_vec @ weights)
     return HeteroPenaltySolution(weights=weights, gram=gram,
                                  gamma_vec=gamma_vec, optimal_risk=risk)
 
@@ -512,12 +501,8 @@ def monte_carlo_risk(scenario: RiskScenario, estimators, replications: int,
             out.append(float(err @ err))
         return out
 
-    if n_threads <= 1:
-        rows = [one_rep(r) for r in range(replications)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            rows = list(pool.map(one_rep, range(replications)))
-    risks = np.asarray(rows)  # (R, n_estimators)
+    # (R, n_estimators)
+    risks = np.asarray(map_ordered(one_rep, range(replications), n_threads))
     results = []
     for j, est in enumerate(estimators):
         col = risks[:, j]
@@ -543,33 +528,20 @@ def _estimator_label(est) -> str:
     return str(est)
 
 
-def _atomic_write_text(path, text: str) -> None:
-    tmp = f"{path}.tmp-{os.getpid()}"
-    try:
-        with open(tmp, "w", newline="") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
 def write_risk_curves_csv(table: np.ndarray, path) -> None:
     """Write a :func:`risk_curves` table with its standard header."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(RISK_CURVE_COLUMNS)
-    for row in np.asarray(table, dtype=float):
-        writer.writerow([repr(float(v)) for v in row])
-    _atomic_write_text(path, buf.getvalue())
+    with atomic_path(path) as tmp, open(tmp, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(RISK_CURVE_COLUMNS)
+        for row in np.asarray(table, dtype=float):
+            writer.writerow([repr(float(v)) for v in row])
 
 
 def write_monte_carlo_csv(results, path, scenario_label: str = "") -> None:
     """Write oracle results as (scenario, estimator, risk, stderr) rows."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(("scenario", "estimator", "risk", "stderr"))
-    for res in results:
-        writer.writerow((scenario_label, res.estimator,
-                         repr(res.risk), repr(res.stderr)))
-    _atomic_write_text(path, buf.getvalue())
+    with atomic_path(path) as tmp, open(tmp, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(("scenario", "estimator", "risk", "stderr"))
+        for res in results:
+            writer.writerow((scenario_label, res.estimator,
+                             repr(res.risk), repr(res.stderr)))

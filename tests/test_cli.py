@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -246,6 +247,26 @@ def test_main_inspect_round_trip(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["inspect", str(out / "model_seed0_noise1.drz")]) == 0
     assert "deepridge-model" in capsys.readouterr().out
+
+
+def test_main_inspect_bad_header_index(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    write_config(config, seeds=[0], save_models=True)
+    out = tmp_path / "out"
+    cli.main(["run", str(config), "--output-dir", str(out)])
+    capsys.readouterr()
+    broken = tmp_path / "broken.drz"
+    with zipfile.ZipFile(out / "model_seed0_noise1.drz") as src, \
+            zipfile.ZipFile(broken, "w") as dst:
+        for name in src.namelist():
+            data = src.read(name)
+            if name == "header.json":
+                header = json.loads(data)
+                header["final_fits"][0]["lambda_star_index"] = len(SMALL_GRID)
+                data = json.dumps(header).encode()
+            dst.writestr(name, data)
+    assert cli.main(["inspect", str(broken)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_main_threads_flag_reproducible(tmp_path):

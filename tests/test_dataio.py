@@ -256,38 +256,6 @@ def test_noise_negative_level_rejected():
         dataio.add_feature_noise(_small_split(), -1)
 
 
-# --- index splitting ---------------------------------------------------------
-
-def test_split_indices_equal_thirds():
-    sizes = [len(part) for part in
-             dataio.split_indices(9, (1 / 3, 1 / 3, 1 / 3), seed=0)]
-    assert sizes == [3, 3, 3]
-
-
-def test_split_indices_largest_remainder():
-    sizes = [len(part) for part in
-             dataio.split_indices(10, (0.5, 0.25, 0.25), seed=0)]
-    assert sizes == [5, 2, 3]
-
-
-def test_split_indices_disjoint_exhaustive_deterministic():
-    a = dataio.split_indices(100, (0.6, 0.2, 0.2), seed=42)
-    b = dataio.split_indices(100, (0.6, 0.2, 0.2), seed=42)
-    joined = np.sort(np.concatenate(a))
-    np.testing.assert_array_equal(joined, np.arange(100))
-    for pa, pb in zip(a, b):
-        np.testing.assert_array_equal(pa, pb)
-
-
-def test_split_indices_errors():
-    with pytest.raises(ValueError):
-        dataio.split_indices(10, (0.5, 0.5, 0.5), seed=0)
-    with pytest.raises(ValueError):
-        dataio.split_indices(10, (0.9, -0.1, 0.2), seed=0)
-    with pytest.raises(ValueError, match="too small"):
-        dataio.split_indices(2, (1 / 3, 1 / 3, 1 / 3), seed=0)
-
-
 # --- DataSplit invariants ----------------------------------------------------
 
 def test_datasplit_validation():

@@ -1,4 +1,5 @@
 import io
+import json
 import zipfile
 
 import numpy as np
@@ -198,6 +199,11 @@ def test_predict_validation(split):
         predict(model, split.x_test, depth=5)
     with pytest.raises(ValueError):
         predict(model, split.x_test[:, :3])
+    for bad in (np.nan, np.inf):
+        x = split.x_test[:4].copy()
+        x[2, 1] = bad
+        with pytest.raises(ValueError, match="NaN or inf"):
+            predict(model, x)
 
 
 def test_thread_count_does_not_change_anything(split, tmp_path,
@@ -333,6 +339,69 @@ def test_save_is_byte_deterministic(split, tmp_path):
     assert (tmp_path / "a.drz").read_bytes() == (tmp_path / "b.drz").read_bytes()
 
 
+def _npy_bytes(arr):
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.ascontiguousarray(arr), version=(1, 0))
+    return buf.getvalue()
+
+
+def _in_memory_archive(model, header_bytes, path):
+    # reference writer: every payload built in memory, then written whole
+    entries = {"header.json": header_bytes}
+    for m, layer in enumerate(model.layers, start=1):
+        for name in ("weights", "biases", "gammas", "betas", "scales"):
+            entries[f"layer{m}.{name}.npy"] = _npy_bytes(getattr(layer, name))
+    for ff in model.final_fits:
+        entries[f"final{ff.depth}.betas.npy"] = _npy_bytes(ff.fit.betas)
+        entries[f"final{ff.depth}.valid_mse.npy"] = _npy_bytes(ff.valid_mse)
+    with zipfile.ZipFile(path, "w") as zf:
+        for name in sorted(entries):
+            zf.writestr(zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0)),
+                        entries[name])
+    return entries
+
+
+@pytest.mark.parametrize("limit_offset", [None, -1, 1])
+def test_streamed_save_matches_in_memory_archive(split, tmp_path, monkeypatch,
+                                                 limit_offset):
+    # with the zip64 limit just below or above the largest entry's size, the
+    # entry's zip64 fields depend on the size zipfile is told in advance
+    model = train(split, small_cfg())
+    path, ref = tmp_path / "model.drz", tmp_path / "ref.drz"
+    save_model(model, path)
+    with zipfile.ZipFile(path) as zf:
+        header_bytes = zf.read("header.json")
+    entries = _in_memory_archive(model, header_bytes, ref)
+    if limit_offset is not None:
+        largest = max(len(v) for v in entries.values())
+        monkeypatch.setattr(zipfile, "ZIP64_LIMIT", largest + limit_offset)
+        save_model(model, path)
+        _in_memory_archive(model, header_bytes, ref)
+    assert path.read_bytes() == ref.read_bytes()
+
+
+def test_failed_save_keeps_existing_file(split, tmp_path, monkeypatch):
+    path = tmp_path / "model.drz"
+    save_model(train(split, small_cfg(depth=1)), path)
+    before = path.read_bytes()
+    real_write_array = np.lib.format.write_array
+    calls = []
+
+    def write_array_failing_second_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return real_write_array(*args, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "write_array",
+                        write_array_failing_second_call)
+    with pytest.raises(OSError, match="disk full"):
+        save_model(train(split, small_cfg(depth=2)), path)
+    assert len(calls) == 2
+    assert path.read_bytes() == before
+    assert list(tmp_path.glob("*.tmp-*")) == []
+
+
 def test_load_rejects_corrupt_file(tmp_path):
     bad = tmp_path / "bad.drz"
     bad.write_bytes(b"this is not a model")
@@ -360,24 +429,54 @@ def test_load_rejects_future_version(split, tmp_path, monkeypatch):
         load_model(path)
 
 
+def _saved_with_changed_entry(model, tmp_path, entry, change):
+    """Save ``model``, then copy it with ``change`` applied to ``entry``."""
+    path, broken = tmp_path / "model.drz", tmp_path / "broken.drz"
+    save_model(model, path)
+    with zipfile.ZipFile(path) as src, zipfile.ZipFile(broken, "w") as dst:
+        for name in src.namelist():
+            data = src.read(name)
+            dst.writestr(name, change(data) if name == entry else data)
+    return broken
+
+
 @pytest.mark.parametrize("entry, bad", [
     ("layer1.betas.npy", lambda a: a[:, :-1]),                 # wrong shape
     ("layer1.weights.npy", lambda a: np.vstack([a, a[:1]])),   # input width
     ("layer1.scales.npy", lambda a: a.astype(np.float32)),     # wrong dtype
 ])
 def test_load_rejects_inconsistent_array(split, tmp_path, entry, bad):
-    model = train(split, small_cfg(depth=1))
-    path = tmp_path / "model.drz"
-    save_model(model, path)
-    broken = tmp_path / "broken.drz"
-    with zipfile.ZipFile(path) as src, zipfile.ZipFile(broken, "w") as dst:
-        for name in src.namelist():
-            data = src.read(name)
-            if name == entry:
-                buf = io.BytesIO()
-                np.lib.format.write_array(
-                    buf, bad(np.lib.format.read_array(io.BytesIO(data))))
-                data = buf.getvalue()
-            dst.writestr(name, data)
+    broken = _saved_with_changed_entry(
+        train(split, small_cfg(depth=1)), tmp_path, entry,
+        lambda data: _npy_bytes(bad(np.lib.format.read_array(
+            io.BytesIO(data)))))
     with pytest.raises(network.ModelFormatError, match=entry):
+        load_model(broken)
+
+
+# each edit breaks the header of a depth-2 model with final fits at depths
+# 1 and 2 over a 4-point penalty grid
+@pytest.mark.parametrize("edit", [
+    lambda h: h["layer_modes"].pop(),
+    lambda h: h["final_fits"][1].update(lambda_star_index=4),
+    lambda h: h["final_fits"][1].update(lambda_star_index=-1),
+    lambda h: h["final_fits"][1].update(lambda_star_index=1.0),
+    lambda h: h["final_fits"][1].update(lambda_star_index=True),
+    lambda h: h["final_fits"].reverse(),
+    lambda h: h["final_fits"][0].update(depth=2),
+    lambda h: h["final_fits"][0].update(depth=0),
+    lambda h: h["final_fits"][1].update(depth=3),
+    lambda h: h["final_fits"].pop(),
+], ids=["layer-modes-short", "star-past-grid", "star-negative",
+        "star-float", "star-bool", "depths-descending", "depths-repeated",
+        "depth-zero", "depth-past-model", "no-fit-at-full-depth"])
+def test_load_rejects_inconsistent_header(split, tmp_path, edit):
+    def change(data):
+        header = json.loads(data)
+        edit(header)
+        return json.dumps(header).encode()
+
+    broken = _saved_with_changed_entry(train(split, small_cfg()), tmp_path,
+                                       "header.json", change)
+    with pytest.raises(network.ModelFormatError, match="corrupt"):
         load_model(broken)
