@@ -33,6 +33,15 @@ RESULT_COLUMNS = ("seed", "method", "noise_level", "k", "m",
                   "mse", "one_minus_r2", "accuracy")
 TIMING_COLUMNS = ("seed", "method", "noise_level", "k", "m", "wall_time_s")
 
+# JSON type of every NetConfig field a config's "model" section may set; the
+# defaults and the checks are NetConfig's own
+MODEL_FIELDS = {
+    "depth": int, "blocks": int, "features_per_block": int,
+    "lambda_grid": list, "gamma_low": float, "gamma_high": float,
+    "gamma_grid": list, "bias_range": float,
+}
+_NET_DEFAULTS = network.NetConfig()
+
 IDX_BASENAMES = {
     "train_images": "train-images-idx3-ubyte",
     "train_labels": "train-labels-idx1-ubyte",
@@ -92,18 +101,9 @@ def validate_config(cfg: dict) -> dict:
         "save_models": bool(_field(cfg, "save_models", bool, default=False)),
         "baseline": bool(_field(cfg, "baseline", bool, default=True)),
         "model": {
-            "depth": _field(model, "depth", int, default=2),
-            "blocks": _field(model, "blocks", int, default=500),
-            "features_per_block": _field(model, "features_per_block", int,
-                                         default=100),
-            "lambda_grid": _field(model, "lambda_grid", list,
-                                  default=list(network.DEFAULT_LAMBDA_GRID)),
-            "gamma_low": _field(model, "gamma_low", float, default=0.25),
-            "gamma_high": _field(model, "gamma_high", float, default=1.25),
-            "gamma_grid": _field(model, "gamma_grid", list, default=None),
-            "bias_range": _field(model, "bias_range", float, default=1.0),
-            "per_depth_final": bool(_field(model, "per_depth_final", bool,
-                                           default=True)),
+            name: _field(model, name, json_type,
+                         default=getattr(_NET_DEFAULTS, name))
+            for name, json_type in MODEL_FIELDS.items()
         },
         "data": {
             "n": _field(data, "n", int, default=3000),
@@ -156,39 +156,40 @@ def config_hash(cfg: dict) -> str:
 
 
 def _net_config(model_cfg: dict, seed: int, **overrides) -> network.NetConfig:
-    kwargs = {
-        "depth": model_cfg["depth"],
-        "blocks": model_cfg["blocks"],
-        "features_per_block": model_cfg["features_per_block"],
-        "lambda_grid": tuple(model_cfg["lambda_grid"]),
-        "gamma_low": model_cfg["gamma_low"],
-        "gamma_high": model_cfg["gamma_high"],
-        "gamma_grid": (tuple(model_cfg["gamma_grid"])
-                       if model_cfg["gamma_grid"] else None),
-        "bias_range": model_cfg["bias_range"],
-        "per_depth_final": model_cfg["per_depth_final"],
-        "seed": seed,
-    }
-    kwargs.update(overrides)
     try:
-        return network.NetConfig(**kwargs)
-    except ValueError as exc:
+        return network.NetConfig(**{**model_cfg, **overrides}, seed=seed)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model config: {exc}")
 
 
-def _check_resources(n_total: int, d: int, cfg: network.NetConfig,
-                     max_memory_gb: float) -> None:
-    # rough peak-array estimate; abort before any large allocation
-    kl = cfg.layer_width
-    p = cfg.features_per_block
-    weight_floats = (d + max(cfg.depth - 1, 0) * kl) * p * cfg.blocks
-    first, stop = network.group_bounds(cfg.blocks, p)[0]
+def _ridge_fit_floats(rows: int, cols: int) -> int:
+    # one ridge fit on a (rows, cols) Z: the Gram of its smaller side, the
+    # Gram's eigenvectors, and one (cols, r) product (Z'V on the dual path)
+    r = min(rows, cols)
+    return 2 * r * r + cols * r
+
+
+def _check_resources(n_total: int, n_train: int, d: int,
+                     cfg: network.NetConfig, threads: int,
+                     max_memory_gb: float) -> float:
+    """Estimated peak memory of training and predicting, in GB.
+
+    Aborts before any large allocation when the estimate exceeds the limit.
+    Each of the ``threads`` workers holds one transform group's features,
+    one temporary of the same size, and one block's ridge fit.
+    """
+    kl, p = cfg.layer_width, cfg.features_per_block
+    groups = network.group_bounds(cfg.blocks, p)
+    group_columns = (groups[0][1] - groups[0][0]) * p
+    workers = min(max(threads, 1), len(groups))
     floats = (
-        2 * n_total * kl                 # current + next representations
-        + n_total * (stop - first) * p   # one transform group's features
-        + weight_floats                  # stored input weights
-        + max(p, kl) ** 2                # largest Gram
-        + cfg.blocks * p * cfg.n_penalties    # coefficients
+        n_total * (2 * d + 3 * kl)   # data and its stacked copy; a layer's
+                                     # input, its stacked copy and output
+        + (d + (cfg.depth - 1) * kl) * cfg.blocks * p   # input weights
+        + cfg.depth * (cfg.blocks * p + kl) * cfg.n_penalties  # coefficients
+        + workers * (2 * n_total * group_columns
+                     + _ridge_fit_floats(n_train, p))
+        + _ridge_fit_floats(n_train, kl)    # final ridge
     )
     est_gb = 8.0 * floats / 1e9
     if est_gb > max_memory_gb:
@@ -196,6 +197,7 @@ def _check_resources(n_total: int, d: int, cfg: network.NetConfig,
             f"estimated memory {est_gb:.1f} GB exceeds limits.max_memory_gb="
             f"{max_memory_gb}; reduce blocks/features_per_block/depth or "
             f"per_class_cap, or raise the limit")
+    return est_gb
 
 
 def _write_csv(path, columns, rows) -> None:
@@ -297,12 +299,15 @@ def run(config_path, seed_override=None, threads: int = 1,
     kind, data_cfg = cfg["kind"], cfg["data"]
     state = _Run(cfg, threads)
 
+    def check_sim_resources(net_cfg):
+        # a simulated split is three equal parts of data.n rows
+        _check_resources(data_cfg["n"], data_cfg["n"] // 3, data_cfg["d"],
+                         net_cfg, threads, cfg["limits"]["max_memory_gb"])
+
     if kind in ("simulate", "baseline"):
-        n_total, d = data_cfg["n"], data_cfg["d"]
         for seed in cfg["seeds"]:
             net_cfg = _net_config(cfg["model"], seed)
-            _check_resources(n_total, d, net_cfg,
-                             cfg["limits"]["max_memory_gb"])
+            check_sim_resources(net_cfg)
             for level in data_cfg["noise_levels"]:
                 split = _sim_split(data_cfg, level, seed)
                 if kind == "simulate":
@@ -320,9 +325,9 @@ def run(config_path, seed_override=None, threads: int = 1,
             base = dataio.make_binary_pair(
                 train_x, train_y, test_x, test_y, data_cfg["pair_index"],
                 per_class_cap=data_cfg["per_class_cap"], seed=seed)
-            n_total = (base.x_train.shape[0] + base.x_valid.shape[0]
-                       + base.x_test.shape[0])
-            _check_resources(n_total, base.d, net_cfg,
+            n_train = base.x_train.shape[0]
+            n_total = n_train + base.x_valid.shape[0] + base.x_test.shape[0]
+            _check_resources(n_total, n_train, base.d, net_cfg, threads,
                              cfg["limits"]["max_memory_gb"])
             for level in data_cfg["noise_levels"]:
                 split = dataio.add_feature_noise(base, level, seed)
@@ -342,8 +347,7 @@ def run(config_path, seed_override=None, threads: int = 1,
                         f"not divisible by K={k}")
                 net_cfg = _net_config(cfg["model"], seed, blocks=k,
                                       features_per_block=pk_total // k)
-                _check_resources(data_cfg["n"], data_cfg["d"], net_cfg,
-                                 cfg["limits"]["max_memory_gb"])
+                check_sim_resources(net_cfg)
                 for level in data_cfg["noise_levels"]:
                     split = _sim_split(data_cfg, level, seed)
                     state.train_and_score(split, net_cfg, seed, level)
@@ -353,10 +357,8 @@ def run(config_path, seed_override=None, threads: int = 1,
         if depths[0] < 1:
             raise ConfigError("config field 'depths' must be >= 1")
         for seed in cfg["seeds"]:
-            net_cfg = _net_config(cfg["model"], seed, depth=depths[-1],
-                                  per_depth_final=True)
-            _check_resources(data_cfg["n"], data_cfg["d"], net_cfg,
-                             cfg["limits"]["max_memory_gb"])
+            net_cfg = _net_config(cfg["model"], seed, depth=depths[-1])
+            check_sim_resources(net_cfg)
             for level in data_cfg["noise_levels"]:
                 split = _sim_split(data_cfg, level, seed)
                 t0 = time.perf_counter()
@@ -410,7 +412,7 @@ def inspect(model_path) -> str:
     lines = [
         f"model file:      {model_path}",
         f"format:          {network.MODEL_FORMAT} v{network.MODEL_FORMAT_VERSION}",
-        f"depth:           {cfg.depth} layers + final ridge",
+        f"depth:           {cfg.depth} layers, a final ridge after each",
         f"input width:     {model.input_dim}",
         f"blocks/layer:    K={cfg.blocks}, P={cfg.features_per_block}, "
         f"L={cfg.n_penalties}",
@@ -424,9 +426,9 @@ def inspect(model_path) -> str:
             f"mean={gammas.mean():.4f} max={gammas.max():.4f}")
     lines.append(f"final penalty:   lambda*={model.final.lambda_star:g} "
                  f"(index {model.lambda_star_index})")
-    for ff in model.final_fits:
+    for m, ff in enumerate(model.final_fits, start=1):
         lines.append(
-            f"depth {ff.depth} validation MSE at its lambda*: "
+            f"depth {m} validation MSE at its lambda*: "
             f"{float(ff.valid_mse[ff.lambda_star_index]):.6g}")
     return "\n".join(lines)
 

@@ -18,6 +18,9 @@ from .seeding import stream_rng
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
+# share of each class's drawn training rows that a binary pair validates on
+VALID_FRACTION = 0.2
+
 # sub-stream tags so distinct draws on one seed never share a stream
 _TAG_SIM = 101
 _TAG_PAIR = 102
@@ -190,13 +193,14 @@ def write_idx_labels(path, labels) -> None:
 
 def make_binary_pair(train_images, train_labels, test_images, test_labels,
                      pair_index: int, per_class_cap: int | None = None,
-                     seed: int = 0, valid_fraction: float = 0.2) -> DataSplit:
+                     seed: int = 0) -> DataSplit:
     """Build a binary regression dataset from class ``pair_index`` vs the next.
 
     The pair is (pair_index, pair_index+1 mod 10), relabeled 0/1. From the
     training pool, an equal number of rows per class (at most
     ``per_class_cap``) is drawn without replacement and split into train and
-    validation per class, so both stay exactly balanced. Test rows are all
+    validation (:data:`VALID_FRACTION`) per class, so both stay exactly
+    balanced. Test rows are all
     rows of the pair in the given test set.
     """
     if not 0 <= pair_index <= 9:
@@ -216,7 +220,7 @@ def make_binary_pair(train_images, train_labels, test_images, test_labels,
     if take < 2:
         raise ValueError("too few rows per class to split train/validation")
 
-    n_valid = int(round(take * valid_fraction))
+    n_valid = int(round(take * VALID_FRACTION))
     n_valid = min(max(n_valid, 1), take - 1)
     tr_parts, va_parts = [], []
     for idx, label in ((idx_a, 0.0), (idx_b, 1.0)):

@@ -14,24 +14,6 @@ from .seeding import stream_rng
 
 
 @dataclass(frozen=True)
-class FeatureBlockSpec:
-    """Recipe for one block: weight variance, width, bias range, stream key."""
-
-    gamma: float
-    p: int
-    bias_range: float = 1.0
-    stream_key: tuple = (0, 0, 0)
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if self.p < 1:
-            raise ValueError("block width p must be at least 1")
-        if not self.bias_range > 0:
-            raise ValueError("bias_range must be positive")
-
-
-@dataclass(frozen=True)
 class FeatureBlock:
     """Drawn weights and biases of one block, or of several blocks side by
     side; immutable after drawing."""
@@ -44,13 +26,21 @@ class FeatureBlock:
         return self.weights.shape[0]
 
 
-def draw_block(spec: FeatureBlockSpec, input_dim: int) -> FeatureBlock:
-    """Draw a block; the content depends only on ``spec.stream_key``."""
+def draw_block(stream_key: tuple, gamma: float, p: int, input_dim: int,
+               bias_range: float) -> FeatureBlock:
+    """Draw a block of ``p`` features; the content depends only on
+    ``stream_key``."""
+    if not gamma > 0:
+        raise ValueError("gamma must be positive")
+    if p < 1:
+        raise ValueError("block width p must be at least 1")
     if input_dim < 1:
         raise ValueError("input_dim must be at least 1")
-    rng = stream_rng(*spec.stream_key)
-    weights = rng.standard_normal((input_dim, spec.p)) * np.sqrt(spec.gamma)
-    biases = rng.uniform(-spec.bias_range, spec.bias_range, size=spec.p)
+    if not bias_range > 0:
+        raise ValueError("bias_range must be positive")
+    rng = stream_rng(*stream_key)
+    weights = rng.standard_normal((input_dim, p)) * np.sqrt(gamma)
+    biases = rng.uniform(-bias_range, bias_range, size=p)
     return FeatureBlock(weights=weights, biases=biases)
 
 

@@ -5,10 +5,10 @@ feature blocks (each with its own weight variance), fits every block
 against the training labels across the whole penalty grid, and normalizes
 each of the blocks*penalties prediction columns by its training-set
 uncentered standard deviation. The normalized columns feed the next layer.
-A final ridge over the last representation, with its penalty picked on the
-validation split, produces the usable predictor; when per-depth fits are
-kept, every intermediate depth gets its own final ridge from the same
-training pass, so depth can be selected afterwards at no extra cost.
+After every layer a final ridge over that layer's representation, with its
+penalty picked on the validation split, turns the network up to that depth
+into a predictor, so one training pass yields every depth and depth can be
+selected afterwards at no extra cost.
 
 A trained layer is a few stacked arrays over its blocks. Training and
 prediction share one chunked transform: blocks are cut into fixed groups,
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .dataio import DataSplit, atomic_path
-from .features import FeatureBlock, FeatureBlockSpec, apply_block, draw_block
+from .features import FeatureBlock, apply_block, draw_block
 from .ridge import RidgeGridFit, column_scales, fit_grid
 from .ridge import predict as ridge_predict
 from .seeding import map_ordered, stream_rng
@@ -43,7 +43,7 @@ DEFAULT_LAMBDA_GRID = (
 )
 
 MODEL_FORMAT = "deepridge-model"
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 # feature columns per transform GEMM: wide enough for BLAS to run near peak,
 # narrow enough that one group's (rows, columns) features stay small
@@ -77,7 +77,6 @@ class NetConfig:
     gamma_grid: tuple | None = None
     bias_range: float = 1.0
     seed: int = 0
-    per_depth_final: bool = True
 
     def __post_init__(self):
         if self.depth < 1:
@@ -135,7 +134,6 @@ class LayerModel:
 class FinalFit:
     """Final ridge for one depth, with its validation-selected penalty."""
 
-    depth: int
     fit: RidgeGridFit
     lambda_star_index: int
     valid_mse: np.ndarray  # per-penalty validation MSE
@@ -147,11 +145,11 @@ class FinalFit:
 
 @dataclass
 class DeepRidgeModel:
-    """A trained network: layers plus one final ridge per stored depth."""
+    """A trained network: layers plus one final ridge per depth."""
 
     config: NetConfig
     layers: tuple                       # depth LayerModels
-    final_fits: tuple                   # FinalFits with ascending depth
+    final_fits: tuple                   # final_fits[m - 1] serves depth m
     input_dim: int
 
     @property
@@ -165,12 +163,6 @@ class DeepRidgeModel:
     @property
     def lambda_star_index(self) -> int:
         return self.final.lambda_star_index
-
-    def final_at_depth(self, depth: int) -> FinalFit:
-        for ff in self.final_fits:
-            if ff.depth == depth:
-                return ff
-        raise ValueError(f"no final ridge stored for depth {depth}")
 
 
 @dataclass(frozen=True)
@@ -260,9 +252,8 @@ def train_layer(x_train, x_valid, y_train, cfg: NetConfig,
     def build(bounds):
         a, b = bounds
         for k in range(a, b):
-            block = draw_block(FeatureBlockSpec(
-                gamma=float(gammas[k]), p=p, bias_range=cfg.bias_range,
-                stream_key=(cfg.seed, layer_index, k)), d)
+            block = draw_block((cfg.seed, layer_index, k), float(gammas[k]),
+                               p, d, cfg.bias_range)
             weights[:, k * p:(k + 1) * p] = block.weights
             biases[k * p:(k + 1) * p] = block.biases
         z = _group_features(weights, biases, x, a, b, p)
@@ -286,30 +277,28 @@ def train_layer(x_train, x_valid, y_train, cfg: NetConfig,
     return layer, (rep[:n_train], rep[n_train:])
 
 
-def _fit_final(depth, rep_train, rep_valid, y_train, y_valid, lambdas):
+def _fit_final(rep_train, rep_valid, y_train, y_valid, lambdas):
     fit = fit_grid(rep_train, y_train, lambdas)
     valid_pred = ridge_predict(fit, rep_valid)
     valid_mse = np.mean((valid_pred - y_valid[:, None]) ** 2, axis=0)
     star = int(np.argmin(valid_mse))  # ties resolve to the smaller penalty
-    return FinalFit(depth=depth, fit=fit, lambda_star_index=star,
-                    valid_mse=valid_mse)
+    return FinalFit(fit=fit, lambda_star_index=star, valid_mse=valid_mse)
 
 
 def train(split: DataSplit, cfg: NetConfig, n_threads: int = 1) -> DeepRidgeModel:
     """Train a full network on a data split.
 
-    Layers are trained in sequence; after each layer (or only the last,
-    when ``cfg.per_depth_final`` is off) a final ridge is fit on that
-    depth's representation and its penalty picked by validation MSE.
+    Layers are trained in sequence; after each layer a final ridge is fit
+    on that depth's representation and its penalty picked by validation
+    MSE.
     """
     xs = (split.x_train, split.x_valid)
     layers, finals = [], []
     for m in range(1, cfg.depth + 1):
         layer, xs = train_layer(*xs, split.y_train, cfg, m, n_threads)
         layers.append(layer)
-        if cfg.per_depth_final or m == cfg.depth:
-            finals.append(_fit_final(m, xs[0], xs[1], split.y_train,
-                                     split.y_valid, cfg.lambda_grid))
+        finals.append(_fit_final(*xs, split.y_train, split.y_valid,
+                                 cfg.lambda_grid))
     return DeepRidgeModel(config=cfg, layers=tuple(layers),
                           final_fits=tuple(finals), input_dim=split.d)
 
@@ -338,38 +327,24 @@ def forward(model: DeepRidgeModel, x, depth: int | None = None) -> np.ndarray:
 
 
 def predict(model: DeepRidgeModel, x, depth: int | None = None) -> np.ndarray:
-    """Predict labels using the stored final ridge for ``depth``.
+    """Predict labels using the final ridge for ``depth``.
 
     Layers beyond ``depth`` are never touched, so a deep model evaluates
-    any stored shallower architecture directly.
+    any shallower architecture directly.
     """
     if depth is None:
         depth = model.depth
-    ff = model.final_at_depth(depth)
     rep = forward(model, x, depth)
+    ff = model.final_fits[depth - 1]
     return ridge_predict(ff.fit, rep)[:, ff.lambda_star_index]
 
 
-def select_depth(model: DeepRidgeModel, split: DataSplit | None = None) -> int:
-    """Depth with the lowest validation MSE; ties go to the smaller depth.
-
-    With no ``split``, the validation scores stored at training time are
-    compared; otherwise each stored depth is re-evaluated on the split's
-    validation part.
-    """
-    if len(model.final_fits) < model.depth:
-        raise ValueError("per-depth final fits absent; train with "
-                         "per_depth_final=True")
-    depths = [ff.depth for ff in model.final_fits]
-    if split is None:
-        scores = [float(ff.valid_mse[ff.lambda_star_index])
-                  for ff in model.final_fits]
-    else:
-        scores = [
-            float(np.mean((predict(model, split.x_valid, d) - split.y_valid) ** 2))
-            for d in depths
-        ]
-    return depths[int(np.argmin(scores))]
+def select_depth(model: DeepRidgeModel) -> int:
+    """Depth with the lowest stored validation MSE; ties go to the smaller
+    depth."""
+    scores = [float(ff.valid_mse[ff.lambda_star_index])
+              for ff in model.final_fits]
+    return int(np.argmin(scores)) + 1
 
 
 def evaluate(predictions, y_test, y_train_mean: float) -> Metrics:
@@ -417,7 +392,7 @@ def flat_random_feature_baseline(split: DataSplit, p_total: int, lambdas,
     biases = rng.uniform(-bias_range, bias_range, size=p_total)
     block = FeatureBlock(weights=weights, biases=biases)
 
-    ff = _fit_final(1, apply_block(block, split.x_train),
+    ff = _fit_final(apply_block(block, split.x_train),
                     apply_block(block, split.x_valid), split.y_train,
                     split.y_valid, lambdas)
     test_pred = ridge_predict(
@@ -447,7 +422,8 @@ def _write_npy(zf, info, arr) -> None:
 
 
 def save_model(model: DeepRidgeModel, path) -> None:
-    """Serialize a trained model: a header plus five arrays per layer."""
+    """Serialize a trained model: a header, five arrays per layer and two
+    per final ridge."""
     header = {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
@@ -456,8 +432,7 @@ def save_model(model: DeepRidgeModel, path) -> None:
         "input_dim": model.input_dim,
         "layer_modes": [list(layer.modes) for layer in model.layers],
         "final_fits": [
-            {"depth": ff.depth, "lambda_star_index": ff.lambda_star_index,
-             "mode": ff.fit.mode}
+            {"lambda_star_index": ff.lambda_star_index, "mode": ff.fit.mode}
             for ff in model.final_fits
         ],
     }
@@ -467,9 +442,9 @@ def save_model(model: DeepRidgeModel, path) -> None:
     for m, layer in enumerate(model.layers, start=1):
         for name in ("weights", "biases", "gammas", "betas", "scales"):
             entries[f"layer{m}.{name}.npy"] = getattr(layer, name)
-    for ff in model.final_fits:
-        entries[f"final{ff.depth}.betas.npy"] = ff.fit.betas
-        entries[f"final{ff.depth}.valid_mse.npy"] = ff.valid_mse
+    for m, ff in enumerate(model.final_fits, start=1):
+        entries[f"final{m}.betas.npy"] = ff.fit.betas
+        entries[f"final{m}.valid_mse.npy"] = ff.valid_mse
     with atomic_path(path) as tmp, zipfile.ZipFile(tmp, "w") as zf:
         for name in sorted(entries):
             info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
@@ -543,21 +518,15 @@ def load_model(path) -> DeepRidgeModel:
                     **{name: read_arr(f"layer{m}.{name}.npy", shape)
                        for name, shape in shapes.items()},
                     modes=modes))
-            depths = [spec["depth"] for spec in header["final_fits"]]
-            if not (all(_int_in(d, 1, cfg.depth + 1) for d in depths)
-                    and depths == sorted(set(depths))
-                    and depths[-1:] == [cfg.depth]):
-                raise corrupt(f"final fit depths {depths}, need strictly "
-                              f"ascending depths in 1..{cfg.depth} ending "
-                              f"at {cfg.depth}")
+            if len(header["final_fits"]) != cfg.depth:
+                raise corrupt("need one final_fits entry per layer")
             finals = []
-            for spec in header["final_fits"]:
-                d, star = spec["depth"], spec["lambda_star_index"]
+            for d, spec in enumerate(header["final_fits"], start=1):
+                star = spec["lambda_star_index"]
                 if not _int_in(star, 0, n_pen):
                     raise corrupt(f"depth {d} lambda_star_index {star!r} "
                                   f"outside 0..{n_pen - 1}")
                 finals.append(FinalFit(
-                    depth=d,
                     fit=RidgeGridFit(
                         lambdas=lam,
                         betas=read_arr(f"final{d}.betas.npy", (width, n_pen)),

@@ -47,7 +47,6 @@ class TheoryParams:
 
     c: tuple        # per-group aspect ratios p(k)/n
     b: tuple        # per-group signal strengths
-    lambda_grid: tuple = ()
 
     def __post_init__(self):
         c = tuple(float(v) for v in self.c)
@@ -56,12 +55,8 @@ class TheoryParams:
             raise ValueError("c and b must be equal-length and non-empty")
         if any(v <= 0 for v in c) or any(v <= 0 for v in b):
             raise ValueError("aspect ratios and signal strengths must be > 0")
-        grid = tuple(float(v) for v in self.lambda_grid)
-        if any(v <= 0 for v in grid):
-            raise ValueError("lambda_grid entries must be positive")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "lambda_grid", grid)
 
     @property
     def n_groups(self) -> int:
@@ -271,18 +266,10 @@ def risk_curves(params: TheoryParams, c_grid) -> np.ndarray:
     """
     rows = []
     for cv in np.asarray(c_grid, dtype=float).ravel():
-        at_c = TheoryParams(c=(cv,) * params.n_groups, b=params.b,
-                            lambda_grid=params.lambda_grid)
-        lambda_bar, _ = flat_optima(at_c)
-        flat = flat_risk(1.0, lambda_bar, at_c)
-        opt = ensemble_risk(
-            np.ones(at_c.n_groups),
-            [optimal_lambda(at_c, k) for k in range(at_c.n_groups)], at_c)
-        subopt = float(sum(
-            sub_model_risk(optimal_alpha(lambda_bar, at_c, k), lambda_bar,
-                           k, at_c)
-            for k in range(at_c.n_groups)))
-        rows.append((cv, flat, opt, subopt))
+        report = risk_report(TheoryParams(c=(cv,) * params.n_groups,
+                                          b=params.b))
+        rows.append((cv, report.flat_risk, report.ensemble_optimal_risk,
+                     report.ensemble_suboptimal_risk))
     return np.array(rows)
 
 
@@ -293,7 +280,8 @@ def default_curve_params(n_groups: int = 10, b_low: float = 0.5,
     return TheoryParams(c=(1.0,) * n_groups, b=tuple(b))
 
 
-def hetero_penalty_solution(params: TheoryParams, lambda_grid=None) -> HeteroPenaltySolution:
+def hetero_penalty_solution(params: TheoryParams,
+                            lambda_grid) -> HeteroPenaltySolution:
     """Optimal deterministic mixing of one group's fits across penalties.
 
     For a single feature group (K must be 1), solves for weights w over
@@ -312,9 +300,7 @@ def hetero_penalty_solution(params: TheoryParams, lambda_grid=None) -> HeteroPen
     if params.n_groups != 1:
         raise ValueError("heterogeneous-penalty mixing is defined for a "
                          "single feature group")
-    lams = np.asarray(
-        params.lambda_grid if lambda_grid is None else lambda_grid,
-        dtype=float).ravel()
+    lams = np.asarray(lambda_grid, dtype=float).ravel()
     if lams.size == 0 or np.any(lams <= 0):
         raise ValueError("penalty grid must be non-empty and positive")
     for i in range(lams.size):

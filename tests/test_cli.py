@@ -1,12 +1,14 @@
 import csv
 import json
+import math
 import os
+import tracemalloc
 import zipfile
 
 import numpy as np
 import pytest
 
-from deepridge import cli, dataio
+from deepridge import cli, dataio, network
 
 SMALL_GRID = [0.0001, 0.1, 1.0, 100.0]
 
@@ -116,6 +118,32 @@ def test_resource_guard_aborts(tmp_path):
                  limits={"max_memory_gb": 0.5})
     with pytest.raises(cli.ConfigError, match="memory"):
         cli.run(config, output_dir=str(tmp_path / "out"))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("blocks, p, mode", [(8, 300, "dual"),
+                                             (60, 40, "primal")],
+                         ids=["dual", "primal"])
+def test_memory_estimate_bounds_traced_peak(threads, blocks, p, mode):
+    # 100 training rows: P=300 takes the dual ridge path and P=40 the primal
+    # one; either layer shape is two transform groups, so two threads overlap
+    n, d = 300, 8
+    split = dataio.simulate_single_neuron(
+        dataio.SimConfig(n=n, d=d, noise_std=0.1, seed=1))
+    cfg = network.NetConfig(depth=2, blocks=blocks, features_per_block=p,
+                            lambda_grid=tuple(SMALL_GRID))
+    assert len(network.group_bounds(blocks, p)) == 2
+    tracemalloc.start()
+    try:
+        model = network.train(split, cfg, n_threads=threads)
+        network.predict(model, split.x_test)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert set(model.layers[0].modes) == {mode}
+    est_gb = cli._check_resources(n, n // 3, d, cfg, threads,
+                                  max_memory_gb=math.inf)
+    assert est_gb * 1e9 >= peak
 
 
 def test_baseline_kind_only_flat_rows(tmp_path):

@@ -7,8 +7,7 @@ import pytest
 
 from deepridge import network, ridge
 from deepridge.dataio import DataSplit, SimConfig, simulate_single_neuron
-from deepridge.features import (FeatureBlock, FeatureBlockSpec, apply_block,
-                                draw_block)
+from deepridge.features import FeatureBlock, apply_block, draw_block
 from deepridge.network import (DeepRidgeModel, FinalFit, Metrics, NetConfig,
                                _block_gammas, evaluate,
                                flat_random_feature_baseline, load_model,
@@ -95,9 +94,8 @@ def test_planted_signal_recovered(split):
     cfg = small_cfg(blocks=2, lambda_grid=(1e-4, 1.0))
     # gamma for block 1 comes from its own stream; reproduce the draw
     gamma = float(_block_gammas(cfg, 1)[1])
-    block = draw_block(FeatureBlockSpec(gamma=gamma, p=cfg.features_per_block,
-                                        bias_range=cfg.bias_range,
-                                        stream_key=(7, 1, 1)), split.d)
+    block = draw_block((7, 1, 1), gamma, cfg.features_per_block, split.d,
+                       cfg.bias_range)
     coef = np.arange(1.0, cfg.features_per_block + 1)
     y_train = apply_block(block, split.x_train) @ coef
     xs = (split.x_train, split.x_valid)
@@ -122,9 +120,8 @@ def test_grouped_transform_matches_per_block_loop(split):
     for m in range(1, cfg.depth + 1):
         blocks, fits, scales, reps = [], [], [], ([], [])
         for k, gamma in enumerate(_block_gammas(cfg, m)):
-            block = draw_block(FeatureBlockSpec(
-                gamma=float(gamma), p=p, bias_range=cfg.bias_range,
-                stream_key=(cfg.seed, m, k)), xs[0].shape[1])
+            block = draw_block((cfg.seed, m, k), float(gamma), p,
+                               xs[0].shape[1], cfg.bias_range)
             fit = ridge.fit_grid(apply_block(block, xs[0]), split.y_train,
                                  cfg.lambda_grid)
             preds = [ridge.predict(fit, apply_block(block, a)) for a in xs]
@@ -225,10 +222,10 @@ def test_thread_count_does_not_change_anything(split, tmp_path,
 
 def _forged_model(valid_mses):
     finals = tuple(
-        FinalFit(depth=d, fit=ridge.RidgeGridFit(
+        FinalFit(fit=ridge.RidgeGridFit(
             lambdas=np.array([1.0]), betas=np.zeros((2, 1)), mode="primal"),
             lambda_star_index=0, valid_mse=np.array([mse]))
-        for d, mse in enumerate(valid_mses, start=1))
+        for mse in valid_mses)
     cfg = NetConfig(depth=len(valid_mses), blocks=1, features_per_block=2,
                     lambda_grid=(1.0,))
     return DeepRidgeModel(config=cfg, layers=(None,) * len(valid_mses),
@@ -248,17 +245,18 @@ def test_select_depth_single_layer(split):
     assert select_depth(model) == 1
 
 
-def test_select_depth_requires_stored_fits(split):
-    model = train(split, small_cfg(per_depth_final=False))
-    with pytest.raises(ValueError, match="per-depth"):
-        select_depth(model)
-
-
 def test_select_depth_recomputed_on_split(split):
-    model = train(split, small_cfg())
-    stored = select_depth(model)
-    recomputed = select_depth(model, split)
-    assert stored == recomputed
+    # one final ridge per depth, and each stored validation MSE is the one
+    # predict gives on the validation rows at that depth
+    cfg = small_cfg(depth=3)
+    model = train(split, cfg)
+    assert len(model.final_fits) == cfg.depth
+    recomputed = [
+        float(np.mean((predict(model, split.x_valid, m) - split.y_valid) ** 2))
+        for m in range(1, cfg.depth + 1)]
+    stored = [ff.valid_mse[ff.lambda_star_index] for ff in model.final_fits]
+    np.testing.assert_allclose(stored, recomputed, rtol=1e-10)
+    assert select_depth(model) == 1 + int(np.argmin(recomputed))
 
 
 # --- metrics -----------------------------------------------------------------
@@ -351,9 +349,9 @@ def _in_memory_archive(model, header_bytes, path):
     for m, layer in enumerate(model.layers, start=1):
         for name in ("weights", "biases", "gammas", "betas", "scales"):
             entries[f"layer{m}.{name}.npy"] = _npy_bytes(getattr(layer, name))
-    for ff in model.final_fits:
-        entries[f"final{ff.depth}.betas.npy"] = _npy_bytes(ff.fit.betas)
-        entries[f"final{ff.depth}.valid_mse.npy"] = _npy_bytes(ff.valid_mse)
+    for m, ff in enumerate(model.final_fits, start=1):
+        entries[f"final{m}.betas.npy"] = _npy_bytes(ff.fit.betas)
+        entries[f"final{m}.valid_mse.npy"] = _npy_bytes(ff.valid_mse)
     with zipfile.ZipFile(path, "w") as zf:
         for name in sorted(entries):
             zf.writestr(zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0)),
@@ -429,6 +427,17 @@ def test_load_rejects_future_version(split, tmp_path, monkeypatch):
         load_model(path)
 
 
+def test_load_rejects_v2_file(split, tmp_path, monkeypatch):
+    model = train(split, small_cfg(depth=1))
+    path = tmp_path / "model.drz"
+    monkeypatch.setattr(network, "MODEL_FORMAT_VERSION", 2)
+    save_model(model, path)
+    monkeypatch.undo()
+    with pytest.raises(network.ModelFormatError,
+                       match="unsupported format version 2"):
+        load_model(path)
+
+
 def _saved_with_changed_entry(model, tmp_path, entry, change):
     """Save ``model``, then copy it with ``change`` applied to ``entry``."""
     path, broken = tmp_path / "model.drz", tmp_path / "broken.drz"
@@ -454,22 +463,19 @@ def test_load_rejects_inconsistent_array(split, tmp_path, entry, bad):
         load_model(broken)
 
 
-# each edit breaks the header of a depth-2 model with final fits at depths
-# 1 and 2 over a 4-point penalty grid
+# each edit breaks the header of a depth-2 model (so two final fits) over a
+# 4-point penalty grid
 @pytest.mark.parametrize("edit", [
     lambda h: h["layer_modes"].pop(),
     lambda h: h["final_fits"][1].update(lambda_star_index=4),
     lambda h: h["final_fits"][1].update(lambda_star_index=-1),
     lambda h: h["final_fits"][1].update(lambda_star_index=1.0),
     lambda h: h["final_fits"][1].update(lambda_star_index=True),
-    lambda h: h["final_fits"].reverse(),
-    lambda h: h["final_fits"][0].update(depth=2),
-    lambda h: h["final_fits"][0].update(depth=0),
-    lambda h: h["final_fits"][1].update(depth=3),
     lambda h: h["final_fits"].pop(),
+    lambda h: h["final_fits"].append(dict(h["final_fits"][0])),
 ], ids=["layer-modes-short", "star-past-grid", "star-negative",
-        "star-float", "star-bool", "depths-descending", "depths-repeated",
-        "depth-zero", "depth-past-model", "no-fit-at-full-depth"])
+        "star-float", "star-bool", "no-fit-at-full-depth",
+        "final-fits-past-depth"])
 def test_load_rejects_inconsistent_header(split, tmp_path, edit):
     def change(data):
         header = json.loads(data)

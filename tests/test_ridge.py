@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deepridge import ridge
 
@@ -152,3 +155,62 @@ def test_input_validation():
         ridge.fit_grid(z * np.nan, y, [1.0])
     with pytest.raises(ValueError):
         ridge.fit_grid(z, y, [1.0], mode="sideways")
+
+
+# --- properties over random problems -----------------------------------------
+
+EPS = np.finfo(float).eps
+PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, database=None,
+                             deadline=None)
+
+
+@st.composite
+def ridge_problems(draw):
+    """A small (z, y, penalty grid): entries in [-1, 1], penalties >= 1e-2."""
+    n = draw(st.integers(1, 12))
+    p = draw(st.integers(1, 12))
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    z = draw(hnp.arrays(np.float64, (n, p), elements=unit))
+    y = draw(hnp.arrays(np.float64, (n,), elements=unit))
+    lams = draw(st.lists(st.floats(1e-2, 1e2), min_size=1, max_size=6,
+                         unique=True))
+    return z, y, np.sort(lams)
+
+
+def _float64_tolerance(z, lams, betas):
+    # eigh and the solves are backward stable, so the error of a ridge
+    # solution is a modest multiple of eps times the condition number of
+    # lam*I + Z'Z/n at the smallest penalty, times the solution's size
+    gram_norm = np.linalg.norm(z, 2) ** 2 / z.shape[0]
+    cond = (gram_norm + lams[0]) / lams[0]
+    return 32 * EPS * cond * (1.0 + np.abs(betas).max())
+
+
+@PROPERTY_SETTINGS
+@given(ridge_problems())
+def test_property_primal_equals_dual(problem):
+    z, y, lams = problem
+    primal = ridge.fit_grid(z, y, lams, mode="primal")
+    dual = ridge.fit_grid(z, y, lams, mode="dual")
+    tol = _float64_tolerance(z, lams, primal.betas)
+    assert np.abs(primal.betas - dual.betas).max() <= tol
+
+
+@PROPERTY_SETTINGS
+@given(ridge_problems(), st.sampled_from(["primal", "dual"]))
+def test_property_norm_never_grows_along_grid(problem, mode):
+    z, y, lams = problem
+    norms = np.linalg.norm(ridge.fit_grid(z, y, lams, mode=mode).betas,
+                           axis=0)
+    # a column's norm is exact up to a few ulps per eigenvector product
+    assert np.all(np.diff(norms) <= 64 * EPS * z.shape[1] * norms[0])
+
+
+@PROPERTY_SETTINGS
+@given(ridge_problems(), st.sampled_from(["primal", "dual"]))
+def test_property_grid_equals_dense_solves(problem, mode):
+    z, y, lams = problem
+    fit = ridge.fit_grid(z, y, lams, mode=mode)
+    oracle = dense_solve(z, y, lams)
+    assert np.abs(fit.betas - oracle).max() <= _float64_tolerance(
+        z, lams, oracle)
