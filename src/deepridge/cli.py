@@ -141,6 +141,8 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError(
                 f"config field '{name}' must be a non-empty list of "
                 f"non-negative integers")
+    if out["data"]["p_total"] is not None and out["data"]["p_total"] < 1:
+        raise ConfigError("config field 'p_total' must be at least 1")
     if out["data"]["activation"] not in ("relu", "sigmoid"):
         raise ConfigError("config field 'activation' must be relu or sigmoid")
     return out
@@ -171,32 +173,45 @@ def _ridge_fit_floats(rows: int, cols: int) -> int:
 
 def _check_resources(n_total: int, n_train: int, d: int,
                      cfg: network.NetConfig, threads: int,
-                     max_memory_gb: float) -> float:
-    """Estimated peak memory of training and predicting, in GB.
+                     max_memory_gb: float, baseline_width: int = 0,
+                     train_network: bool = True) -> float:
+    """Estimated peak memory of a run, in GB.
 
     Aborts before any large allocation when the estimate exceeds the limit.
-    Each of the ``threads`` workers holds one transform group's features,
-    one temporary of the same size, and one block's ridge fit.
+    The network (when ``train_network``) and the flat baseline over
+    ``baseline_width`` features (when non-zero) run one after the other, so
+    the larger of the two counts. Each of the ``threads`` workers holds one
+    transform group's weight buffer and features and one block's ridge fit;
+    input weights are redrawn per group and never kept.
     """
-    kl, p = cfg.layer_width, cfg.features_per_block
-    groups = network.group_bounds(cfg.blocks, p)
-    group_columns = (groups[0][1] - groups[0][0]) * p
-    workers = min(max(threads, 1), len(groups))
-    floats = (
-        n_total * (2 * d + 3 * kl)   # data and its stacked copy; a layer's
-                                     # input, its stacked copy and output
-        + (d + (cfg.depth - 1) * kl) * cfg.blocks * p   # input weights
-        + cfg.depth * (cfg.blocks * p + kl) * cfg.n_penalties  # coefficients
-        + workers * (2 * n_total * group_columns
-                     + _ridge_fit_floats(n_train, p))
-        + _ridge_fit_floats(n_train, kl)    # final ridge
-    )
+    n_pen = cfg.n_penalties
+    network_floats = baseline_floats = 0
+    if train_network:
+        kl, p = cfg.layer_width, cfg.features_per_block
+        groups = network.group_bounds(cfg.blocks, p)
+        group_columns = (groups[0][1] - groups[0][0]) * p
+        workers = min(max(threads, 1), len(groups))
+        widest_input = kl if cfg.depth > 1 else d
+        network_floats = (
+            n_total * (d + 2 * kl)   # stacked inputs; a layer's input, output
+            + cfg.depth * (cfg.blocks * p + kl) * n_pen   # coefficients
+            + workers * (widest_input * (group_columns + 2 * p)   # weight
+                         # buffer, one block's draw; one group's features
+                         + n_total * group_columns
+                         + _ridge_fit_floats(n_train, p))
+            + _ridge_fit_floats(n_train, kl))   # final ridge
+    if baseline_width:
+        baseline_floats = (
+            (n_total + 2 * d + n_pen) * baseline_width   # features, weights,
+                                                         # coefficients
+            + _ridge_fit_floats(n_train, baseline_width))
+    floats = n_total * d + max(network_floats, baseline_floats)
     est_gb = 8.0 * floats / 1e9
     if est_gb > max_memory_gb:
         raise ConfigError(
             f"estimated memory {est_gb:.1f} GB exceeds limits.max_memory_gb="
-            f"{max_memory_gb}; reduce blocks/features_per_block/depth or "
-            f"per_class_cap, or raise the limit")
+            f"{max_memory_gb}; reduce blocks/features_per_block/depth, "
+            f"p_total or per_class_cap, or raise the limit")
     return est_gb
 
 
@@ -260,8 +275,9 @@ class _Run:
     def train_and_score(self, split, net_cfg, seed, level, save_tag=None):
         t0 = time.perf_counter()
         model = network.train(split, net_cfg, n_threads=self.threads)
-        metrics = network.evaluate(network.predict(model, split.x_test),
-                                   split.y_test, float(np.mean(split.y_train)))
+        metrics = network.evaluate(
+            network.predict(model, split.x_test, n_threads=self.threads),
+            split.y_test, float(np.mean(split.y_train)))
         wall = time.perf_counter() - t0
         self.add(seed, "deepridge", level, net_cfg.blocks, net_cfg.depth,
                  metrics, wall)
@@ -271,12 +287,27 @@ class _Run:
             self.outputs.append(path)
         return model
 
-    def baseline(self, split, net_cfg, seed, level, p_total=None,
-                 force=False):
-        if not (force or self.cfg["baseline"]):
+    def baseline_width(self, net_cfg) -> int:
+        """Features of the flat baseline this run fits; 0 if it fits none."""
+        kind = self.cfg["kind"]
+        if kind == "baseline":
+            p_total = self.cfg["data"]["p_total"]
+            return net_cfg.layer_width if p_total is None else p_total
+        if kind in ("simulate", "fmnist") and self.cfg["baseline"]:
+            return net_cfg.layer_width
+        return 0
+
+    def check_resources(self, net_cfg, n_total, n_train, d):
+        _check_resources(
+            n_total, n_train, d, net_cfg, self.threads,
+            self.cfg["limits"]["max_memory_gb"],
+            baseline_width=self.baseline_width(net_cfg),
+            train_network=self.cfg["kind"] != "baseline")
+
+    def baseline(self, split, net_cfg, seed, level):
+        p_total = self.baseline_width(net_cfg)
+        if not p_total:
             return
-        if p_total is None:
-            p_total = net_cfg.layer_width
         t0 = time.perf_counter()
         res = network.flat_random_feature_baseline(
             split, p_total, net_cfg.lambda_grid,
@@ -301,8 +332,8 @@ def run(config_path, seed_override=None, threads: int = 1,
 
     def check_sim_resources(net_cfg):
         # a simulated split is three equal parts of data.n rows
-        _check_resources(data_cfg["n"], data_cfg["n"] // 3, data_cfg["d"],
-                         net_cfg, threads, cfg["limits"]["max_memory_gb"])
+        state.check_resources(net_cfg, data_cfg["n"], data_cfg["n"] // 3,
+                              data_cfg["d"])
 
     if kind in ("simulate", "baseline"):
         for seed in cfg["seeds"]:
@@ -313,10 +344,7 @@ def run(config_path, seed_override=None, threads: int = 1,
                 if kind == "simulate":
                     state.train_and_score(split, net_cfg, seed, level,
                                           save_tag=f"model_seed{seed}_noise{level}")
-                    state.baseline(split, net_cfg, seed, level)
-                else:
-                    state.baseline(split, net_cfg, seed, level,
-                                   p_total=data_cfg["p_total"], force=True)
+                state.baseline(split, net_cfg, seed, level)
 
     elif kind == "fmnist":
         (train_x, train_y), (test_x, test_y) = _load_fmnist(data_cfg)
@@ -327,8 +355,7 @@ def run(config_path, seed_override=None, threads: int = 1,
                 per_class_cap=data_cfg["per_class_cap"], seed=seed)
             n_train = base.x_train.shape[0]
             n_total = n_train + base.x_valid.shape[0] + base.x_test.shape[0]
-            _check_resources(n_total, n_train, base.d, net_cfg, threads,
-                             cfg["limits"]["max_memory_gb"])
+            state.check_resources(net_cfg, n_total, n_train, base.d)
             for level in data_cfg["noise_levels"]:
                 split = dataio.add_feature_noise(base, level, seed)
                 state.train_and_score(
@@ -367,7 +394,8 @@ def run(config_path, seed_override=None, threads: int = 1,
                 y_mean = float(np.mean(split.y_train))
                 for depth in depths:
                     metrics = network.evaluate(
-                        network.predict(model, split.x_test, depth),
+                        network.predict(model, split.x_test, depth,
+                                        n_threads=threads),
                         split.y_test, y_mean)
                     state.add(seed, "deepridge", level, net_cfg.blocks,
                               depth, metrics, wall)
@@ -419,8 +447,8 @@ def inspect(model_path) -> str:
         f"bias range:      {cfg.bias_range}",
         f"seed:            {cfg.seed}",
     ]
-    for m, layer in enumerate(model.layers, start=1):
-        gammas = layer.gammas
+    for m in range(1, cfg.depth + 1):
+        gammas = network._block_gammas(cfg, m)
         lines.append(
             f"layer {m} gammas: min={gammas.min():.4f} "
             f"mean={gammas.mean():.4f} max={gammas.max():.4f}")

@@ -51,5 +51,8 @@ def apply_block(block: FeatureBlock, x) -> np.ndarray:
         raise ValueError(
             f"expected {block.input_dim} input columns, got shape {x.shape}"
         )
-    pre = x @ block.weights / np.sqrt(block.input_dim) + block.biases
-    return np.maximum(pre, 0.0)
+    # in place on the GEMM result: no (n, P) temporaries beyond the output
+    pre = x @ block.weights
+    np.divide(pre, np.sqrt(block.input_dim), out=pre)
+    pre += block.biases
+    return np.maximum(pre, 0.0, out=pre)

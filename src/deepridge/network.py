@@ -10,11 +10,14 @@ penalty picked on the validation split, turns the network up to that depth
 into a predictor, so one training pass yields every depth and depth can be
 selected afterwards at no extra cost.
 
-A trained layer is a few stacked arrays over its blocks. Training and
-prediction share one chunked transform: blocks are cut into fixed groups,
-each group's features come from one GEMM on a column slice of the layer's
-weights, and its grid predictions from one batched matmul. Training only
-ever transforms the train and validation splits.
+A trained layer is two stacked arrays over its blocks: ridge coefficients
+and column scales. Input weights and biases are never stored: block k of
+layer m is drawn from the keyed stream (seed, m, k), so training and
+prediction redraw it on demand. Both share one chunked transform: blocks
+are cut into fixed groups, each group's blocks are drawn into one weight
+buffer that costs one GEMM and is then dropped, and the group's grid
+predictions come from one batched matmul. Groups may run on a thread pool.
+Training only ever transforms the train and validation splits.
 
 Training never backpropagates: input weights are drawn, output weights are
 closed-form ridge solutions.
@@ -43,7 +46,7 @@ DEFAULT_LAMBDA_GRID = (
 )
 
 MODEL_FORMAT = "deepridge-model"
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 # feature columns per transform GEMM: wide enough for BLAS to run near peak,
 # narrow enough that one group's (rows, columns) features stay small
@@ -117,17 +120,15 @@ class NetConfig:
 class LayerModel:
     """One trained layer of K blocks of P features, as stacked arrays.
 
-    Block k owns weight and bias columns k*P:(k+1)*P, the coefficients
-    ``betas[k]`` of its ridge fit at every penalty and the column scales
-    ``scales[k]`` that normalize its L grid predictions.
+    Block k owns the coefficients ``betas[k]`` of its ridge fit at every
+    penalty and the column scales ``scales[k]`` that normalize its L grid
+    predictions. Its input weights and biases are not stored: they are
+    redrawn from the keyed stream (seed, layer, k) with the weight variance
+    ``_block_gammas(config, layer)[k]``.
     """
 
-    weights: np.ndarray    # (D, K*P)
-    biases: np.ndarray     # (K*P,)
-    gammas: np.ndarray     # (K,) weight variance of each block
     betas: np.ndarray      # (K, P, L)
     scales: np.ndarray     # (K, L), strictly positive
-    modes: tuple           # K ridge fit modes, "primal" or "dual"
 
 
 @dataclass(frozen=True)
@@ -203,11 +204,22 @@ def group_bounds(blocks: int, p: int) -> list:
     return [(a, min(a + size, blocks)) for a in range(0, blocks, size)]
 
 
-def _group_features(weights, biases, x, a, b, p):
-    # one GEMM for blocks a..b-1 on column-slice views of the layer arrays
-    cols = slice(a * p, b * p)
-    return apply_block(
-        FeatureBlock(weights=weights[:, cols], biases=biases[cols]), x)
+def _group_features(cfg: NetConfig, layer_index: int, gammas, x, a, b):
+    """Features of blocks a..b-1 of a layer on the rows of ``x``.
+
+    Each block is redrawn from its keyed stream into one (D, group columns)
+    weight buffer, which costs one GEMM and is dropped on return.
+    """
+    d, p = x.shape[1], cfg.features_per_block
+    weights = np.empty((d, (b - a) * p))
+    biases = np.empty((b - a) * p)
+    for k in range(a, b):
+        block = draw_block((cfg.seed, layer_index, k), float(gammas[k]), p, d,
+                           cfg.bias_range)
+        cols = slice((k - a) * p, (k - a + 1) * p)
+        weights[:, cols] = block.weights
+        biases[cols] = block.biases
+    return apply_block(FeatureBlock(weights=weights, biases=biases), x)
 
 
 def _grid_predictions(z, betas) -> np.ndarray:
@@ -222,59 +234,40 @@ def _grid_predictions(z, betas) -> np.ndarray:
     return pred.transpose(1, 0, 2).reshape(n, c * n_pen)
 
 
-def train_layer(x_train, x_valid, y_train, cfg: NetConfig,
-                layer_index: int, n_threads: int = 1):
-    """Train one layer and return it plus the next-layer train/valid inputs.
+def train_layer(x, n_train: int, y_train, cfg: NetConfig, layer_index: int,
+                n_threads: int = 1):
+    """Train one layer and return it plus its representation of ``x``.
 
-    Each block is drawn from its own keyed stream, transformed with the
-    rest of its group on the stacked train and validation rows, fit on the
-    train rows over the whole penalty grid, and its grid predictions
-    normalized by their train-row scales. Groups are independent, so they
-    may run on ``n_threads`` workers; results are identical for any thread
-    count.
+    ``x`` stacks the train rows (the first ``n_train``) and the validation
+    rows. Each block is drawn from its own keyed stream, transformed with
+    the rest of its group, fit on the train rows over the whole penalty
+    grid, and its grid predictions normalized by their train-row scales.
+    Groups are independent, so they may run on ``n_threads`` workers;
+    results are identical for any thread count.
     """
-    x_train = np.asarray(x_train, dtype=float)
-    x_valid = np.asarray(x_valid, dtype=float)
-    d = x_train.shape[1]
-    if x_valid.shape[1] != d:
-        raise ValueError("train/valid must share column count")
+    x = np.asarray(x, dtype=float)
     y_train = np.asarray(y_train, dtype=float).ravel()
-    n_train = x_train.shape[0]
-    x = np.vstack([x_train, x_valid])
     k_blocks, p, n_pen = cfg.blocks, cfg.features_per_block, cfg.n_penalties
     gammas = _block_gammas(cfg, layer_index)
-    weights = np.empty((d, k_blocks * p))
-    biases = np.empty(k_blocks * p)
     betas = np.empty((k_blocks, p, n_pen))
     scales = np.empty((k_blocks, n_pen))
     rep = np.empty((x.shape[0], cfg.layer_width))
 
     def build(bounds):
         a, b = bounds
-        for k in range(a, b):
-            block = draw_block((cfg.seed, layer_index, k), float(gammas[k]),
-                               p, d, cfg.bias_range)
-            weights[:, k * p:(k + 1) * p] = block.weights
-            biases[k * p:(k + 1) * p] = block.biases
-        z = _group_features(weights, biases, x, a, b, p)
-        modes = []
+        z = _group_features(cfg, layer_index, gammas, x, a, b)
         for k in range(a, b):
             j = (k - a) * p
-            fit = fit_grid(z[:n_train, j:j + p], y_train, cfg.lambda_grid)
-            betas[k] = fit.betas
-            modes.append(fit.mode)
+            betas[k] = fit_grid(z[:n_train, j:j + p], y_train,
+                                cfg.lambda_grid).betas
         out = rep[:, a * n_pen:b * n_pen]
         out[...] = _grid_predictions(z, betas[a:b])
         group_scales = column_scales(out[:n_train])
         scales[a:b] = group_scales.reshape(b - a, n_pen)
         out /= group_scales
-        return modes
 
-    built = map_ordered(build, group_bounds(k_blocks, p), n_threads)
-    layer = LayerModel(weights=weights, biases=biases, gammas=gammas,
-                       betas=betas, scales=scales,
-                       modes=tuple(mode for modes in built for mode in modes))
-    return layer, (rep[:n_train], rep[n_train:])
+    map_ordered(build, group_bounds(k_blocks, p), n_threads)
+    return LayerModel(betas=betas, scales=scales), rep
 
 
 def _fit_final(rep_train, rep_valid, y_train, y_valid, lambdas):
@@ -292,19 +285,26 @@ def train(split: DataSplit, cfg: NetConfig, n_threads: int = 1) -> DeepRidgeMode
     on that depth's representation and its penalty picked by validation
     MSE.
     """
-    xs = (split.x_train, split.x_valid)
+    n_train = split.x_train.shape[0]
+    rep = np.vstack([split.x_train, split.x_valid])
     layers, finals = [], []
     for m in range(1, cfg.depth + 1):
-        layer, xs = train_layer(*xs, split.y_train, cfg, m, n_threads)
+        layer, rep = train_layer(rep, n_train, split.y_train, cfg, m,
+                                 n_threads)
         layers.append(layer)
-        finals.append(_fit_final(*xs, split.y_train, split.y_valid,
-                                 cfg.lambda_grid))
+        finals.append(_fit_final(rep[:n_train], rep[n_train:], split.y_train,
+                                 split.y_valid, cfg.lambda_grid))
     return DeepRidgeModel(config=cfg, layers=tuple(layers),
                           final_fits=tuple(finals), input_dim=split.d)
 
 
-def forward(model: DeepRidgeModel, x, depth: int | None = None) -> np.ndarray:
-    """Representation after ``depth`` layers (the final ridge's input)."""
+def forward(model: DeepRidgeModel, x, depth: int | None = None,
+            n_threads: int = 1) -> np.ndarray:
+    """Representation after ``depth`` layers (the final ridge's input).
+
+    Transform groups may run on ``n_threads`` workers; the result is the
+    same for any thread count.
+    """
     if depth is None:
         depth = model.depth
     if not 1 <= depth <= model.depth:
@@ -314,27 +314,35 @@ def forward(model: DeepRidgeModel, x, depth: int | None = None) -> np.ndarray:
         raise ValueError(f"expected {model.input_dim} input columns")
     if not np.all(np.isfinite(cur)):
         raise ValueError("input contains NaN or inf")
-    for layer in model.layers[:depth]:
+    cfg = model.config
+    for m, layer in enumerate(model.layers[:depth], start=1):
+        gammas = _block_gammas(cfg, m)
         k_blocks, p, n_pen = layer.betas.shape
         nxt = np.empty((cur.shape[0], k_blocks * n_pen))
-        for a, b in group_bounds(k_blocks, p):
-            z = _group_features(layer.weights, layer.biases, cur, a, b, p)
+
+        def transform(bounds):
+            a, b = bounds
+            z = _group_features(cfg, m, gammas, cur, a, b)
             np.divide(_grid_predictions(z, layer.betas[a:b]),
                       layer.scales[a:b].ravel(),
                       out=nxt[:, a * n_pen:b * n_pen])
+
+        map_ordered(transform, group_bounds(k_blocks, p), n_threads)
         cur = nxt
     return cur
 
 
-def predict(model: DeepRidgeModel, x, depth: int | None = None) -> np.ndarray:
+def predict(model: DeepRidgeModel, x, depth: int | None = None,
+            n_threads: int = 1) -> np.ndarray:
     """Predict labels using the final ridge for ``depth``.
 
     Layers beyond ``depth`` are never touched, so a deep model evaluates
-    any shallower architecture directly.
+    any shallower architecture directly. ``n_threads`` is passed to
+    :func:`forward`.
     """
     if depth is None:
         depth = model.depth
-    rep = forward(model, x, depth)
+    rep = forward(model, x, depth, n_threads)
     ff = model.final_fits[depth - 1]
     return ridge_predict(ff.fit, rep)[:, ff.lambda_star_index]
 
@@ -422,26 +430,27 @@ def _write_npy(zf, info, arr) -> None:
 
 
 def save_model(model: DeepRidgeModel, path) -> None:
-    """Serialize a trained model: a header, five arrays per layer and two
-    per final ridge."""
+    """Serialize a trained model: a header, two arrays per layer and two
+    per final ridge.
+
+    Input weights, biases and weight variances are not written; they are
+    redrawn from the keyed streams of the header config.
+    """
     header = {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
         "library_version": __version__,
         "config": dataclasses.asdict(model.config),
         "input_dim": model.input_dim,
-        "layer_modes": [list(layer.modes) for layer in model.layers],
-        "final_fits": [
-            {"lambda_star_index": ff.lambda_star_index, "mode": ff.fit.mode}
-            for ff in model.final_fits
-        ],
+        "final_fits": [{"lambda_star_index": ff.lambda_star_index}
+                       for ff in model.final_fits],
     }
     entries = {
         "header.json": json.dumps(header, sort_keys=True, indent=1).encode(),
     }
     for m, layer in enumerate(model.layers, start=1):
-        for name in ("weights", "biases", "gammas", "betas", "scales"):
-            entries[f"layer{m}.{name}.npy"] = getattr(layer, name)
+        entries[f"layer{m}.betas.npy"] = layer.betas
+        entries[f"layer{m}.scales.npy"] = layer.scales
     for m, ff in enumerate(model.final_fits, start=1):
         entries[f"final{m}.betas.npy"] = ff.fit.betas
         entries[f"final{m}.valid_mse.npy"] = ff.valid_mse
@@ -498,26 +507,14 @@ def load_model(path) -> DeepRidgeModel:
             lam = np.asarray(cfg.lambda_grid, dtype=float)
             k_blocks, p = cfg.blocks, cfg.features_per_block
             n_pen, width = cfg.n_penalties, cfg.layer_width
-            input_dim = int(header["input_dim"])
-            if len(header["layer_modes"]) != cfg.depth:
-                raise corrupt("need one layer_modes entry per layer")
-            layers = []
-            for m in range(1, cfg.depth + 1):
-                shapes = {
-                    "weights": (input_dim if m == 1 else width, k_blocks * p),
-                    "biases": (k_blocks * p,),
-                    "gammas": (k_blocks,),
-                    "betas": (k_blocks, p, n_pen),
-                    "scales": (k_blocks, n_pen),
-                }
-                modes = tuple(header["layer_modes"][m - 1])
-                if (len(modes) != k_blocks
-                        or not set(modes) <= {"primal", "dual"}):
-                    raise corrupt(f"layer {m} modes")
-                layers.append(LayerModel(
-                    **{name: read_arr(f"layer{m}.{name}.npy", shape)
-                       for name, shape in shapes.items()},
-                    modes=modes))
+            input_dim = header["input_dim"]
+            if not _int_in(input_dim, 1, 2 ** 63):
+                raise corrupt(f"input_dim {input_dim!r}")
+            layers = [
+                LayerModel(
+                    betas=read_arr(f"layer{m}.betas.npy", (k_blocks, p, n_pen)),
+                    scales=read_arr(f"layer{m}.scales.npy", (k_blocks, n_pen)))
+                for m in range(1, cfg.depth + 1)]
             if len(header["final_fits"]) != cfg.depth:
                 raise corrupt("need one final_fits entry per layer")
             finals = []
@@ -529,8 +526,7 @@ def load_model(path) -> DeepRidgeModel:
                 finals.append(FinalFit(
                     fit=RidgeGridFit(
                         lambdas=lam,
-                        betas=read_arr(f"final{d}.betas.npy", (width, n_pen)),
-                        mode=spec["mode"]),
+                        betas=read_arr(f"final{d}.betas.npy", (width, n_pen))),
                     lambda_star_index=star,
                     valid_mse=read_arr(f"final{d}.valid_mse.npy", (n_pen,))))
             return DeepRidgeModel(config=cfg, layers=tuple(layers),

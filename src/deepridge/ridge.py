@@ -29,12 +29,13 @@ class RidgeGridFit:
     """Coefficients for every penalty in a grid, from one decomposition.
 
     ``betas[:, l]`` solves the ridge problem at ``lambdas[l]``; ``mode``
-    records which Gram matrix was decomposed.
+    records which Gram matrix was decomposed, and is None for a fit read
+    back from a model file, which does not store it.
     """
 
-    lambdas: np.ndarray  # (L,) strictly increasing, all > 0
-    betas: np.ndarray    # (P, L)
-    mode: str            # "primal" or "dual"
+    lambdas: np.ndarray     # (L,) strictly increasing, all > 0
+    betas: np.ndarray       # (P, L)
+    mode: str | None = None  # "primal" or "dual"
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
@@ -48,7 +49,7 @@ class RidgeGridFit:
             raise ValueError("non-finite ridge coefficients")
         if self.betas.ndim != 2 or self.betas.shape[1] != lam.size:
             raise ValueError("betas must have one column per penalty")
-        if self.mode not in ("primal", "dual"):
+        if self.mode not in ("primal", "dual", None):
             raise ValueError(f"unknown mode {self.mode!r}")
 
     @property

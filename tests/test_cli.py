@@ -2,6 +2,9 @@ import csv
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
 import tracemalloc
 import zipfile
 
@@ -124,7 +127,8 @@ def test_resource_guard_aborts(tmp_path):
 @pytest.mark.parametrize("blocks, p, mode", [(8, 300, "dual"),
                                              (60, 40, "primal")],
                          ids=["dual", "primal"])
-def test_memory_estimate_bounds_traced_peak(threads, blocks, p, mode):
+def test_memory_estimate_bounds_traced_peak(threads, blocks, p, mode,
+                                            monkeypatch):
     # 100 training rows: P=300 takes the dual ridge path and P=40 the primal
     # one; either layer shape is two transform groups, so two threads overlap
     n, d = 300, 8
@@ -133,17 +137,93 @@ def test_memory_estimate_bounds_traced_peak(threads, blocks, p, mode):
     cfg = network.NetConfig(depth=2, blocks=blocks, features_per_block=p,
                             lambda_grid=tuple(SMALL_GRID))
     assert len(network.group_bounds(blocks, p)) == 2
+    fits, real_fit_grid = [], network.fit_grid
+
+    def recorded_fit_grid(*args):
+        fits.append(real_fit_grid(*args))
+        return fits[-1]
+
+    monkeypatch.setattr(network, "fit_grid", recorded_fit_grid)
     tracemalloc.start()
     try:
         model = network.train(split, cfg, n_threads=threads)
-        network.predict(model, split.x_test)
+        network.predict(model, split.x_test, n_threads=threads)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert set(model.layers[0].modes) == {mode}
+    block_fits = [f for f in fits if f.n_features == p]
+    assert len(block_fits) == cfg.depth * blocks
+    assert {f.mode for f in block_fits} == {mode}
     est_gb = cli._check_resources(n, n // 3, d, cfg, threads,
                                   max_memory_gb=math.inf)
     assert est_gb * 1e9 >= peak
+
+
+@pytest.mark.parametrize("p_total", [40, 600])
+def test_memory_estimate_bounds_traced_baseline_peak(p_total):
+    # 100 training rows: a primal and a dual fit of the flat baseline
+    n, d = 300, 8
+    split = dataio.simulate_single_neuron(
+        dataio.SimConfig(n=n, d=d, noise_std=0.1, seed=1))
+    cfg = network.NetConfig(depth=1, blocks=1, features_per_block=1,
+                            lambda_grid=tuple(SMALL_GRID))
+    tracemalloc.start()
+    try:
+        network.flat_random_feature_baseline(split, p_total, SMALL_GRID)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    est_gb = cli._check_resources(n, n // 3, d, cfg, 1, math.inf,
+                                  baseline_width=p_total,
+                                  train_network=False)
+    assert est_gb * 1e9 >= peak
+
+
+@pytest.mark.slow
+def test_paper_default_run_within_memory_estimate(tmp_path):
+    # the README config (K=500, P=100, depth 2, n=3000) on one seed and one
+    # noise level, in a child process: the guard passes it at the default
+    # 4 GB limit, and the child's peak RSS stays within the estimate
+    threads = 2
+    config = tmp_path / "cfg.json"
+    write_config(config, seeds=[0],
+                 model={"depth": 2, "blocks": 500, "features_per_block": 100},
+                 data={"n": 3000, "d": 50, "noise_levels": [1]})
+    net_cfg = cli._net_config(
+        cli.validate_config(cli.load_config(config))["model"], seed=0)
+    est_gb = cli._check_resources(3000, 1000, 50, net_cfg, threads, 4.0,
+                                  baseline_width=net_cfg.layer_width)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run(
+        [sys.executable, "-m", "deepridge.cli", "run", str(config),
+         "--threads", str(threads), "--output-dir", str(tmp_path / "out")],
+        env=env, check=True, timeout=900)
+    assert len(read_csv(tmp_path / "out" / "results.csv")) == 3
+    # ru_maxrss is in KiB on Linux
+    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
+    assert peak <= est_gb * 1e9
+
+
+def test_baseline_kind_sized_by_p_total(tmp_path):
+    # no model section: the default network (K=500, P=100) is never trained,
+    # so only the flat baseline's p_total counts
+    config = tmp_path / "cfg.json"
+    cfg = write_config(config, kind="baseline", seeds=[0],
+                       data={"n": 300, "d": 4, "noise_levels": [1],
+                             "p_total": 10})
+    del cfg["model"]
+    config.write_text(json.dumps(cfg))
+    cli.run(config, output_dir=str(tmp_path / "small"))
+    assert len(read_csv(tmp_path / "small" / "results.csv")) == 2
+    cfg["data"]["p_total"] = 10 ** 7
+    config.write_text(json.dumps(cfg))
+    with pytest.raises(cli.ConfigError, match="memory"):
+        cli.run(config, output_dir=str(tmp_path / "huge"))
+    cfg["data"]["p_total"] = 0
+    config.write_text(json.dumps(cfg))
+    with pytest.raises(cli.ConfigError, match="p_total"):
+        cli.run(config, output_dir=str(tmp_path / "zero"))
 
 
 def test_baseline_kind_only_flat_rows(tmp_path):

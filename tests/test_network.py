@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import zipfile
@@ -7,7 +8,7 @@ import pytest
 
 from deepridge import network, ridge
 from deepridge.dataio import DataSplit, SimConfig, simulate_single_neuron
-from deepridge.features import FeatureBlock, apply_block, draw_block
+from deepridge.features import apply_block, draw_block
 from deepridge.network import (DeepRidgeModel, FinalFit, Metrics, NetConfig,
                                _block_gammas, evaluate,
                                flat_random_feature_baseline, load_model,
@@ -21,6 +22,24 @@ SMALL_GRID = (1e-4, 0.1, 1.0, 100.0)
 def split():
     return simulate_single_neuron(
         SimConfig(n=240, d=6, noise_std=0.2, activation="relu", seed=5))
+
+
+def stacked(split):
+    """Train and validation rows stacked, as ``train_layer`` takes them."""
+    return np.vstack([split.x_train, split.x_valid]), split.x_train.shape[0]
+
+
+def recorded_draws(monkeypatch):
+    """Record the arguments and result of every ``network.draw_block``."""
+    calls, real = [], network.draw_block
+
+    def record(*args):
+        block = real(*args)
+        calls.append((args, block))
+        return block
+
+    monkeypatch.setattr(network, "draw_block", record)
+    return calls
 
 
 def small_cfg(**kw):
@@ -57,36 +76,45 @@ def test_config_validation():
         NetConfig(bias_range=0.0)
 
 
-def test_explicit_gamma_grid_used_verbatim(split):
+def test_explicit_gamma_grid_used_verbatim(split, monkeypatch):
     cfg = small_cfg(gamma_grid=(0.3, 0.6, 0.9), depth=1)
+    draws = recorded_draws(monkeypatch)
     model = train(split, cfg)
-    assert model.layers[0].gammas.tolist() == [0.3, 0.6, 0.9]
+    assert [args[1] for args, _ in draws] == [0.3, 0.6, 0.9]
+    draws.clear()
+    predict(model, split.x_test)
+    assert [args[1] for args, _ in draws] == [0.3, 0.6, 0.9]
 
 
 # --- layer training ----------------------------------------------------------
 
 def test_layer_width_arithmetic(split):
-    xs = (split.x_train, split.x_valid)
+    x, n_train = stacked(split)
     cfg1 = small_cfg(blocks=1, lambda_grid=(1.0,))
-    _, nxt = train_layer(*xs, split.y_train, cfg1, 1)
-    assert all(a.shape[1] == 1 for a in nxt)
+    _, rep = train_layer(x, n_train, split.y_train, cfg1, 1)
+    assert rep.shape == (x.shape[0], 1)
     cfg2 = small_cfg(blocks=2, lambda_grid=(0.1, 1.0, 10.0))
-    _, nxt = train_layer(*xs, split.y_train, cfg2, 1)
-    assert all(a.shape[1] == 6 for a in nxt)
+    _, rep = train_layer(x, n_train, split.y_train, cfg2, 1)
+    assert rep.shape == (x.shape[0], 6)
 
 
 def test_layer_columns_unit_uncentered_std(split):
-    xs = (split.x_train, split.x_valid)
-    _, nxt = train_layer(*xs, split.y_train, small_cfg(), 1)
-    scales = np.sqrt(np.mean(nxt[0] ** 2, axis=0))
+    x, n_train = stacked(split)
+    _, rep = train_layer(x, n_train, split.y_train, small_cfg(), 1)
+    scales = np.sqrt(np.mean(rep[:n_train] ** 2, axis=0))
     np.testing.assert_allclose(scales, 1.0, rtol=1e-10)
 
 
-def test_second_layer_consumes_full_width(split):
+def test_second_layer_consumes_full_width(split, monkeypatch):
     cfg = small_cfg()
+    draws = recorded_draws(monkeypatch)
     model = train(split, cfg)
-    assert model.layers[1].weights.shape == (
-        cfg.layer_width, cfg.blocks * cfg.features_per_block)
+    assert len(model.layers) == 2
+    assert [(args[0], args[3]) for args, _ in draws] == (
+        [((cfg.seed, 1, k), split.d) for k in range(cfg.blocks)]
+        + [((cfg.seed, 2, k), cfg.layer_width) for k in range(cfg.blocks)])
+    assert all(block.weights.shape == (args[3], cfg.features_per_block)
+               for args, block in draws)
 
 
 def test_planted_signal_recovered(split):
@@ -98,15 +126,15 @@ def test_planted_signal_recovered(split):
                        cfg.bias_range)
     coef = np.arange(1.0, cfg.features_per_block + 1)
     y_train = apply_block(block, split.x_train) @ coef
-    xs = (split.x_train, split.x_valid)
-    layer, nxt = train_layer(*xs, y_train, cfg, 1)
+    x, n_train = stacked(split)
+    layer, rep = train_layer(x, n_train, y_train, cfg, 1)
     # block 1, smallest penalty: first column of its group
-    col = nxt[0][:, 1 * cfg.n_penalties + 0]
+    col = rep[:n_train, 1 * cfg.n_penalties + 0]
     corr = np.corrcoef(col, y_train)[0, 1]
     assert corr > 0.999
 
 
-def test_grouped_transform_matches_per_block_loop(split):
+def test_grouped_transform_matches_per_block_loop(split, monkeypatch):
     # P=700 makes groups of two blocks, so K=5 ends in a ragged group of one.
     # A GEMM of another shape may sum in another order, so features can
     # differ by a few ulps; near-interpolating penalties such as 1e-4 would
@@ -133,12 +161,24 @@ def test_grouped_transform_matches_per_block_loop(split):
             scales.append(s)
         ref = tuple(np.hstack(r) for r in reps)
 
-        layer, got = train_layer(*xs, split.y_train, cfg, m)
-        np.testing.assert_array_equal(
-            layer.weights, np.hstack([b.weights for b in blocks]))
-        np.testing.assert_array_equal(
-            layer.biases, np.concatenate([b.biases for b in blocks]))
-        assert layer.modes == tuple(f.mode for f in fits)
+        draws = recorded_draws(monkeypatch)
+        modes = []
+        real_fit_grid = network.fit_grid
+
+        def recorded_fit_grid(*args):
+            fit = real_fit_grid(*args)
+            modes.append(fit.mode)
+            return fit
+
+        monkeypatch.setattr(network, "fit_grid", recorded_fit_grid)
+        layer, got = train_layer(np.vstack(xs), xs[0].shape[0],
+                                 split.y_train, cfg, m)
+        monkeypatch.undo()
+        got = (got[:xs[0].shape[0]], got[xs[0].shape[0]:])
+        for (_, drawn), block in zip(draws, blocks, strict=True):
+            np.testing.assert_array_equal(drawn.weights, block.weights)
+            np.testing.assert_array_equal(drawn.biases, block.biases)
+        assert modes == [f.mode for f in fits]
         np.testing.assert_allclose(
             layer.betas, np.stack([f.betas for f in fits]), rtol=1e-10)
         np.testing.assert_allclose(layer.scales, np.vstack(scales),
@@ -158,8 +198,8 @@ def test_degenerate_width_equals_direct_ridge(split):
     layer = model.layers[0]
     rep = network.forward(model, split.x_train, 1)
     # un-normalize and compare against a direct fit with the same block
-    p = cfg.features_per_block
-    block = FeatureBlock(weights=layer.weights[:, :p], biases=layer.biases[:p])
+    block = draw_block((cfg.seed, 1, 0), float(_block_gammas(cfg, 1)[0]),
+                       cfg.features_per_block, split.d, cfg.bias_range)
     direct_fit = ridge.fit_grid(
         apply_block(block, split.x_train), split.y_train, cfg.lambda_grid)
     direct = ridge.predict(direct_fit, apply_block(block, split.x_train))
@@ -169,11 +209,11 @@ def test_degenerate_width_equals_direct_ridge(split):
 def test_forward_reproduces_training_representation(split):
     cfg = small_cfg()
     model = train(split, cfg)
-    xs = (split.x_train, split.x_valid)
+    rep, n_train = stacked(split)
     for m in range(1, cfg.depth + 1):
-        _, xs = train_layer(*xs, split.y_train, cfg, m)
+        _, rep = train_layer(rep, n_train, split.y_train, cfg, m)
         np.testing.assert_allclose(network.forward(model, split.x_train, m),
-                                   xs[0], rtol=1e-10)
+                                   rep[:n_train], rtol=1e-10)
 
 
 def test_shallow_predictions_ignore_deeper_layers(split):
@@ -211,8 +251,12 @@ def test_thread_count_does_not_change_anything(split, tmp_path,
     serial = train(split, cfg, n_threads=1)
     threaded = train(split, cfg, n_threads=4)
     assert serial.lambda_star_index == threaded.lambda_star_index
-    np.testing.assert_array_equal(predict(serial, split.x_test),
-                                  predict(threaded, split.x_test))
+    expected = predict(serial, split.x_test)
+    np.testing.assert_array_equal(predict(threaded, split.x_test), expected)
+    for k in (1, 2, 4):
+        for model in (serial, threaded):
+            np.testing.assert_array_equal(
+                predict(model, split.x_test, n_threads=k), expected)
     save_model(serial, tmp_path / "a.drz")
     save_model(threaded, tmp_path / "b.drz")
     assert (tmp_path / "a.drz").read_bytes() == (tmp_path / "b.drz").read_bytes()
@@ -347,7 +391,7 @@ def _in_memory_archive(model, header_bytes, path):
     # reference writer: every payload built in memory, then written whole
     entries = {"header.json": header_bytes}
     for m, layer in enumerate(model.layers, start=1):
-        for name in ("weights", "biases", "gammas", "betas", "scales"):
+        for name in ("betas", "scales"):
             entries[f"layer{m}.{name}.npy"] = _npy_bytes(getattr(layer, name))
     for m, ff in enumerate(model.final_fits, start=1):
         entries[f"final{m}.betas.npy"] = _npy_bytes(ff.fit.betas)
@@ -438,6 +482,43 @@ def test_load_rejects_v2_file(split, tmp_path, monkeypatch):
         load_model(path)
 
 
+def test_load_rejects_v3_file(split, tmp_path):
+    # a v3 archive: five arrays per layer and fit modes in the header
+    model = train(split, small_cfg(depth=1))
+    path = tmp_path / "model.drz"
+    header = {"format": network.MODEL_FORMAT, "format_version": 3,
+              "config": dataclasses.asdict(model.config),
+              "input_dim": model.input_dim,
+              "layer_modes": [["primal"] * model.config.blocks],
+              "final_fits": [{"lambda_star_index": 0, "mode": "dual"}]}
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("header.json", json.dumps(header))
+        for name in ("weights", "biases", "gammas", "betas", "scales"):
+            zf.writestr(f"layer1.{name}.npy", _npy_bytes(np.zeros(1)))
+    with pytest.raises(network.ModelFormatError,
+                       match="unsupported format version 3"):
+        load_model(path)
+
+
+def test_archive_holds_two_arrays_per_layer_and_fit(split, tmp_path):
+    model = train(split, small_cfg(depth=2))
+    save_model(model, tmp_path / "model.drz")
+    with zipfile.ZipFile(tmp_path / "model.drz") as zf:
+        names = sorted(zf.namelist())
+        header = json.loads(zf.read("header.json"))
+    assert names == [
+        "final1.betas.npy", "final1.valid_mse.npy",
+        "final2.betas.npy", "final2.valid_mse.npy", "header.json",
+        "layer1.betas.npy", "layer1.scales.npy",
+        "layer2.betas.npy", "layer2.scales.npy"]
+    assert header["format_version"] == 4
+    assert sorted(header) == ["config", "final_fits", "format",
+                              "format_version", "input_dim",
+                              "library_version"]
+    assert header["final_fits"] == [{"lambda_star_index": ff.lambda_star_index}
+                                    for ff in model.final_fits]
+
+
 def _saved_with_changed_entry(model, tmp_path, entry, change):
     """Save ``model``, then copy it with ``change`` applied to ``entry``."""
     path, broken = tmp_path / "model.drz", tmp_path / "broken.drz"
@@ -451,7 +532,6 @@ def _saved_with_changed_entry(model, tmp_path, entry, change):
 
 @pytest.mark.parametrize("entry, bad", [
     ("layer1.betas.npy", lambda a: a[:, :-1]),                 # wrong shape
-    ("layer1.weights.npy", lambda a: np.vstack([a, a[:1]])),   # input width
     ("layer1.scales.npy", lambda a: a.astype(np.float32)),     # wrong dtype
 ])
 def test_load_rejects_inconsistent_array(split, tmp_path, entry, bad):
@@ -466,14 +546,15 @@ def test_load_rejects_inconsistent_array(split, tmp_path, entry, bad):
 # each edit breaks the header of a depth-2 model (so two final fits) over a
 # 4-point penalty grid
 @pytest.mark.parametrize("edit", [
-    lambda h: h["layer_modes"].pop(),
+    lambda h: h.update(input_dim=0),
+    lambda h: h.update(input_dim=6.0),
     lambda h: h["final_fits"][1].update(lambda_star_index=4),
     lambda h: h["final_fits"][1].update(lambda_star_index=-1),
     lambda h: h["final_fits"][1].update(lambda_star_index=1.0),
     lambda h: h["final_fits"][1].update(lambda_star_index=True),
     lambda h: h["final_fits"].pop(),
     lambda h: h["final_fits"].append(dict(h["final_fits"][0])),
-], ids=["layer-modes-short", "star-past-grid", "star-negative",
+], ids=["input-dim-zero", "input-dim-float", "star-past-grid", "star-negative",
         "star-float", "star-bool", "no-fit-at-full-depth",
         "final-fits-past-depth"])
 def test_load_rejects_inconsistent_header(split, tmp_path, edit):
