@@ -5,11 +5,11 @@ Usage:
                   [--output-dir DIR]
     deepridge inspect <model-file>
 
-Every run writes results.csv (deterministic given config and seeds),
-timings.csv (wall times, inherently not reproducible) and manifest.json
-(config hash, seeds, library version). The FMNIST-style experiments read
-IDX files from the directory named by $DEEPRIDGE_DATA_DIR or the config's
-data.data_dir.
+Every run writes results.csv (deterministic given config, seeds and BLAS
+thread count), timings.csv (wall times, inherently not reproducible) and
+manifest.json (config hash, seeds, library version, BLAS thread
+settings). The FMNIST-style experiments read IDX files from the directory
+named by $DEEPRIDGE_DATA_DIR or the config's data.data_dir.
 """
 
 import argparse
@@ -25,9 +25,11 @@ import numpy as np
 from . import __version__, dataio, network, theory
 
 DATA_DIR_ENV = "DEEPRIDGE_DATA_DIR"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 KINDS = ("simulate", "fmnist", "ablation_k", "ablation_depth",
-         "theory_curves", "baseline")
+         "theory_curves")
 
 RESULT_COLUMNS = ("seed", "method", "noise_level", "k", "m",
                   "mse", "one_minus_r2", "accuracy")
@@ -114,7 +116,6 @@ def validate_config(cfg: dict) -> dict:
             "pair_index": _field(data, "pair_index", int, default=0),
             "per_class_cap": _field(data, "per_class_cap", int, default=2000),
             "data_dir": _field(data, "data_dir", str, default=None),
-            "p_total": _field(data, "p_total", int, default=None),
         },
         "ablation": {
             "k_values": _field(ablation, "k_values", list,
@@ -141,8 +142,13 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError(
                 f"config field '{name}' must be a non-empty list of "
                 f"non-negative integers")
-    if out["data"]["p_total"] is not None and out["data"]["p_total"] < 1:
-        raise ConfigError("config field 'p_total' must be at least 1")
+    pk_total = out["ablation"]["pk_total"]
+    for k in out["ablation"]["k_values"]:
+        if k < 1 or pk_total % k != 0:
+            raise ConfigError(f"config field 'k_values': pk_total={pk_total} "
+                              f"is not divisible by K={k}")
+    if min(out["ablation"]["depths"]) < 1:
+        raise ConfigError("config field 'depths' must be >= 1")
     if out["data"]["activation"] not in ("relu", "sigmoid"):
         raise ConfigError("config field 'activation' must be relu or sigmoid")
     return out
@@ -173,45 +179,43 @@ def _ridge_fit_floats(rows: int, cols: int) -> int:
 
 def _check_resources(n_total: int, n_train: int, d: int,
                      cfg: network.NetConfig, threads: int,
-                     max_memory_gb: float, baseline_width: int = 0,
-                     train_network: bool = True) -> float:
+                     max_memory_gb: float, baseline: bool = False) -> float:
     """Estimated peak memory of a run, in GB.
 
     Aborts before any large allocation when the estimate exceeds the limit.
-    The network (when ``train_network``) and the flat baseline over
-    ``baseline_width`` features (when non-zero) run one after the other, so
-    the larger of the two counts. Each of the ``threads`` workers holds one
-    transform group's weight buffer and features and one block's ridge fit;
-    input weights are redrawn per group and never kept.
+    The network and, with ``baseline``, the flat baseline over
+    ``cfg.layer_width`` features run one after the other, so the larger of
+    the two counts (with tiny n, wide d and small P the baseline can be).
+    Each of the ``threads`` workers holds one transform group's weight
+    buffer and features and one block's ridge fit; input weights are
+    redrawn per group and never kept.
     """
     n_pen = cfg.n_penalties
-    network_floats = baseline_floats = 0
-    if train_network:
-        kl, p = cfg.layer_width, cfg.features_per_block
-        groups = network.group_bounds(cfg.blocks, p)
-        group_columns = (groups[0][1] - groups[0][0]) * p
-        workers = min(max(threads, 1), len(groups))
-        widest_input = kl if cfg.depth > 1 else d
-        network_floats = (
-            n_total * (d + 2 * kl)   # stacked inputs; a layer's input, output
-            + cfg.depth * (cfg.blocks * p + kl) * n_pen   # coefficients
-            + workers * (widest_input * (group_columns + 2 * p)   # weight
-                         # buffer, one block's draw; one group's features
-                         + n_total * group_columns
-                         + _ridge_fit_floats(n_train, p))
-            + _ridge_fit_floats(n_train, kl))   # final ridge
-    if baseline_width:
+    kl, p = cfg.layer_width, cfg.features_per_block
+    groups = network.group_bounds(cfg.blocks, p)
+    group_columns = (groups[0][1] - groups[0][0]) * p
+    workers = min(max(threads, 1), len(groups))
+    widest_input = kl if cfg.depth > 1 else d
+    network_floats = (
+        n_total * (d + 2 * kl)   # stacked inputs; a layer's input, output
+        + cfg.depth * (cfg.blocks * p + kl) * n_pen   # coefficients
+        + workers * (widest_input * (group_columns + 2 * p)   # weight
+                     # buffer, one block's draw; one group's features
+                     + n_total * group_columns
+                     + _ridge_fit_floats(n_train, p))
+        + _ridge_fit_floats(n_train, kl))   # final ridge
+    baseline_floats = 0
+    if baseline:
         baseline_floats = (
-            (n_total + 2 * d + n_pen) * baseline_width   # features, weights,
-                                                         # coefficients
-            + _ridge_fit_floats(n_train, baseline_width))
+            (n_total + 2 * d + n_pen) * kl   # features, weights, coefficients
+            + _ridge_fit_floats(n_train, kl))
     floats = n_total * d + max(network_floats, baseline_floats)
     est_gb = 8.0 * floats / 1e9
     if est_gb > max_memory_gb:
         raise ConfigError(
             f"estimated memory {est_gb:.1f} GB exceeds limits.max_memory_gb="
-            f"{max_memory_gb}; reduce blocks/features_per_block/depth, "
-            f"p_total or per_class_cap, or raise the limit")
+            f"{max_memory_gb}; reduce blocks/features_per_block/depth "
+            f"or per_class_cap, or raise the limit")
     return est_gb
 
 
@@ -222,22 +226,20 @@ def _write_csv(path, columns, rows) -> None:
         writer.writerows(rows)
 
 
-def _fmt(x) -> str:
-    return "" if x is None else repr(float(x))
+def _simulated(data_cfg: dict):
+    """Per seed: the sizes the guard needs and a split per noise level."""
+    def source(seed):
+        # a simulated split is three equal parts of data.n rows
+        sizes = (data_cfg["n"], data_cfg["n"] // 3, data_cfg["d"])
+        return sizes, lambda level: dataio.simulate_single_neuron(
+            dataio.SimConfig(n=data_cfg["n"], d=data_cfg["d"],
+                             noise_std=0.1 * level,
+                             activation=data_cfg["activation"], seed=seed))
+    return source
 
 
-def _metric_cells(metrics: network.Metrics):
-    return (_fmt(metrics.mse), _fmt(metrics.one_minus_r2),
-            _fmt(metrics.accuracy))
-
-
-def _sim_split(data_cfg: dict, level: int, seed: int) -> dataio.DataSplit:
-    return dataio.simulate_single_neuron(dataio.SimConfig(
-        n=data_cfg["n"], d=data_cfg["d"], noise_std=0.1 * level,
-        activation=data_cfg["activation"], seed=seed))
-
-
-def _load_fmnist(data_cfg: dict):
+def _image_pairs(data_cfg: dict):
+    """As :func:`_simulated`, for a binary pair of the IDX image set."""
     data_dir = data_cfg["data_dir"] or os.environ.get(DATA_DIR_ENV)
     if not data_dir:
         raise ConfigError(
@@ -251,71 +253,100 @@ def _load_fmnist(data_cfg: dict):
                 break
         else:
             raise ConfigError(f"missing data file {base}[.gz] in {data_dir}")
-    train = dataio.load_idx_pair(paths["train_images"], paths["train_labels"])
-    test = dataio.load_idx_pair(paths["test_images"], paths["test_labels"])
-    return train, test
+    train_x, train_y = dataio.load_idx_pair(paths["train_images"],
+                                            paths["train_labels"])
+    test_x, test_y = dataio.load_idx_pair(paths["test_images"],
+                                          paths["test_labels"])
+
+    def source(seed):
+        base = dataio.make_binary_pair(
+            train_x, train_y, test_x, test_y, data_cfg["pair_index"],
+            per_class_cap=data_cfg["per_class_cap"], seed=seed)
+        n_train = base.x_train.shape[0]
+        n_total = n_train + base.x_valid.shape[0] + base.x_test.shape[0]
+        return ((n_total, n_train, base.d),
+                lambda level: dataio.add_feature_noise(base, level, seed))
+    return source
 
 
-class _Run:
-    """Accumulates result and timing rows for one experiment run."""
+def _experiments(cfg: dict, threads: int) -> list:
+    """Train and score every seed, network, noise level and reported depth.
 
-    def __init__(self, cfg, threads):
-        self.cfg = cfg
-        self.threads = threads
-        self.rows = []
-        self.timings = []
-        self.outputs = []
+    Each kind makes its choices before the loop. Writes results.csv,
+    timings.csv and any saved models; returns their paths.
+    """
+    kind, data_cfg, ablation = cfg["kind"], cfg["data"], cfg["ablation"]
+    if kind == "fmnist":
+        source = _image_pairs(data_cfg)
+        model_prefix = f"model_pair{data_cfg['pair_index']}"
+    else:
+        source, model_prefix = _simulated(data_cfg), "model"
+    # per seed, each network's NetConfig overrides and the depths it reports
+    # (None: its full depth)
+    if kind == "ablation_k":
+        pk_total = ablation["pk_total"]
+        networks = [({"blocks": k, "features_per_block": pk_total // k}, None)
+                    for k in ablation["k_values"]]
+    elif kind == "ablation_depth":
+        depths = sorted(ablation["depths"])
+        networks = [({"depth": depths[-1]}, depths)]
+    else:
+        networks = [({}, None)]
+    flat_kind = kind in ("simulate", "fmnist")
+    baseline = flat_kind and cfg["baseline"]
+    save_models = flat_kind and cfg["save_models"]
 
-    def add(self, seed, method, level, k, m, metrics, wall):
-        key = (seed, method, level, "" if k is None else k,
-               "" if m is None else m)
-        self.rows.append(key + _metric_cells(metrics))
-        self.timings.append(key + (f"{wall:.3f}",))
+    rows, timings, outputs = [], [], []
 
-    def train_and_score(self, split, net_cfg, seed, level, save_tag=None):
-        t0 = time.perf_counter()
-        model = network.train(split, net_cfg, n_threads=self.threads)
-        metrics = network.evaluate(
-            network.predict(model, split.x_test, n_threads=self.threads),
-            split.y_test, float(np.mean(split.y_train)))
-        wall = time.perf_counter() - t0
-        self.add(seed, "deepridge", level, net_cfg.blocks, net_cfg.depth,
-                 metrics, wall)
-        if save_tag and self.cfg["save_models"]:
-            path = os.path.join(self.cfg["output_dir"], f"{save_tag}.drz")
-            network.save_model(model, path)
-            self.outputs.append(path)
-        return model
+    def add(key, metrics, wall):
+        rows.append(key + tuple(
+            "" if v is None else repr(float(v))
+            for v in (metrics.mse, metrics.one_minus_r2, metrics.accuracy)))
+        timings.append(key + (f"{wall:.3f}",))
 
-    def baseline_width(self, net_cfg) -> int:
-        """Features of the flat baseline this run fits; 0 if it fits none."""
-        kind = self.cfg["kind"]
-        if kind == "baseline":
-            p_total = self.cfg["data"]["p_total"]
-            return net_cfg.layer_width if p_total is None else p_total
-        if kind in ("simulate", "fmnist") and self.cfg["baseline"]:
-            return net_cfg.layer_width
-        return 0
+    for seed in cfg["seeds"]:
+        (n_total, n_train, d), split_at = source(seed)
+        for overrides, depths in networks:
+            net_cfg = _net_config(cfg["model"], seed, **overrides)
+            _check_resources(n_total, n_train, d, net_cfg, threads,
+                             cfg["limits"]["max_memory_gb"], baseline)
+            for level in data_cfg["noise_levels"]:
+                split = split_at(level)
+                y_mean = float(np.mean(split.y_train))
+                t0 = time.perf_counter()
+                model = network.train(split, net_cfg, n_threads=threads)
+                train_s = time.perf_counter() - t0
+                for depth in depths or (net_cfg.depth,):
+                    t0 = time.perf_counter()
+                    metrics = network.evaluate(
+                        network.predict(model, split.x_test, depth,
+                                        n_threads=threads),
+                        split.y_test, y_mean)
+                    add((seed, "deepridge", level, net_cfg.blocks, depth),
+                        metrics, train_s + time.perf_counter() - t0)
+                if save_models:
+                    path = os.path.join(
+                        cfg["output_dir"],
+                        f"{model_prefix}_seed{seed}_noise{level}.drz")
+                    network.save_model(model, path)
+                    outputs.append(path)
+                if baseline:
+                    t0 = time.perf_counter()
+                    res = network.flat_random_feature_baseline(
+                        split, net_cfg.layer_width, net_cfg.lambda_grid,
+                        gamma_low=net_cfg.gamma_low,
+                        gamma_high=net_cfg.gamma_high,
+                        gamma_grid=net_cfg.gamma_grid,
+                        bias_range=net_cfg.bias_range, seed=seed)
+                    add((seed, "flat_rf", level, "", ""), res.metrics,
+                        time.perf_counter() - t0)
 
-    def check_resources(self, net_cfg, n_total, n_train, d):
-        _check_resources(
-            n_total, n_train, d, net_cfg, self.threads,
-            self.cfg["limits"]["max_memory_gb"],
-            baseline_width=self.baseline_width(net_cfg),
-            train_network=self.cfg["kind"] != "baseline")
-
-    def baseline(self, split, net_cfg, seed, level):
-        p_total = self.baseline_width(net_cfg)
-        if not p_total:
-            return
-        t0 = time.perf_counter()
-        res = network.flat_random_feature_baseline(
-            split, p_total, net_cfg.lambda_grid,
-            gamma_low=net_cfg.gamma_low, gamma_high=net_cfg.gamma_high,
-            gamma_grid=net_cfg.gamma_grid, bias_range=net_cfg.bias_range,
-            seed=seed)
-        wall = time.perf_counter() - t0
-        self.add(seed, "flat_rf", level, None, None, res.metrics, wall)
+    for name, columns, table in (("results.csv", RESULT_COLUMNS, rows),
+                                 ("timings.csv", TIMING_COLUMNS, timings)):
+        path = os.path.join(cfg["output_dir"], name)
+        _write_csv(path, columns, table)
+        outputs.append(path)
+    return outputs
 
 
 def run(config_path, seed_override=None, threads: int = 1,
@@ -327,105 +358,28 @@ def run(config_path, seed_override=None, threads: int = 1,
     if output_dir:
         cfg["output_dir"] = output_dir
     os.makedirs(cfg["output_dir"], exist_ok=True)
-    kind, data_cfg = cfg["kind"], cfg["data"]
-    state = _Run(cfg, threads)
-
-    def check_sim_resources(net_cfg):
-        # a simulated split is three equal parts of data.n rows
-        state.check_resources(net_cfg, data_cfg["n"], data_cfg["n"] // 3,
-                              data_cfg["d"])
-
-    if kind in ("simulate", "baseline"):
-        for seed in cfg["seeds"]:
-            net_cfg = _net_config(cfg["model"], seed)
-            check_sim_resources(net_cfg)
-            for level in data_cfg["noise_levels"]:
-                split = _sim_split(data_cfg, level, seed)
-                if kind == "simulate":
-                    state.train_and_score(split, net_cfg, seed, level,
-                                          save_tag=f"model_seed{seed}_noise{level}")
-                state.baseline(split, net_cfg, seed, level)
-
-    elif kind == "fmnist":
-        (train_x, train_y), (test_x, test_y) = _load_fmnist(data_cfg)
-        for seed in cfg["seeds"]:
-            net_cfg = _net_config(cfg["model"], seed)
-            base = dataio.make_binary_pair(
-                train_x, train_y, test_x, test_y, data_cfg["pair_index"],
-                per_class_cap=data_cfg["per_class_cap"], seed=seed)
-            n_train = base.x_train.shape[0]
-            n_total = n_train + base.x_valid.shape[0] + base.x_test.shape[0]
-            state.check_resources(net_cfg, n_total, n_train, base.d)
-            for level in data_cfg["noise_levels"]:
-                split = dataio.add_feature_noise(base, level, seed)
-                state.train_and_score(
-                    split, net_cfg, seed, level,
-                    save_tag=f"model_pair{data_cfg['pair_index']}"
-                             f"_seed{seed}_noise{level}")
-                state.baseline(split, net_cfg, seed, level)
-
-    elif kind == "ablation_k":
-        pk_total = cfg["ablation"]["pk_total"]
-        for seed in cfg["seeds"]:
-            for k in cfg["ablation"]["k_values"]:
-                if k < 1 or pk_total % k != 0:
-                    raise ConfigError(
-                        f"config field 'k_values': pk_total={pk_total} is "
-                        f"not divisible by K={k}")
-                net_cfg = _net_config(cfg["model"], seed, blocks=k,
-                                      features_per_block=pk_total // k)
-                check_sim_resources(net_cfg)
-                for level in data_cfg["noise_levels"]:
-                    split = _sim_split(data_cfg, level, seed)
-                    state.train_and_score(split, net_cfg, seed, level)
-
-    elif kind == "ablation_depth":
-        depths = sorted(cfg["ablation"]["depths"])
-        if depths[0] < 1:
-            raise ConfigError("config field 'depths' must be >= 1")
-        for seed in cfg["seeds"]:
-            net_cfg = _net_config(cfg["model"], seed, depth=depths[-1])
-            check_sim_resources(net_cfg)
-            for level in data_cfg["noise_levels"]:
-                split = _sim_split(data_cfg, level, seed)
-                t0 = time.perf_counter()
-                model = network.train(split, net_cfg, n_threads=threads)
-                wall = time.perf_counter() - t0
-                y_mean = float(np.mean(split.y_train))
-                for depth in depths:
-                    metrics = network.evaluate(
-                        network.predict(model, split.x_test, depth,
-                                        n_threads=threads),
-                        split.y_test, y_mean)
-                    state.add(seed, "deepridge", level, net_cfg.blocks,
-                              depth, metrics, wall)
-
-    elif kind == "theory_curves":
+    if cfg["kind"] == "theory_curves":
         tc = cfg["theory"]
         params = theory.default_curve_params(tc["n_groups"], tc["b_low"],
                                              tc["b_high"])
         c_grid = (np.asarray(tc["c_grid"], dtype=float) if tc["c_grid"]
                   else np.geomspace(0.1, 10.0, 25))
-        table = theory.risk_curves(params, c_grid)
         path = os.path.join(cfg["output_dir"], "theory_curves.csv")
-        theory.write_risk_curves_csv(table, path)
-        state.outputs.append(path)
-
-    if kind != "theory_curves":
-        results_path = os.path.join(cfg["output_dir"], "results.csv")
-        _write_csv(results_path, RESULT_COLUMNS, state.rows)
-        state.outputs.append(results_path)
-        timings_path = os.path.join(cfg["output_dir"], "timings.csv")
-        _write_csv(timings_path, TIMING_COLUMNS, state.timings)
-        state.outputs.append(timings_path)
+        theory.write_risk_curves_csv(theory.risk_curves(params, c_grid), path)
+        outputs = [path]
+    else:
+        outputs = _experiments(cfg, threads)
 
     manifest = {
-        "kind": kind,
+        "kind": cfg["kind"],
         "config_hash": config_hash(cfg),
         "config": cfg,
         "seeds": cfg["seeds"],
         "library_version": __version__,
-        "outputs": [os.path.basename(p) for p in sorted(state.outputs)],
+        # feature GEMMs sum in an order set by the BLAS thread count, so
+        # results.csv reproduces only at the same settings
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "outputs": [os.path.basename(p) for p in sorted(outputs)],
     }
     manifest_path = os.path.join(cfg["output_dir"], "manifest.json")
     with dataio.atomic_path(manifest_path) as tmp, open(tmp, "w") as f:

@@ -94,11 +94,30 @@ def test_empty_seeds_rejected_before_compute(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind, ablation, match", [
+    ("ablation_k", {"k_values": [1, 2, 3], "pk_total": 8}, "divisible"),
+    ("ablation_k", {"k_values": [1, 0], "pk_total": 8}, "divisible"),
+    ("ablation_depth", {"depths": [2, 0]}, "depths"),
+], ids=["k-not-divisor", "k-zero", "depth-zero"])
+def test_ablation_lists_rejected_before_compute(tmp_path, monkeypatch, kind,
+                                                ablation, match):
+    trained = []
+    monkeypatch.setattr(network, "train",
+                        lambda *args, **kw: trained.append(args))
+    config = tmp_path / "cfg.json"
+    write_config(config, kind=kind, seeds=[0], ablation=ablation)
+    with pytest.raises(cli.ConfigError, match=match):
+        cli.run(config, output_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+    assert trained == []
+
+
 def test_unknown_kind_rejected(tmp_path):
     config = tmp_path / "cfg.json"
-    write_config(config, kind="discombobulate")
-    with pytest.raises(cli.ConfigError, match="kind"):
-        cli.run(config)
+    for kind in ("discombobulate", "baseline"):
+        write_config(config, kind=kind)
+        with pytest.raises(cli.ConfigError, match="kind"):
+            cli.run(config)
 
 
 def test_invalid_field_named_in_error(tmp_path):
@@ -159,23 +178,32 @@ def test_memory_estimate_bounds_traced_peak(threads, blocks, p, mode,
     assert est_gb * 1e9 >= peak
 
 
-@pytest.mark.parametrize("p_total", [40, 600])
-def test_memory_estimate_bounds_traced_baseline_peak(p_total):
-    # 100 training rows: a primal and a dual fit of the flat baseline
-    n, d = 300, 8
+@pytest.mark.parametrize("width, n, d, baseline_larger", [
+    (40, 300, 8, False), (600, 300, 8, False), (600, 30, 200, True),
+], ids=["40", "600", "600-wide-input"])
+def test_memory_estimate_bounds_traced_baseline_peak(width, n, d,
+                                                     baseline_larger):
+    # a run sizes the flat baseline at the network's layer width K*L; at 100
+    # training rows it takes a primal and a dual fit. With 10 training rows
+    # of 200 inputs its weights outgrow the network, so only the baseline
+    # term of the estimate bounds its peak
     split = dataio.simulate_single_neuron(
         dataio.SimConfig(n=n, d=d, noise_std=0.1, seed=1))
-    cfg = network.NetConfig(depth=1, blocks=1, features_per_block=1,
+    cfg = network.NetConfig(depth=1, blocks=width // len(SMALL_GRID),
+                            features_per_block=1,
                             lambda_grid=tuple(SMALL_GRID))
+    assert cfg.layer_width == width
     tracemalloc.start()
     try:
-        network.flat_random_feature_baseline(split, p_total, SMALL_GRID)
+        network.flat_random_feature_baseline(split, cfg.layer_width,
+                                             SMALL_GRID)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     est_gb = cli._check_resources(n, n // 3, d, cfg, 1, math.inf,
-                                  baseline_width=p_total,
-                                  train_network=False)
+                                  baseline=True)
+    network_gb = cli._check_resources(n, n // 3, d, cfg, 1, math.inf)
+    assert (est_gb > network_gb) == baseline_larger
     assert est_gb * 1e9 >= peak
 
 
@@ -192,7 +220,7 @@ def test_paper_default_run_within_memory_estimate(tmp_path):
     net_cfg = cli._net_config(
         cli.validate_config(cli.load_config(config))["model"], seed=0)
     est_gb = cli._check_resources(3000, 1000, 50, net_cfg, threads, 4.0,
-                                  baseline_width=net_cfg.layer_width)
+                                  baseline=True)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run(
@@ -203,39 +231,6 @@ def test_paper_default_run_within_memory_estimate(tmp_path):
     # ru_maxrss is in KiB on Linux
     peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
     assert peak <= est_gb * 1e9
-
-
-def test_baseline_kind_sized_by_p_total(tmp_path):
-    # no model section: the default network (K=500, P=100) is never trained,
-    # so only the flat baseline's p_total counts
-    config = tmp_path / "cfg.json"
-    cfg = write_config(config, kind="baseline", seeds=[0],
-                       data={"n": 300, "d": 4, "noise_levels": [1],
-                             "p_total": 10})
-    del cfg["model"]
-    config.write_text(json.dumps(cfg))
-    cli.run(config, output_dir=str(tmp_path / "small"))
-    assert len(read_csv(tmp_path / "small" / "results.csv")) == 2
-    cfg["data"]["p_total"] = 10 ** 7
-    config.write_text(json.dumps(cfg))
-    with pytest.raises(cli.ConfigError, match="memory"):
-        cli.run(config, output_dir=str(tmp_path / "huge"))
-    cfg["data"]["p_total"] = 0
-    config.write_text(json.dumps(cfg))
-    with pytest.raises(cli.ConfigError, match="p_total"):
-        cli.run(config, output_dir=str(tmp_path / "zero"))
-
-
-def test_baseline_kind_only_flat_rows(tmp_path):
-    config = tmp_path / "cfg.json"
-    write_config(config, kind="baseline", seeds=[0],
-                 data={"n": 90, "d": 4, "noise_levels": [1, 2],
-                       "p_total": 10})
-    out = tmp_path / "out"
-    cli.run(config, output_dir=str(out))
-    rows = read_csv(out / "results.csv")
-    assert {r[1] for r in rows[1:]} == {"flat_rf"}
-    assert len(rows) == 3
 
 
 def test_theory_curves_csv(tmp_path):
@@ -378,11 +373,29 @@ def test_main_inspect_bad_header_index(tmp_path, capsys):
 
 
 def test_main_threads_flag_reproducible(tmp_path):
-    config = tmp_path / "cfg.json"
-    write_config(config, seeds=[0])
-    cli.main(["run", str(config), "--output-dir", str(tmp_path / "t1"),
-              "--threads", "1"])
-    cli.main(["run", str(config), "--output-dir", str(tmp_path / "t8"),
-              "--threads", "8"])
-    assert ((tmp_path / "t1" / "results.csv").read_bytes()
-            == (tmp_path / "t8" / "results.csv").read_bytes())
+    # three blocks of 700 features make two transform groups, so the pool
+    # runs them on separate workers; ablation_k trains K=2 and K=3
+    data_dir = tmp_path / "data"
+    _write_synthetic_idx_dir(data_dir)
+    kinds = {
+        "simulate": {},
+        "fmnist": {"data": {"pair_index": 0, "per_class_cap": 20,
+                            "noise_levels": [0, 1],
+                            "data_dir": str(data_dir)}},
+        "ablation_k": {"ablation": {"k_values": [2, 3], "pk_total": 2100}},
+        "ablation_depth": {"ablation": {"depths": [1, 2]}},
+    }
+    for kind, overrides in kinds.items():
+        config = tmp_path / f"{kind}.json"
+        write_config(config, kind=kind, seeds=[0],
+                     model={"depth": 2, "blocks": 3,
+                            "features_per_block": 700,
+                            "lambda_grid": SMALL_GRID},
+                     **overrides)
+        results = set()
+        for threads in (1, 2, 8):
+            out = tmp_path / f"{kind}_t{threads}"
+            assert cli.main(["run", str(config), "--output-dir", str(out),
+                             "--threads", str(threads)]) == 0
+            results.add((out / "results.csv").read_bytes())
+        assert len(results) == 1, kind
