@@ -93,7 +93,7 @@ class HeteroPenaltySolution:
 
 def _check_pos(lam, c):
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0) or c <= 0:
+    if np.any(lam <= 0) or np.any(np.asarray(c) <= 0):
         raise ValueError("lambda and c must be strictly positive")
     return lam
 
@@ -165,26 +165,38 @@ def nu_family(lam, c):
 
 
 def _group_quadratic(lam, k, params):
-    """Coefficients (linear, quadratic) of the group-k risk in its weight.
+    """Terms (b, linear, quadratic) of the group-k risk in its weight.
 
     Risk(alpha) = b - 2*alpha*(b*nu) + alpha^2 * A, where A bundles
     the group's own shrinkage with the noise contributed by the other
-    groups' signals.
+    groups' signals. ``k`` is one group index, or ``slice(None)`` for
+    every group at once: then ``lam`` is one penalty or one per group,
+    and each term is an array in group order from a single
+    :func:`nu_family` call.
     """
-    b, c = params.b[k], params.c[k]
+    b, c = np.asarray(params.b)[k], np.asarray(params.c)[k]
     nu, nu_prime, nu_hat = nu_family(lam, c)
     lin = b * nu
     quad = b * nu_hat - c * nu_prime * (1.0 + params.b_bar - b)
-    return lin, quad
+    return b, lin, quad
+
+
+def _weighted_risk(alpha, terms):
+    """Group risk at weight ``alpha`` from :func:`_group_quadratic` terms."""
+    b, lin, quad = terms
+    return b - 2.0 * alpha * lin + alpha * alpha * quad
+
+
+def _total(risks) -> float:
+    # a left-to-right Python sum in group order, not numpy's pairwise sum
+    return float(sum(risks.tolist()))
 
 
 def sub_model_risk(alpha: float, lam: float, k: int, params: TheoryParams) -> float:
     """Asymptotic risk of group k's ridge fit, scaled by ``alpha``."""
     if not 0 <= k < params.n_groups:
         raise ValueError(f"group index {k} out of range")
-    lin, quad = _group_quadratic(lam, k, params)
-    b = params.b[k]
-    return float(b - 2.0 * alpha * lin + alpha * alpha * quad)
+    return float(_weighted_risk(alpha, _group_quadratic(lam, k, params)))
 
 
 def ensemble_risk(alphas, lams, params: TheoryParams) -> float:
@@ -193,9 +205,8 @@ def ensemble_risk(alphas, lams, params: TheoryParams) -> float:
     lams = np.asarray(lams, dtype=float).ravel()
     if alphas.size != params.n_groups or lams.size != params.n_groups:
         raise ValueError("need one weight and one penalty per group")
-    return float(sum(
-        sub_model_risk(alphas[k], lams[k], k, params)
-        for k in range(params.n_groups)))
+    return _total(_weighted_risk(
+        alphas, _group_quadratic(lams, slice(None), params)))
 
 
 def optimal_lambda(params: TheoryParams, k: int) -> float:
@@ -208,7 +219,7 @@ def optimal_lambda(params: TheoryParams, k: int) -> float:
 
 def optimal_alpha(lam: float, params: TheoryParams, k: int) -> float:
     """Group k's risk-minimizing weight at a fixed penalty."""
-    lin, quad = _group_quadratic(lam, k, params)
+    _, lin, quad = _group_quadratic(lam, k, params)
     return float(lin / quad)
 
 
@@ -344,19 +355,22 @@ def hetero_penalty_solution(params: TheoryParams,
 
 
 def risk_report(params: TheoryParams) -> RiskReport:
-    """Bundle of the headline closed-form risks for one regime."""
+    """Bundle of the headline closed-form risks for one regime.
+
+    Every group is evaluated at once: one :func:`nu_family` call at the
+    per-group optimal penalties and one at the flat penalty.
+    """
     lam_star = tuple(optimal_lambda(params, k) for k in range(params.n_groups))
     lambda_bar, a_bar = flat_optima(params)
-    alpha_star = tuple(optimal_alpha(lambda_bar, params, k)
-                       for k in range(params.n_groups))
+    at_flat = _group_quadratic(lambda_bar, slice(None), params)
+    _, lin, quad = at_flat
+    alpha_star = lin / quad
     return RiskReport(
         flat_risk=flat_risk(1.0, lambda_bar, params),
         ensemble_optimal_risk=ensemble_risk(
             np.ones(params.n_groups), lam_star, params),
-        ensemble_suboptimal_risk=float(sum(
-            sub_model_risk(alpha_star[k], lambda_bar, k, params)
-            for k in range(params.n_groups))),
-        lambda_star=lam_star, alpha_star=alpha_star,
+        ensemble_suboptimal_risk=_total(_weighted_risk(alpha_star, at_flat)),
+        lambda_star=lam_star, alpha_star=tuple(alpha_star.tolist()),
         lambda_bar=lambda_bar, a_bar=a_bar)
 
 
@@ -396,15 +410,54 @@ class McResult:
     replications: int
 
 
-def _ridge_solve(x, y, lam):
+def _ridge_solves(x, y, lams):
+    """Ridge fits of ``y`` on ``x``, one per penalty: ``{lam: coefficients}``.
+
+    The Gram matrix (``x'x/n``, or ``xx'/n`` when p > n) is formed once
+    for all penalties, then each penalty gets its own solve.
+    """
     # deliberately a plain dense solve: this oracle must stay independent
     # of the eigendecomposition grid machinery it validates
+    if not lams:
+        return {}
     n, p = x.shape
     if p <= n:
-        return np.linalg.solve(
-            x.T @ x / n + lam * np.eye(p), x.T @ y / n)
-    dual = np.linalg.solve(x @ x.T / n + lam * np.eye(n), y)
-    return x.T @ dual / n
+        gram, rhs, eye = x.T @ x / n, x.T @ y / n, np.eye(p)
+        return {lam: np.linalg.solve(gram + lam * eye, rhs) for lam in lams}
+    gram, eye = x @ x.T / n, np.eye(n)
+    return {lam: x.T @ np.linalg.solve(gram + lam * eye, y) / n
+            for lam in lams}
+
+
+def _check_estimators(estimators, n_groups: int) -> None:
+    """Reject malformed oracle specs before any replication is drawn."""
+    for est in estimators:
+        kind = est[0] if len(est) else None
+        if kind == "zero":
+            continue
+        if kind == "submodel":
+            _, k, lams, _ = est
+            if not (isinstance(k, (int, np.integer)) and 0 <= k < n_groups):
+                raise ValueError(f"submodel group index {k!r} out of range")
+        elif kind == "flat":
+            _, lams, _ = est
+        elif kind == "ensemble":
+            _, lams, weights = est
+            if np.size(lams) != n_groups or np.size(weights) != n_groups:
+                raise ValueError(
+                    f"ensemble needs {n_groups} penalties and weights, got "
+                    f"{np.size(lams)} and {np.size(weights)}")
+        elif kind == "multi_penalty":
+            _, lams, weights = est
+            if np.size(lams) != np.size(weights):
+                raise ValueError(
+                    f"multi_penalty needs one weight per penalty, got "
+                    f"{np.size(lams)} penalties and {np.size(weights)} weights")
+        else:
+            raise ValueError(f"unknown estimator kind {kind!r}")
+        lams = np.asarray(lams, dtype=float)
+        if not np.all(np.isfinite(lams) & (lams > 0)):
+            raise ValueError(f"{kind} penalties must be finite and > 0")
 
 
 def monte_carlo_risk(scenario: RiskScenario, estimators, replications: int,
@@ -422,11 +475,19 @@ def monte_carlo_risk(scenario: RiskScenario, estimators, replications: int,
         ("flat", lam, scale)
         ("multi_penalty", lams, weights)
 
+    Specs are checked before any replication: a group index out of range,
+    a penalty or weight count that does not match, a penalty that is not
+    finite and positive, or an unknown kind raises ``ValueError``. Each
+    replication forms one Gram matrix per design matrix it fits (the full
+    design, and each group's columns) and one dense solve per distinct
+    penalty on it.
+
     Returns one :class:`McResult` per spec, in order.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications for a standard error")
     estimators = list(estimators)
+    _check_estimators(estimators, len(scenario.p))
     offsets = np.concatenate([[0], np.cumsum(scenario.p)])
     p_total = int(offsets[-1])
 
@@ -451,10 +512,9 @@ def monte_carlo_risk(scenario: RiskScenario, estimators, replications: int,
             for pk, bk in zip(scenario.p, scenario.b)])
         x = rng.standard_normal((scenario.n, p_total))
         y = x @ beta + rng.standard_normal(scenario.n)
-        fits_flat = {l: _ridge_solve(x, y, l) for l in flat_lams}
+        fits_flat = _ridge_solves(x, y, flat_lams)
         fits_group = [
-            {l: _ridge_solve(x[:, offsets[k]:offsets[k + 1]], y, l)
-             for l in group_lams[k]}
+            _ridge_solves(x[:, offsets[k]:offsets[k + 1]], y, group_lams[k])
             for k in range(len(scenario.p))]
 
         out = []
@@ -476,14 +536,12 @@ def monte_carlo_risk(scenario: RiskScenario, estimators, replications: int,
             elif kind == "flat":
                 _, lam, scale = est
                 err = scale * fits_flat[float(lam)] - beta
-            elif kind == "multi_penalty":
+            else:  # multi_penalty; kinds were checked up front
                 lams = np.asarray(est[1], dtype=float).ravel()
                 w = np.asarray(est[2], dtype=float).ravel()
                 mix = sum(w[i] * fits_flat[float(lams[i])]
                           for i in range(lams.size))
                 err = mix - beta
-            else:
-                raise ValueError(f"unknown estimator kind {kind!r}")
             out.append(float(err @ err))
         return out
 

@@ -76,6 +76,11 @@ def test_positivity_validation():
         mp_stieltjes(1.0, 0.0)
     with pytest.raises(ValueError):
         mp_stieltjes_deriv(0.0, 1.0)
+    # every group at once: one bad aspect ratio rejects the whole vector
+    with pytest.raises(ValueError, match="strictly positive"):
+        nu_family(1.0, np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(ValueError, match="strictly positive"):
+        mp_stieltjes(np.array([0.5, 1.0]), np.array([1.0, -1.0]))
 
 
 # --- xi and the nu family ----------------------------------------------------
@@ -295,6 +300,16 @@ def test_risk_report_coherent_with_components():
     assert all(abs(optimal_alpha(rep.lambda_bar, p, k) - rep.alpha_star[k])
                < 1e-12 for k in range(3))
     assert abs(rep.a_bar - 1.0) < 1e-8   # evaluated at its own lambda_bar
+    # the all-groups pass is exactly the per-group closed forms, summed
+    # in group order
+    assert rep.ensemble_optimal_risk == ensemble_risk(
+        np.ones(3), rep.lambda_star, p)
+    assert rep.ensemble_suboptimal_risk == float(sum(
+        sub_model_risk(rep.alpha_star[k], rep.lambda_bar, k, p)
+        for k in range(3)))
+    assert all(rep.lambda_star[k] == optimal_lambda(p, k) for k in range(3))
+    assert all(rep.alpha_star[k] == optimal_alpha(rep.lambda_bar, p, k)
+               for k in range(3))
 
 
 def test_hetero_penalty_duplicate_grid_rejected():
@@ -360,6 +375,51 @@ def test_mc_rejects_unknown_estimator():
     scenario = RiskScenario(n=20, p=(10,), b=(1.0,))
     with pytest.raises(ValueError, match="unknown estimator"):
         monte_carlo_risk(scenario, [("wat",)], replications=2, seed=0)
+
+
+@pytest.mark.parametrize("spec", [
+    ("submodel", 2, 1.0, 1.0),                 # group index out of range
+    ("submodel", -1, 1.0, 1.0),
+    ("submodel", 0, -1.0, 1.0),                # penalty <= 0
+    ("submodel", 0, 0.0, 1.0),
+    ("ensemble", (1.0,), (1.0, 1.0)),          # one penalty per group
+    ("ensemble", (1.0, 1.0), (1.0, 1.0, 1.0)),
+    ("ensemble", (1.0, -2.0), (1.0, 1.0)),
+    ("flat", 0.0, 1.0),
+    ("flat", float("inf"), 1.0),
+    ("multi_penalty", (0.1, 1.0), (1.0,)),     # one weight per penalty
+    ("multi_penalty", (0.1, float("nan")), (0.5, 0.5)),
+    ("wat",),
+])
+def test_mc_rejects_bad_spec_before_any_replication(spec, monkeypatch):
+    def no_draws(*key):
+        raise AssertionError("a replication started before specs were checked")
+    monkeypatch.setattr(theory, "stream_rng", no_draws)
+    scenario = RiskScenario(n=20, p=(10, 10), b=(1.0, 1.0))
+    with pytest.raises(ValueError):
+        monte_carlo_risk(scenario, [("zero",), spec], replications=2, seed=0)
+
+
+@pytest.mark.parametrize("n, p, cols", [
+    (40, 25, slice(None)),          # primal: p <= n
+    (25, 40, slice(None)),          # dual: p > n
+    (30, 60, slice(20, 45)),        # a group's non-contiguous column slice
+])
+def test_ridge_solves_match_per_penalty_solves(n, p, cols):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((n, p))[:, cols]
+    y = rng.standard_normal(n)
+    p = x.shape[1]
+    lams = [1e-3, 0.5, 7.0]
+    fits = theory._ridge_solves(x, y, lams)
+    assert list(fits) == lams
+    for lam in lams:
+        if p <= n:
+            ref = np.linalg.solve(x.T @ x / n + lam * np.eye(p), x.T @ y / n)
+        else:
+            ref = x.T @ np.linalg.solve(x @ x.T / n + lam * np.eye(n), y) / n
+        assert np.array_equal(fits[lam], ref)
+    assert theory._ridge_solves(x, y, []) == {}
 
 
 def test_params_validation():
