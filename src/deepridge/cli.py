@@ -170,11 +170,12 @@ def _net_config(model_cfg: dict, seed: int, **overrides) -> network.NetConfig:
         raise ConfigError(f"invalid model config: {exc}")
 
 
-def _ridge_fit_floats(rows: int, cols: int) -> int:
-    # one ridge fit on a (rows, cols) Z: the Gram of its smaller side, the
-    # Gram's eigenvectors, and one (cols, r) product (Z'V on the dual path)
+def _ridge_fit_floats(rows: int, cols: int, n_pen: int) -> int:
+    # one ridge fit on a (rows, cols) Z over n_pen penalties: the Gram of
+    # its smaller side, the Gram's eigenvectors, an (r, n_pen) product and
+    # the (cols, n_pen) coefficients
     r = min(rows, cols)
-    return 2 * r * r + cols * r
+    return 2 * r * r + (r + cols) * n_pen
 
 
 def _check_resources(n_total: int, n_train: int, d: int,
@@ -202,13 +203,13 @@ def _check_resources(n_total: int, n_train: int, d: int,
         + workers * (widest_input * (group_columns + 2 * p)   # weight
                      # buffer, one block's draw; one group's features
                      + n_total * group_columns
-                     + _ridge_fit_floats(n_train, p))
-        + _ridge_fit_floats(n_train, kl))   # final ridge
+                     + _ridge_fit_floats(n_train, p, n_pen))
+        + _ridge_fit_floats(n_train, kl, n_pen))   # final ridge
     baseline_floats = 0
     if baseline:
         baseline_floats = (
             (n_total + 2 * d + n_pen) * kl   # features, weights, coefficients
-            + _ridge_fit_floats(n_train, kl))
+            + _ridge_fit_floats(n_train, kl, n_pen))
     floats = n_total * d + max(network_floats, baseline_floats)
     est_gb = 8.0 * floats / 1e9
     if est_gb > max_memory_gb:

@@ -15,9 +15,10 @@ and column scales. Input weights and biases are never stored: block k of
 layer m is drawn from the keyed stream (seed, m, k), so training and
 prediction redraw it on demand. Both share one chunked transform: blocks
 are cut into fixed groups, each group's blocks are drawn into one weight
-buffer that costs one GEMM and is then dropped, and the group's grid
-predictions come from one batched matmul. Groups may run on a thread pool.
-Training only ever transforms the train and validation splits.
+buffer that costs one GEMM and is then dropped, and each block's grid
+predictions are written straight into the layer output. Groups may run on
+a thread pool. Training only ever transforms the train and validation
+splits.
 
 Training never backpropagates: input weights are drawn, output weights are
 closed-form ridge solutions.
@@ -222,16 +223,17 @@ def _group_features(cfg: NetConfig, layer_index: int, gammas, x, a, b):
     return apply_block(FeatureBlock(weights=weights, biases=biases), x)
 
 
-def _grid_predictions(z, betas) -> np.ndarray:
-    """Grid predictions of c side-by-side blocks in one batched matmul.
+def _grid_predictions(z, betas, out) -> None:
+    """Grid predictions of c side-by-side blocks, written into ``out``.
 
     ``z`` (n, c*P) holds the blocks' features and ``betas`` (c, P, L) their
-    coefficients; block j fills columns j*L:(j+1)*L of the (n, c*L) result.
+    coefficients; block j's matmul writes columns j*L:(j+1)*L of the
+    (n, c*L) view ``out`` in place.
     """
-    n = z.shape[0]
     c, p, n_pen = betas.shape
-    pred = np.matmul(z.reshape(n, c, p).transpose(1, 0, 2), betas)
-    return pred.transpose(1, 0, 2).reshape(n, c * n_pen)
+    for j in range(c):
+        np.matmul(z[:, j * p:(j + 1) * p], betas[j],
+                  out=out[:, j * n_pen:(j + 1) * n_pen])
 
 
 def train_layer(x, n_train: int, y_train, cfg: NetConfig, layer_index: int,
@@ -261,7 +263,7 @@ def train_layer(x, n_train: int, y_train, cfg: NetConfig, layer_index: int,
             betas[k] = fit_grid(z[:n_train, j:j + p], y_train,
                                 cfg.lambda_grid).betas
         out = rep[:, a * n_pen:b * n_pen]
-        out[...] = _grid_predictions(z, betas[a:b])
+        _grid_predictions(z, betas[a:b], out)
         group_scales = column_scales(out[:n_train])
         scales[a:b] = group_scales.reshape(b - a, n_pen)
         out /= group_scales
@@ -323,9 +325,9 @@ def forward(model: DeepRidgeModel, x, depth: int | None = None,
         def transform(bounds):
             a, b = bounds
             z = _group_features(cfg, m, gammas, cur, a, b)
-            np.divide(_grid_predictions(z, layer.betas[a:b]),
-                      layer.scales[a:b].ravel(),
-                      out=nxt[:, a * n_pen:b * n_pen])
+            out = nxt[:, a * n_pen:b * n_pen]
+            _grid_predictions(z, layer.betas[a:b], out)
+            out /= layer.scales[a:b].ravel()
 
         map_ordered(transform, group_bounds(k_blocks, p), n_threads)
         cur = nxt

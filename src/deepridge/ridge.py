@@ -12,7 +12,13 @@ single decomposition plus one diagonal rescale per penalty:
 When P > n the smaller dual Gram ZZ'/n = V diag(mu) V' shares the non-zero
 eigenvalues, and
 
-    beta(lam) = Z'V diag(mu + lam)^-1 V'y / n.
+    beta(lam) = Z' (V (diag(mu + lam)^-1 V'y)) / n,
+
+evaluated right to left as written: the whole grid's (n, L) dual
+coefficients come first, so Z' is touched once and no (P, n) product is
+formed. Beyond the Gram (about P n^2 flops) and its eigendecomposition
+(O(n^3)), the grid costs 2 n L (n + P) flops, where Z'V alone would cost
+2 P n^2, and holds only (n, L) and (P, L) arrays.
 """
 
 from dataclasses import dataclass
@@ -100,9 +106,9 @@ def fit_grid(z, y, lambdas, mode: str | None = None) -> RidgeGridFit:
         gram = z @ z.T / n
         mu, v = np.linalg.eigh(gram)
         mu = _floor_eigenvalues(mu)
-        w = z.T @ v
         s = v.T @ y
-        betas = w @ (s[:, None] / (mu[:, None] + lam[None, :])) / n
+        betas = z.T @ (v @ (s[:, None] / (mu[:, None] + lam[None, :])))
+        betas /= n
     return RidgeGridFit(lambdas=lam, betas=betas, mode=mode)
 
 

@@ -93,7 +93,8 @@ class HeteroPenaltySolution:
 
 def _check_pos(lam, c):
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0) or np.any(np.asarray(c) <= 0):
+    # written as "not all > 0" so that NaN is refused too
+    if not (np.all(lam > 0) and np.all(np.asarray(c) > 0)):
         raise ValueError("lambda and c must be strictly positive")
     return lam
 
@@ -192,10 +193,14 @@ def _total(risks) -> float:
     return float(sum(risks.tolist()))
 
 
-def sub_model_risk(alpha: float, lam: float, k: int, params: TheoryParams) -> float:
-    """Asymptotic risk of group k's ridge fit, scaled by ``alpha``."""
+def _check_group(k: int, params: TheoryParams) -> None:
     if not 0 <= k < params.n_groups:
         raise ValueError(f"group index {k} out of range")
+
+
+def sub_model_risk(alpha: float, lam: float, k: int, params: TheoryParams) -> float:
+    """Asymptotic risk of group k's ridge fit, scaled by ``alpha``."""
+    _check_group(k, params)
     return float(_weighted_risk(alpha, _group_quadratic(lam, k, params)))
 
 
@@ -211,14 +216,14 @@ def ensemble_risk(alphas, lams, params: TheoryParams) -> float:
 
 def optimal_lambda(params: TheoryParams, k: int) -> float:
     """Group k's risk-minimizing penalty (at unit weight)."""
-    if not 0 <= k < params.n_groups:
-        raise ValueError(f"group index {k} out of range")
+    _check_group(k, params)
     b, c = params.b[k], params.c[k]
     return float(c * (1.0 + params.b_bar - b) / b)
 
 
 def optimal_alpha(lam: float, params: TheoryParams, k: int) -> float:
     """Group k's risk-minimizing weight at a fixed penalty."""
+    _check_group(k, params)
     _, lin, quad = _group_quadratic(lam, k, params)
     return float(lin / quad)
 
@@ -312,7 +317,7 @@ def hetero_penalty_solution(params: TheoryParams,
         raise ValueError("heterogeneous-penalty mixing is defined for a "
                          "single feature group")
     lams = np.asarray(lambda_grid, dtype=float).ravel()
-    if lams.size == 0 or np.any(lams <= 0):
+    if lams.size == 0 or not np.all(lams > 0):
         raise ValueError("penalty grid must be non-empty and positive")
     for i in range(lams.size):
         for j in range(i + 1, lams.size):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -50,6 +52,34 @@ def test_primal_dual_and_dense_agree():
     assert np.abs(primal.betas - dual.betas).max() < 1e-8
     assert np.abs(primal.betas - oracle).max() < 1e-8
     assert np.abs(dual.betas - oracle).max() < 1e-8
+
+
+def test_dual_far_wider_than_tall_matches_dense():
+    # P = 50 n: the shape of a wide block or final ridge on the dual path
+    rng = np.random.default_rng(12)
+    z = rng.standard_normal((60, 3000))
+    y = rng.standard_normal(60)
+    lams = (0.01, 1.0, 100.0)
+    dual = ridge.fit_grid(z, y, lams)
+    assert dual.mode == "dual"
+    assert np.abs(dual.betas - dense_solve(z, y, lams)).max() < 1e-8
+
+
+def test_dual_fit_forms_no_features_by_rows_product():
+    # a (P, n) product such as Z'V would be as large as Z itself; the dual
+    # path holds only (n, n), (n, L) and (P, L) arrays, plus the (n, P)
+    # boolean finiteness mask (an eighth of Z)
+    rng = np.random.default_rng(13)
+    z = rng.standard_normal((200, 20_000))
+    y = rng.standard_normal(200)
+    tracemalloc.start()
+    try:
+        fit = ridge.fit_grid(z, y, (0.1, 1.0, 10.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fit.mode == "dual"
+    assert peak < z.nbytes / 4
 
 
 def test_mode_auto_selection():

@@ -83,6 +83,21 @@ def test_positivity_validation():
         mp_stieltjes(np.array([0.5, 1.0]), np.array([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: mp_stieltjes(np.nan, 1.0),
+    lambda: mp_stieltjes(1.0, np.nan),
+    lambda: nu_family(np.nan, 1.0),
+    lambda: nu_family(np.array([1.0, np.nan]), 1.0),
+    lambda: hetero_penalty_solution(TheoryParams(c=(3.0,), b=(3.0,)),
+                                    (0.1, np.nan, 1.0)),
+], ids=["stieltjes-lam", "stieltjes-c", "nu-family", "nu-family-vector",
+        "hetero-grid"])
+def test_nan_penalty_rejected(call):
+    # NaN fails every comparison, so a "<= 0" test would let it through
+    with pytest.raises(ValueError, match="positive"):
+        call()
+
+
 # --- xi and the nu family ----------------------------------------------------
 
 def test_xi_value_and_consistency():
@@ -175,6 +190,18 @@ def test_alpha_star_is_one_at_lambda_star():
     p = params_k3()
     for k in range(3):
         assert abs(optimal_alpha(optimal_lambda(p, k), p, k) - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("k", [-1, 3])
+def test_group_index_checked(k):
+    # a negative index must not wrap around to the last group
+    p = params_k3()
+    with pytest.raises(ValueError, match="out of range"):
+        sub_model_risk(1.0, 1.0, k, p)
+    with pytest.raises(ValueError, match="out of range"):
+        optimal_lambda(p, k)
+    with pytest.raises(ValueError, match="out of range"):
+        optimal_alpha(1.0, p, k)
 
 
 def test_consistent_estimation_limit():
