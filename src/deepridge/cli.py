@@ -13,7 +13,6 @@ named by $DEEPRIDGE_DATA_DIR or the config's data.data_dir.
 """
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -151,6 +150,9 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("config field 'depths' must be >= 1")
     if out["data"]["activation"] not in ("relu", "sigmoid"):
         raise ConfigError("config field 'activation' must be relu or sigmoid")
+    # every network's settings, before any output or compute
+    for overrides, _ in _networks(out):
+        _net_config(out["model"], 0, **overrides)
     return out
 
 
@@ -171,11 +173,14 @@ def _net_config(model_cfg: dict, seed: int, **overrides) -> network.NetConfig:
 
 
 def _ridge_fit_floats(rows: int, cols: int, n_pen: int) -> int:
-    # one ridge fit on a (rows, cols) Z over n_pen penalties: the Gram of
-    # its smaller side, the Gram's eigenvectors, an (r, n_pen) product and
-    # the (cols, n_pen) coefficients
+    # one ridge fit on a (rows, cols) Z over n_pen penalties: eigh's working
+    # set on the (r, r) Gram of Z's smaller side, then an (r, n_pen) product
+    # and the (cols, n_pen) coefficients. The working set is the Gram,
+    # LAPACK's copy of it, about 2r^2 of workspace and the eigenvectors:
+    # one fit at one BLAS thread raises peak RSS by 5.3-5.6 r^2 floats at
+    # r = 1000-2000, so 6 r^2 are counted
     r = min(rows, cols)
-    return 2 * r * r + (r + cols) * n_pen
+    return 6 * r * r + (r + cols) * n_pen
 
 
 def _check_resources(n_total: int, n_train: int, d: int,
@@ -218,13 +223,6 @@ def _check_resources(n_total: int, n_train: int, d: int,
             f"{max_memory_gb}; reduce blocks/features_per_block/depth "
             f"or per_class_cap, or raise the limit")
     return est_gb
-
-
-def _write_csv(path, columns, rows) -> None:
-    with dataio.atomic_path(path) as tmp, open(tmp, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(columns)
-        writer.writerows(rows)
 
 
 def _simulated(data_cfg: dict):
@@ -270,29 +268,35 @@ def _image_pairs(data_cfg: dict):
     return source
 
 
+def _networks(cfg: dict) -> list:
+    """The networks a run trains per seed: each one's NetConfig overrides
+    and the depths it reports (None: its full depth)."""
+    kind, ablation = cfg["kind"], cfg["ablation"]
+    if kind == "theory_curves":
+        return []
+    if kind == "ablation_k":
+        pk_total = ablation["pk_total"]
+        return [({"blocks": k, "features_per_block": pk_total // k}, None)
+                for k in ablation["k_values"]]
+    if kind == "ablation_depth":
+        depths = sorted(ablation["depths"])
+        return [({"depth": depths[-1]}, depths)]
+    return [({}, None)]
+
+
 def _experiments(cfg: dict, threads: int) -> list:
     """Train and score every seed, network, noise level and reported depth.
 
     Each kind makes its choices before the loop. Writes results.csv,
     timings.csv and any saved models; returns their paths.
     """
-    kind, data_cfg, ablation = cfg["kind"], cfg["data"], cfg["ablation"]
+    kind, data_cfg = cfg["kind"], cfg["data"]
     if kind == "fmnist":
         source = _image_pairs(data_cfg)
         model_prefix = f"model_pair{data_cfg['pair_index']}"
     else:
         source, model_prefix = _simulated(data_cfg), "model"
-    # per seed, each network's NetConfig overrides and the depths it reports
-    # (None: its full depth)
-    if kind == "ablation_k":
-        pk_total = ablation["pk_total"]
-        networks = [({"blocks": k, "features_per_block": pk_total // k}, None)
-                    for k in ablation["k_values"]]
-    elif kind == "ablation_depth":
-        depths = sorted(ablation["depths"])
-        networks = [({"depth": depths[-1]}, depths)]
-    else:
-        networks = [({}, None)]
+    networks = _networks(cfg)
     flat_kind = kind in ("simulate", "fmnist")
     baseline = flat_kind and cfg["baseline"]
     save_models = flat_kind and cfg["save_models"]
@@ -345,7 +349,7 @@ def _experiments(cfg: dict, threads: int) -> list:
     for name, columns, table in (("results.csv", RESULT_COLUMNS, rows),
                                  ("timings.csv", TIMING_COLUMNS, timings)):
         path = os.path.join(cfg["output_dir"], name)
-        _write_csv(path, columns, table)
+        dataio.write_csv(path, columns, table)
         outputs.append(path)
     return outputs
 

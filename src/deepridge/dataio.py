@@ -2,10 +2,12 @@
 
 Everything here is a pure function of its inputs plus an explicit seed, so
 any dataset can be regenerated exactly from its configuration. The module
-also holds :func:`atomic_path`, through which every output file is written.
+also holds :func:`atomic_path`, through which every output file is written,
+and :func:`write_csv`, the one CSV writer.
 """
 
 import contextlib
+import csv
 import gzip
 import os
 import struct
@@ -290,3 +292,11 @@ def atomic_path(path):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def write_csv(path, columns, rows) -> None:
+    """Write a header row then ``rows`` as CSV, through :func:`atomic_path`."""
+    with atomic_path(path) as tmp, open(tmp, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(columns)
+        writer.writerows(rows)

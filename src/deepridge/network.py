@@ -90,7 +90,7 @@ class NetConfig:
         if self.features_per_block < 1:
             raise ValueError("features_per_block must be at least 1")
         grid = tuple(float(v) for v in self.lambda_grid)
-        if len(grid) == 0 or any(v <= 0 for v in grid):
+        if len(grid) == 0 or not all(v > 0 for v in grid):
             raise ValueError("lambda_grid must be non-empty and positive")
         if sorted(grid) != list(grid) or len(set(grid)) != len(grid):
             raise ValueError("lambda_grid must be strictly increasing")
@@ -99,7 +99,7 @@ class NetConfig:
             gg = tuple(float(v) for v in self.gamma_grid)
             if len(gg) != self.blocks:
                 raise ValueError("gamma_grid must have one entry per block")
-            if any(v <= 0 for v in gg):
+            if not all(v > 0 for v in gg):
                 raise ValueError("gamma_grid entries must be positive")
             object.__setattr__(self, "gamma_grid", gg)
         elif not 0 < self.gamma_low < self.gamma_high:
@@ -393,7 +393,7 @@ def flat_random_feature_baseline(split: DataSplit, p_total: int, lambdas,
     rng = stream_rng(seed, _TAG_BASELINE)
     if gamma_grid is not None:
         gammas = np.resize(np.asarray(gamma_grid, dtype=float), p_total)
-        if np.any(gammas <= 0):
+        if not np.all(gammas > 0):
             raise ValueError("gamma_grid entries must be positive")
     else:
         gammas = rng.uniform(gamma_low, gamma_high, size=p_total)

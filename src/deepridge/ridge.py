@@ -88,26 +88,27 @@ def fit_grid(z, y, lambdas, mode: str | None = None) -> RidgeGridFit:
     n, p = z.shape
     if y.shape[0] != n:
         raise ValueError(f"label length {y.shape[0]} does not match {n} rows")
-    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(y))):
-        raise ValueError("non-finite entries in z or y")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("non-finite entries in y")
     lam = _as_grid(lambdas)
     if mode is None:
         mode = "dual" if p > n else "primal"
     if mode not in ("primal", "dual"):
         raise ValueError(f"unknown mode {mode!r}")
 
+    gram = z.T @ z / n if mode == "primal" else z @ z.T / n
+    # a NaN or inf anywhere in z puts one on the Gram's diagonal (a sum of
+    # squares cannot cancel it), so z itself is never scanned
+    if not np.all(np.isfinite(gram.diagonal())):
+        raise ValueError("non-finite entries in z")
+    mu, vecs = np.linalg.eigh(gram)
+    mu = _floor_eigenvalues(mu)
     if mode == "primal":
-        gram = z.T @ z / n
-        mu, u = np.linalg.eigh(gram)
-        mu = _floor_eigenvalues(mu)
-        t = u.T @ (z.T @ y / n)
-        betas = u @ (t[:, None] / (mu[:, None] + lam[None, :]))
+        t = vecs.T @ (z.T @ y / n)
+        betas = vecs @ (t[:, None] / (mu[:, None] + lam[None, :]))
     else:
-        gram = z @ z.T / n
-        mu, v = np.linalg.eigh(gram)
-        mu = _floor_eigenvalues(mu)
-        s = v.T @ y
-        betas = z.T @ (v @ (s[:, None] / (mu[:, None] + lam[None, :])))
+        s = vecs.T @ y
+        betas = z.T @ (vecs @ (s[:, None] / (mu[:, None] + lam[None, :])))
         betas /= n
     return RidgeGridFit(lambdas=lam, betas=betas, mode=mode)
 

@@ -18,13 +18,12 @@ Every closed form here is validated against the finite-sample Monte Carlo
 oracle :func:`monte_carlo_risk` in the test suite.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import atomic_path
+from .dataio import write_csv
 from .seeding import map_ordered, stream_rng
 
 _TAG_MC = 301
@@ -53,7 +52,7 @@ class TheoryParams:
         b = tuple(float(v) for v in self.b)
         if len(c) == 0 or len(c) != len(b):
             raise ValueError("c and b must be equal-length and non-empty")
-        if any(v <= 0 for v in c) or any(v <= 0 for v in b):
+        if not (all(v > 0 for v in c) and all(v > 0 for v in b)):
             raise ValueError("aspect ratios and signal strengths must be > 0")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "b", b)
@@ -319,30 +318,31 @@ def hetero_penalty_solution(params: TheoryParams,
     lams = np.asarray(lambda_grid, dtype=float).ravel()
     if lams.size == 0 or not np.all(lams > 0):
         raise ValueError("penalty grid must be non-empty and positive")
-    for i in range(lams.size):
-        for j in range(i + 1, lams.size):
-            if lams[i] == lams[j]:
-                raise ValueError(
-                    f"duplicate penalties make the fit Gram singular: "
-                    f"grid positions {i} and {j} both equal {lams[i]}")
+    # row-major order: the first duplicate pair a double loop would meet
+    dups = np.argwhere(np.triu(np.equal.outer(lams, lams), 1))
+    if dups.size:
+        i, j = dups[0]
+        raise ValueError(
+            f"duplicate penalties make the fit Gram singular: "
+            f"grid positions {i} and {j} both equal {lams[i]}")
     b, c = params.b[0], params.c[0]
 
-    xis = np.array([xi(l, c) for l in lams])
-    xids = np.array([xi_deriv(l, c) for l in lams])
-    gram = np.empty((lams.size, lams.size))
-    for i in range(lams.size):
-        for j in range(lams.size):
-            l1, l2 = lams[i], lams[j]
-            if abs(l2 - l1) < 1e-6 * min(l1, l2):
-                # analytic limit; the difference quotient would cancel badly
-                gram[i, j] = (b * (1.0 - (2 * l1 * xis[i] + l1 * l1 * xids[i]) / c)
-                              + xis[i] + l1 * xids[i])
-            else:
-                gram[i, j] = (b * (1.0 + (l1 * l1 * xis[i] - l2 * l2 * xis[j])
-                                   / (c * (l2 - l1)))
-                              + (l2 * xis[j] - l1 * xis[i]) / (l2 - l1))
+    xis = xi(lams, c)
+    # rows are l1 = lams[i], columns l2 = lams[j]
+    l1, l2 = lams[:, None], lams[None, :]
+    x1, x2 = xis[:, None], xis[None, :]
+    xd1 = xi_deriv(lams, c)[:, None]
+    # analytic limit on near-equal pairs, where the difference quotient
+    # would cancel badly; a divisor of 1 there keeps the unused quotient finite
+    near = np.abs(l2 - l1) < 1e-6 * np.minimum(l1, l2)
+    step = np.where(near, 1.0, l2 - l1)
+    gram = np.where(
+        near,
+        b * (1.0 - (2 * l1 * x1 + l1 * l1 * xd1) / c) + x1 + l1 * xd1,
+        b * (1.0 + (l1 * l1 * x1 - l2 * l2 * x2) / (c * step))
+        + (l2 * x2 - l1 * x1) / step)
     gram = 0.5 * (gram + gram.T)  # symmetrize away rounding asymmetry
-    gamma_vec = b * np.array([nu_family(l, c)[0] for l in lams])
+    gamma_vec = b * nu_family(lams, c)[0]
     try:
         weights = np.linalg.solve(gram, gamma_vec)
     except np.linalg.LinAlgError as exc:
@@ -395,7 +395,7 @@ class RiskScenario:
         b = tuple(float(v) for v in self.b)
         if self.n < 1 or len(p) == 0 or len(p) != len(b):
             raise ValueError("need n >= 1 and equal-length p and b")
-        if any(v < 1 for v in p) or any(v <= 0 for v in b):
+        if any(v < 1 for v in p) or not all(v > 0 for v in b):
             raise ValueError("group sizes must be >= 1, strengths > 0")
         if self.n * sum(p) > MAX_DESIGN_ELEMENTS:
             raise ValueError(
@@ -434,35 +434,62 @@ def _ridge_solves(x, y, lams):
             for lam in lams}
 
 
-def _check_estimators(estimators, n_groups: int) -> None:
-    """Reject malformed oracle specs before any replication is drawn."""
-    for est in estimators:
-        kind = est[0] if len(est) else None
-        if kind == "zero":
-            continue
-        if kind == "submodel":
-            _, k, lams, _ = est
-            if not (isinstance(k, (int, np.integer)) and 0 <= k < n_groups):
-                raise ValueError(f"submodel group index {k!r} out of range")
-        elif kind == "flat":
-            _, lams, _ = est
-        elif kind == "ensemble":
-            _, lams, weights = est
-            if np.size(lams) != n_groups or np.size(weights) != n_groups:
-                raise ValueError(
-                    f"ensemble needs {n_groups} penalties and weights, got "
-                    f"{np.size(lams)} and {np.size(weights)}")
-        elif kind == "multi_penalty":
-            _, lams, weights = est
-            if np.size(lams) != np.size(weights):
-                raise ValueError(
-                    f"multi_penalty needs one weight per penalty, got "
-                    f"{np.size(lams)} penalties and {np.size(weights)} weights")
-        else:
-            raise ValueError(f"unknown estimator kind {kind!r}")
-        lams = np.asarray(lams, dtype=float)
-        if not np.all(np.isfinite(lams) & (lams > 0)):
-            raise ValueError(f"{kind} penalties must be finite and > 0")
+def _check_penalties(kind: str, lams) -> None:
+    lams = np.asarray(lams, dtype=float)
+    if not np.all(np.isfinite(lams) & (lams > 0)):
+        raise ValueError(f"{kind} penalties must be finite and > 0")
+
+
+def _parse_spec(est, offsets):
+    """One oracle spec as ``(label, coords, terms)``, checked before any draw.
+
+    Every estimator is a weighted sum of ridge fits scored on the slice
+    ``coords`` of beta. Each term ``(design, lam, weight, place)`` adds
+    ``weight`` times the fit at ``lam`` on the design columns
+    ``design = (start, stop)`` into the slice ``place`` of that estimate.
+    """
+    n_groups = len(offsets) - 1
+    full, whole = (0, offsets[-1]), slice(None)
+    kind = est[0] if len(est) else None
+    if kind == "zero":
+        return "zero", whole, []
+    if kind == "submodel":
+        _, k, lam, alpha = est
+        if (isinstance(k, bool) or not isinstance(k, (int, np.integer))
+                or not 0 <= k < n_groups):
+            raise ValueError(f"submodel group index {k!r} out of range")
+        _check_penalties(kind, lam)
+        group = (offsets[k], offsets[k + 1])
+        return (f"submodel[k={k},lam={float(lam):g},alpha={float(alpha):g}]",
+                slice(*group), [(group, float(lam), float(alpha), whole)])
+    if kind == "flat":
+        _, lam, scale = est
+        _check_penalties(kind, lam)
+        return (f"flat[lam={float(lam):g},a={float(scale):g}]", whole,
+                [(full, float(lam), float(scale), whole)])
+    if kind not in ("ensemble", "multi_penalty"):
+        raise ValueError(f"unknown estimator kind {kind!r}")
+    _, lams, weights = est
+    lams = np.asarray(lams, dtype=float).ravel()
+    weights = np.asarray(weights, dtype=float).ravel()
+    if kind == "ensemble":
+        if lams.size != n_groups or weights.size != n_groups:
+            raise ValueError(
+                f"ensemble needs {n_groups} penalties and weights, got "
+                f"{lams.size} and {weights.size}")
+        # group k's fit fills group k's coordinates
+        designs = list(zip(offsets[:-1], offsets[1:]))
+        places = [slice(*d) for d in designs]
+    else:
+        if lams.size != weights.size:
+            raise ValueError(
+                f"multi_penalty needs one weight per penalty, got "
+                f"{lams.size} penalties and {weights.size} weights")
+        designs, places = [full] * lams.size, [whole] * lams.size
+    _check_penalties(kind, lams)
+    label = f"{kind}[" + ",".join(f"{l:g}" for l in lams.tolist()) + "]"
+    return label, whole, list(zip(designs, lams.tolist(), weights.tolist(),
+                                  places))
 
 
 def monte_carlo_risk(scenario: RiskScenario, estimators, replications: int,
@@ -480,117 +507,62 @@ def monte_carlo_risk(scenario: RiskScenario, estimators, replications: int,
         ("flat", lam, scale)
         ("multi_penalty", lams, weights)
 
-    Specs are checked before any replication: a group index out of range,
-    a penalty or weight count that does not match, a penalty that is not
-    finite and positive, or an unknown kind raises ``ValueError``. Each
-    replication forms one Gram matrix per design matrix it fits (the full
-    design, and each group's columns) and one dense solve per distinct
-    penalty on it.
+    Specs are read once, before any replication, as weighted sums of ridge
+    fits: a group index out of range, a penalty or weight count that does
+    not match, a penalty that is not finite and positive, or an unknown
+    kind raises ``ValueError``. Each replication forms one Gram matrix per
+    design matrix it fits (the full design, and each group's columns) and
+    one dense solve per distinct penalty on it. A submodel is scored on its
+    own group's coefficients, every other estimator on all of beta.
 
     Returns one :class:`McResult` per spec, in order.
     """
     if replications < 2:
         raise ValueError("need at least 2 replications for a standard error")
-    estimators = list(estimators)
-    _check_estimators(estimators, len(scenario.p))
-    offsets = np.concatenate([[0], np.cumsum(scenario.p)])
-    p_total = int(offsets[-1])
-
-    # every (group, lam) fit needed, computed once per replication
-    flat_lams = sorted({
-        float(l)
-        for est in estimators if est[0] in ("flat", "multi_penalty")
-        for l in (np.atleast_1d(est[1]).tolist())})
-    group_lams = [set() for _ in scenario.p]
-    for est in estimators:
-        if est[0] == "submodel":
-            group_lams[est[1]].add(float(est[2]))
-        elif est[0] == "ensemble":
-            for k, l in enumerate(np.asarray(est[1], dtype=float).ravel()):
-                group_lams[k].add(float(l))
-    group_lams = [sorted(s) for s in group_lams]
+    offsets = np.concatenate([[0], np.cumsum(scenario.p)]).tolist()
+    specs = [_parse_spec(est, offsets) for est in estimators]
+    # every (design, lam) fit needed, computed once per replication
+    design_lams = {}
+    for _, _, terms in specs:
+        for design, lam, _, _ in terms:
+            design_lams.setdefault(design, set()).add(lam)
 
     def one_rep(r):
         rng = stream_rng(seed, _TAG_MC, r)
         beta = np.concatenate([
             rng.normal(0.0, math.sqrt(bk / pk), size=pk)
             for pk, bk in zip(scenario.p, scenario.b)])
-        x = rng.standard_normal((scenario.n, p_total))
+        x = rng.standard_normal((scenario.n, offsets[-1]))
         y = x @ beta + rng.standard_normal(scenario.n)
-        fits_flat = _ridge_solves(x, y, flat_lams)
-        fits_group = [
-            _ridge_solves(x[:, offsets[k]:offsets[k + 1]], y, group_lams[k])
-            for k in range(len(scenario.p))]
-
+        fits = {(start, stop): _ridge_solves(x[:, start:stop], y, sorted(lams))
+                for (start, stop), lams in design_lams.items()}
         out = []
-        for est in estimators:
-            kind = est[0]
-            if kind == "zero":
-                err = beta
-            elif kind == "submodel":
-                _, k, lam, alpha = est
-                err = alpha * fits_group[k][float(lam)] \
-                    - beta[offsets[k]:offsets[k + 1]]
-            elif kind == "ensemble":
-                lams = np.asarray(est[1], dtype=float).ravel()
-                alphas = np.asarray(est[2], dtype=float).ravel()
-                stacked = np.concatenate([
-                    alphas[k] * fits_group[k][float(lams[k])]
-                    for k in range(len(scenario.p))])
-                err = stacked - beta
-            elif kind == "flat":
-                _, lam, scale = est
-                err = scale * fits_flat[float(lam)] - beta
-            else:  # multi_penalty; kinds were checked up front
-                lams = np.asarray(est[1], dtype=float).ravel()
-                w = np.asarray(est[2], dtype=float).ravel()
-                mix = sum(w[i] * fits_flat[float(lams[i])]
-                          for i in range(lams.size))
-                err = mix - beta
+        for _, coords, terms in specs:
+            target = beta[coords]
+            estimate = np.zeros_like(target)
+            for design, lam, weight, place in terms:
+                estimate[place] += weight * fits[design][lam]
+            err = estimate - target
             out.append(float(err @ err))
         return out
 
     # (R, n_estimators)
     risks = np.asarray(map_ordered(one_rep, range(replications), n_threads))
-    results = []
-    for j, est in enumerate(estimators):
-        col = risks[:, j]
-        results.append(McResult(
-            estimator=_estimator_label(est), risk=float(col.mean()),
-            stderr=float(col.std(ddof=1) / math.sqrt(replications)),
-            replications=replications))
-    return results
-
-
-def _estimator_label(est) -> str:
-    kind = est[0]
-    if kind == "zero":
-        return "zero"
-    if kind == "submodel":
-        return f"submodel[k={est[1]},lam={float(est[2]):g},alpha={float(est[3]):g}]"
-    if kind == "ensemble":
-        return "ensemble[" + ",".join(f"{float(l):g}" for l in est[1]) + "]"
-    if kind == "flat":
-        return f"flat[lam={float(est[1]):g},a={float(est[2]):g}]"
-    if kind == "multi_penalty":
-        return "multi_penalty[" + ",".join(f"{float(l):g}" for l in est[1]) + "]"
-    return str(est)
+    return [McResult(estimator=label, risk=float(col.mean()),
+                     stderr=float(col.std(ddof=1) / math.sqrt(replications)),
+                     replications=replications)
+            for (label, _, _), col in zip(specs, risks.T)]
 
 
 def write_risk_curves_csv(table: np.ndarray, path) -> None:
     """Write a :func:`risk_curves` table with its standard header."""
-    with atomic_path(path) as tmp, open(tmp, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(RISK_CURVE_COLUMNS)
-        for row in np.asarray(table, dtype=float):
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(path, RISK_CURVE_COLUMNS,
+              ([repr(float(v)) for v in row]
+               for row in np.asarray(table, dtype=float)))
 
 
 def write_monte_carlo_csv(results, path, scenario_label: str = "") -> None:
     """Write oracle results as (scenario, estimator, risk, stderr) rows."""
-    with atomic_path(path) as tmp, open(tmp, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(("scenario", "estimator", "risk", "stderr"))
-        for res in results:
-            writer.writerow((scenario_label, res.estimator,
-                             repr(res.risk), repr(res.stderr)))
+    write_csv(path, ("scenario", "estimator", "risk", "stderr"),
+              ((scenario_label, res.estimator, repr(res.risk),
+                repr(res.stderr)) for res in results))

@@ -112,6 +112,19 @@ def test_ablation_lists_rejected_before_compute(tmp_path, monkeypatch, kind,
     assert trained == []
 
 
+def test_nan_penalty_rejected_before_output(tmp_path):
+    # JSON as Python writes and reads it allows NaN
+    config = tmp_path / "cfg.json"
+    write_config(config, model={"depth": 1, "blocks": 2,
+                                "features_per_block": 4,
+                                "lambda_grid": [0.1, float("nan"), 1.0]})
+    assert "NaN" in config.read_text()
+    out = tmp_path / "out"
+    with pytest.raises(cli.ConfigError, match="lambda_grid"):
+        cli.run(config, output_dir=str(out))
+    assert not out.exists()
+
+
 def test_unknown_kind_rejected(tmp_path):
     config = tmp_path / "cfg.json"
     for kind in ("discombobulate", "baseline"):
@@ -205,6 +218,38 @@ def test_memory_estimate_bounds_traced_baseline_peak(width, n, d,
     network_gb = cli._check_resources(n, n // 3, d, cfg, 1, math.inf)
     assert (est_gb > network_gb) == baseline_larger
     assert est_gb * 1e9 >= peak
+
+
+RSS_RISE_CHILD = """
+import resource, sys
+import numpy as np
+from deepridge import ridge
+rows, cols, n_pen = (int(v) for v in sys.argv[1:])
+rng = np.random.default_rng(0)
+z, y = rng.standard_normal((rows, cols)), rng.standard_normal(rows)
+np.linalg.eigh(np.eye(8))   # BLAS and LAPACK set up before the baseline
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+ridge.fit_grid(z, y, np.geomspace(1e-3, 1e3, n_pen))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.parametrize("rows, cols", [(1000, 1500), (1500, 1000)],
+                         ids=["dual", "primal"])
+def test_ridge_fit_count_bounds_its_rss_rise(rows, cols):
+    # eigh's working set lives outside numpy's allocator, so tracemalloc
+    # cannot see it: measure one fit's rise in peak RSS in a child process
+    # with one BLAS thread (ru_maxrss is in KiB on Linux)
+    n_pen = 29
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out = subprocess.run(
+        [sys.executable, "-c", RSS_RISE_CHILD, str(rows), str(cols),
+         str(n_pen)], env=env, check=True, timeout=120,
+        capture_output=True, text=True)
+    rise = int(out.stdout) * 1024
+    assert rise <= 8 * cli._ridge_fit_floats(rows, cols, n_pen)
 
 
 @pytest.mark.slow

@@ -6,7 +6,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from deepridge import network, ridge
+from deepridge import network, ridge, theory
 from deepridge.dataio import DataSplit, SimConfig, simulate_single_neuron
 from deepridge.features import apply_block, draw_block
 from deepridge.network import (DeepRidgeModel, FinalFit, Metrics, NetConfig,
@@ -74,6 +74,25 @@ def test_config_validation():
         NetConfig(blocks=3, gamma_grid=(0.5, 1.0))   # wrong length
     with pytest.raises(ValueError):
         NetConfig(bias_range=0.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda s: NetConfig(lambda_grid=(0.1, NAN, 1.0)), "lambda_grid"),
+    (lambda s: NetConfig(blocks=2, gamma_grid=(1.0, NAN)), "gamma_grid"),
+    (lambda s: flat_random_feature_baseline(s, 4, SMALL_GRID,
+                                            gamma_grid=(1.0, NAN)),
+     "gamma_grid"),
+    (lambda s: theory.TheoryParams(c=(NAN,), b=(1.0,)), "> 0"),
+    (lambda s: theory.TheoryParams(c=(1.0,), b=(NAN,)), "> 0"),
+    (lambda s: theory.RiskScenario(n=10, p=(3,), b=(NAN,)), "> 0"),
+], ids=["lambda_grid", "gamma_grid", "baseline-gammas", "theory-c",
+        "theory-b", "scenario-b"])
+def test_positivity_checks_refuse_nan(split, build, message):
+    with pytest.raises(ValueError, match=message):
+        build(split)
 
 
 def test_explicit_gamma_grid_used_verbatim(split, monkeypatch):

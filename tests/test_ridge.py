@@ -82,6 +82,22 @@ def test_dual_fit_forms_no_features_by_rows_product():
     assert peak < z.nbytes / 4
 
 
+def test_dual_fit_never_scans_features():
+    # the finiteness check reads the Gram's diagonal, not an (n, P) mask of
+    # Z, so the fit's traced peak stays below n*P bytes
+    rng = np.random.default_rng(13)
+    z = rng.standard_normal((200, 20_000))
+    y = rng.standard_normal(200)
+    tracemalloc.start()
+    try:
+        fit = ridge.fit_grid(z, y, (0.1, 1.0, 10.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fit.mode == "dual"
+    assert peak < z.shape[0] * z.shape[1]
+
+
 def test_mode_auto_selection():
     rng = np.random.default_rng(0)
     assert ridge.fit_grid(rng.standard_normal((10, 4)),
@@ -183,6 +199,12 @@ def test_input_validation():
         ridge.fit_grid(z, np.ones(3), [1.0])
     with pytest.raises(ValueError):
         ridge.fit_grid(z * np.nan, y, [1.0])
+    for bad in (np.inf, -np.inf):
+        z_bad = z.copy()
+        z_bad[2, 1] = bad
+        for mode in ("primal", "dual"):
+            with pytest.raises(ValueError, match="non-finite"):
+                ridge.fit_grid(z_bad, y, [1.0], mode=mode)
     with pytest.raises(ValueError):
         ridge.fit_grid(z, y, [1.0], mode="sideways")
 

@@ -8,6 +8,9 @@ from deepridge.theory import (ConsistencyError, RiskScenario, TheoryParams,
                               mp_stieltjes, mp_stieltjes_deriv, nu_family,
                               optimal_alpha, optimal_lambda, risk_curves,
                               sub_model_risk, xi, xi_deriv)
+from deepridge.seeding import stream_rng
+
+from conftest import REFERENCE_GRID29
 
 
 # --- resolvent trace (Marcenko-Pastur) ---------------------------------------
@@ -339,6 +342,42 @@ def test_risk_report_coherent_with_components():
                for k in range(3))
 
 
+def entrywise_hetero(params, grid):
+    """Reference: the penalty-mixing Gram one entry at a time, with the
+    trace functionals evaluated at one penalty per call."""
+    lams = np.asarray(grid, dtype=float)
+    b, c = params.b[0], params.c[0]
+    xis = np.array([xi(l, c) for l in lams])
+    xids = np.array([xi_deriv(l, c) for l in lams])
+    gram = np.empty((lams.size, lams.size))
+    for i in range(lams.size):
+        for j in range(lams.size):
+            l1, l2 = lams[i], lams[j]
+            if abs(l2 - l1) < 1e-6 * min(l1, l2):
+                gram[i, j] = (b * (1.0 - (2 * l1 * xis[i]
+                                          + l1 * l1 * xids[i]) / c)
+                              + xis[i] + l1 * xids[i])
+            else:
+                gram[i, j] = (b * (1.0 + (l1 * l1 * xis[i]
+                                          - l2 * l2 * xis[j])
+                                   / (c * (l2 - l1)))
+                              + (l2 * xis[j] - l1 * xis[i]) / (l2 - l1))
+    gram = 0.5 * (gram + gram.T)
+    gamma_vec = b * np.array([nu_family(l, c)[0] for l in lams])
+    return gram, gamma_vec, np.linalg.solve(gram, gamma_vec)
+
+
+@pytest.mark.parametrize("grid", [REFERENCE_GRID29, (1.0, 1.0 + 1e-8, 10.0)],
+                         ids=["grid29", "near-equal-pair"])
+def test_hetero_penalty_array_gram_equals_entrywise(grid):
+    for params in (flat_group(), TheoryParams(c=(10.0,), b=(3.75,))):
+        sol = hetero_penalty_solution(params, grid)
+        gram, gamma_vec, weights = entrywise_hetero(params, grid)
+        assert np.array_equal(sol.gram, gram)
+        assert np.array_equal(sol.gamma_vec, gamma_vec)
+        assert np.array_equal(sol.weights, weights)
+
+
 def test_hetero_penalty_duplicate_grid_rejected():
     with pytest.raises(ValueError, match="positions 1 and 3"):
         hetero_penalty_solution(flat_group(), (0.1, 1.0, 5.0, 1.0))
@@ -427,6 +466,14 @@ def test_mc_rejects_bad_spec_before_any_replication(spec, monkeypatch):
         monte_carlo_risk(scenario, [("zero",), spec], replications=2, seed=0)
 
 
+def test_mc_refuses_bool_group_index():
+    # True is an int in Python, but not a group index
+    scenario = RiskScenario(n=20, p=(10, 10), b=(1.0, 1.0))
+    with pytest.raises(ValueError, match="group index True"):
+        monte_carlo_risk(scenario, [("submodel", True, 1.0, 1.0)],
+                         replications=2, seed=0)
+
+
 @pytest.mark.parametrize("n, p, cols", [
     (40, 25, slice(None)),          # primal: p <= n
     (25, 40, slice(None)),          # dual: p > n
@@ -447,6 +494,47 @@ def test_ridge_solves_match_per_penalty_solves(n, p, cols):
             ref = x.T @ np.linalg.solve(x @ x.T / n + lam * np.eye(n), y) / n
         assert np.array_equal(fits[lam], ref)
     assert theory._ridge_solves(x, y, []) == {}
+
+
+def test_mc_specs_are_weighted_sums_of_ridge_fits():
+    # each of the five kinds computed by hand from the replication's own
+    # draws; a submodel is scored on its own group's coefficients only.
+    # 60 rows and 75 columns: the full design is fit in its dual form and
+    # every group in its primal form
+    scenario = RiskScenario(n=60, p=(20, 30, 25), b=(0.5, 1.0, 1.5))
+    seed, reps = 4, 3
+    lams, alphas = (0.3, 0.6, 0.9), (1.0, 0.8, 1.2)
+    grid, mix = (0.1, 1.0, 10.0), (0.2, 0.5, 0.25)
+    specs = [("zero",), ("submodel", 1, 0.6, 0.9), ("ensemble", lams, alphas),
+             ("flat", 0.8, 0.95), ("multi_penalty", grid, mix)]
+    offsets = np.concatenate([[0], np.cumsum(scenario.p)])
+    groups = [slice(offsets[k], offsets[k + 1]) for k in range(3)]
+    risks = []
+    for r in range(reps):
+        rng = stream_rng(seed, 301, r)
+        beta = np.concatenate([rng.normal(0.0, np.sqrt(bk / pk), size=pk)
+                               for pk, bk in zip(scenario.p, scenario.b)])
+        x = rng.standard_normal((scenario.n, offsets[-1]))
+        y = x @ beta + rng.standard_normal(scenario.n)
+        group_fit = [theory._ridge_solves(x[:, g], y, [lam])[lam]
+                     for g, lam in zip(groups, lams)]
+        flat_fits = theory._ridge_solves(x, y, [0.8, *grid])
+        sub = 0.9 * theory._ridge_solves(x[:, groups[1]], y, [0.6])[0.6]
+        estimates = [
+            (np.zeros_like(beta), beta),
+            (sub, beta[groups[1]]),
+            (np.concatenate([a * f for a, f in zip(alphas, group_fit)]), beta),
+            (0.95 * flat_fits[0.8], beta),
+            (sum(w * flat_fits[lam] for w, lam in zip(mix, grid)), beta)]
+        risks.append([float((e - t) @ (e - t)) for e, t in estimates])
+    risks = np.array(risks)
+    results = monte_carlo_risk(scenario, specs, reps, seed=seed)
+    assert [res.estimator for res in results] == [
+        "zero", "submodel[k=1,lam=0.6,alpha=0.9]", "ensemble[0.3,0.6,0.9]",
+        "flat[lam=0.8,a=0.95]", "multi_penalty[0.1,1,10]"]
+    assert np.array_equal([res.risk for res in results], risks.mean(axis=0))
+    assert np.array_equal([res.stderr for res in results],
+                          risks.std(axis=0, ddof=1) / np.sqrt(reps))
 
 
 def test_params_validation():
