@@ -13,6 +13,7 @@ named by $DEEPRIDGE_DATA_DIR or the config's data.data_dir.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -55,15 +56,21 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
 
 
+def _has_type(value, kind) -> bool:
+    # JSON booleans load as Python ints; only a bool field takes one
+    return isinstance(value, kind) and (kind is bool
+                                        or not isinstance(value, bool))
+
+
 def _field(mapping, name, kind, default=None, required=False):
     if name not in mapping or mapping[name] is None:
         if required:
             raise ConfigError(f"config field '{name}' is required")
         return default
     value = mapping[name]
-    if kind is float and isinstance(value, int):
+    if kind is float and _has_type(value, int):
         value = float(value)
-    if kind is not None and not isinstance(value, kind):
+    if not _has_type(value, kind):
         raise ConfigError(f"config field '{name}' must be {kind.__name__}")
     return value
 
@@ -88,7 +95,7 @@ def validate_config(cfg: dict) -> dict:
     seeds = _field(cfg, "seeds", list, required=True)
     if len(seeds) == 0:
         raise ConfigError("config field 'seeds' must be a non-empty list")
-    if not all(isinstance(s, int) for s in seeds):
+    if not all(_has_type(s, int) for s in seeds):
         raise ConfigError("config field 'seeds' must contain integers")
     model = _field(cfg, "model", dict, default={})
     data = _field(cfg, "data", dict, default={})
@@ -110,8 +117,9 @@ def validate_config(cfg: dict) -> dict:
             "n": _field(data, "n", int, default=3000),
             "d": _field(data, "d", int, default=50),
             "activation": _field(data, "activation", str, default="relu"),
-            "noise_levels": _field(data, "noise_levels", list,
-                                   default=_default_noise_levels(kind)),
+            "noise_levels": _field(
+                data, "noise_levels", list,
+                default=[0, 1, 2] if kind == "fmnist" else list(range(1, 10))),
             "pair_index": _field(data, "pair_index", int, default=0),
             "per_class_cap": _field(data, "per_class_cap", int, default=2000),
             "data_dir": _field(data, "data_dir", str, default=None),
@@ -134,13 +142,18 @@ def validate_config(cfg: dict) -> dict:
                                     default=4.0),
         },
     }
-    for name in ("noise_levels", "k_values", "depths"):
-        section = out["data"] if name == "noise_levels" else out["ablation"]
-        values = section[name]
-        if not values or not all(isinstance(v, int) and v >= 0 for v in values):
+    for section, name in (("data", "noise_levels"), ("ablation", "k_values"),
+                          ("ablation", "depths")):
+        values = out[section][name]
+        if not values or not all(_has_type(v, int) and v >= 0 for v in values):
             raise ConfigError(
                 f"config field '{name}' must be a non-empty list of "
                 f"non-negative integers")
+    for section, name in (("model", "lambda_grid"), ("model", "gamma_grid"),
+                          ("theory", "c_grid")):
+        if not all(_has_type(v, (int, float))
+                   for v in out[section][name] or ()):
+            raise ConfigError(f"config field '{name}' must contain numbers")
     pk_total = out["ablation"]["pk_total"]
     for k in out["ablation"]["k_values"]:
         if k < 1 or pk_total % k != 0:
@@ -150,14 +163,9 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("config field 'depths' must be >= 1")
     if out["data"]["activation"] not in ("relu", "sigmoid"):
         raise ConfigError("config field 'activation' must be relu or sigmoid")
-    # every network's settings, before any output or compute
-    for overrides, _ in _networks(out):
-        _net_config(out["model"], 0, **overrides)
+    if not out["limits"]["max_memory_gb"] > 0:   # NaN would pass any guard
+        raise ConfigError("config field 'max_memory_gb' must be positive")
     return out
-
-
-def _default_noise_levels(kind: str):
-    return [0, 1, 2] if kind == "fmnist" else list(range(1, 10))
 
 
 def config_hash(cfg: dict) -> str:
@@ -172,51 +180,13 @@ def _net_config(model_cfg: dict, seed: int, **overrides) -> network.NetConfig:
         raise ConfigError(f"invalid model config: {exc}")
 
 
-def _ridge_fit_floats(rows: int, cols: int, n_pen: int) -> int:
-    # one ridge fit on a (rows, cols) Z over n_pen penalties: eigh's working
-    # set on the (r, r) Gram of Z's smaller side, then an (r, n_pen) product
-    # and the (cols, n_pen) coefficients. The working set is the Gram,
-    # LAPACK's copy of it, about 2r^2 of workspace and the eigenvectors:
-    # one fit at one BLAS thread raises peak RSS by 5.3-5.6 r^2 floats at
-    # r = 1000-2000, so 6 r^2 are counted
-    r = min(rows, cols)
-    return 6 * r * r + (r + cols) * n_pen
-
-
 def _check_resources(n_total: int, n_train: int, d: int,
                      cfg: network.NetConfig, threads: int,
                      max_memory_gb: float, baseline: bool = False) -> float:
-    """Estimated peak memory of a run, in GB.
-
-    Aborts before any large allocation when the estimate exceeds the limit.
-    The network and, with ``baseline``, the flat baseline over
-    ``cfg.layer_width`` features run one after the other, so the larger of
-    the two counts (with tiny n, wide d and small P the baseline can be).
-    Each of the ``threads`` workers holds one transform group's weight
-    buffer and features and one block's ridge fit; input weights are
-    redrawn per group and never kept.
-    """
-    n_pen = cfg.n_penalties
-    kl, p = cfg.layer_width, cfg.features_per_block
-    groups = network.group_bounds(cfg.blocks, p)
-    group_columns = (groups[0][1] - groups[0][0]) * p
-    workers = min(max(threads, 1), len(groups))
-    widest_input = kl if cfg.depth > 1 else d
-    network_floats = (
-        n_total * (d + 2 * kl)   # stacked inputs; a layer's input, output
-        + cfg.depth * (cfg.blocks * p + kl) * n_pen   # coefficients
-        + workers * (widest_input * (group_columns + 2 * p)   # weight
-                     # buffer, one block's draw; one group's features
-                     + n_total * group_columns
-                     + _ridge_fit_floats(n_train, p, n_pen))
-        + _ridge_fit_floats(n_train, kl, n_pen))   # final ridge
-    baseline_floats = 0
-    if baseline:
-        baseline_floats = (
-            (n_total + 2 * d + n_pen) * kl   # features, weights, coefficients
-            + _ridge_fit_floats(n_train, kl, n_pen))
-    floats = n_total * d + max(network_floats, baseline_floats)
-    est_gb = 8.0 * floats / 1e9
+    """Estimated peak memory of a run (:func:`network.peak_floats`) in GB;
+    aborts before any large allocation when it exceeds the limit."""
+    est_gb = 8.0 * network.peak_floats(cfg, n_total, n_train, d, threads,
+                                       baseline) / 1e9
     if est_gb > max_memory_gb:
         raise ConfigError(
             f"estimated memory {est_gb:.1f} GB exceeds limits.max_memory_gb="
@@ -226,15 +196,11 @@ def _check_resources(n_total: int, n_train: int, d: int,
 
 
 def _simulated(data_cfg: dict):
-    """Per seed: the sizes the guard needs and a split per noise level."""
-    def source(seed):
-        # a simulated split is three equal parts of data.n rows
-        sizes = (data_cfg["n"], data_cfg["n"] // 3, data_cfg["d"])
-        return sizes, lambda level: dataio.simulate_single_neuron(
-            dataio.SimConfig(n=data_cfg["n"], d=data_cfg["d"],
-                             noise_std=0.1 * level,
-                             activation=data_cfg["activation"], seed=seed))
-    return source
+    """Per seed: the split at each noise level."""
+    return lambda seed: lambda level: dataio.simulate_single_neuron(
+        dataio.SimConfig(n=data_cfg["n"], d=data_cfg["d"],
+                         noise_std=0.1 * level,
+                         activation=data_cfg["activation"], seed=seed))
 
 
 def _image_pairs(data_cfg: dict):
@@ -245,13 +211,11 @@ def _image_pairs(data_cfg: dict):
             f"no data directory: set ${DATA_DIR_ENV} or config data.data_dir")
     paths = {}
     for key, base in IDX_BASENAMES.items():
-        for candidate in (base, base + ".gz"):
-            full = os.path.join(data_dir, candidate)
-            if os.path.exists(full):
-                paths[key] = full
-                break
-        else:
+        path = os.path.join(data_dir, base)
+        found = [p for p in (path, path + ".gz") if os.path.exists(p)]
+        if not found:
             raise ConfigError(f"missing data file {base}[.gz] in {data_dir}")
+        paths[key] = found[0]
     train_x, train_y = dataio.load_idx_pair(paths["train_images"],
                                             paths["train_labels"])
     test_x, test_y = dataio.load_idx_pair(paths["test_images"],
@@ -261,46 +225,49 @@ def _image_pairs(data_cfg: dict):
         base = dataio.make_binary_pair(
             train_x, train_y, test_x, test_y, data_cfg["pair_index"],
             per_class_cap=data_cfg["per_class_cap"], seed=seed)
-        n_train = base.x_train.shape[0]
-        n_total = n_train + base.x_valid.shape[0] + base.x_test.shape[0]
-        return ((n_total, n_train, base.d),
-                lambda level: dataio.add_feature_noise(base, level, seed))
+        return lambda level: dataio.add_feature_noise(base, level, seed)
     return source
-
-
-def _networks(cfg: dict) -> list:
-    """The networks a run trains per seed: each one's NetConfig overrides
-    and the depths it reports (None: its full depth)."""
-    kind, ablation = cfg["kind"], cfg["ablation"]
-    if kind == "theory_curves":
-        return []
-    if kind == "ablation_k":
-        pk_total = ablation["pk_total"]
-        return [({"blocks": k, "features_per_block": pk_total // k}, None)
-                for k in ablation["k_values"]]
-    if kind == "ablation_depth":
-        depths = sorted(ablation["depths"])
-        return [({"depth": depths[-1]}, depths)]
-    return [({}, None)]
 
 
 def _experiments(cfg: dict, threads: int) -> list:
     """Train and score every seed, network, noise level and reported depth.
 
-    Each kind makes its choices before the loop. Writes results.csv,
-    timings.csv and any saved models; returns their paths.
+    Writes results.csv, timings.csv and any saved models; returns their
+    paths. First, before any output, it reads the data files, builds the
+    first split and each network's NetConfig, and runs the memory guard
+    once per network on the first split's sizes: no split's size depends
+    on the seed or the noise level.
     """
-    kind, data_cfg = cfg["kind"], cfg["data"]
+    kind, data_cfg, ablation = cfg["kind"], cfg["data"], cfg["ablation"]
     if kind == "fmnist":
         source = _image_pairs(data_cfg)
         model_prefix = f"model_pair{data_cfg['pair_index']}"
     else:
         source, model_prefix = _simulated(data_cfg), "model"
-    networks = _networks(cfg)
+    first = source(cfg["seeds"][0])(data_cfg["noise_levels"][0])
+    n_train = first.x_train.shape[0]
+    n_total = n_train + first.x_valid.shape[0] + first.x_test.shape[0]
     flat_kind = kind in ("simulate", "fmnist")
     baseline = flat_kind and cfg["baseline"]
     save_models = flat_kind and cfg["save_models"]
+    # each network's NetConfig overrides and the depths it reports
+    if kind == "ablation_k":
+        pk_total = ablation["pk_total"]
+        variants = [({"blocks": k, "features_per_block": pk_total // k}, None)
+                    for k in ablation["k_values"]]
+    elif kind == "ablation_depth":
+        depths = sorted(ablation["depths"])
+        variants = [({"depth": depths[-1]}, depths)]
+    else:
+        variants = [({}, None)]
+    networks = []
+    for overrides, depths in variants:
+        net_cfg = _net_config(cfg["model"], cfg["seeds"][0], **overrides)
+        _check_resources(n_total, n_train, first.d, net_cfg, threads,
+                         cfg["limits"]["max_memory_gb"], baseline)
+        networks.append((net_cfg, depths))
 
+    os.makedirs(cfg["output_dir"], exist_ok=True)
     rows, timings, outputs = [], [], []
 
     def add(key, metrics, wall):
@@ -310,11 +277,9 @@ def _experiments(cfg: dict, threads: int) -> list:
         timings.append(key + (f"{wall:.3f}",))
 
     for seed in cfg["seeds"]:
-        (n_total, n_train, d), split_at = source(seed)
-        for overrides, depths in networks:
-            net_cfg = _net_config(cfg["model"], seed, **overrides)
-            _check_resources(n_total, n_train, d, net_cfg, threads,
-                             cfg["limits"]["max_memory_gb"], baseline)
+        split_at = source(seed)
+        for planned, depths in networks:
+            net_cfg = dataclasses.replace(planned, seed=seed)
             for level in data_cfg["noise_levels"]:
                 split = split_at(level)
                 y_mean = float(np.mean(split.y_train))
@@ -356,22 +321,27 @@ def _experiments(cfg: dict, threads: int) -> list:
 
 def run(config_path, seed_override=None, threads: int = 1,
         output_dir=None) -> dict:
-    """Execute the experiment described by a config file; returns the manifest."""
+    """Execute the experiment described by a config file; returns the manifest.
+
+    Every check runs before the output directory is made, so a refused
+    config writes nothing.
+    """
+    if threads < 1:
+        raise ConfigError("--threads must be at least 1")
     cfg = validate_config(load_config(config_path))
     if seed_override:
         cfg["seeds"] = list(seed_override)
     if output_dir:
         cfg["output_dir"] = output_dir
-    os.makedirs(cfg["output_dir"], exist_ok=True)
     if cfg["kind"] == "theory_curves":
         tc = cfg["theory"]
-        params = theory.default_curve_params(tc["n_groups"], tc["b_low"],
-                                             tc["b_high"])
-        c_grid = (np.asarray(tc["c_grid"], dtype=float) if tc["c_grid"]
-                  else np.geomspace(0.1, 10.0, 25))
-        path = os.path.join(cfg["output_dir"], "theory_curves.csv")
-        theory.write_risk_curves_csv(theory.risk_curves(params, c_grid), path)
-        outputs = [path]
+        c_grid = (np.geomspace(0.1, 10.0, 25) if tc["c_grid"] is None
+                  else tc["c_grid"])
+        table = theory.risk_curves(theory.default_curve_params(
+            tc["n_groups"], tc["b_low"], tc["b_high"]), c_grid)
+        os.makedirs(cfg["output_dir"], exist_ok=True)
+        outputs = [os.path.join(cfg["output_dir"], "theory_curves.csv")]
+        theory.write_risk_curves_csv(table, outputs[0])
     else:
         outputs = _experiments(cfg, threads)
 

@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .dataio import DataSplit, atomic_path
 from .features import FeatureBlock, apply_block, draw_block
-from .ridge import RidgeGridFit, column_scales, fit_grid
+from .ridge import RidgeGridFit, column_scales, fit_floats, fit_grid
 from .ridge import predict as ridge_predict
 from .seeding import map_ordered, stream_rng
 
@@ -203,6 +203,40 @@ def group_bounds(blocks: int, p: int) -> list:
     """
     size = max(1, GROUP_COLUMNS // p)
     return [(a, min(a + size, blocks)) for a in range(0, blocks, size)]
+
+
+def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
+                n_threads: int = 1, baseline: bool = False) -> int:
+    """Floats held at the peak of training and scoring one network.
+
+    The data has ``n_total`` rows of ``d`` inputs, ``n_train`` of them
+    training rows. Each of the ``n_threads`` workers holds one transform
+    group's weight buffer and features and one block's ridge fit; input
+    weights are redrawn per group and never kept. With ``baseline``, the
+    flat baseline over ``cfg.layer_width`` features runs after the
+    network, so the larger of the two counts (with tiny n, wide d and
+    small P the baseline can be).
+    """
+    n_pen = cfg.n_penalties
+    kl, p = cfg.layer_width, cfg.features_per_block
+    groups = group_bounds(cfg.blocks, p)
+    group_columns = (groups[0][1] - groups[0][0]) * p
+    workers = min(max(n_threads, 1), len(groups))
+    widest_input = kl if cfg.depth > 1 else d
+    network_floats = (
+        n_total * (d + 2 * kl)   # stacked inputs; a layer's input, output
+        + cfg.depth * (cfg.blocks * p + kl) * n_pen   # coefficients
+        + workers * (widest_input * (group_columns + 2 * p)   # weight
+                     # buffer, one block's draw; one group's features
+                     + n_total * group_columns
+                     + fit_floats(n_train, p, n_pen))
+        + fit_floats(n_train, kl, n_pen))   # final ridge
+    baseline_floats = 0
+    if baseline:
+        baseline_floats = (
+            (n_total + 2 * d + n_pen) * kl   # features, weights, coefficients
+            + fit_floats(n_train, kl, n_pen))
+    return n_total * d + max(network_floats, baseline_floats)
 
 
 def _group_features(cfg: NetConfig, layer_index: int, gammas, x, a, b):

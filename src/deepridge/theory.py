@@ -279,8 +279,11 @@ def risk_curves(params: TheoryParams, c_grid) -> np.ndarray:
     crossover and stays below it; the flat-penalty, re-weighted ensemble
     overtakes it at the same complexity or later.
     """
+    c_grid = np.asarray(c_grid, dtype=float).ravel()
+    if c_grid.size == 0:
+        raise ValueError("c_grid must be non-empty")
     rows = []
-    for cv in np.asarray(c_grid, dtype=float).ravel():
+    for cv in c_grid:
         report = risk_report(TheoryParams(c=(cv,) * params.n_groups,
                                           b=params.b))
         rows.append((cv, report.flat_risk, report.ensemble_optimal_risk,

@@ -11,7 +11,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from deepridge import cli, dataio, network
+from deepridge import cli, dataio, network, ridge
 
 SMALL_GRID = [0.0001, 0.1, 1.0, 100.0]
 
@@ -249,7 +249,7 @@ def test_ridge_fit_count_bounds_its_rss_rise(rows, cols):
          str(n_pen)], env=env, check=True, timeout=120,
         capture_output=True, text=True)
     rise = int(out.stdout) * 1024
-    assert rise <= 8 * cli._ridge_fit_floats(rows, cols, n_pen)
+    assert rise <= 8 * ridge.fit_floats(rows, cols, n_pen)
 
 
 @pytest.mark.slow
@@ -444,3 +444,54 @@ def test_main_threads_flag_reproducible(tmp_path):
                              "--threads", str(threads)]) == 0
             results.add((out / "results.csv").read_bytes())
         assert len(results) == 1, kind
+
+
+def _model(**fields):
+    return {"depth": 1, "blocks": 2, "features_per_block": 4,
+            "lambda_grid": SMALL_GRID, **fields}
+
+
+def _data(**fields):
+    return {"n": 90, "d": 4, "activation": "relu", "noise_levels": [1],
+            **fields}
+
+
+@pytest.mark.parametrize("overrides, argv, message", [
+    ({"model": {"depth": 1, "blocks": 5000, "features_per_block": 1000},
+      "limits": {"max_memory_gb": 0.5}}, [], "estimated memory"),
+    ({"kind": "fmnist", "data": {"data_dir": "missing-dir"}}, [],
+     "missing data file"),
+    ({"data": _data(n=10)}, [], "multiple of 3"),
+    ({"kind": "theory_curves", "theory": {"c_grid": [0.5, -1]}}, [], "> 0"),
+    ({"kind": "theory_curves", "theory": {"n_groups": 0}}, [], "non-empty"),
+    ({"kind": "theory_curves", "theory": {"b_low": -1}}, [], "> 0"),
+    ({"kind": "theory_curves", "theory": {"c_grid": []}}, [], "c_grid"),
+    ({"kind": "theory_curves", "theory": {"c_grid": [True]}}, [], "c_grid"),
+    ({"model": _model(blocks=True)}, [], "'blocks' must be int"),
+    ({"model": _model(depth=True)}, [], "'depth' must be int"),
+    ({"model": _model(gamma_low=True)}, [], "'gamma_low' must be float"),
+    ({"model": _model(lambda_grid=[True, 2.0])}, [], "lambda_grid"),
+    ({"data": _data(noise_levels=[True])}, [], "noise_levels"),
+    ({"seeds": [False]}, [], "seeds"),
+    ({"limits": {"max_memory_gb": float("nan")}}, [], "max_memory_gb"),
+    ({"limits": {"max_memory_gb": 0}}, [], "max_memory_gb"),
+    ({}, ["--threads", "0"], "--threads"),
+    ({}, ["--threads", "-3"], "--threads"),
+], ids=["guard", "missing-idx", "n-10", "c-grid-negative", "n-groups-0",
+        "b-low-negative", "c-grid-empty", "c-grid-bool", "blocks-bool",
+        "depth-bool", "gamma-low-bool", "lambda-grid-bool",
+        "noise-levels-bool", "seeds-bool", "limit-nan", "limit-zero",
+        "threads-0", "threads-negative"])
+def test_refused_before_any_output(tmp_path, monkeypatch, capsys, overrides,
+                                   argv, message):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.DATA_DIR_ENV, raising=False)
+    config = tmp_path / "cfg.json"
+    write_config(config, **{"seeds": [0], **overrides})
+    out = tmp_path / "out"
+    assert cli.main(["run", str(config), "--output-dir", str(out)]
+                    + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -276,6 +276,11 @@ def test_risk_curves_vanish_at_zero_complexity():
     assert np.all(table[0, 1:] < 1e-3)
 
 
+def test_risk_curves_refuse_empty_grid():
+    with pytest.raises(ValueError, match="c_grid"):
+        risk_curves(theory.default_curve_params(), [])
+
+
 # --- heterogeneous penalties -------------------------------------------------
 
 def flat_group():
