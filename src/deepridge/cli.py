@@ -13,6 +13,7 @@ named by $DEEPRIDGE_DATA_DIR or the config's data.data_dir.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -75,6 +76,22 @@ def _field(mapping, name, kind, default=None, required=False):
     return value
 
 
+def _distinct(label, values) -> None:
+    # a repeated seed, noise level, K or depth would train and report twice
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{label} must not repeat an entry")
+
+
+@contextlib.contextmanager
+def _section(name):
+    """Turn a library refusal into a ConfigError naming the config section;
+    the library's message names the field."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"config section '{name}': {exc}") from None
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as f:
@@ -97,6 +114,7 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("config field 'seeds' must be a non-empty list")
     if not all(_has_type(s, int) for s in seeds):
         raise ConfigError("config field 'seeds' must contain integers")
+    _distinct("config field 'seeds'", seeds)
     model = _field(cfg, "model", dict, default={})
     data = _field(cfg, "data", dict, default={})
     ablation = _field(cfg, "ablation", dict, default={})
@@ -149,6 +167,7 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError(
                 f"config field '{name}' must be a non-empty list of "
                 f"non-negative integers")
+        _distinct(f"config field '{name}'", values)
     for section, name in (("model", "lambda_grid"), ("model", "gamma_grid"),
                           ("theory", "c_grid")):
         if not all(_has_type(v, (int, float))
@@ -244,7 +263,8 @@ def _experiments(cfg: dict, threads: int) -> list:
         model_prefix = f"model_pair{data_cfg['pair_index']}"
     else:
         source, model_prefix = _simulated(data_cfg), "model"
-    first = source(cfg["seeds"][0])(data_cfg["noise_levels"][0])
+    with _section("data"):
+        first = source(cfg["seeds"][0])(data_cfg["noise_levels"][0])
     n_train = first.x_train.shape[0]
     n_total = n_train + first.x_valid.shape[0] + first.x_test.shape[0]
     flat_kind = kind in ("simulate", "fmnist")
@@ -330,6 +350,7 @@ def run(config_path, seed_override=None, threads: int = 1,
         raise ConfigError("--threads must be at least 1")
     cfg = validate_config(load_config(config_path))
     if seed_override:
+        _distinct("--seed-override", seed_override)
         cfg["seeds"] = list(seed_override)
     if output_dir:
         cfg["output_dir"] = output_dir
@@ -337,8 +358,9 @@ def run(config_path, seed_override=None, threads: int = 1,
         tc = cfg["theory"]
         c_grid = (np.geomspace(0.1, 10.0, 25) if tc["c_grid"] is None
                   else tc["c_grid"])
-        table = theory.risk_curves(theory.default_curve_params(
-            tc["n_groups"], tc["b_low"], tc["b_high"]), c_grid)
+        with _section("theory"):
+            table = theory.risk_curves(theory.default_curve_params(
+                tc["n_groups"], tc["b_low"], tc["b_high"]), c_grid)
         os.makedirs(cfg["output_dir"], exist_ok=True)
         outputs = [os.path.join(cfg["output_dir"], "theory_curves.csv")]
         theory.write_risk_curves_csv(table, outputs[0])

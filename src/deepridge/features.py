@@ -39,7 +39,8 @@ def draw_block(stream_key: tuple, gamma: float, p: int, input_dim: int,
     if not bias_range > 0:
         raise ValueError("bias_range must be positive")
     rng = stream_rng(*stream_key)
-    weights = rng.standard_normal((input_dim, p)) * np.sqrt(gamma)
+    weights = rng.standard_normal((input_dim, p))
+    weights *= np.sqrt(gamma)   # in place: one (D, P) array per draw
     biases = rng.uniform(-bias_range, bias_range, size=p)
     return FeatureBlock(weights=weights, biases=biases)
 

@@ -49,9 +49,10 @@ DEFAULT_LAMBDA_GRID = (
 MODEL_FORMAT = "deepridge-model"
 MODEL_FORMAT_VERSION = 4
 
-# feature columns per transform GEMM: wide enough for BLAS to run near peak,
-# narrow enough that one group's (rows, columns) features stay small
-GROUP_COLUMNS = 2048
+# feature columns per transform GEMM: wide enough for BLAS to run at the
+# rate of 2000 columns, narrow enough that each worker's (D, columns) weight
+# buffer and (rows, columns) features stay small
+GROUP_COLUMNS = 1024
 
 # sub-stream tags (must never collide with block stream keys, which are
 # (seed, layer>=1, block) tuples of length 3)
@@ -226,8 +227,8 @@ def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
     network_floats = (
         n_total * (d + 2 * kl)   # stacked inputs; a layer's input, output
         + cfg.depth * (cfg.blocks * p + kl) * n_pen   # coefficients
-        + workers * (widest_input * (group_columns + 2 * p)   # weight
-                     # buffer, one block's draw; one group's features
+        + workers * (widest_input * (group_columns + p)   # weight buffer,
+                     # one block's draw; one group's features
                      + n_total * group_columns
                      + fit_floats(n_train, p, n_pen))
         + fit_floats(n_train, kl, n_pen))   # final ridge
@@ -254,6 +255,7 @@ def _group_features(cfg: NetConfig, layer_index: int, gammas, x, a, b):
         cols = slice((k - a) * p, (k - a + 1) * p)
         weights[:, cols] = block.weights
         biases[cols] = block.biases
+        del block   # peak_floats counts one (D, P) draw per worker
     return apply_block(FeatureBlock(weights=weights, biases=biases), x)
 
 

@@ -282,6 +282,8 @@ def risk_curves(params: TheoryParams, c_grid) -> np.ndarray:
     c_grid = np.asarray(c_grid, dtype=float).ravel()
     if c_grid.size == 0:
         raise ValueError("c_grid must be non-empty")
+    if not np.all(c_grid > 0):
+        raise ValueError("c_grid entries must be > 0")
     rows = []
     for cv in c_grid:
         report = risk_report(TheoryParams(c=(cv,) * params.n_groups,
@@ -294,6 +296,10 @@ def risk_curves(params: TheoryParams, c_grid) -> np.ndarray:
 def default_curve_params(n_groups: int = 10, b_low: float = 0.5,
                          b_high: float = 1.5) -> TheoryParams:
     """Illustration regime: heterogeneous signal strengths, identity spectra."""
+    if n_groups < 1:
+        raise ValueError("n_groups must be at least 1")
+    if not (b_low > 0 and b_high > 0):
+        raise ValueError("b_low and b_high must be > 0")
     b = np.linspace(b_low, b_high, n_groups)
     return TheoryParams(c=(1.0,) * n_groups, b=tuple(b))
 

@@ -156,8 +156,8 @@ def test_resource_guard_aborts(tmp_path):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("blocks, p, mode", [(8, 300, "dual"),
-                                             (60, 40, "primal")],
+@pytest.mark.parametrize("blocks, p, mode", [(6, 300, "dual"),
+                                             (50, 40, "primal")],
                          ids=["dual", "primal"])
 def test_memory_estimate_bounds_traced_peak(threads, blocks, p, mode,
                                             monkeypatch):
@@ -461,10 +461,13 @@ def _data(**fields):
       "limits": {"max_memory_gb": 0.5}}, [], "estimated memory"),
     ({"kind": "fmnist", "data": {"data_dir": "missing-dir"}}, [],
      "missing data file"),
-    ({"data": _data(n=10)}, [], "multiple of 3"),
-    ({"kind": "theory_curves", "theory": {"c_grid": [0.5, -1]}}, [], "> 0"),
-    ({"kind": "theory_curves", "theory": {"n_groups": 0}}, [], "non-empty"),
-    ({"kind": "theory_curves", "theory": {"b_low": -1}}, [], "> 0"),
+    ({"data": _data(n=10)}, [], "'data': n must be a positive multiple of 3"),
+    ({"kind": "theory_curves", "theory": {"c_grid": [0.5, -1]}}, [],
+     "'theory': c_grid entries must be > 0"),
+    ({"kind": "theory_curves", "theory": {"n_groups": 0}}, [],
+     "'theory': n_groups must be at least 1"),
+    ({"kind": "theory_curves", "theory": {"b_low": -1}}, [],
+     "'theory': b_low and b_high must be > 0"),
     ({"kind": "theory_curves", "theory": {"c_grid": []}}, [], "c_grid"),
     ({"kind": "theory_curves", "theory": {"c_grid": [True]}}, [], "c_grid"),
     ({"model": _model(blocks=True)}, [], "'blocks' must be int"),
@@ -477,11 +480,21 @@ def _data(**fields):
     ({"limits": {"max_memory_gb": 0}}, [], "max_memory_gb"),
     ({}, ["--threads", "0"], "--threads"),
     ({}, ["--threads", "-3"], "--threads"),
+    ({"seeds": [0, 1, 0]}, [], "'seeds' must not repeat"),
+    ({}, ["--seed-override", "0,0"], "--seed-override must not repeat"),
+    ({"data": _data(noise_levels=[1, 2, 1])}, [],
+     "'noise_levels' must not repeat"),
+    ({"kind": "ablation_k", "ablation": {"k_values": [1, 1], "pk_total": 8}},
+     [], "'k_values' must not repeat"),
+    ({"kind": "ablation_depth", "ablation": {"depths": [1, 2, 2]}}, [],
+     "'depths' must not repeat"),
 ], ids=["guard", "missing-idx", "n-10", "c-grid-negative", "n-groups-0",
         "b-low-negative", "c-grid-empty", "c-grid-bool", "blocks-bool",
         "depth-bool", "gamma-low-bool", "lambda-grid-bool",
         "noise-levels-bool", "seeds-bool", "limit-nan", "limit-zero",
-        "threads-0", "threads-negative"])
+        "threads-0", "threads-negative", "seeds-repeated",
+        "seed-override-repeated", "noise-levels-repeated",
+        "k-values-repeated", "depths-repeated"])
 def test_refused_before_any_output(tmp_path, monkeypatch, capsys, overrides,
                                    argv, message):
     monkeypatch.chdir(tmp_path)

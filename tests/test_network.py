@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -88,8 +89,11 @@ NAN = float("nan")
     (lambda s: theory.TheoryParams(c=(NAN,), b=(1.0,)), "> 0"),
     (lambda s: theory.TheoryParams(c=(1.0,), b=(NAN,)), "> 0"),
     (lambda s: theory.RiskScenario(n=10, p=(3,), b=(NAN,)), "> 0"),
+    (lambda s: theory.default_curve_params(b_high=NAN), "b_high"),
+    (lambda s: theory.risk_curves(theory.default_curve_params(), [0.5, NAN]),
+     "c_grid"),
 ], ids=["lambda_grid", "gamma_grid", "baseline-gammas", "theory-c",
-        "theory-b", "scenario-b"])
+        "theory-b", "scenario-b", "curve-b-high", "curve-c-grid"])
 def test_positivity_checks_refuse_nan(split, build, message):
     with pytest.raises(ValueError, match=message):
         build(split)
@@ -154,11 +158,11 @@ def test_planted_signal_recovered(split):
 
 
 def test_grouped_transform_matches_per_block_loop(split, monkeypatch):
-    # P=700 makes groups of two blocks, so K=5 ends in a ragged group of one.
+    # P=500 makes groups of two blocks, so K=5 ends in a ragged group of one.
     # A GEMM of another shape may sum in another order, so features can
     # differ by a few ulps; near-interpolating penalties such as 1e-4 would
     # amplify that by the Gram's condition number, hence penalties >= 0.1.
-    cfg = small_cfg(blocks=5, features_per_block=700,
+    cfg = small_cfg(blocks=5, features_per_block=500,
                     lambda_grid=(0.1, 1.0, 100.0))
     p = cfg.features_per_block
     assert [b - a for a, b in network.group_bounds(cfg.blocks, p)] == [2, 2, 1]
@@ -207,6 +211,33 @@ def test_grouped_transform_matches_per_block_loop(split, monkeypatch):
             np.testing.assert_allclose(network.forward(model, x, m), ref[i],
                                        rtol=1e-10)
         xs = ref
+
+
+def test_forward_group_peak_holds_one_draw():
+    # one transform group on a wide input and few rows, so a block's (D, P)
+    # draw outweighs the group's (rows, columns) features: a second (D, P)
+    # temporary per draw would lift the peak past this count
+    rows, d, p, n_pen = 10, 2000, 100, len(SMALL_GRID)
+    blocks = network.GROUP_COLUMNS // p
+    [(a, b)] = network.group_bounds(blocks, p)
+    columns = (b - a) * p
+    layer = network.LayerModel(betas=np.zeros((blocks, p, n_pen)),
+                               scales=np.ones((blocks, n_pen)))
+    model = DeepRidgeModel(
+        config=NetConfig(depth=1, blocks=blocks, features_per_block=p,
+                         lambda_grid=SMALL_GRID),
+        layers=(layer,), final_fits=(), input_dim=d)
+    x = np.random.default_rng(0).standard_normal((rows, d))
+    tracemalloc.start()
+    try:
+        network.forward(model, x, n_threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (d * columns          # the group's weight buffer
+                       + rows * columns     # its features
+                       + d * p              # one block's draw
+                       + rows * (d + blocks * n_pen))   # layer input, output
 
 
 # --- full training and prediction --------------------------------------------
