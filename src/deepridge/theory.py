@@ -28,8 +28,19 @@ from .seeding import map_ordered, stream_rng
 
 _TAG_MC = 301
 
-# replications draw an (n, sum p) design matrix; refuse absurd allocations
+# replications draw an (n, sum p) design matrix; refuse absurd allocations.
+# A fit on more than _SOLVES_PER_EIGH penalties peaks at its r x r Gram plus
+# about 5 r^2 (eigh's copy of the Gram, its workspace, the eigenvectors),
+# where r = min(n, p), so r^2 <= n * sum(p)
 MAX_DESIGN_ELEMENTS = 50_000_000
+
+# a design fit on more penalties than this gets one eigendecomposition of
+# its Gram instead of one dense solve per penalty. On one BLAS thread at
+# r = 200 a whole fit costs the same either way at about 8 penalties (9 ms
+# on a 200 x 1000 design). A group design carries one penalty per spec
+# that fits it; a flat spec beside a 29-point multi_penalty grid puts 30
+# on the full design
+_SOLVES_PER_EIGH = 6
 
 
 class ConsistencyError(ArithmeticError):
@@ -164,21 +175,17 @@ def nu_family(lam, c):
     return float(nu), float(nu_prime), float(nu_hat)
 
 
-def _group_quadratic(lam, k, params):
-    """Terms (b, linear, quadratic) of the group-k risk in its weight.
+def _group_quadratic(lam, b, c, b_bar):
+    """Terms (b, linear, quadratic) of a group's risk in its weight.
 
     Risk(alpha) = b - 2*alpha*(b*nu) + alpha^2 * A, where A bundles
     the group's own shrinkage with the noise contributed by the other
-    groups' signals. ``k`` is one group index, or ``slice(None)`` for
-    every group at once: then ``lam`` is one penalty or one per group,
-    and each term is an array in group order from a single
-    :func:`nu_family` call.
+    groups' signals (total strength ``b_bar``). ``lam``, ``b`` and ``c``
+    broadcast together: one group, every group in order, or a grid of
+    regimes by group, each term from a single :func:`nu_family` call.
     """
-    b, c = np.asarray(params.b)[k], np.asarray(params.c)[k]
     nu, nu_prime, nu_hat = nu_family(lam, c)
-    lin = b * nu
-    quad = b * nu_hat - c * nu_prime * (1.0 + params.b_bar - b)
-    return b, lin, quad
+    return b, b * nu, b * nu_hat - c * nu_prime * (1.0 + b_bar - b)
 
 
 def _weighted_risk(alpha, terms):
@@ -187,9 +194,25 @@ def _weighted_risk(alpha, terms):
     return b - 2.0 * alpha * lin + alpha * alpha * quad
 
 
-def _total(risks) -> float:
-    # a left-to-right Python sum in group order, not numpy's pairwise sum
-    return float(sum(risks.tolist()))
+def _total(risks):
+    """Sum over the last (group) axis, left to right in group order.
+
+    Not numpy's pairwise sum: a regime's total rounds the same whether it
+    is evaluated alone or as one row of a grid.
+    """
+    total = 0.0
+    for col in np.moveaxis(np.asarray(risks), -1, 0):
+        total = total + col
+    return total if np.ndim(total) else float(total)
+
+
+def _optimal_lambda(b, c, b_bar):
+    return c * (1.0 + b_bar - b) / b
+
+
+def _flat_risk(a, lam, ck, bb):
+    nu, nu_prime, nu_hat = nu_family(lam, ck)
+    return bb - 2.0 * a * bb * nu + a * a * (bb * nu_hat - ck * nu_prime)
 
 
 def _check_group(k: int, params: TheoryParams) -> None:
@@ -200,7 +223,8 @@ def _check_group(k: int, params: TheoryParams) -> None:
 def sub_model_risk(alpha: float, lam: float, k: int, params: TheoryParams) -> float:
     """Asymptotic risk of group k's ridge fit, scaled by ``alpha``."""
     _check_group(k, params)
-    return float(_weighted_risk(alpha, _group_quadratic(lam, k, params)))
+    return float(_weighted_risk(alpha, _group_quadratic(
+        lam, params.b[k], params.c[k], params.b_bar)))
 
 
 def ensemble_risk(alphas, lams, params: TheoryParams) -> float:
@@ -209,21 +233,21 @@ def ensemble_risk(alphas, lams, params: TheoryParams) -> float:
     lams = np.asarray(lams, dtype=float).ravel()
     if alphas.size != params.n_groups or lams.size != params.n_groups:
         raise ValueError("need one weight and one penalty per group")
-    return _total(_weighted_risk(
-        alphas, _group_quadratic(lams, slice(None), params)))
+    return _total(_weighted_risk(alphas, _group_quadratic(
+        lams, np.asarray(params.b), np.asarray(params.c), params.b_bar)))
 
 
 def optimal_lambda(params: TheoryParams, k: int) -> float:
     """Group k's risk-minimizing penalty (at unit weight)."""
     _check_group(k, params)
-    b, c = params.b[k], params.c[k]
-    return float(c * (1.0 + params.b_bar - b) / b)
+    return float(_optimal_lambda(params.b[k], params.c[k], params.b_bar))
 
 
 def optimal_alpha(lam: float, params: TheoryParams, k: int) -> float:
     """Group k's risk-minimizing weight at a fixed penalty."""
     _check_group(k, params)
-    _, lin, quad = _group_quadratic(lam, k, params)
+    _, lin, quad = _group_quadratic(lam, params.b[k], params.c[k],
+                                    params.b_bar)
     return float(lin / quad)
 
 
@@ -240,10 +264,7 @@ def flat_risk(a: float, lam: float, params: TheoryParams) -> float:
     The resolvent functionals are evaluated at the pooled aspect ratio
     c*K; requires equal group sizes.
     """
-    ck = _flat_aspect(params)
-    bb = params.b_bar
-    nu, nu_prime, nu_hat = nu_family(lam, ck)
-    return float(bb - 2.0 * a * bb * nu + a * a * (bb * nu_hat - ck * nu_prime))
+    return float(_flat_risk(a, lam, _flat_aspect(params), params.b_bar))
 
 
 def flat_optima(params: TheoryParams, lam: float | None = None):
@@ -271,7 +292,10 @@ def risk_curves(params: TheoryParams, c_grid) -> np.ndarray:
     For each c: the flat model at its own optimal penalty, the ensemble
     with per-group optimal penalties (unit weights), and the ensemble
     forced to the flat penalty but with optimal weights. Columns follow
-    :data:`RISK_CURVE_COLUMNS`.
+    :data:`RISK_CURVE_COLUMNS`. Each row is :func:`risk_report` of the
+    regime with every group at aspect ratio c and ``params``' strengths,
+    bit for bit, but the whole grid is evaluated in one array pass: three
+    :func:`nu_family` calls, whatever the grid's length.
 
     Neither ensemble dominates the flat model everywhere: each group's fit
     treats the other groups' signal as noise, so at low complexity the
@@ -284,13 +308,8 @@ def risk_curves(params: TheoryParams, c_grid) -> np.ndarray:
         raise ValueError("c_grid must be non-empty")
     if not np.all(c_grid > 0):
         raise ValueError("c_grid entries must be > 0")
-    rows = []
-    for cv in c_grid:
-        report = risk_report(TheoryParams(c=(cv,) * params.n_groups,
-                                          b=params.b))
-        rows.append((cv, report.flat_risk, report.ensemble_optimal_risk,
-                     report.ensemble_suboptimal_risk))
-    return np.array(rows)
+    *_, flat, optimal, suboptimal = _headline(params, c_grid[:, None])
+    return np.column_stack([c_grid, flat[:, 0], optimal, suboptimal])
 
 
 def default_curve_params(n_groups: int = 10, b_low: float = 0.5,
@@ -368,27 +387,55 @@ def hetero_penalty_solution(params: TheoryParams,
                                  gamma_vec=gamma_vec, optimal_risk=risk)
 
 
+def _headline(params: TheoryParams, c):
+    """Per-group optima and the three headline risks at aspect ratios ``c``.
+
+    ``c`` is ``params.c``, or a column (C, 1) of ratios that every group
+    shares, one regime per row; the flat model pools the first group's
+    ratio over all K groups. The arithmetic is elementwise and group sums
+    run left to right, so each row of a grid equals its regime evaluated
+    alone, bit for bit.
+
+    Returns (lambda_star, alpha_star, flat, ensemble_optimal,
+    ensemble_suboptimal).
+    """
+    b, bb = np.asarray(params.b), params.b_bar
+    ck = c[..., :1] * params.n_groups
+    lambda_bar = ck / bb
+    lam_star = _optimal_lambda(b, c, bb)
+    at_flat = _group_quadratic(lambda_bar, b, c, bb)
+    _, lin, quad = at_flat
+    alpha_star = lin / quad
+    return (lam_star, alpha_star, _flat_risk(1.0, lambda_bar, ck, bb),
+            _total(_weighted_risk(1.0, _group_quadratic(lam_star, b, c, bb))),
+            _total(_weighted_risk(alpha_star, at_flat)))
+
+
 def risk_report(params: TheoryParams) -> RiskReport:
     """Bundle of the headline closed-form risks for one regime.
 
     Every group is evaluated at once: one :func:`nu_family` call at the
     per-group optimal penalties and one at the flat penalty.
     """
-    lam_star = tuple(optimal_lambda(params, k) for k in range(params.n_groups))
     lambda_bar, a_bar = flat_optima(params)
-    at_flat = _group_quadratic(lambda_bar, slice(None), params)
-    _, lin, quad = at_flat
-    alpha_star = lin / quad
+    lam_star, alpha_star, flat, optimal, suboptimal = _headline(
+        params, np.asarray(params.c))
     return RiskReport(
-        flat_risk=flat_risk(1.0, lambda_bar, params),
-        ensemble_optimal_risk=ensemble_risk(
-            np.ones(params.n_groups), lam_star, params),
-        ensemble_suboptimal_risk=_total(_weighted_risk(alpha_star, at_flat)),
-        lambda_star=lam_star, alpha_star=tuple(alpha_star.tolist()),
+        flat_risk=float(flat[0]), ensemble_optimal_risk=optimal,
+        ensemble_suboptimal_risk=suboptimal,
+        lambda_star=tuple(lam_star.tolist()),
+        alpha_star=tuple(alpha_star.tolist()),
         lambda_bar=lambda_bar, a_bar=a_bar)
 
 
 # --- Monte Carlo oracle ----------------------------------------------------
+
+
+def _check_integer(name: str, value) -> int:
+    # bool is an int in Python, but not a count
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -400,16 +447,18 @@ class RiskScenario:
     b: tuple
 
     def __post_init__(self):
-        p = tuple(int(v) for v in self.p)
+        n = _check_integer("n", self.n)
+        p = tuple(_check_integer(f"p[{k}]", v) for k, v in enumerate(self.p))
         b = tuple(float(v) for v in self.b)
-        if self.n < 1 or len(p) == 0 or len(p) != len(b):
+        if n < 1 or len(p) == 0 or len(p) != len(b):
             raise ValueError("need n >= 1 and equal-length p and b")
         if any(v < 1 for v in p) or not all(v > 0 for v in b):
             raise ValueError("group sizes must be >= 1, strengths > 0")
-        if self.n * sum(p) > MAX_DESIGN_ELEMENTS:
+        if n * sum(p) > MAX_DESIGN_ELEMENTS:
             raise ValueError(
-                f"design matrix of {self.n} x {sum(p)} exceeds the resource "
+                f"design matrix of {n} x {sum(p)} exceeds the resource "
                 f"guard ({MAX_DESIGN_ELEMENTS} elements)")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "b", b)
 
@@ -428,19 +477,32 @@ def _ridge_solves(x, y, lams):
     """Ridge fits of ``y`` on ``x``, one per penalty: ``{lam: coefficients}``.
 
     The Gram matrix (``x'x/n``, or ``xx'/n`` when p > n) is formed once
-    for all penalties, then each penalty gets its own solve.
+    for all penalties. Up to ``_SOLVES_PER_EIGH`` penalties each get their
+    own dense solve on it. A longer grid gets one eigendecomposition
+    V diag(mu) V' of the Gram, and every penalty is read off it:
+    V diag(1/(mu+lam)) V' (x'y/n) in the primal form, and
+    x' (V diag(1/(mu+lam)) V' y) / n in the dual one.
     """
-    # deliberately a plain dense solve: this oracle must stay independent
-    # of the eigendecomposition grid machinery it validates
-    if not lams:
-        return {}
+    # deliberately plain linear algebra with no eigenvalue floor: this
+    # oracle must stay independent of the grid machinery in ridge.py that
+    # it validates
     n, p = x.shape
-    if p <= n:
-        gram, rhs, eye = x.T @ x / n, x.T @ y / n, np.eye(p)
-        return {lam: np.linalg.solve(gram + lam * eye, rhs) for lam in lams}
-    gram, eye = x @ x.T / n, np.eye(n)
-    return {lam: x.T @ np.linalg.solve(gram + lam * eye, y) / n
-            for lam in lams}
+    primal = p <= n
+    gram = x.T @ x / n if primal else x @ x.T / n
+    rhs = x.T @ y / n if primal else y
+    if len(lams) <= _SOLVES_PER_EIGH:
+        eye = np.eye(len(gram))
+        fits = [np.linalg.solve(gram + lam * eye, rhs) for lam in lams]
+        if not primal:
+            fits = [x.T @ fit / n for fit in fits]
+    else:
+        mu, v = np.linalg.eigh(gram)
+        lam_col = np.asarray(lams, dtype=float)[:, None]
+        # (L, r): every penalty's solve, one row each
+        fits = ((v.T @ rhs) / (mu + lam_col)) @ v.T
+        if not primal:
+            fits = fits @ x / n
+    return dict(zip(lams, fits))
 
 
 def _check_penalties(kind: str, lams) -> None:
@@ -519,15 +581,23 @@ def monte_carlo_risk(scenario: RiskScenario, estimators, replications: int,
     Specs are read once, before any replication, as weighted sums of ridge
     fits: a group index out of range, a penalty or weight count that does
     not match, a penalty that is not finite and positive, or an unknown
-    kind raises ``ValueError``. Each replication forms one Gram matrix per
-    design matrix it fits (the full design, and each group's columns) and
-    one dense solve per distinct penalty on it. A submodel is scored on its
-    own group's coefficients, every other estimator on all of beta.
+    kind raises ``ValueError``, as does a ``replications`` or ``n_threads``
+    that is not an integer (bools included), fewer than 2 replications or
+    fewer than 1 thread. Each replication forms one Gram matrix per design
+    matrix it fits (the full design, and each group's columns). A design
+    with at most ``_SOLVES_PER_EIGH`` distinct penalties gets one dense
+    solve per penalty on it, a longer grid one eigendecomposition that
+    serves every penalty (see :func:`_ridge_solves`). A submodel is scored
+    on its own group's coefficients, every other estimator on all of beta.
+    Replications run on ``n_threads`` workers; each keeps its own keyed
+    stream, so the results do not depend on the thread count.
 
     Returns one :class:`McResult` per spec, in order.
     """
-    if replications < 2:
+    if _check_integer("replications", replications) < 2:
         raise ValueError("need at least 2 replications for a standard error")
+    if _check_integer("n_threads", n_threads) < 1:
+        raise ValueError("n_threads must be at least 1")
     offsets = np.concatenate([[0], np.cumsum(scenario.p)]).tolist()
     specs = [_parse_spec(est, offsets) for est in estimators]
     # every (design, lam) fit needed, computed once per replication

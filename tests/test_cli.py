@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -288,6 +289,22 @@ def test_theory_curves_csv(tmp_path):
     assert rows[0] == ["c", "flat", "ensemble_optimal", "ensemble_suboptimal"]
     assert len(rows) == 4
     assert float(rows[1][0]) == 0.5
+
+
+@pytest.mark.parametrize("theory_cfg, sha256", [
+    ({"n_groups": 4, "c_grid": [0.5, 1.0, 2.0]},
+     "0538d67314112c94af7c7fde02deddbedcc6f3dcc3265c0b3e602ad1a57f66da"),
+    # default regime on the default 25-point grid
+    ({}, "05b41d96b7b15674be2dcbe170bb29fd1fc4f02431bebaafda4f65456545a61c"),
+])
+def test_theory_curves_csv_bytes_pinned(tmp_path, theory_cfg, sha256):
+    # digests of the files written when risk_curves still evaluated one
+    # risk_report per grid point; the array pass must reproduce them
+    config = tmp_path / "cfg.json"
+    write_config(config, kind="theory_curves", theory=theory_cfg)
+    cli.run(config, output_dir=str(tmp_path / "out"))
+    data = (tmp_path / "out" / "theory_curves.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == sha256
 
 
 def test_ablation_k_rows(tmp_path):

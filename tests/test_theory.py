@@ -281,6 +281,31 @@ def test_risk_curves_refuse_empty_grid():
         risk_curves(theory.default_curve_params(), [])
 
 
+@pytest.mark.parametrize("c_grid", [
+    np.geomspace(0.1, 10.0, 200),   # the benchmark's grid
+    np.geomspace(0.1, 10.0, 25),    # the CLI's default grid
+    [2.0, 0.3, 7.5],                # short and unsorted
+])
+def test_risk_curves_equal_per_c_risk_reports(c_grid, monkeypatch):
+    params = theory.default_curve_params()
+    rows = []
+    for cv in c_grid:
+        rep = theory.risk_report(TheoryParams(c=(cv,) * params.n_groups,
+                                              b=params.b))
+        rows.append((cv, rep.flat_risk, rep.ensemble_optimal_risk,
+                     rep.ensemble_suboptimal_risk))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return nu_family(*args)
+    monkeypatch.setattr(theory, "nu_family", counted)
+    table = risk_curves(params, c_grid)
+    assert np.array_equal(table, np.array(rows))
+    # one array pass, whatever the grid's length
+    assert len(calls) == 3
+
+
 # --- heterogeneous penalties -------------------------------------------------
 
 def flat_group():
@@ -471,6 +496,38 @@ def test_mc_rejects_bad_spec_before_any_replication(spec, monkeypatch):
         monte_carlo_risk(scenario, [("zero",), spec], replications=2, seed=0)
 
 
+@pytest.mark.parametrize("scenario, kwargs", [
+    ({"n": 20.5}, {}),                         # counts must be integers
+    ({"n": True}, {}),                         # bool is an int, not a count
+    ({"p": (10.5, 10)}, {}),
+    ({"p": (10, True)}, {}),
+    ({}, {"replications": 2.5}),
+    ({}, {"replications": True}),
+    ({}, {"n_threads": 1.0}),
+    ({}, {"n_threads": True}),
+    ({}, {"n_threads": 0}),                    # at least one worker
+    ({}, {"n_threads": -2}),
+])
+def test_mc_rejects_bad_counts_before_any_replication(scenario, kwargs,
+                                                      monkeypatch):
+    def no_draws(*key):
+        raise AssertionError("a draw came before the counts were checked")
+    monkeypatch.setattr(theory, "stream_rng", no_draws)
+    with pytest.raises(ValueError, match="integer|at least 1"):
+        monte_carlo_risk(
+            RiskScenario(**{"n": 20, "p": (10, 10), "b": (1.0, 1.0),
+                            **scenario}),
+            [("zero",)], **{"replications": 2, "seed": 0, **kwargs})
+
+
+def test_mc_accepts_numpy_integer_counts():
+    scenario = RiskScenario(n=np.int64(20), p=(np.int32(10),), b=(1.0,))
+    assert (type(scenario.n), type(scenario.p[0])) == (int, int)
+    (res,) = monte_carlo_risk(scenario, [("zero",)], np.int64(2),
+                              n_threads=np.int64(1))
+    assert res.replications == 2
+
+
 def test_mc_refuses_bool_group_index():
     # True is an int in Python, but not a group index
     scenario = RiskScenario(n=20, p=(10, 10), b=(1.0, 1.0))
@@ -499,6 +556,78 @@ def test_ridge_solves_match_per_penalty_solves(n, p, cols):
             ref = x.T @ np.linalg.solve(x @ x.T / n + lam * np.eye(n), y) / n
         assert np.array_equal(fits[lam], ref)
     assert theory._ridge_solves(x, y, []) == {}
+
+
+@pytest.mark.parametrize("n, p, cols", [
+    (200, 120, slice(None)),        # primal: p < n
+    (200, 200, slice(None)),        # square: the worst conditioned
+    (120, 300, slice(None)),        # dual: p > n
+    (100, 300, slice(40, 190)),     # a group's non-contiguous column slice
+])
+def test_ridge_solves_penalty_grid_matches_dense_solves(n, p, cols,
+                                                        monkeypatch):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((n, p))[:, cols]
+    y = rng.standard_normal(n)
+    p = x.shape[1]
+
+    def dense(lam):
+        if p <= n:
+            return np.linalg.solve(x.T @ x / n + lam * np.eye(p), x.T @ y / n)
+        return x.T @ np.linalg.solve(x @ x.T / n + lam * np.eye(n), y) / n
+    grid = list(REFERENCE_GRID29)
+    refs = {lam: dense(lam) for lam in grid}
+    # up to the threshold every penalty keeps its own dense solve
+    six = grid[:theory._SOLVES_PER_EIGH]
+    assert len(six) == 6
+    for lam, fit in theory._ridge_solves(x, y, six).items():
+        assert np.array_equal(fit, refs[lam])
+
+    def no_solves(*args):
+        raise AssertionError("a penalty grid was fit by per-penalty solves")
+    monkeypatch.setattr(np.linalg, "solve", no_solves)
+    fits = theory._ridge_solves(x, y, grid)
+    assert list(fits) == grid
+    for lam in grid:
+        err = np.linalg.norm(fits[lam] - refs[lam])
+        assert err <= 1e-10 * np.linalg.norm(refs[lam])
+
+
+def test_mc_penalty_grid_specs_are_weighted_sums_of_grid_fits():
+    # a multi_penalty spec over 8 penalties and a flat spec at a ninth put
+    # 9 penalties on the full design (70 columns on 40 rows, fit in its
+    # dual form), which is fit once for all of them
+    scenario = RiskScenario(n=40, p=(30, 40), b=(0.7, 1.3))
+    seed, reps = 6, 4
+    grid = REFERENCE_GRID29[::4]
+    mix = np.linspace(0.05, 0.2, len(grid))
+    specs = [("zero",), ("multi_penalty", grid, mix), ("flat", 0.7, 0.9),
+             ("submodel", 0, 0.5, 1.1)]
+    group = slice(0, 30)
+    risks = []
+    for r in range(reps):
+        rng = stream_rng(seed, 301, r)
+        beta = np.concatenate([rng.normal(0.0, np.sqrt(bk / pk), size=pk)
+                               for pk, bk in zip(scenario.p, scenario.b)])
+        x = rng.standard_normal((scenario.n, 70))
+        y = x @ beta + rng.standard_normal(scenario.n)
+        full = theory._ridge_solves(x, y, sorted([*grid, 0.7]))
+        estimates = [
+            (np.zeros_like(beta), beta),
+            (sum(w * full[lam] for w, lam in zip(mix, grid)), beta),
+            (0.9 * full[0.7], beta),
+            (1.1 * theory._ridge_solves(x[:, group], y, [0.5])[0.5],
+             beta[group])]
+        risks.append([float((e - t) @ (e - t)) for e, t in estimates])
+    risks = np.array(risks)
+    runs = [monte_carlo_risk(scenario, specs, reps, seed=seed, n_threads=t)
+            for t in (1, 1, 4)]
+    assert ([(r.risk, r.stderr) for r in runs[0]]
+            == [(r.risk, r.stderr) for r in runs[1]]
+            == [(r.risk, r.stderr) for r in runs[2]])
+    assert np.array_equal([res.risk for res in runs[0]], risks.mean(axis=0))
+    assert np.array_equal([res.stderr for res in runs[0]],
+                          risks.std(axis=0, ddof=1) / np.sqrt(reps))
 
 
 def test_mc_specs_are_weighted_sums_of_ridge_fits():
