@@ -7,9 +7,10 @@ Usage:
 
 Every run writes results.csv (deterministic given config, seeds and BLAS
 thread count), timings.csv (wall times, inherently not reproducible) and
-manifest.json (config hash, seeds, library version, BLAS thread
-settings). The FMNIST-style experiments read IDX files from the directory
-named by $DEEPRIDGE_DATA_DIR or the config's data.data_dir.
+manifest.json (config hash, seeds for the kinds that draw, library
+version, BLAS thread settings). The FMNIST-style experiments read IDX
+files from the directory named by $DEEPRIDGE_DATA_DIR or the config's
+data.data_dir.
 """
 
 import argparse
@@ -109,12 +110,14 @@ def validate_config(cfg: dict) -> dict:
     kind = _field(cfg, "kind", str, required=True)
     if kind not in KINDS:
         raise ConfigError(f"config field 'kind' must be one of {KINDS}")
-    seeds = _field(cfg, "seeds", list, required=True)
-    if len(seeds) == 0:
-        raise ConfigError("config field 'seeds' must be a non-empty list")
-    if not all(_has_type(s, int) for s in seeds):
-        raise ConfigError("config field 'seeds' must contain integers")
-    _distinct("config field 'seeds'", seeds)
+    seeds = None
+    if kind != "theory_curves":   # the risk curves draw nothing
+        seeds = _field(cfg, "seeds", list, required=True)
+        if len(seeds) == 0:
+            raise ConfigError("config field 'seeds' must be a non-empty list")
+        if not all(_has_type(s, int) for s in seeds):
+            raise ConfigError("config field 'seeds' must contain integers")
+        _distinct("config field 'seeds'", seeds)
     model = _field(cfg, "model", dict, default={})
     data = _field(cfg, "data", dict, default={})
     ablation = _field(cfg, "ablation", dict, default={})
@@ -122,7 +125,6 @@ def validate_config(cfg: dict) -> dict:
     limits = _field(cfg, "limits", dict, default={})
     out = {
         "kind": kind,
-        "seeds": [int(s) for s in seeds],
         "output_dir": _field(cfg, "output_dir", str, default="."),
         "save_models": bool(_field(cfg, "save_models", bool, default=False)),
         "baseline": bool(_field(cfg, "baseline", bool, default=True)),
@@ -184,6 +186,8 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("config field 'activation' must be relu or sigmoid")
     if not out["limits"]["max_memory_gb"] > 0:   # NaN would pass any guard
         raise ConfigError("config field 'max_memory_gb' must be positive")
+    if seeds is not None:
+        out["seeds"] = [int(s) for s in seeds]
     return out
 
 
@@ -350,6 +354,9 @@ def run(config_path, seed_override=None, threads: int = 1,
         raise ConfigError("--threads must be at least 1")
     cfg = validate_config(load_config(config_path))
     if seed_override:
+        if "seeds" not in cfg:
+            raise ConfigError(f"--seed-override does not apply to kind "
+                              f"'{cfg['kind']}', which draws nothing")
         _distinct("--seed-override", seed_override)
         cfg["seeds"] = list(seed_override)
     if output_dir:
@@ -371,13 +378,14 @@ def run(config_path, seed_override=None, threads: int = 1,
         "kind": cfg["kind"],
         "config_hash": config_hash(cfg),
         "config": cfg,
-        "seeds": cfg["seeds"],
         "library_version": __version__,
         # feature GEMMs sum in an order set by the BLAS thread count, so
         # results.csv reproduces only at the same settings
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "outputs": [os.path.basename(p) for p in sorted(outputs)],
     }
+    if "seeds" in cfg:
+        manifest["seeds"] = cfg["seeds"]
     manifest_path = os.path.join(cfg["output_dir"], "manifest.json")
     with dataio.atomic_path(manifest_path) as tmp, open(tmp, "w") as f:
         json.dump(manifest, f, sort_keys=True, indent=1)
@@ -398,11 +406,15 @@ def inspect(model_path) -> str:
         f"bias range:      {cfg.bias_range}",
         f"seed:            {cfg.seed}",
     ]
-    for m in range(1, cfg.depth + 1):
+    for m, layer in enumerate(model.layers, start=1):
         gammas = network._block_gammas(cfg, m)
+        ranks = network.layer_basis(layer.betas, layer.scales).ranks
         lines.append(
             f"layer {m} gammas: min={gammas.min():.4f} "
             f"mean={gammas.mean():.4f} max={gammas.max():.4f}")
+        lines.append(
+            f"layer {m} width:  {ranks.sum()} of K*L={cfg.layer_width} "
+            f"columns (block ranks r_k {ranks.min()}..{ranks.max()})")
     lines.append(f"final penalty:   lambda*={model.final.lambda_star:g} "
                  f"(index {model.lambda_star_index})")
     for m, ff in enumerate(model.final_fits, start=1):

@@ -45,8 +45,14 @@ def draw_block(stream_key: tuple, gamma: float, p: int, input_dim: int,
     return FeatureBlock(weights=weights, biases=biases)
 
 
-def apply_block(block: FeatureBlock, x) -> np.ndarray:
-    """Transform rows of ``x`` through the block: relu(x W / sqrt(D) + b)."""
+def apply_block(block: FeatureBlock, x,
+                fan_in: int | None = None) -> np.ndarray:
+    """Transform rows of ``x`` through the block: relu(x W / sqrt(D) + b).
+
+    D is ``fan_in``, by default W's row count. Weights drawn for a D-wide
+    input and then compressed onto fewer input coordinates pass the drawn
+    D, so the scaling stays that of the uncompressed block.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != block.input_dim:
         raise ValueError(
@@ -54,6 +60,6 @@ def apply_block(block: FeatureBlock, x) -> np.ndarray:
         )
     # in place on the GEMM result: no (n, P) temporaries beyond the output
     pre = x @ block.weights
-    np.divide(pre, np.sqrt(block.input_dim), out=pre)
+    np.divide(pre, np.sqrt(fan_in or block.input_dim), out=pre)
     pre += block.biases
     return np.maximum(pre, 0.0, out=pre)

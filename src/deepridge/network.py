@@ -15,10 +15,22 @@ and column scales. Input weights and biases are never stored: block k of
 layer m is drawn from the keyed stream (seed, m, k), so training and
 prediction redraw it on demand. Both share one chunked transform: blocks
 are cut into fixed groups, each group's blocks are drawn into one weight
-buffer that costs one GEMM and is then dropped, and each block's grid
-predictions are written straight into the layer output. Groups may run on
-a thread pool. Training only ever transforms the train and validation
-splits.
+buffer that costs one GEMM and is then dropped. Groups may run on a thread
+pool. Training only ever transforms the train and validation splits.
+
+A layer's output is carried compressed. Block k's L columns are its
+features times the (P, L) map M_k = betas[k] / scales[k], and on a penalty
+grid those columns are nearly collinear: M_k has numerical rank r_k, about
+11 of L = 29 on the default grid. So each block's columns are kept as r_k
+coordinates on an orthonormal basis C_k of M_k's row space (a
+:class:`LayerBasis`, recomputed from betas and scales by one small SVD per
+block), and a layer's output is one (n, sum r_k) array. The next layer
+draws each block's (K*L, P) weights exactly as for the dense columns and
+multiplies them by C_k' per previous block right after the draw, so its
+GEMM is sum r_k wide instead of K*L; the final ridge is fit on the
+coordinates and stored as C times its coefficients, which is the ridge on
+the dense columns. :meth:`LayerOutput.dense` expands the dense columns on
+request.
 
 Training never backpropagates: input weights are drawn, output weights are
 closed-form ridge solutions.
@@ -37,7 +49,7 @@ from .dataio import DataSplit, atomic_path
 from .features import FeatureBlock, apply_block, draw_block
 from .ridge import RidgeGridFit, column_scales, fit_floats, fit_grid
 from .ridge import predict as ridge_predict
-from .seeding import map_ordered, stream_rng
+from .seeding import imap_ordered, stream_rng
 
 # 29-point default penalty grid used throughout the experiments
 DEFAULT_LAMBDA_GRID = (
@@ -53,6 +65,13 @@ MODEL_FORMAT_VERSION = 4
 # rate of 2000 columns, narrow enough that each worker's (D, columns) weight
 # buffer and (rows, columns) features stay small
 GROUP_COLUMNS = 1024
+
+# a block keeps the singular directions of its (P, L) grid map above this
+# fraction of the largest singular value. On the default grid (K=100,
+# P=100, n=3000) that keeps 10-13 of 29, and test predictions moved by at
+# most 5e-11 of their scale against the dense columns; 1e-12 keeps one
+# fewer and moved them by up to 9e-11
+RANK_TOLERANCE = 1e-14
 
 # sub-stream tags (must never collide with block stream keys, which are
 # (seed, layer>=1, block) tuples of length 3)
@@ -134,6 +153,105 @@ class LayerModel:
 
 
 @dataclass(frozen=True)
+class LayerBasis:
+    """The numerical-rank coordinates of a layer's blocks, side by side.
+
+    Block k's L unit-scale columns are X_k = Z_k M_k for its features Z_k
+    and M_k = betas[k] / scales[k] (P, L). With the thin SVD M_k = U S V'
+    cut to the r_k singular values above ``RANK_TOLERANCE`` times the
+    largest, X_k = (Z_k (U S)[:, :r_k]) C_k' with C_k = V[:, :r_k]
+    orthonormal. Rows offsets[k]:offsets[k + 1] of ``maps`` and ``vt``
+    belong to block k: its ((U S)[:, :r_k])' and its C_k'.
+    """
+
+    maps: np.ndarray      # (sum r_k, P)
+    vt: np.ndarray        # (sum r_k, L)
+    offsets: np.ndarray   # (K + 1,) ints, offsets[0] == 0
+
+    @property
+    def ranks(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @property
+    def width(self) -> int:
+        """Compressed width, sum r_k."""
+        return int(self.offsets[-1])
+
+    @property
+    def dense_width(self) -> int:
+        """Dense width, K * L."""
+        return (len(self.offsets) - 1) * self.vt.shape[1]
+
+    def _rows(self):
+        """(dense rows, compressed rows) of each block, as slices."""
+        n_pen, o = self.vt.shape[1], self.offsets
+        return [(slice(k * n_pen, (k + 1) * n_pen), slice(o[k], o[k + 1]))
+                for k in range(len(o) - 1)]
+
+    def compress(self, rows, out=None) -> np.ndarray:
+        """blockdiag(C)' rows: (K*L, c) to (sum r_k, c), into ``out`` if
+        given."""
+        if out is None:
+            out = np.empty((self.width, rows.shape[1]))
+        for dense, comp in self._rows():
+            np.matmul(self.vt[comp], rows[dense], out=out[comp])
+        return out
+
+    def expand(self, rows) -> np.ndarray:
+        """blockdiag(C) rows: (sum r_k, c) to (K*L, c)."""
+        out = np.empty((self.dense_width, rows.shape[1]))
+        for dense, comp in self._rows():
+            np.matmul(self.vt[comp].T, rows[comp], out=out[dense])
+        return out
+
+    def blocks(self, a: int, b: int) -> "LayerBasis":
+        """The basis of blocks a..b-1 alone (views, no copies)."""
+        o = self.offsets
+        return LayerBasis(maps=self.maps[o[a]:o[b]], vt=self.vt[o[a]:o[b]],
+                          offsets=o[a:b + 1] - o[a])
+
+    @staticmethod
+    def join(parts) -> "LayerBasis":
+        """Consecutive blocks' bases as one."""
+        ranks = np.concatenate([part.ranks for part in parts])
+        return LayerBasis(
+            maps=np.concatenate([part.maps for part in parts]),
+            vt=np.concatenate([part.vt for part in parts]),
+            offsets=np.concatenate([[0], np.cumsum(ranks)]))
+
+
+def layer_basis(betas, scales) -> LayerBasis:
+    """The :class:`LayerBasis` of blocks with coefficients ``betas``
+    (K, P, L) and column scales ``scales`` (K, L).
+
+    A block whose columns are all zero keeps one (zero) coordinate, so no
+    array is ever empty.
+    """
+    maps, vts = [], []
+    for beta, scale in zip(betas, scales):
+        u, s, vt = np.linalg.svd(beta / scale, full_matrices=False)
+        r = max(1, int(np.count_nonzero(s > RANK_TOLERANCE * s[0])))
+        maps.append((u[:, :r] * s[:r]).T)
+        vts.append(vt[:r])
+    return LayerBasis(maps=np.concatenate(maps), vt=np.concatenate(vts),
+                      offsets=np.cumsum([0] + [len(v) for v in vts]))
+
+
+@dataclass(frozen=True)
+class LayerOutput:
+    """A layer's representation of n rows, compressed: block k's L columns
+    are ``coords`` columns offsets[k]:offsets[k + 1] of ``basis`` times
+    C_k'."""
+
+    coords: np.ndarray    # (n, sum r_k)
+    basis: LayerBasis
+
+    def dense(self) -> np.ndarray:
+        """The (n, K*L) unit-scale grid columns."""
+        return self.basis.expand(self.coords.T).T
+
+
+@dataclass(frozen=True)
 class FinalFit:
     """Final ridge for one depth, with its validation-selected penalty."""
 
@@ -212,25 +330,30 @@ def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
 
     The data has ``n_total`` rows of ``d`` inputs, ``n_train`` of them
     training rows. Each of the ``n_threads`` workers holds one transform
-    group's weight buffer and features and one block's ridge fit; input
-    weights are redrawn per group and never kept. With ``baseline``, the
-    flat baseline over ``cfg.layer_width`` features runs after the
-    network, so the larger of the two counts (with tiny n, wide d and
-    small P the baseline can be).
+    group's weight buffer, features and coordinates, and one block's ridge
+    fit and train-row grid predictions; input weights are redrawn per group
+    and never kept. Layer outputs, their bases and weight buffers are
+    counted at the dense width K*L, which bounds the compressed width
+    sum r_k. With ``baseline``, the flat baseline over ``cfg.layer_width``
+    features runs after the network, so the larger of the two counts (with
+    tiny n, wide d and small P the baseline can be).
     """
     n_pen = cfg.n_penalties
     kl, p = cfg.layer_width, cfg.features_per_block
     groups = group_bounds(cfg.blocks, p)
-    group_columns = (groups[0][1] - groups[0][0]) * p
+    group_blocks = groups[0][1] - groups[0][0]
     workers = min(max(n_threads, 1), len(groups))
     widest_input = kl if cfg.depth > 1 else d
     network_floats = (
         n_total * (d + 2 * kl)   # stacked inputs; a layer's input, output
         + cfg.depth * (cfg.blocks * p + kl) * n_pen   # coefficients
-        + workers * (widest_input * (group_columns + p)   # weight buffer,
-                     # one block's draw; one group's features
-                     + n_total * group_columns
-                     + fit_floats(n_train, p, n_pen))
+        + 3 * kl * (p + n_pen)   # layer bases: the input's, and the
+                                 # output's in parts and joined
+        + workers * (widest_input * (group_blocks + 1) * p   # weight buffer,
+                     # one block's draw; one group's features and
+                     # coordinates; one block's fit and grid predictions
+                     + n_total * group_blocks * (p + n_pen)
+                     + fit_floats(n_train, p, n_pen) + n_train * n_pen)
         + fit_floats(n_train, kl, n_pen))   # final ridge
     baseline_floats = 0
     if baseline:
@@ -240,80 +363,127 @@ def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
     return n_total * d + max(network_floats, baseline_floats)
 
 
-def _group_features(cfg: NetConfig, layer_index: int, gammas, x, a, b):
+def _group_features(cfg: NetConfig, layer_index: int, gammas, x, x_basis,
+                    a, b):
     """Features of blocks a..b-1 of a layer on the rows of ``x``.
 
-    Each block is redrawn from its keyed stream into one (D, group columns)
-    weight buffer, which costs one GEMM and is dropped on return.
+    Each block is redrawn from its keyed stream for the dense input width D
+    and, if ``x`` is a previous layer's coordinates on ``x_basis``,
+    compressed onto them at once; it lands in one (width of x, group
+    columns) weight buffer, which costs one GEMM and is dropped on return.
     """
-    d, p = x.shape[1], cfg.features_per_block
-    weights = np.empty((d, (b - a) * p))
+    d = x.shape[1] if x_basis is None else x_basis.dense_width
+    p = cfg.features_per_block
+    weights = np.empty((x.shape[1], (b - a) * p))
     biases = np.empty((b - a) * p)
     for k in range(a, b):
         block = draw_block((cfg.seed, layer_index, k), float(gammas[k]), p, d,
                            cfg.bias_range)
         cols = slice((k - a) * p, (k - a + 1) * p)
-        weights[:, cols] = block.weights
+        if x_basis is None:
+            weights[:, cols] = block.weights
+        else:
+            x_basis.compress(block.weights, out=weights[:, cols])
         biases[cols] = block.biases
         del block   # peak_floats counts one (D, P) draw per worker
-    return apply_block(FeatureBlock(weights=weights, biases=biases), x)
+    return apply_block(FeatureBlock(weights=weights, biases=biases), x, d)
 
 
-def _grid_predictions(z, betas, out) -> None:
-    """Grid predictions of c side-by-side blocks, written into ``out``.
+def _coordinates(z, basis: LayerBasis) -> np.ndarray:
+    """Coordinates of side-by-side blocks from their features ``z``
+    (n, c*P), transposed: (sum r_k, n)."""
+    p = basis.maps.shape[1]
+    out = np.empty((basis.width, z.shape[0]))
+    for j, (_, comp) in enumerate(basis._rows()):
+        np.matmul(basis.maps[comp], z[:, j * p:(j + 1) * p].T, out=out[comp])
+    return out
 
-    ``z`` (n, c*P) holds the blocks' features and ``betas`` (c, P, L) their
-    coefficients; block j's matmul writes columns j*L:(j+1)*L of the
-    (n, c*L) view ``out`` in place.
+
+def _side_by_side(pieces, cfg: NetConfig, rows: int) -> np.ndarray:
+    """The (rows, width) coordinates of a layer from its groups' transposed
+    pieces, in order.
+
+    Each piece is copied into one buffer as it arrives, so a worker's piece
+    is freed while later groups still run. The buffer is sized for the
+    widest possible layer, each block's rank being at most min(P, L), and
+    then cut in place to the pieces' total width; its tail is never
+    written, so it never becomes resident.
     """
-    c, p, n_pen = betas.shape
-    for j in range(c):
-        np.matmul(z[:, j * p:(j + 1) * p], betas[j],
-                  out=out[:, j * n_pen:(j + 1) * n_pen])
+    buf = np.empty((cfg.blocks * min(cfg.features_per_block,
+                                      cfg.n_penalties), rows))
+    top = 0
+    for piece in pieces:
+        buf[top:top + len(piece)] = piece
+        top += len(piece)
+    buf.resize((top, rows), refcheck=False)   # no view of buf exists yet
+    return buf.T
 
 
 def train_layer(x, n_train: int, y_train, cfg: NetConfig, layer_index: int,
                 n_threads: int = 1):
-    """Train one layer and return it plus its representation of ``x``.
+    """Train one layer and return it plus its :class:`LayerOutput` on ``x``.
 
     ``x`` stacks the train rows (the first ``n_train``) and the validation
-    rows. Each block is drawn from its own keyed stream, transformed with
-    the rest of its group, fit on the train rows over the whole penalty
-    grid, and its grid predictions normalized by their train-row scales.
+    rows, as raw inputs or as the previous layer's output. Each block is
+    drawn from its own keyed stream, transformed with the rest of its
+    group, fit on the train rows over the whole penalty grid, and its grid
+    predictions normalized by their train-row scales; its coordinates are
+    taken on the basis that :func:`layer_basis` gives for the fitted layer.
     Groups are independent, so they may run on ``n_threads`` workers;
     results are identical for any thread count.
     """
-    x = np.asarray(x, dtype=float)
+    if isinstance(x, LayerOutput):
+        x, x_basis = x.coords, x.basis
+    else:
+        x, x_basis = np.asarray(x, dtype=float), None
     y_train = np.asarray(y_train, dtype=float).ravel()
     k_blocks, p, n_pen = cfg.blocks, cfg.features_per_block, cfg.n_penalties
     gammas = _block_gammas(cfg, layer_index)
     betas = np.empty((k_blocks, p, n_pen))
     scales = np.empty((k_blocks, n_pen))
-    rep = np.empty((x.shape[0], cfg.layer_width))
+    groups = group_bounds(k_blocks, p)
+    parts = [None] * len(groups)
 
-    def build(bounds):
-        a, b = bounds
-        z = _group_features(cfg, layer_index, gammas, x, a, b)
+    def build(g):
+        a, b = groups[g]
+        z = _group_features(cfg, layer_index, gammas, x, x_basis, a, b)
+        grid = np.empty((n_train, n_pen))   # one block's train-row columns
         for k in range(a, b):
-            j = (k - a) * p
-            betas[k] = fit_grid(z[:n_train, j:j + p], y_train,
-                                cfg.lambda_grid).betas
-        out = rep[:, a * n_pen:b * n_pen]
-        _grid_predictions(z, betas[a:b], out)
-        group_scales = column_scales(out[:n_train])
-        scales[a:b] = group_scales.reshape(b - a, n_pen)
-        out /= group_scales
+            zk = z[:n_train, (k - a) * p:(k - a + 1) * p]
+            betas[k] = fit_grid(zk, y_train, cfg.lambda_grid).betas
+            scales[k] = column_scales(np.matmul(zk, betas[k], out=grid))
+        del grid
+        parts[g] = layer_basis(betas[a:b], scales[a:b])
+        return _coordinates(z, parts[g])
 
-    map_ordered(build, group_bounds(k_blocks, p), n_threads)
-    return LayerModel(betas=betas, scales=scales), rep
+    coords = _side_by_side(imap_ordered(build, range(len(groups)), n_threads),
+                           cfg, x.shape[0])
+    return (LayerModel(betas=betas, scales=scales),
+            LayerOutput(coords=coords, basis=LayerBasis.join(parts)))
 
 
-def _fit_final(rep_train, rep_valid, y_train, y_valid, lambdas):
-    fit = fit_grid(rep_train, y_train, lambdas)
-    valid_pred = ridge_predict(fit, rep_valid)
+def _final_predictions(fit: RidgeGridFit, rep: LayerOutput) -> np.ndarray:
+    """Grid predictions of a final ridge stored for the dense columns X:
+    X beta, evaluated as coords (C' beta)."""
+    return ridge_predict(
+        dataclasses.replace(fit, betas=rep.basis.compress(fit.betas)),
+        rep.coords)
+
+
+def _selected(fit: RidgeGridFit, valid_pred, y_valid) -> FinalFit:
     valid_mse = np.mean((valid_pred - y_valid[:, None]) ** 2, axis=0)
     star = int(np.argmin(valid_mse))  # ties resolve to the smaller penalty
     return FinalFit(fit=fit, lambda_star_index=star, valid_mse=valid_mse)
+
+
+def _fit_final(rep: LayerOutput, n_train: int, y_train, y_valid,
+               lambdas) -> FinalFit:
+    # a ridge solution on X lies in X's row space, so the ridge on the
+    # coordinates, times C, is the ridge on the dense columns
+    fit = fit_grid(rep.coords[:n_train], y_train, lambdas)
+    fit = dataclasses.replace(fit, betas=rep.basis.expand(fit.betas))
+    valid = LayerOutput(coords=rep.coords[n_train:], basis=rep.basis)
+    return _selected(fit, _final_predictions(fit, valid), y_valid)
 
 
 def train(split: DataSplit, cfg: NetConfig, n_threads: int = 1) -> DeepRidgeModel:
@@ -330,14 +500,14 @@ def train(split: DataSplit, cfg: NetConfig, n_threads: int = 1) -> DeepRidgeMode
         layer, rep = train_layer(rep, n_train, split.y_train, cfg, m,
                                  n_threads)
         layers.append(layer)
-        finals.append(_fit_final(rep[:n_train], rep[n_train:], split.y_train,
-                                 split.y_valid, cfg.lambda_grid))
+        finals.append(_fit_final(rep, n_train, split.y_train, split.y_valid,
+                                 cfg.lambda_grid))
     return DeepRidgeModel(config=cfg, layers=tuple(layers),
                           final_fits=tuple(finals), input_dim=split.d)
 
 
 def forward(model: DeepRidgeModel, x, depth: int | None = None,
-            n_threads: int = 1) -> np.ndarray:
+            n_threads: int = 1) -> LayerOutput:
     """Representation after ``depth`` layers (the final ridge's input).
 
     Transform groups may run on ``n_threads`` workers; the result is the
@@ -353,21 +523,21 @@ def forward(model: DeepRidgeModel, x, depth: int | None = None,
     if not np.all(np.isfinite(cur)):
         raise ValueError("input contains NaN or inf")
     cfg = model.config
+    cur_basis = None
     for m, layer in enumerate(model.layers[:depth], start=1):
         gammas = _block_gammas(cfg, m)
-        k_blocks, p, n_pen = layer.betas.shape
-        nxt = np.empty((cur.shape[0], k_blocks * n_pen))
+        basis = layer_basis(layer.betas, layer.scales)
 
         def transform(bounds):
             a, b = bounds
-            z = _group_features(cfg, m, gammas, cur, a, b)
-            out = nxt[:, a * n_pen:b * n_pen]
-            _grid_predictions(z, layer.betas[a:b], out)
-            out /= layer.scales[a:b].ravel()
+            z = _group_features(cfg, m, gammas, cur, cur_basis, a, b)
+            return _coordinates(z, basis.blocks(a, b))
 
-        map_ordered(transform, group_bounds(k_blocks, p), n_threads)
-        cur = nxt
-    return cur
+        groups = group_bounds(cfg.blocks, cfg.features_per_block)
+        cur = _side_by_side(imap_ordered(transform, groups, n_threads), cfg,
+                            cur.shape[0])
+        cur_basis = basis
+    return LayerOutput(coords=cur, basis=cur_basis)
 
 
 def predict(model: DeepRidgeModel, x, depth: int | None = None,
@@ -382,7 +552,7 @@ def predict(model: DeepRidgeModel, x, depth: int | None = None,
         depth = model.depth
     rep = forward(model, x, depth, n_threads)
     ff = model.final_fits[depth - 1]
-    return ridge_predict(ff.fit, rep)[:, ff.lambda_star_index]
+    return _final_predictions(ff.fit, rep)[:, ff.lambda_star_index]
 
 
 def select_depth(model: DeepRidgeModel) -> int:
@@ -438,11 +608,12 @@ def flat_random_feature_baseline(split: DataSplit, p_total: int, lambdas,
     biases = rng.uniform(-bias_range, bias_range, size=p_total)
     block = FeatureBlock(weights=weights, biases=biases)
 
-    ff = _fit_final(apply_block(block, split.x_train),
-                    apply_block(block, split.x_valid), split.y_train,
-                    split.y_valid, lambdas)
+    # one split's features at a time: each is dropped once used
+    fit = fit_grid(apply_block(block, split.x_train), split.y_train, lambdas)
+    ff = _selected(fit, ridge_predict(fit, apply_block(block, split.x_valid)),
+                   split.y_valid)
     test_pred = ridge_predict(
-        ff.fit, apply_block(block, split.x_test))[:, ff.lambda_star_index]
+        fit, apply_block(block, split.x_test))[:, ff.lambda_star_index]
     metrics = evaluate(test_pred, split.y_test, float(np.mean(split.y_train)))
     return BaselineResult(metrics=metrics, lambda_star=ff.lambda_star,
                           lambda_star_index=ff.lambda_star_index)

@@ -307,6 +307,22 @@ def test_theory_curves_csv_bytes_pinned(tmp_path, theory_cfg, sha256):
     assert hashlib.sha256(data).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("seeds", [None, [4, 5]], ids=["unlisted", "listed"])
+def test_theory_curves_needs_and_records_no_seeds(tmp_path, seeds):
+    config = tmp_path / "cfg.json"
+    cfg = write_config(config, kind="theory_curves",
+                       theory={"n_groups": 4, "c_grid": [0.5, 1.0]})
+    del cfg["seeds"]
+    if seeds is not None:
+        cfg["seeds"] = seeds
+    config.write_text(json.dumps(cfg))
+    manifest = cli.run(config, output_dir=str(tmp_path / "out"))
+    saved = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    for record in (manifest, saved):
+        assert "seeds" not in record and "seeds" not in record["config"]
+    assert len(read_csv(tmp_path / "out" / "theory_curves.csv")) == 3
+
+
 def test_ablation_k_rows(tmp_path):
     config = tmp_path / "cfg.json"
     write_config(config, kind="ablation_k", seeds=[0],
@@ -386,6 +402,24 @@ def test_save_models_and_inspect(tmp_path):
     assert "K=2, P=4, L=4" in text
     assert "lambda*" in text
     assert "depth 1 validation MSE" in text
+
+
+def test_inspect_prints_compressed_widths(tmp_path):
+    # on the 29-point grid a block of P=4 features has at most 4 of its 29
+    # columns' directions, so each layer's width is at most K*4
+    config = tmp_path / "cfg.json"
+    write_config(config, seeds=[3], save_models=True,
+                 model={"depth": 2, "blocks": 3, "features_per_block": 4})
+    out = tmp_path / "out"
+    cli.run(config, output_dir=str(out))
+    model_path = out / "model_seed3_noise1.drz"
+    text = cli.inspect(model_path)
+    model = network.load_model(model_path)
+    for m, layer in enumerate(model.layers, start=1):
+        ranks = network.layer_basis(layer.betas, layer.scales).ranks
+        assert ranks.max() <= 4
+        assert (f"layer {m} width:  {ranks.sum()} of K*L=87 columns "
+                f"(block ranks r_k {ranks.min()}..{ranks.max()})") in text
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -499,6 +533,8 @@ def _data(**fields):
     ({}, ["--threads", "-3"], "--threads"),
     ({"seeds": [0, 1, 0]}, [], "'seeds' must not repeat"),
     ({}, ["--seed-override", "0,0"], "--seed-override must not repeat"),
+    ({"kind": "theory_curves"}, ["--seed-override", "1"],
+     "--seed-override does not apply to kind 'theory_curves'"),
     ({"data": _data(noise_levels=[1, 2, 1])}, [],
      "'noise_levels' must not repeat"),
     ({"kind": "ablation_k", "ablation": {"k_values": [1, 1], "pk_total": 8}},
@@ -510,7 +546,8 @@ def _data(**fields):
         "depth-bool", "gamma-low-bool", "lambda-grid-bool",
         "noise-levels-bool", "seeds-bool", "limit-nan", "limit-zero",
         "threads-0", "threads-negative", "seeds-repeated",
-        "seed-override-repeated", "noise-levels-repeated",
+        "seed-override-repeated", "seed-override-theory-curves",
+        "noise-levels-repeated",
         "k-values-repeated", "depths-repeated"])
 def test_refused_before_any_output(tmp_path, monkeypatch, capsys, overrides,
                                    argv, message):

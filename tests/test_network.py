@@ -115,16 +115,16 @@ def test_layer_width_arithmetic(split):
     x, n_train = stacked(split)
     cfg1 = small_cfg(blocks=1, lambda_grid=(1.0,))
     _, rep = train_layer(x, n_train, split.y_train, cfg1, 1)
-    assert rep.shape == (x.shape[0], 1)
+    assert rep.dense().shape == (x.shape[0], 1)
     cfg2 = small_cfg(blocks=2, lambda_grid=(0.1, 1.0, 10.0))
     _, rep = train_layer(x, n_train, split.y_train, cfg2, 1)
-    assert rep.shape == (x.shape[0], 6)
+    assert rep.dense().shape == (x.shape[0], 6)
 
 
 def test_layer_columns_unit_uncentered_std(split):
     x, n_train = stacked(split)
     _, rep = train_layer(x, n_train, split.y_train, small_cfg(), 1)
-    scales = np.sqrt(np.mean(rep[:n_train] ** 2, axis=0))
+    scales = np.sqrt(np.mean(rep.dense()[:n_train] ** 2, axis=0))
     np.testing.assert_allclose(scales, 1.0, rtol=1e-10)
 
 
@@ -152,7 +152,7 @@ def test_planted_signal_recovered(split):
     x, n_train = stacked(split)
     layer, rep = train_layer(x, n_train, y_train, cfg, 1)
     # block 1, smallest penalty: first column of its group
-    col = rep[:n_train, 1 * cfg.n_penalties + 0]
+    col = rep.dense()[:n_train, 1 * cfg.n_penalties + 0]
     corr = np.corrcoef(col, y_train)[0, 1]
     assert corr > 0.999
 
@@ -197,6 +197,7 @@ def test_grouped_transform_matches_per_block_loop(split, monkeypatch):
         layer, got = train_layer(np.vstack(xs), xs[0].shape[0],
                                  split.y_train, cfg, m)
         monkeypatch.undo()
+        got = got.dense()
         got = (got[:xs[0].shape[0]], got[xs[0].shape[0]:])
         for (_, drawn), block in zip(draws, blocks, strict=True):
             np.testing.assert_array_equal(drawn.weights, block.weights)
@@ -208,8 +209,8 @@ def test_grouped_transform_matches_per_block_loop(split, monkeypatch):
                                    rtol=1e-10)
         for i, x in enumerate((split.x_train, split.x_valid)):
             np.testing.assert_allclose(got[i], ref[i], rtol=1e-10)
-            np.testing.assert_allclose(network.forward(model, x, m), ref[i],
-                                       rtol=1e-10)
+            np.testing.assert_allclose(network.forward(model, x, m).dense(),
+                                       ref[i], rtol=1e-10)
         xs = ref
 
 
@@ -246,7 +247,7 @@ def test_degenerate_width_equals_direct_ridge(split):
     cfg = small_cfg(depth=1, blocks=1)
     model = train(split, cfg)
     layer = model.layers[0]
-    rep = network.forward(model, split.x_train, 1)
+    rep = network.forward(model, split.x_train, 1).dense()
     # un-normalize and compare against a direct fit with the same block
     block = draw_block((cfg.seed, 1, 0), float(_block_gammas(cfg, 1)[0]),
                        cfg.features_per_block, split.d, cfg.bias_range)
@@ -262,8 +263,126 @@ def test_forward_reproduces_training_representation(split):
     rep, n_train = stacked(split)
     for m in range(1, cfg.depth + 1):
         _, rep = train_layer(rep, n_train, split.y_train, cfg, m)
-        np.testing.assert_allclose(network.forward(model, split.x_train, m),
-                                   rep[:n_train], rtol=1e-10)
+        np.testing.assert_allclose(
+            network.forward(model, split.x_train, m).dense(),
+            rep.dense()[:n_train], rtol=1e-10)
+
+
+# --- compressed representation -----------------------------------------------
+
+def trained_outputs(split, cfg):
+    """Each layer's training-time output, as ``train`` computes it."""
+    rep, n_train = stacked(split)
+    outputs = []
+    for m in range(1, cfg.depth + 1):
+        _, rep = train_layer(rep, n_train, split.y_train, cfg, m)
+        outputs.append(rep)
+    return outputs
+
+
+def test_dense_expansion_reproduces_grid_columns(split):
+    # the dense columns as they were computed before compression: each
+    # block's features times its betas over its scales, the next layer
+    # drawing on those dense columns
+    cfg = small_cfg(blocks=4, features_per_block=20,
+                    lambda_grid=network.DEFAULT_LAMBDA_GRID)
+    model = train(split, cfg)
+    ref, _ = stacked(split)
+    for m, (layer, rep) in enumerate(
+            zip(model.layers, trained_outputs(split, cfg)), start=1):
+        assert rep.basis.width < rep.basis.dense_width
+        ref = np.hstack([
+            apply_block(draw_block((cfg.seed, m, k), float(gamma),
+                                   cfg.features_per_block, ref.shape[1],
+                                   cfg.bias_range), ref)
+            @ (layer.betas[k] / layer.scales[k])
+            for k, gamma in enumerate(_block_gammas(cfg, m))])
+        np.testing.assert_allclose(rep.dense(), ref, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("blocks, grid", [(3, SMALL_GRID),
+                                          (12, network.DEFAULT_LAMBDA_GRID)],
+                         ids=["both-primal", "primal-on-coordinates"])
+def test_final_ridge_on_coordinates_equals_dense_ridge(split, blocks, grid):
+    # with 12 blocks of 5 features on 29 penalties the coordinates are at
+    # most 60 wide against 80 training rows, while the dense columns are
+    # 348 wide: the stored fit is primal, the dense reference dual. Those
+    # 348 columns have rank at most 60, so below penalty 0.01 the dense
+    # reference's own primal and dual coefficients differ by more than
+    # 1e-10; there the fitted values are compared instead
+    cfg = small_cfg(blocks=blocks, lambda_grid=grid)
+    model = train(split, cfg)
+    n_train = split.x_train.shape[0]
+    well_posed = np.asarray(grid) >= (0 if blocks == 3 else 0.01)
+    for ff, rep in zip(model.final_fits, trained_outputs(split, cfg)):
+        dense = rep.dense()[:n_train]
+        ref = ridge.fit_grid(dense, split.y_train, grid)
+        if blocks == 12:
+            assert rep.basis.width < n_train < rep.basis.dense_width
+            assert ref.mode == "dual"
+        for got, want in ((ff.fit.betas[:, well_posed],
+                           ref.betas[:, well_posed]),
+                          (dense @ ff.fit.betas, dense @ ref.betas)):
+            scale = np.abs(want).max(axis=0)
+            assert np.all(np.abs(got - want) <= 1e-10 * scale)
+
+
+def _dense_predictions(model, x, depth):
+    ff = model.final_fits[depth - 1]
+    return ridge.predict(ff.fit, network.forward(model, x, depth).dense())[
+        :, ff.lambda_star_index]
+
+
+@pytest.mark.parametrize("grid", [(1.0,), SMALL_GRID],
+                         ids=["one-penalty", "every-rank-full"])
+def test_grids_without_compression(split, tmp_path, grid):
+    # one penalty gives each block one column; four well-spread penalties
+    # on five features leave every block its four directions
+    model = train(split, small_cfg(lambda_grid=grid))
+    for layer in model.layers:
+        ranks = network.layer_basis(layer.betas, layer.scales).ranks
+        assert np.all(ranks == len(grid))
+    save_model(model, tmp_path / "model.drz")
+    loaded = load_model(tmp_path / "model.drz")
+    for depth in (1, 2):
+        pred = predict(model, split.x_test, depth)
+        np.testing.assert_array_equal(predict(loaded, split.x_test, depth),
+                                      pred)
+        np.testing.assert_allclose(
+            pred, _dense_predictions(model, split.x_test, depth),
+            rtol=1e-10, atol=1e-10 * np.abs(pred).max())
+
+
+def test_training_basis_is_the_one_predict_uses(split, monkeypatch):
+    # training takes each group's basis on its worker; forward, predict and
+    # inspect recompute it from the stored arrays, bit for bit
+    monkeypatch.setattr(network, "GROUP_COLUMNS", 10)
+    cfg = small_cfg(blocks=6, lambda_grid=network.DEFAULT_LAMBDA_GRID)
+    x, n_train = stacked(split)
+    for threads in (1, 3):
+        layer, rep = train_layer(x, n_train, split.y_train, cfg, 1, threads)
+        again = network.layer_basis(layer.betas, layer.scales)
+        for name in ("maps", "vt", "offsets"):
+            np.testing.assert_array_equal(getattr(rep.basis, name),
+                                          getattr(again, name))
+
+
+def test_train_holds_no_two_dense_layer_arrays():
+    # 40 blocks of 4 features on 29 penalties: the dense layer is 1160
+    # columns wide, the coordinates at most 160. Holding a layer's dense
+    # input and output, as before compression, would alone pass the bound
+    split = simulate_single_neuron(
+        SimConfig(n=600, d=6, noise_std=0.2, activation="relu", seed=5))
+    cfg = small_cfg(blocks=40, features_per_block=4,
+                    lambda_grid=network.DEFAULT_LAMBDA_GRID)
+    rows = split.x_train.shape[0] + split.x_valid.shape[0]
+    tracemalloc.start()
+    try:
+        train(split, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * rows * cfg.layer_width
 
 
 def test_shallow_predictions_ignore_deeper_layers(split):
