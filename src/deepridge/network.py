@@ -39,6 +39,7 @@ closed-form ridge solutions.
 import dataclasses
 import io
 import json
+import threading
 import zipfile
 from dataclasses import dataclass
 
@@ -49,7 +50,7 @@ from .dataio import DataSplit, atomic_path
 from .features import FeatureBlock, apply_block, draw_block
 from .ridge import RidgeGridFit, column_scales, fit_floats, fit_grid
 from .ridge import predict as ridge_predict
-from .seeding import imap_ordered, stream_rng
+from .seeding import map_ordered, stream_rng
 
 # 29-point default penalty grid used throughout the experiments
 DEFAULT_LAMBDA_GRID = (
@@ -330,9 +331,9 @@ def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
 
     The data has ``n_total`` rows of ``d`` inputs, ``n_train`` of them
     training rows. Each of the ``n_threads`` workers holds one transform
-    group's weight buffer, features and coordinates, and one block's ridge
-    fit and train-row grid predictions; input weights are redrawn per group
-    and never kept. Layer outputs, their bases and weight buffers are
+    group's weight buffer and features, and one block's ridge fit and
+    train-row grid predictions; input weights are redrawn per group and
+    never kept. Layer outputs, their bases and weight buffers are
     counted at the dense width K*L, which bounds the compressed width
     sum r_k. With ``baseline``, the flat baseline over ``cfg.layer_width``
     features runs after the network, so the larger of the two counts (with
@@ -350,9 +351,9 @@ def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
         + 3 * kl * (p + n_pen)   # layer bases: the input's, and the
                                  # output's in parts and joined
         + workers * (widest_input * (group_blocks + 1) * p   # weight buffer,
-                     # one block's draw; one group's features and
-                     # coordinates; one block's fit and grid predictions
-                     + n_total * group_blocks * (p + n_pen)
+                     # one block's draw; one group's features; one
+                     # block's fit and grid predictions
+                     + n_total * group_blocks * p
                      + fit_floats(n_train, p, n_pen) + n_train * n_pen)
         + fit_floats(n_train, kl, n_pen))   # final ridge
     baseline_floats = 0
@@ -389,33 +390,54 @@ def _group_features(cfg: NetConfig, layer_index: int, gammas, x, x_basis,
     return apply_block(FeatureBlock(weights=weights, biases=biases), x, d)
 
 
-def _coordinates(z, basis: LayerBasis) -> np.ndarray:
-    """Coordinates of side-by-side blocks from their features ``z``
-    (n, c*P), transposed: (sum r_k, n)."""
+def _coordinates(z, basis: LayerBasis, out) -> None:
+    """Write the coordinates of side-by-side blocks, from their features
+    ``z`` (n, c*P), transposed into ``out`` (sum r_k, n)."""
     p = basis.maps.shape[1]
-    out = np.empty((basis.width, z.shape[0]))
     for j, (_, comp) in enumerate(basis._rows()):
         np.matmul(basis.maps[comp], z[:, j * p:(j + 1) * p].T, out=out[comp])
-    return out
 
 
-def _side_by_side(pieces, cfg: NetConfig, rows: int) -> np.ndarray:
-    """The (rows, width) coordinates of a layer from its groups' transposed
-    pieces, in order.
+def _layer_coordinates(write, cfg: NetConfig, rows: int,
+                       n_threads: int) -> np.ndarray:
+    """The (rows, sum r_k) coordinates of a layer, group by group.
 
-    Each piece is copied into one buffer as it arrives, so a worker's piece
-    is freed while later groups still run. The buffer is sized for the
-    widest possible layer, each block's rank being at most min(P, L), and
-    then cut in place to the pieces' total width; its tail is never
-    written, so it never becomes resident.
+    ``write(a, b, place)`` computes blocks a..b-1, calls ``place(width)``
+    once their width is known and writes their transposed coordinates into
+    the rows it returns. Groups take consecutive rows of one buffer in
+    group order, so a group waits for the group before it to be placed:
+    workers write straight into memory the caller owns, and the layout is
+    the same for any thread count. The buffer is sized for the largest
+    rank, min(P, L) per block, and then cut in place to the rows taken;
+    rows past them are never written, so they never become resident.
     """
     buf = np.empty((cfg.blocks * min(cfg.features_per_block,
-                                      cfg.n_penalties), rows))
-    top = 0
-    for piece in pieces:
-        buf[top:top + len(piece)] = piece
-        top += len(piece)
-    buf.resize((top, rows), refcheck=False)   # no view of buf exists yet
+                                     cfg.n_penalties), rows))
+    groups = group_bounds(cfg.blocks, cfg.features_per_block)
+    tops = [0] + [None] * len(groups)   # group g takes tops[g]:tops[g + 1]
+    failed = []
+    placed = threading.Condition()
+
+    def write_group(g):
+        def place(width):
+            with placed:
+                placed.wait_for(lambda: tops[g] is not None or failed)
+                if failed:   # the layer is lost; the first error surfaces
+                    raise RuntimeError(f"transform group {failed[0]} failed")
+                tops[g + 1] = tops[g] + width
+                placed.notify_all()
+            return buf[tops[g]:tops[g + 1]]
+
+        try:
+            write(*groups[g], place)
+        except BaseException:
+            with placed:   # no later group is left waiting
+                failed.append(g)
+                placed.notify_all()
+            raise
+
+    map_ordered(write_group, range(len(groups)), n_threads)
+    buf.resize((tops[-1], rows), refcheck=False)   # no view of buf is left
     return buf.T
 
 
@@ -441,11 +463,9 @@ def train_layer(x, n_train: int, y_train, cfg: NetConfig, layer_index: int,
     gammas = _block_gammas(cfg, layer_index)
     betas = np.empty((k_blocks, p, n_pen))
     scales = np.empty((k_blocks, n_pen))
-    groups = group_bounds(k_blocks, p)
-    parts = [None] * len(groups)
+    parts = {}
 
-    def build(g):
-        a, b = groups[g]
+    def build(a, b, place):
         z = _group_features(cfg, layer_index, gammas, x, x_basis, a, b)
         grid = np.empty((n_train, n_pen))   # one block's train-row columns
         for k in range(a, b):
@@ -453,13 +473,13 @@ def train_layer(x, n_train: int, y_train, cfg: NetConfig, layer_index: int,
             betas[k] = fit_grid(zk, y_train, cfg.lambda_grid).betas
             scales[k] = column_scales(np.matmul(zk, betas[k], out=grid))
         del grid
-        parts[g] = layer_basis(betas[a:b], scales[a:b])
-        return _coordinates(z, parts[g])
+        parts[a] = layer_basis(betas[a:b], scales[a:b])
+        _coordinates(z, parts[a], place(parts[a].width))
 
-    coords = _side_by_side(imap_ordered(build, range(len(groups)), n_threads),
-                           cfg, x.shape[0])
+    coords = _layer_coordinates(build, cfg, x.shape[0], n_threads)
+    basis = LayerBasis.join([parts[a] for a in sorted(parts)])
     return (LayerModel(betas=betas, scales=scales),
-            LayerOutput(coords=coords, basis=LayerBasis.join(parts)))
+            LayerOutput(coords=coords, basis=basis))
 
 
 def _final_predictions(fit: RidgeGridFit, rep: LayerOutput) -> np.ndarray:
@@ -528,14 +548,12 @@ def forward(model: DeepRidgeModel, x, depth: int | None = None,
         gammas = _block_gammas(cfg, m)
         basis = layer_basis(layer.betas, layer.scales)
 
-        def transform(bounds):
-            a, b = bounds
+        def transform(a, b, place):
             z = _group_features(cfg, m, gammas, cur, cur_basis, a, b)
-            return _coordinates(z, basis.blocks(a, b))
+            part = basis.blocks(a, b)
+            _coordinates(z, part, place(part.width))
 
-        groups = group_bounds(cfg.blocks, cfg.features_per_block)
-        cur = _side_by_side(imap_ordered(transform, groups, n_threads), cfg,
-                            cur.shape[0])
+        cur = _layer_coordinates(transform, cfg, cur.shape[0], n_threads)
         cur_basis = basis
     return LayerOutput(coords=cur, basis=cur_basis)
 

@@ -19,21 +19,12 @@ def stream_rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
-def imap_ordered(fn, items, n_threads: int):
-    """Yield ``fn(item)`` for each item in order, on ``n_threads`` workers
-    if > 1.
+def map_ordered(fn, items, n_threads: int) -> list:
+    """``[fn(item) for item in items]``, on ``n_threads`` workers if > 1.
 
-    Results come by position, so scheduling never changes the output, and
-    each is yielded as soon as it and those before it are done: the caller
-    can consume one while later items still run.
+    Results are kept by position, so scheduling never changes the output.
     """
     if n_threads <= 1:
-        yield from map(fn, items)
-        return
+        return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        yield from pool.map(fn, items)
-
-
-def map_ordered(fn, items, n_threads: int) -> list:
-    """``[fn(item) for item in items]``, as :func:`imap_ordered`."""
-    return list(imap_ordered(fn, items, n_threads))
+        return list(pool.map(fn, items))

@@ -1,6 +1,8 @@
 import dataclasses
 import io
 import json
+import sys
+import threading
 import tracemalloc
 import zipfile
 
@@ -365,6 +367,64 @@ def test_training_basis_is_the_one_predict_uses(split, monkeypatch):
         for name in ("maps", "vt", "offsets"):
             np.testing.assert_array_equal(getattr(rep.basis, name),
                                           getattr(again, name))
+
+
+def _within(seconds, fn):
+    """``fn()`` on a thread that must finish within ``seconds``."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(("value", fn()))
+        except Exception as exc:
+            outcome.append(("error", exc))
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), "layer transform did not finish"
+    return outcome[0]
+
+
+def test_groups_place_their_rows_in_order_under_contention(split,
+                                                           monkeypatch):
+    # one-block groups on more workers than cores, with the interpreter
+    # switching threads as often as it can: the rows each group takes must
+    # not depend on which group finishes first
+    monkeypatch.setattr(network, "GROUP_COLUMNS", 5)
+    cfg = small_cfg(blocks=12, lambda_grid=network.DEFAULT_LAMBDA_GRID)
+    x, n_train = stacked(split)
+    serial = train_layer(x, n_train, split.y_train, cfg, 1)[1]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            kind, (_, rep) = _within(60, lambda: train_layer(
+                x, n_train, split.y_train, cfg, 1, n_threads=8))
+            assert kind == "value"
+            np.testing.assert_array_equal(rep.coords, serial.coords)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_failed_group_leaves_no_worker_waiting(split, monkeypatch):
+    # the third of six one-block groups fails before it takes its rows;
+    # the groups after it are waiting for those rows on other workers
+    monkeypatch.setattr(network, "GROUP_COLUMNS", 5)
+    cfg = small_cfg(blocks=6)
+    x, n_train = stacked(split)
+    calls, real_fit_grid = [], network.fit_grid
+
+    def failing_fit_grid(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise ValueError("non-finite entries in z")
+        return real_fit_grid(*args)
+
+    monkeypatch.setattr(network, "fit_grid", failing_fit_grid)
+    kind, exc = _within(60, lambda: train_layer(
+        x, n_train, split.y_train, cfg, 1, n_threads=4))
+    assert kind == "error" and isinstance(exc, ValueError)
 
 
 def test_train_holds_no_two_dense_layer_arrays():
