@@ -205,12 +205,6 @@ class LayerBasis:
             np.matmul(self.vt[comp].T, rows[comp], out=out[dense])
         return out
 
-    def blocks(self, a: int, b: int) -> "LayerBasis":
-        """The basis of blocks a..b-1 alone (views, no copies)."""
-        o = self.offsets
-        return LayerBasis(maps=self.maps[o[a]:o[b]], vt=self.vt[o[a]:o[b]],
-                          offsets=o[a:b + 1] - o[a])
-
     @staticmethod
     def join(parts) -> "LayerBasis":
         """Consecutive blocks' bases as one."""
@@ -390,46 +384,45 @@ def _group_features(cfg: NetConfig, layer_index: int, gammas, x, x_basis,
     return apply_block(FeatureBlock(weights=weights, biases=biases), x, d)
 
 
-def _coordinates(z, basis: LayerBasis, out) -> None:
-    """Write the coordinates of side-by-side blocks, from their features
-    ``z`` (n, c*P), transposed into ``out`` (sum r_k, n)."""
-    p = basis.maps.shape[1]
-    for j, (_, comp) in enumerate(basis._rows()):
-        np.matmul(basis.maps[comp], z[:, j * p:(j + 1) * p].T, out=out[comp])
+def _layer_output(group, cfg: NetConfig, rows: int,
+                  n_threads: int) -> LayerOutput:
+    """A layer's :class:`LayerOutput` on ``rows`` rows, group by group.
 
-
-def _layer_coordinates(write, cfg: NetConfig, rows: int,
-                       n_threads: int) -> np.ndarray:
-    """The (rows, sum r_k) coordinates of a layer, group by group.
-
-    ``write(a, b, place)`` computes blocks a..b-1, calls ``place(width)``
-    once their width is known and writes their transposed coordinates into
-    the rows it returns. Groups take consecutive rows of one buffer in
-    group order, so a group waits for the group before it to be placed:
-    workers write straight into memory the caller owns, and the layout is
-    the same for any thread count. The buffer is sized for the largest
-    rank, min(P, L) per block, and then cut in place to the rows taken;
-    rows past them are never written, so they never become resident.
+    ``group(a, b)`` returns the features z (rows, c*P) of blocks a..b-1
+    and their :class:`LayerBasis`. Groups may run on ``n_threads``
+    workers. Each takes the next rows of one buffer in group order, waiting
+    for the group before it to be placed, and writes its transposed
+    coordinates there: workers write straight into memory the caller owns,
+    and the layout is the same for any thread count. The buffer is sized
+    for the largest rank, min(P, L) per block, and then cut in place to the
+    rows taken; rows past them are never written, so never resident.
     """
-    buf = np.empty((cfg.blocks * min(cfg.features_per_block,
-                                     cfg.n_penalties), rows))
-    groups = group_bounds(cfg.blocks, cfg.features_per_block)
+    p = cfg.features_per_block
+    buf = np.empty((cfg.blocks * min(p, cfg.n_penalties), rows))
+    groups = group_bounds(cfg.blocks, p)
+    parts = [None] * len(groups)
     tops = [0] + [None] * len(groups)   # group g takes tops[g]:tops[g + 1]
     failed = []
     placed = threading.Condition()
 
-    def write_group(g):
-        def place(width):
-            with placed:
-                placed.wait_for(lambda: tops[g] is not None or failed)
-                if failed:   # the layer is lost; the first error surfaces
-                    raise RuntimeError(f"transform group {failed[0]} failed")
-                tops[g + 1] = tops[g] + width
-                placed.notify_all()
-            return buf[tops[g]:tops[g + 1]]
+    def place(g, width):
+        with placed:
+            placed.wait_for(lambda: tops[g] is not None
+                            or min(failed, default=g) < g)
+            if tops[g] is None:   # a group before this one failed
+                raise RuntimeError(f"transform group {min(failed)} failed")
+            tops[g + 1] = tops[g] + width
+            placed.notify_all()
+        return buf[tops[g]:tops[g + 1]]
 
+    def write_group(g):
         try:
-            write(*groups[g], place)
+            z, part = group(*groups[g])
+            out = place(g, part.width)
+            for j, (_, comp) in enumerate(part._rows()):
+                np.matmul(part.maps[comp], z[:, j * p:(j + 1) * p].T,
+                          out=out[comp])
+            parts[g] = part
         except BaseException:
             with placed:   # no later group is left waiting
                 failed.append(g)
@@ -438,7 +431,7 @@ def _layer_coordinates(write, cfg: NetConfig, rows: int,
 
     map_ordered(write_group, range(len(groups)), n_threads)
     buf.resize((tops[-1], rows), refcheck=False)   # no view of buf is left
-    return buf.T
+    return LayerOutput(coords=buf.T, basis=LayerBasis.join(parts))
 
 
 def train_layer(x, n_train: int, y_train, cfg: NetConfig, layer_index: int,
@@ -463,23 +456,21 @@ def train_layer(x, n_train: int, y_train, cfg: NetConfig, layer_index: int,
     gammas = _block_gammas(cfg, layer_index)
     betas = np.empty((k_blocks, p, n_pen))
     scales = np.empty((k_blocks, n_pen))
-    parts = {}
 
-    def build(a, b, place):
+    def fit_group(a, b):
         z = _group_features(cfg, layer_index, gammas, x, x_basis, a, b)
         grid = np.empty((n_train, n_pen))   # one block's train-row columns
         for k in range(a, b):
             zk = z[:n_train, (k - a) * p:(k - a + 1) * p]
             betas[k] = fit_grid(zk, y_train, cfg.lambda_grid).betas
             scales[k] = column_scales(np.matmul(zk, betas[k], out=grid))
+        # freed before the SVDs: held through them, it left few-wide's
+        # worker heaps fragmented and its peak RSS 205-221 MB, not 190 MB
         del grid
-        parts[a] = layer_basis(betas[a:b], scales[a:b])
-        _coordinates(z, parts[a], place(parts[a].width))
+        return z, layer_basis(betas[a:b], scales[a:b])
 
-    coords = _layer_coordinates(build, cfg, x.shape[0], n_threads)
-    basis = LayerBasis.join([parts[a] for a in sorted(parts)])
-    return (LayerModel(betas=betas, scales=scales),
-            LayerOutput(coords=coords, basis=basis))
+    rep = _layer_output(fit_group, cfg, x.shape[0], n_threads)
+    return LayerModel(betas=betas, scales=scales), rep
 
 
 def _final_predictions(fit: RidgeGridFit, rep: LayerOutput) -> np.ndarray:
@@ -546,16 +537,14 @@ def forward(model: DeepRidgeModel, x, depth: int | None = None,
     cur_basis = None
     for m, layer in enumerate(model.layers[:depth], start=1):
         gammas = _block_gammas(cfg, m)
-        basis = layer_basis(layer.betas, layer.scales)
 
-        def transform(a, b, place):
-            z = _group_features(cfg, m, gammas, cur, cur_basis, a, b)
-            part = basis.blocks(a, b)
-            _coordinates(z, part, place(part.width))
+        def transform(a, b):
+            return (_group_features(cfg, m, gammas, cur, cur_basis, a, b),
+                    layer_basis(layer.betas[a:b], layer.scales[a:b]))
 
-        cur = _layer_coordinates(transform, cfg, cur.shape[0], n_threads)
-        cur_basis = basis
-    return LayerOutput(coords=cur, basis=cur_basis)
+        rep = _layer_output(transform, cfg, cur.shape[0], n_threads)
+        cur, cur_basis = rep.coords, rep.basis
+    return rep
 
 
 def predict(model: DeepRidgeModel, x, depth: int | None = None,

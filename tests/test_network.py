@@ -356,8 +356,8 @@ def test_grids_without_compression(split, tmp_path, grid):
 
 
 def test_training_basis_is_the_one_predict_uses(split, monkeypatch):
-    # training takes each group's basis on its worker; forward, predict and
-    # inspect recompute it from the stored arrays, bit for bit
+    # each worker takes its group's basis, in training as in forward and
+    # predict; inspect takes the whole layer's at once: the same bits
     monkeypatch.setattr(network, "GROUP_COLUMNS", 10)
     cfg = small_cfg(blocks=6, lambda_grid=network.DEFAULT_LAMBDA_GRID)
     x, n_train = stacked(split)
