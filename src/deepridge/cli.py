@@ -408,7 +408,7 @@ def inspect(model_path) -> str:
     ]
     for m, layer in enumerate(model.layers, start=1):
         gammas = network._block_gammas(cfg, m)
-        ranks = network.layer_basis(layer.betas, layer.scales).ranks
+        ranks = layer.ranks
         lines.append(
             f"layer {m} gammas: min={gammas.min():.4f} "
             f"mean={gammas.mean():.4f} max={gammas.max():.4f}")

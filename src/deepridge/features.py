@@ -49,9 +49,10 @@ def apply_block(block: FeatureBlock, x,
                 fan_in: int | None = None) -> np.ndarray:
     """Transform rows of ``x`` through the block: relu(x W / sqrt(D) + b).
 
-    D is ``fan_in``, by default W's row count. Weights drawn for a D-wide
-    input and then compressed onto fewer input coordinates pass the drawn
-    D, so the scaling stays that of the uncompressed block.
+    D is ``fan_in``, by default W's row count. A block that reads a
+    layer's rank coordinates draws W at their width and passes the layer's
+    dense width as D: the coordinates keep the dense rows' norms, so the
+    pre-activation variance stays that of the dense input.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != block.input_dim:

@@ -24,10 +24,14 @@ grid those columns are nearly collinear: M_k has numerical rank r_k, about
 11 of L = 29 on the default grid. So each block's columns are kept as r_k
 coordinates on an orthonormal basis C_k of M_k's row space (a
 :class:`LayerBasis`, recomputed from betas and scales by one small SVD per
-block), and a layer's output is one (n, sum r_k) array. The next layer
-draws each block's (K*L, P) weights exactly as for the dense columns and
-multiplies them by C_k' per previous block right after the draw, so its
-GEMM is sum r_k wide instead of K*L; the final ridge is fit on the
+block and signed canonically), and a layer's output is one (n, sum r_k)
+array. The next layer reads only those coordinates: block k of layer
+m >= 2 draws its (sum r_j, P) weights from (seed, m, k) and computes
+relu(coords W_k / sqrt(K*L) + b_k). The coordinates keep the norms of the
+dense rows, so the sqrt(K*L) scaling is that of the dense layer, and for
+orthonormal C the layer is the dense-input network in distribution; but
+its realization depends on the basis itself, so the ranks r_k are fixed
+in training and stored with the model. The final ridge is fit on the
 coordinates and stored as C times its coefficients, which is the ridge on
 the dense columns. :meth:`LayerOutput.dense` expands the dense columns on
 request.
@@ -60,7 +64,7 @@ DEFAULT_LAMBDA_GRID = (
 )
 
 MODEL_FORMAT = "deepridge-model"
-MODEL_FORMAT_VERSION = 4
+MODEL_FORMAT_VERSION = 5
 
 # feature columns per transform GEMM: wide enough for BLAS to run at the
 # rate of 2000 columns, narrow enough that each worker's (D, columns) weight
@@ -69,9 +73,12 @@ GROUP_COLUMNS = 1024
 
 # a block keeps the singular directions of its (P, L) grid map above this
 # fraction of the largest singular value. On the default grid (K=100,
-# P=100, n=3000) that keeps 10-13 of 29, and test predictions moved by at
-# most 5e-11 of their scale against the dense columns; 1e-12 keeps one
-# fewer and moved them by up to 9e-11
+# P=100, n=3000) that keeps 10-13 of 29, and depth-1 test predictions moved
+# by at most 5e-11 of their scale against the dense columns. The rank also
+# sets how many rows of normals each block of the next layer draws, so
+# training fixes it and the model stores it: a singular value near the cut
+# is known only to about eps times the largest, and a re-cut on another
+# LAPACK could change every later block's draw
 RANK_TOLERANCE = 1e-14
 
 # sub-stream tags (must never collide with block stream keys, which are
@@ -144,13 +151,22 @@ class LayerModel:
 
     Block k owns the coefficients ``betas[k]`` of its ridge fit at every
     penalty and the column scales ``scales[k]`` that normalize its L grid
-    predictions. Its input weights and biases are not stored: they are
-    redrawn from the keyed stream (seed, layer, k) with the weight variance
+    predictions, and ``ranks[k]`` is how many directions of its columns
+    the layer's output keeps (see :func:`layer_basis`); a layer built
+    without ranks takes the ones its betas and scales cut to. Its input
+    weights and biases are not stored: they are redrawn from the keyed
+    stream (seed, layer, k) with the weight variance
     ``_block_gammas(config, layer)[k]``.
     """
 
     betas: np.ndarray      # (K, P, L)
     scales: np.ndarray     # (K, L), strictly positive
+    ranks: np.ndarray | None = None   # (K,) ints in 1..min(P, L)
+
+    def __post_init__(self):
+        if self.ranks is None:
+            object.__setattr__(
+                self, "ranks", layer_basis(self.betas, self.scales).ranks)
 
 
 @dataclass(frozen=True)
@@ -189,11 +205,9 @@ class LayerBasis:
         return [(slice(k * n_pen, (k + 1) * n_pen), slice(o[k], o[k + 1]))
                 for k in range(len(o) - 1)]
 
-    def compress(self, rows, out=None) -> np.ndarray:
-        """blockdiag(C)' rows: (K*L, c) to (sum r_k, c), into ``out`` if
-        given."""
-        if out is None:
-            out = np.empty((self.width, rows.shape[1]))
+    def compress(self, rows) -> np.ndarray:
+        """blockdiag(C)' rows: (K*L, c) to (sum r_k, c)."""
+        out = np.empty((self.width, rows.shape[1]))
         for dense, comp in self._rows():
             np.matmul(self.vt[comp], rows[dense], out=out[comp])
         return out
@@ -215,19 +229,25 @@ class LayerBasis:
             offsets=np.concatenate([[0], np.cumsum(ranks)]))
 
 
-def layer_basis(betas, scales) -> LayerBasis:
+def layer_basis(betas, scales, ranks=None) -> LayerBasis:
     """The :class:`LayerBasis` of blocks with coefficients ``betas``
     (K, P, L) and column scales ``scales`` (K, L).
 
-    A block whose columns are all zero keeps one (zero) coordinate, so no
-    array is ever empty.
+    Block k keeps ``ranks[k]`` directions if ranks are given, else those
+    above the cut. A block whose columns are all zero keeps one (zero)
+    coordinate, so no array is ever empty. Each singular pair is signed so
+    that the largest-magnitude entry of its right vector is positive, so
+    the basis does not depend on the signs LAPACK picks.
     """
     maps, vts = [], []
-    for beta, scale in zip(betas, scales):
+    for k, (beta, scale) in enumerate(zip(betas, scales)):
         u, s, vt = np.linalg.svd(beta / scale, full_matrices=False)
-        r = max(1, int(np.count_nonzero(s > RANK_TOLERANCE * s[0])))
-        maps.append((u[:, :r] * s[:r]).T)
-        vts.append(vt[:r])
+        r = (max(1, int(np.count_nonzero(s > RANK_TOLERANCE * s[0])))
+             if ranks is None else int(ranks[k]))
+        vt = vt[:r]
+        sign = np.sign(vt[np.arange(r), np.argmax(np.abs(vt), axis=1)])
+        maps.append((u[:, :r] * (s[:r] * sign)).T)
+        vts.append(vt * sign[:, None])
     return LayerBasis(maps=np.concatenate(maps), vt=np.concatenate(vts),
                       offsets=np.cumsum([0] + [len(v) for v in vts]))
 
@@ -358,30 +378,28 @@ def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
     return n_total * d + max(network_floats, baseline_floats)
 
 
-def _group_features(cfg: NetConfig, layer_index: int, gammas, x, x_basis,
-                    a, b):
-    """Features of blocks a..b-1 of a layer on the rows of ``x``.
+def _group_features(cfg: NetConfig, layer_index: int, gammas, x,
+                    fan_in: int, a, b):
+    """Features of blocks a..b-1 of a layer on the rows of ``x``, scaled
+    for an input ``fan_in`` wide.
 
-    Each block is redrawn from its keyed stream for the dense input width D
-    and, if ``x`` is a previous layer's coordinates on ``x_basis``,
-    compressed onto them at once; it lands in one (width of x, group
-    columns) weight buffer, which costs one GEMM and is dropped on return.
+    ``x`` is the raw input, or a previous layer's coordinates with
+    ``fan_in`` its dense width K*L. Each block is redrawn from its keyed
+    stream at the width of ``x`` into one (width of x, group columns)
+    weight buffer, which costs one GEMM and is dropped on return.
     """
-    d = x.shape[1] if x_basis is None else x_basis.dense_width
-    p = cfg.features_per_block
-    weights = np.empty((x.shape[1], (b - a) * p))
+    d, p = x.shape[1], cfg.features_per_block
+    weights = np.empty((d, (b - a) * p))
     biases = np.empty((b - a) * p)
     for k in range(a, b):
         block = draw_block((cfg.seed, layer_index, k), float(gammas[k]), p, d,
                            cfg.bias_range)
         cols = slice((k - a) * p, (k - a + 1) * p)
-        if x_basis is None:
-            weights[:, cols] = block.weights
-        else:
-            x_basis.compress(block.weights, out=weights[:, cols])
+        weights[:, cols] = block.weights
         biases[cols] = block.biases
         del block   # peak_floats counts one (D, P) draw per worker
-    return apply_block(FeatureBlock(weights=weights, biases=biases), x, d)
+    return apply_block(FeatureBlock(weights=weights, biases=biases), x,
+                       fan_in)
 
 
 def _layer_output(group, cfg: NetConfig, rows: int,
@@ -443,14 +461,16 @@ def train_layer(x, n_train: int, y_train, cfg: NetConfig, layer_index: int,
     drawn from its own keyed stream, transformed with the rest of its
     group, fit on the train rows over the whole penalty grid, and its grid
     predictions normalized by their train-row scales; its coordinates are
-    taken on the basis that :func:`layer_basis` gives for the fitted layer.
-    Groups are independent, so they may run on ``n_threads`` workers;
-    results are identical for any thread count.
+    taken on the basis that :func:`layer_basis` gives for the fitted layer,
+    whose ranks the returned layer keeps. Groups are independent, so they
+    may run on ``n_threads`` workers; results are identical for any thread
+    count.
     """
     if isinstance(x, LayerOutput):
-        x, x_basis = x.coords, x.basis
+        x, fan_in = x.coords, x.basis.dense_width
     else:
-        x, x_basis = np.asarray(x, dtype=float), None
+        x = np.asarray(x, dtype=float)
+        fan_in = x.shape[1]
     y_train = np.asarray(y_train, dtype=float).ravel()
     k_blocks, p, n_pen = cfg.blocks, cfg.features_per_block, cfg.n_penalties
     gammas = _block_gammas(cfg, layer_index)
@@ -458,7 +478,7 @@ def train_layer(x, n_train: int, y_train, cfg: NetConfig, layer_index: int,
     scales = np.empty((k_blocks, n_pen))
 
     def fit_group(a, b):
-        z = _group_features(cfg, layer_index, gammas, x, x_basis, a, b)
+        z = _group_features(cfg, layer_index, gammas, x, fan_in, a, b)
         grid = np.empty((n_train, n_pen))   # one block's train-row columns
         for k in range(a, b):
             zk = z[:n_train, (k - a) * p:(k - a + 1) * p]
@@ -470,7 +490,7 @@ def train_layer(x, n_train: int, y_train, cfg: NetConfig, layer_index: int,
         return z, layer_basis(betas[a:b], scales[a:b])
 
     rep = _layer_output(fit_group, cfg, x.shape[0], n_threads)
-    return LayerModel(betas=betas, scales=scales), rep
+    return LayerModel(betas=betas, scales=scales, ranks=rep.basis.ranks), rep
 
 
 def _final_predictions(fit: RidgeGridFit, rep: LayerOutput) -> np.ndarray:
@@ -534,16 +554,17 @@ def forward(model: DeepRidgeModel, x, depth: int | None = None,
     if not np.all(np.isfinite(cur)):
         raise ValueError("input contains NaN or inf")
     cfg = model.config
-    cur_basis = None
+    fan_in = cur.shape[1]
     for m, layer in enumerate(model.layers[:depth], start=1):
         gammas = _block_gammas(cfg, m)
 
         def transform(a, b):
-            return (_group_features(cfg, m, gammas, cur, cur_basis, a, b),
-                    layer_basis(layer.betas[a:b], layer.scales[a:b]))
+            return (_group_features(cfg, m, gammas, cur, fan_in, a, b),
+                    layer_basis(layer.betas[a:b], layer.scales[a:b],
+                                layer.ranks[a:b]))
 
         rep = _layer_output(transform, cfg, cur.shape[0], n_threads)
-        cur, cur_basis = rep.coords, rep.basis
+        cur, fan_in = rep.coords, rep.basis.dense_width
     return rep
 
 
@@ -650,7 +671,9 @@ def save_model(model: DeepRidgeModel, path) -> None:
     per final ridge.
 
     Input weights, biases and weight variances are not written; they are
-    redrawn from the keyed streams of the header config.
+    redrawn from the keyed streams of the header config. Each layer's block
+    ranks go in the header, since they set the shape of the next layer's
+    draws.
     """
     header = {
         "format": MODEL_FORMAT,
@@ -660,6 +683,7 @@ def save_model(model: DeepRidgeModel, path) -> None:
         "input_dim": model.input_dim,
         "final_fits": [{"lambda_star_index": ff.lambda_star_index}
                        for ff in model.final_fits],
+        "ranks": [[int(r) for r in layer.ranks] for layer in model.layers],
     }
     entries = {
         "header.json": json.dumps(header, sort_keys=True, indent=1).encode(),
@@ -688,9 +712,9 @@ def _int_in(value, low: int, high: int) -> bool:
 def load_model(path) -> DeepRidgeModel:
     """Load a model written by :func:`save_model`.
 
-    Every array's shape and dtype and every index in the header are checked
-    against the header config, so a damaged or inconsistent file raises
-    :class:`ModelFormatError`.
+    Every array's shape and dtype and every index and rank in the header
+    are checked against the header config, so a damaged or inconsistent
+    file raises :class:`ModelFormatError`.
     """
     def corrupt(what):
         return ModelFormatError(f"{path}: corrupt model file ({what})")
@@ -726,10 +750,18 @@ def load_model(path) -> DeepRidgeModel:
             input_dim = header["input_dim"]
             if not _int_in(input_dim, 1, 2 ** 63):
                 raise corrupt(f"input_dim {input_dim!r}")
+            ranks, top = header["ranks"], min(p, n_pen)
+            if not (isinstance(ranks, list) and len(ranks) == cfg.depth
+                    and all(isinstance(r, list) and len(r) == k_blocks
+                            and all(_int_in(v, 1, top + 1) for v in r)
+                            for r in ranks)):
+                raise corrupt(f"ranks must be {cfg.depth} lists of "
+                              f"{k_blocks} ints in 1..{top}")
             layers = [
                 LayerModel(
                     betas=read_arr(f"layer{m}.betas.npy", (k_blocks, p, n_pen)),
-                    scales=read_arr(f"layer{m}.scales.npy", (k_blocks, n_pen)))
+                    scales=read_arr(f"layer{m}.scales.npy", (k_blocks, n_pen)),
+                    ranks=np.array(ranks[m - 1]))
                 for m in range(1, cfg.depth + 1)]
             if len(header["final_fits"]) != cfg.depth:
                 raise corrupt("need one final_fits entry per layer")

@@ -422,6 +422,25 @@ def test_inspect_prints_compressed_widths(tmp_path):
                 f"(block ranks r_k {ranks.min()}..{ranks.max()})") in text
 
 
+def test_inspect_reads_stored_ranks(tmp_path, monkeypatch):
+    # the widths come from the ranks in the model file: inspect runs no SVD
+    config = tmp_path / "cfg.json"
+    write_config(config, seeds=[3], save_models=True,
+                 model={"depth": 2, "blocks": 3, "features_per_block": 4})
+    out = tmp_path / "out"
+    cli.run(config, output_dir=str(out))
+    model_path = out / "model_seed3_noise1.drz"
+    model = network.load_model(model_path)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("inspect ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    text = cli.inspect(model_path)
+    for m, layer in enumerate(model.layers, start=1):
+        assert f"layer {m} width:  {layer.ranks.sum()} of K*L=87" in text
+
+
 def test_main_exit_codes(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     write_config(config, seeds=[0])

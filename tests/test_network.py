@@ -164,24 +164,27 @@ def test_grouped_transform_matches_per_block_loop(split, monkeypatch):
     # A GEMM of another shape may sum in another order, so features can
     # differ by a few ulps; near-interpolating penalties such as 1e-4 would
     # amplify that by the Gram's condition number, hence penalties >= 0.1.
+    # From layer 2 on, the loop draws each block on the previous layer's
+    # sum r coordinates and scales its features for the K*L dense columns
     cfg = small_cfg(blocks=5, features_per_block=500,
                     lambda_grid=(0.1, 1.0, 100.0))
     p = cfg.features_per_block
     assert [b - a for a, b in network.group_bounds(cfg.blocks, p)] == [2, 2, 1]
     model = train(split, cfg)
-    xs = (split.x_train, split.x_valid)
+    xs, fan_in, x_basis = (split.x_train, split.x_valid), split.d, None
     for m in range(1, cfg.depth + 1):
-        blocks, fits, scales, reps = [], [], [], ([], [])
+        blocks, feats, fits, scales, reps = [], [], [], [], ([], [])
         for k, gamma in enumerate(_block_gammas(cfg, m)):
             block = draw_block((cfg.seed, m, k), float(gamma), p,
                                xs[0].shape[1], cfg.bias_range)
-            fit = ridge.fit_grid(apply_block(block, xs[0]), split.y_train,
-                                 cfg.lambda_grid)
-            preds = [ridge.predict(fit, apply_block(block, a)) for a in xs]
+            zs = [apply_block(block, a, fan_in) for a in xs]
+            fit = ridge.fit_grid(zs[0], split.y_train, cfg.lambda_grid)
+            preds = [ridge.predict(fit, z) for z in zs]
             s = ridge.column_scales(preds[0])
             for out, pred in zip(reps, preds):
                 out.append(pred / s)
             blocks.append(block)
+            feats.append(zs)
             fits.append(fit)
             scales.append(s)
         ref = tuple(np.hstack(r) for r in reps)
@@ -196,11 +199,13 @@ def test_grouped_transform_matches_per_block_loop(split, monkeypatch):
             return fit
 
         monkeypatch.setattr(network, "fit_grid", recorded_fit_grid)
-        layer, got = train_layer(np.vstack(xs), xs[0].shape[0],
-                                 split.y_train, cfg, m)
+        x = np.vstack(xs)
+        if x_basis is not None:
+            x = network.LayerOutput(coords=x, basis=x_basis)
+        layer, got = train_layer(x, xs[0].shape[0], split.y_train, cfg, m)
         monkeypatch.undo()
-        got = got.dense()
-        got = (got[:xs[0].shape[0]], got[xs[0].shape[0]:])
+        dense = got.dense()
+        dense = (dense[:xs[0].shape[0]], dense[xs[0].shape[0]:])
         for (_, drawn), block in zip(draws, blocks, strict=True):
             np.testing.assert_array_equal(drawn.weights, block.weights)
             np.testing.assert_array_equal(drawn.biases, block.biases)
@@ -209,11 +214,23 @@ def test_grouped_transform_matches_per_block_loop(split, monkeypatch):
             layer.betas, np.stack([f.betas for f in fits]), rtol=1e-10)
         np.testing.assert_allclose(layer.scales, np.vstack(scales),
                                    rtol=1e-10)
-        for i, x in enumerate((split.x_train, split.x_valid)):
-            np.testing.assert_allclose(got[i], ref[i], rtol=1e-10)
-            np.testing.assert_allclose(network.forward(model, x, m).dense(),
-                                       ref[i], rtol=1e-10)
-        xs = ref
+        # the columns have unit scale: an entry near zero is compared to
+        # within 1e-12 of that scale, as a dense column expanded from its
+        # coordinates rounds to that scale, not to the entry's own
+        for i, a in enumerate((split.x_train, split.x_valid)):
+            np.testing.assert_allclose(dense[i], ref[i], rtol=1e-10,
+                                       atol=1e-12)
+            np.testing.assert_allclose(network.forward(model, a, m).dense(),
+                                       ref[i], rtol=1e-10, atol=1e-12)
+        # the next layer reads each block's features times its (U S) map
+        x_basis = network.layer_basis(np.stack([f.betas for f in fits]),
+                                      np.vstack(scales))
+        np.testing.assert_array_equal(x_basis.ranks, layer.ranks)
+        xs = tuple(np.hstack([zs[i] @ x_basis.maps[comp].T
+                              for zs, (_, comp) in zip(feats,
+                                                       x_basis._rows())])
+                   for i in range(2))
+        fan_in = x_basis.dense_width
 
 
 def test_forward_group_peak_holds_one_draw():
@@ -283,23 +300,131 @@ def trained_outputs(split, cfg):
 
 
 def test_dense_expansion_reproduces_grid_columns(split):
-    # the dense columns as they were computed before compression: each
-    # block's features times its betas over its scales, the next layer
-    # drawing on those dense columns
+    # the dense columns computed block by block: each block's features times
+    # its betas over its scales, the next layer drawing on those columns'
+    # coordinates and scaling for their dense width
     cfg = small_cfg(blocks=4, features_per_block=20,
                     lambda_grid=network.DEFAULT_LAMBDA_GRID)
     model = train(split, cfg)
     ref, _ = stacked(split)
+    fan_in = ref.shape[1]
     for m, (layer, rep) in enumerate(
             zip(model.layers, trained_outputs(split, cfg)), start=1):
         assert rep.basis.width < rep.basis.dense_width
-        ref = np.hstack([
+        dense = np.hstack([
             apply_block(draw_block((cfg.seed, m, k), float(gamma),
                                    cfg.features_per_block, ref.shape[1],
-                                   cfg.bias_range), ref)
+                                   cfg.bias_range), ref, fan_in)
             @ (layer.betas[k] / layer.scales[k])
             for k, gamma in enumerate(_block_gammas(cfg, m))])
-        np.testing.assert_allclose(rep.dense(), ref, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(rep.dense(), dense, rtol=1e-10, atol=1e-10)
+        ref, fan_in = rep.basis.compress(dense.T).T, dense.shape[1]
+
+
+def compressing_cfg(**kw):
+    """4 blocks of 20 features on 29 penalties: every rank is below L."""
+    return small_cfg(blocks=4, features_per_block=20,
+                     lambda_grid=network.DEFAULT_LAMBDA_GRID, **kw)
+
+
+def test_coordinates_keep_dense_row_norms(split):
+    # C_k is orthonormal, so each row's coordinates have its dense
+    # columns' norm: that is why features on the coordinates, scaled by
+    # the dense width K*L, keep the dense input's pre-activation variance
+    model = train(split, compressing_cfg(depth=3))
+    for m in range(1, 4):
+        rep = network.forward(model, split.x_test, m)
+        assert rep.basis.width < rep.basis.dense_width
+        np.testing.assert_allclose(np.linalg.norm(rep.coords, axis=1),
+                                   np.linalg.norm(rep.dense(), axis=1),
+                                   rtol=1e-10)
+
+
+def test_draws_take_the_input_width_and_nothing_else(split, monkeypatch):
+    # layer 1 draws (d, P) per block, later layers (sum r, P) on the stored
+    # ranks of the layer before; a draw is the same in training and in
+    # predict, on any rows and any thread count
+    cfg = compressing_cfg(depth=3)
+    draws = recorded_draws(monkeypatch)
+    model = train(split, cfg)
+    widths = [split.d] + [int(layer.ranks.sum()) for layer in model.layers]
+    assert widths[1] < cfg.layer_width
+    assert [(args[0], args[3]) for args, _ in draws] == [
+        ((cfg.seed, m, k), widths[m - 1])
+        for m in range(1, cfg.depth + 1) for k in range(cfg.blocks)]
+    for args, block in draws:
+        assert block.weights.shape == (args[3], cfg.features_per_block)
+        again = draw_block(*args)
+        np.testing.assert_array_equal(again.weights, block.weights)
+        np.testing.assert_array_equal(again.biases, block.biases)
+    trained = list(draws)
+    for threads in (1, 3):
+        draws.clear()
+        predict(model, split.x_test[:7], n_threads=threads)
+        assert len(draws) == len(trained)
+        for (args, block), (want_args, want) in zip(draws, trained):
+            assert args == want_args
+            np.testing.assert_array_equal(block.weights, want.weights)
+            np.testing.assert_array_equal(block.biases, want.biases)
+
+
+def test_stored_ranks_keep_predictions_continuous(split):
+    # layer-1 betas moved at the last few bits keep their stored ranks, so
+    # every layer-2 draw keeps its shape and depth-2 predictions barely
+    # move; a rank that changed would redraw all of layer 2's weights
+    model = train(split, compressing_cfg())
+    layer = model.layers[0]
+    want = predict(model, split.x_test)
+    scale = np.abs(want).max()
+
+    def with_layer1(betas, ranks):
+        moved = network.LayerModel(betas=betas, scales=layer.scales,
+                                   ranks=ranks)
+        return dataclasses.replace(model, layers=(moved, model.layers[1]))
+
+    for seed in range(3):
+        noise = np.random.default_rng(seed).standard_normal(layer.betas.shape)
+        got = predict(with_layer1(layer.betas * (1 + 1e-14 * noise),
+                                  layer.ranks), split.x_test)
+        assert np.abs(got - want).max() < 1e-6 * scale
+    bumped = layer.ranks.copy()
+    bumped[0] += 1
+    got = predict(with_layer1(layer.betas, bumped), split.x_test)
+    assert np.abs(got - want).max() > 1e-2 * scale
+
+
+def test_basis_signs_do_not_depend_on_svd(split, tmp_path, monkeypatch):
+    # LAPACK may return any sign for a singular pair (u_i, v_i): flipping
+    # every other pair changes no bit of training, forward or predict
+    cfg = compressing_cfg()
+    want = train(split, cfg)
+    outputs = [(network.forward(want, split.x_test, depth).coords,
+                predict(want, split.x_test, depth)) for depth in (1, 2)]
+    real_svd = np.linalg.svd
+
+    def flipped_svd(a, *args, **kwargs):
+        u, s, vt = real_svd(a, *args, **kwargs)
+        u[:, ::2] *= -1
+        vt[::2] *= -1
+        return u, s, vt
+
+    monkeypatch.setattr(np.linalg, "svd", flipped_svd)
+    got = train(split, cfg)
+    for a, b in zip(got.layers, want.layers):
+        for name in ("betas", "scales", "ranks"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    for a, b in zip(got.final_fits, want.final_fits):
+        np.testing.assert_array_equal(a.fit.betas, b.fit.betas)
+        np.testing.assert_array_equal(a.valid_mse, b.valid_mse)
+    for depth, (coords, pred) in enumerate(outputs, start=1):
+        np.testing.assert_array_equal(
+            network.forward(got, split.x_test, depth).coords, coords)
+        np.testing.assert_array_equal(predict(got, split.x_test, depth), pred)
+    save_model(got, tmp_path / "flipped.drz")
+    monkeypatch.undo()
+    save_model(want, tmp_path / "plain.drz")
+    assert ((tmp_path / "flipped.drz").read_bytes()
+            == (tmp_path / "plain.drz").read_bytes())
 
 
 @pytest.mark.parametrize("blocks, grid", [(3, SMALL_GRID),
@@ -729,6 +854,19 @@ def test_load_rejects_v3_file(split, tmp_path):
         load_model(path)
 
 
+def test_load_rejects_v4_file(split, tmp_path, monkeypatch):
+    # a v4 model's later layers drew on the dense columns, so its
+    # predictions cannot be reproduced
+    model = train(split, small_cfg())
+    path = tmp_path / "model.drz"
+    monkeypatch.setattr(network, "MODEL_FORMAT_VERSION", 4)
+    save_model(model, path)
+    monkeypatch.undo()
+    with pytest.raises(network.ModelFormatError,
+                       match="unsupported format version 4"):
+        load_model(path)
+
+
 def test_archive_holds_two_arrays_per_layer_and_fit(split, tmp_path):
     model = train(split, small_cfg(depth=2))
     save_model(model, tmp_path / "model.drz")
@@ -740,12 +878,13 @@ def test_archive_holds_two_arrays_per_layer_and_fit(split, tmp_path):
         "final2.betas.npy", "final2.valid_mse.npy", "header.json",
         "layer1.betas.npy", "layer1.scales.npy",
         "layer2.betas.npy", "layer2.scales.npy"]
-    assert header["format_version"] == 4
+    assert header["format_version"] == 5
     assert sorted(header) == ["config", "final_fits", "format",
                               "format_version", "input_dim",
-                              "library_version"]
+                              "library_version", "ranks"]
     assert header["final_fits"] == [{"lambda_star_index": ff.lambda_star_index}
                                     for ff in model.final_fits]
+    assert header["ranks"] == [layer.ranks.tolist() for layer in model.layers]
 
 
 def _saved_with_changed_entry(model, tmp_path, entry, change):
@@ -795,4 +934,30 @@ def test_load_rejects_inconsistent_header(split, tmp_path, edit):
     broken = _saved_with_changed_entry(train(split, small_cfg()), tmp_path,
                                        "header.json", change)
     with pytest.raises(network.ModelFormatError, match="corrupt"):
+        load_model(broken)
+
+
+# each edit breaks the stored ranks of a depth-2 model of 3 blocks of 5
+# features over 4 penalties, so every rank lies in 1..4
+@pytest.mark.parametrize("edit", [
+    lambda r: r.pop(),
+    lambda r: r.append(list(r[0])),
+    lambda r: r[1].pop(),
+    lambda r: r[1].append(1),
+    lambda r: r[0].__setitem__(0, 0),
+    lambda r: r[0].__setitem__(0, 5),
+    lambda r: r[0].__setitem__(0, True),
+    lambda r: r[0].__setitem__(0, 2.0),
+    lambda r: r.__setitem__(1, 4),
+], ids=["layer-missing", "layer-extra", "block-missing", "block-extra",
+        "zero", "past-min-p-l", "bool", "float", "not-a-list"])
+def test_load_rejects_tampered_ranks(split, tmp_path, edit):
+    def change(data):
+        header = json.loads(data)
+        edit(header["ranks"])
+        return json.dumps(header).encode()
+
+    broken = _saved_with_changed_entry(train(split, small_cfg()), tmp_path,
+                                       "header.json", change)
+    with pytest.raises(network.ModelFormatError, match="ranks"):
         load_model(broken)
