@@ -152,8 +152,7 @@ class LayerModel:
     Block k owns the coefficients ``betas[k]`` of its ridge fit at every
     penalty and the column scales ``scales[k]`` that normalize its L grid
     predictions, and ``ranks[k]`` is how many directions of its columns
-    the layer's output keeps (see :func:`layer_basis`); a layer built
-    without ranks takes the ones its betas and scales cut to. Its input
+    the layer's output keeps (see :func:`layer_basis`). Its input
     weights and biases are not stored: they are redrawn from the keyed
     stream (seed, layer, k) with the weight variance
     ``_block_gammas(config, layer)[k]``.
@@ -161,12 +160,7 @@ class LayerModel:
 
     betas: np.ndarray      # (K, P, L)
     scales: np.ndarray     # (K, L), strictly positive
-    ranks: np.ndarray | None = None   # (K,) ints in 1..min(P, L)
-
-    def __post_init__(self):
-        if self.ranks is None:
-            object.__setattr__(
-                self, "ranks", layer_basis(self.betas, self.scales).ranks)
+    ranks: np.ndarray      # (K,) ints in 1..min(P, L)
 
 
 @dataclass(frozen=True)

@@ -404,26 +404,10 @@ def test_save_models_and_inspect(tmp_path):
     assert "depth 1 validation MSE" in text
 
 
-def test_inspect_prints_compressed_widths(tmp_path):
+def test_inspect_prints_compressed_widths(tmp_path, monkeypatch):
     # on the 29-point grid a block of P=4 features has at most 4 of its 29
-    # columns' directions, so each layer's width is at most K*4
-    config = tmp_path / "cfg.json"
-    write_config(config, seeds=[3], save_models=True,
-                 model={"depth": 2, "blocks": 3, "features_per_block": 4})
-    out = tmp_path / "out"
-    cli.run(config, output_dir=str(out))
-    model_path = out / "model_seed3_noise1.drz"
-    text = cli.inspect(model_path)
-    model = network.load_model(model_path)
-    for m, layer in enumerate(model.layers, start=1):
-        ranks = network.layer_basis(layer.betas, layer.scales).ranks
-        assert ranks.max() <= 4
-        assert (f"layer {m} width:  {ranks.sum()} of K*L=87 columns "
-                f"(block ranks r_k {ranks.min()}..{ranks.max()})") in text
-
-
-def test_inspect_reads_stored_ranks(tmp_path, monkeypatch):
-    # the widths come from the ranks in the model file: inspect runs no SVD
+    # columns' directions, so each layer's width is at most K*4; the widths
+    # come from the ranks in the model file, so inspect runs no SVD
     config = tmp_path / "cfg.json"
     write_config(config, seeds=[3], save_models=True,
                  model={"depth": 2, "blocks": 3, "features_per_block": 4})
@@ -438,7 +422,10 @@ def test_inspect_reads_stored_ranks(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     text = cli.inspect(model_path)
     for m, layer in enumerate(model.layers, start=1):
-        assert f"layer {m} width:  {layer.ranks.sum()} of K*L=87" in text
+        ranks = layer.ranks
+        assert ranks.max() <= 4
+        assert (f"layer {m} width:  {ranks.sum()} of K*L=87 columns "
+                f"(block ranks r_k {ranks.min()}..{ranks.max()})") in text
 
 
 def test_main_exit_codes(tmp_path, capsys):

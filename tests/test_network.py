@@ -214,14 +214,6 @@ def test_grouped_transform_matches_per_block_loop(split, monkeypatch):
             layer.betas, np.stack([f.betas for f in fits]), rtol=1e-10)
         np.testing.assert_allclose(layer.scales, np.vstack(scales),
                                    rtol=1e-10)
-        # the columns have unit scale: an entry near zero is compared to
-        # within 1e-12 of that scale, as a dense column expanded from its
-        # coordinates rounds to that scale, not to the entry's own
-        for i, a in enumerate((split.x_train, split.x_valid)):
-            np.testing.assert_allclose(dense[i], ref[i], rtol=1e-10,
-                                       atol=1e-12)
-            np.testing.assert_allclose(network.forward(model, a, m).dense(),
-                                       ref[i], rtol=1e-10, atol=1e-12)
         # the next layer reads each block's features times its (U S) map
         x_basis = network.layer_basis(np.stack([f.betas for f in fits]),
                                       np.vstack(scales))
@@ -231,6 +223,17 @@ def test_grouped_transform_matches_per_block_loop(split, monkeypatch):
                                                        x_basis._rows())])
                    for i in range(2))
         fan_in = x_basis.dense_width
+        np.testing.assert_allclose(got.coords, np.vstack(xs), rtol=1e-10)
+        # the columns have unit scale: an entry near zero is compared to
+        # within 1e-12 of that scale, as a dense column expanded from its
+        # coordinates rounds to that scale, not to the entry's own
+        for i, a in enumerate((split.x_train, split.x_valid)):
+            out = network.forward(model, a, m)
+            np.testing.assert_allclose(out.coords, xs[i], rtol=1e-10)
+            np.testing.assert_allclose(dense[i], ref[i], rtol=1e-10,
+                                       atol=1e-12)
+            np.testing.assert_allclose(out.dense(), ref[i], rtol=1e-10,
+                                       atol=1e-12)
 
 
 def test_forward_group_peak_holds_one_draw():
@@ -242,7 +245,8 @@ def test_forward_group_peak_holds_one_draw():
     [(a, b)] = network.group_bounds(blocks, p)
     columns = (b - a) * p
     layer = network.LayerModel(betas=np.zeros((blocks, p, n_pen)),
-                               scales=np.ones((blocks, n_pen)))
+                               scales=np.ones((blocks, n_pen)),
+                               ranks=np.ones(blocks, dtype=int))
     model = DeepRidgeModel(
         config=NetConfig(depth=1, blocks=blocks, features_per_block=p,
                          lambda_grid=SMALL_GRID),
@@ -826,14 +830,17 @@ def test_load_rejects_future_version(split, tmp_path, monkeypatch):
 
 
 def test_load_rejects_v2_file(split, tmp_path, monkeypatch):
-    model = train(split, small_cfg(depth=1))
+    # and a v4 file: its later layers drew on the dense columns, so its
+    # depth-2 predictions cannot be reproduced
+    model = train(split, small_cfg())
     path = tmp_path / "model.drz"
-    monkeypatch.setattr(network, "MODEL_FORMAT_VERSION", 2)
-    save_model(model, path)
-    monkeypatch.undo()
-    with pytest.raises(network.ModelFormatError,
-                       match="unsupported format version 2"):
-        load_model(path)
+    for version in (2, 4):
+        monkeypatch.setattr(network, "MODEL_FORMAT_VERSION", version)
+        save_model(model, path)
+        monkeypatch.undo()
+        with pytest.raises(network.ModelFormatError,
+                           match=f"unsupported format version {version}"):
+            load_model(path)
 
 
 def test_load_rejects_v3_file(split, tmp_path):
@@ -851,19 +858,6 @@ def test_load_rejects_v3_file(split, tmp_path):
             zf.writestr(f"layer1.{name}.npy", _npy_bytes(np.zeros(1)))
     with pytest.raises(network.ModelFormatError,
                        match="unsupported format version 3"):
-        load_model(path)
-
-
-def test_load_rejects_v4_file(split, tmp_path, monkeypatch):
-    # a v4 model's later layers drew on the dense columns, so its
-    # predictions cannot be reproduced
-    model = train(split, small_cfg())
-    path = tmp_path / "model.drz"
-    monkeypatch.setattr(network, "MODEL_FORMAT_VERSION", 4)
-    save_model(model, path)
-    monkeypatch.undo()
-    with pytest.raises(network.ModelFormatError,
-                       match="unsupported format version 4"):
         load_model(path)
 
 
