@@ -14,9 +14,12 @@ A trained layer is two stacked arrays over its blocks: ridge coefficients
 and column scales. Input weights and biases are never stored: block k of
 layer m is drawn from the keyed stream (seed, m, k), so training and
 prediction redraw it on demand. Both share one chunked transform: blocks
-are cut into fixed groups, each group's blocks are drawn into one weight
-buffer that costs one GEMM and is then dropped. Groups may run on a thread
-pool. Training only ever transforms the train and validation splits.
+are cut into fixed groups, and each group's blocks are drawn into one
+weight buffer, applied to the rows one row block at a time (one GEMM
+each) and dropped after the last. Training transforms the train rows and
+then the validation rows, so its block fits hold the train rows' features
+only; prediction takes all its rows as one block. Groups may run on a
+thread pool.
 
 A layer's output is carried compressed. Block k's L columns are its
 features times the (P, L) map M_k = betas[k] / scales[k], and on a penalty
@@ -339,7 +342,9 @@ def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
 
     The data has ``n_total`` rows of ``d`` inputs, ``n_train`` of them
     training rows. Each of the ``n_threads`` workers holds one transform
-    group's weight buffer and features, and one block's ridge fit and
+    group's weight buffer, its features on one row block (the train rows,
+    the validation rows or the rows to predict, so at most
+    max(n_train, n_total - n_train) rows), and one block's ridge fit and
     train-row grid predictions; input weights are redrawn per group and
     never kept. Layer outputs, their bases and weight buffers are
     counted at the dense width K*L, which bounds the compressed width
@@ -359,9 +364,9 @@ def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
         + 3 * kl * (p + n_pen)   # layer bases: the input's, and the
                                  # output's in parts and joined
         + workers * (widest_input * (group_blocks + 1) * p   # weight buffer,
-                     # one block's draw; one group's features; one
-                     # block's fit and grid predictions
-                     + n_total * group_blocks * p
+                     # one block's draw; one group's features on one row
+                     # block; one block's fit and grid predictions
+                     + max(n_train, n_total - n_train) * group_blocks * p
                      + fit_floats(n_train, p, n_pen) + n_train * n_pen)
         + fit_floats(n_train, kl, n_pen))   # final ridge
     baseline_floats = 0
@@ -372,17 +377,13 @@ def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
     return n_total * d + max(network_floats, baseline_floats)
 
 
-def _group_features(cfg: NetConfig, layer_index: int, gammas, x,
-                    fan_in: int, a, b):
-    """Features of blocks a..b-1 of a layer on the rows of ``x``, scaled
-    for an input ``fan_in`` wide.
+def _group_block(cfg: NetConfig, layer_index: int, gammas, d: int, a, b):
+    """Blocks a..b-1 of a layer side by side, drawn for a ``d``-wide input.
 
-    ``x`` is the raw input, or a previous layer's coordinates with
-    ``fan_in`` its dense width K*L. Each block is redrawn from its keyed
-    stream at the width of ``x`` into one (width of x, group columns)
-    weight buffer, which costs one GEMM and is dropped on return.
+    Each block is redrawn from its keyed stream into one (d, group columns)
+    weight buffer; one block's draw is held at a time.
     """
-    d, p = x.shape[1], cfg.features_per_block
+    p = cfg.features_per_block
     weights = np.empty((d, (b - a) * p))
     biases = np.empty((b - a) * p)
     for k in range(a, b):
@@ -392,25 +393,38 @@ def _group_features(cfg: NetConfig, layer_index: int, gammas, x,
         weights[:, cols] = block.weights
         biases[cols] = block.biases
         del block   # peak_floats counts one (D, P) draw per worker
-    return apply_block(FeatureBlock(weights=weights, biases=biases), x,
-                       fan_in)
+    return FeatureBlock(weights=weights, biases=biases)
 
 
-def _layer_output(group, cfg: NetConfig, rows: int,
+def _layer_output(cfg: NetConfig, layer_index: int, x, row_blocks, basis,
                   n_threads: int) -> LayerOutput:
-    """A layer's :class:`LayerOutput` on ``rows`` rows, group by group.
+    """Layer ``layer_index``'s :class:`LayerOutput` on the rows of ``x``,
+    group by group and, within a group, row block by row block.
 
-    ``group(a, b)`` returns the features z (rows, c*P) of blocks a..b-1
-    and their :class:`LayerBasis`. Groups may run on ``n_threads``
-    workers. Each takes the next rows of one buffer in group order, waiting
-    for the group before it to be placed, and writes its transposed
-    coordinates there: workers write straight into memory the caller owns,
-    and the layout is the same for any thread count. The buffer is sized
-    for the largest rank, min(P, L) per block, and then cut in place to the
-    rows taken; rows past them are never written, so never resident.
+    ``x`` is the raw input or the previous layer's output, and
+    ``row_blocks`` are consecutive row slices that cover it. Each group
+    draws its weight buffer once, then for each row block in turn computes
+    that block's features (one GEMM), writes their coordinates and drops
+    them before the next block's. ``basis(a, b, z)`` returns the
+    :class:`LayerBasis` of blocks a..b-1; it is called once per group, with
+    the features z of the first row block only.
+
+    Groups may run on ``n_threads`` workers. Each takes the next rows of
+    one buffer in group order, waiting for the group before it to be
+    placed, and writes its transposed coordinates there: workers write
+    straight into memory the caller owns, and the layout is the same for
+    any thread count. The buffer is sized for the largest rank, min(P, L)
+    per block, and then cut in place to the rows taken; rows past them are
+    never written, so never resident.
     """
+    if isinstance(x, LayerOutput):
+        x, fan_in = x.coords, x.basis.dense_width
+    else:
+        x = np.asarray(x, dtype=float)
+        fan_in = x.shape[1]
     p = cfg.features_per_block
-    buf = np.empty((cfg.blocks * min(p, cfg.n_penalties), rows))
+    gammas = _block_gammas(cfg, layer_index)
+    buf = np.empty((cfg.blocks * min(p, cfg.n_penalties), x.shape[0]))
     groups = group_bounds(cfg.blocks, p)
     parts = [None] * len(groups)
     tops = [0] + [None] * len(groups)   # group g takes tops[g]:tops[g + 1]
@@ -429,11 +443,17 @@ def _layer_output(group, cfg: NetConfig, rows: int,
 
     def write_group(g):
         try:
-            z, part = group(*groups[g])
-            out = place(g, part.width)
-            for j, (_, comp) in enumerate(part._rows()):
-                np.matmul(part.maps[comp], z[:, j * p:(j + 1) * p].T,
-                          out=out[comp])
+            block = _group_block(cfg, layer_index, gammas, x.shape[1],
+                                 *groups[g])
+            for i, rows in enumerate(row_blocks):
+                z = apply_block(block, x[rows], fan_in)
+                if i == 0:
+                    part = basis(*groups[g], z)
+                    out = place(g, part.width)
+                for j, (_, comp) in enumerate(part._rows()):
+                    np.matmul(part.maps[comp], z[:, j * p:(j + 1) * p].T,
+                              out=out[comp, rows])
+                del z   # before the next row block's features
             parts[g] = part
         except BaseException:
             with placed:   # no later group is left waiting
@@ -442,7 +462,7 @@ def _layer_output(group, cfg: NetConfig, rows: int,
             raise
 
     map_ordered(write_group, range(len(groups)), n_threads)
-    buf.resize((tops[-1], rows), refcheck=False)   # no view of buf is left
+    buf.resize((tops[-1], x.shape[0]), refcheck=False)   # no view of buf left
     return LayerOutput(coords=buf.T, basis=LayerBasis.join(parts))
 
 
@@ -456,34 +476,30 @@ def train_layer(x, n_train: int, y_train, cfg: NetConfig, layer_index: int,
     group, fit on the train rows over the whole penalty grid, and its grid
     predictions normalized by their train-row scales; its coordinates are
     taken on the basis that :func:`layer_basis` gives for the fitted layer,
-    whose ranks the returned layer keeps. Groups are independent, so they
-    may run on ``n_threads`` workers; results are identical for any thread
-    count.
+    whose ranks the returned layer keeps. The train rows and the validation
+    rows are transformed as two row blocks, so the fits hold only the train
+    rows' features. Groups are independent, so they may run on
+    ``n_threads`` workers; results are identical for any thread count.
     """
-    if isinstance(x, LayerOutput):
-        x, fan_in = x.coords, x.basis.dense_width
-    else:
-        x = np.asarray(x, dtype=float)
-        fan_in = x.shape[1]
     y_train = np.asarray(y_train, dtype=float).ravel()
     k_blocks, p, n_pen = cfg.blocks, cfg.features_per_block, cfg.n_penalties
-    gammas = _block_gammas(cfg, layer_index)
     betas = np.empty((k_blocks, p, n_pen))
     scales = np.empty((k_blocks, n_pen))
 
-    def fit_group(a, b):
-        z = _group_features(cfg, layer_index, gammas, x, fan_in, a, b)
+    def fit_group(a, b, z):
         grid = np.empty((n_train, n_pen))   # one block's train-row columns
         for k in range(a, b):
-            zk = z[:n_train, (k - a) * p:(k - a + 1) * p]
+            zk = z[:, (k - a) * p:(k - a + 1) * p]
             betas[k] = fit_grid(zk, y_train, cfg.lambda_grid).betas
             scales[k] = column_scales(np.matmul(zk, betas[k], out=grid))
         # freed before the SVDs: held through them, it left few-wide's
         # worker heaps fragmented and its peak RSS 205-221 MB, not 190 MB
         del grid
-        return z, layer_basis(betas[a:b], scales[a:b])
+        return layer_basis(betas[a:b], scales[a:b])
 
-    rep = _layer_output(fit_group, cfg, x.shape[0], n_threads)
+    rep = _layer_output(cfg, layer_index, x,
+                        (slice(0, n_train), slice(n_train, None)), fit_group,
+                        n_threads)
     return LayerModel(betas=betas, scales=scales, ranks=rep.basis.ranks), rep
 
 
@@ -542,23 +558,18 @@ def forward(model: DeepRidgeModel, x, depth: int | None = None,
         depth = model.depth
     if not 1 <= depth <= model.depth:
         raise ValueError(f"depth must be in 1..{model.depth}")
-    cur = np.asarray(x, dtype=float)
-    if cur.ndim != 2 or cur.shape[1] != model.input_dim:
+    rep = np.asarray(x, dtype=float)
+    if rep.ndim != 2 or rep.shape[1] != model.input_dim:
         raise ValueError(f"expected {model.input_dim} input columns")
-    if not np.all(np.isfinite(cur)):
+    if not np.all(np.isfinite(rep)):
         raise ValueError("input contains NaN or inf")
-    cfg = model.config
-    fan_in = cur.shape[1]
     for m, layer in enumerate(model.layers[:depth], start=1):
-        gammas = _block_gammas(cfg, m)
+        def stored(a, b, z):
+            return layer_basis(layer.betas[a:b], layer.scales[a:b],
+                               layer.ranks[a:b])
 
-        def transform(a, b):
-            return (_group_features(cfg, m, gammas, cur, fan_in, a, b),
-                    layer_basis(layer.betas[a:b], layer.scales[a:b],
-                                layer.ranks[a:b]))
-
-        rep = _layer_output(transform, cfg, cur.shape[0], n_threads)
-        cur, fan_in = rep.coords, rep.basis.dense_width
+        rep = _layer_output(model.config, m, rep, (slice(None),), stored,
+                            n_threads)
     return rep
 
 

@@ -253,6 +253,20 @@ def test_ridge_fit_count_bounds_its_rss_rise(rows, cols):
     assert rise <= 8 * ridge.fit_floats(rows, cols, n_pen)
 
 
+def run_child(config, out, threads):
+    """``deepridge run`` in a child process; returns the largest peak RSS,
+    in bytes, of any child this process has waited for, so a check
+    against it can only be stricter than one on this run alone."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run(
+        [sys.executable, "-m", "deepridge.cli", "run", str(config),
+         "--threads", str(threads), "--output-dir", str(out)],
+        env=env, check=True, timeout=900)
+    # ru_maxrss is in KiB on Linux
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
+
+
 @pytest.mark.slow
 def test_paper_default_run_within_memory_estimate(tmp_path):
     # the README config (K=500, P=100, depth 2, n=3000) on one seed and one
@@ -267,15 +281,27 @@ def test_paper_default_run_within_memory_estimate(tmp_path):
         cli.validate_config(cli.load_config(config))["model"], seed=0)
     est_gb = cli._check_resources(3000, 1000, 50, net_cfg, threads, 4.0,
                                   baseline=True)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = {**os.environ, "PYTHONPATH": src}
-    subprocess.run(
-        [sys.executable, "-m", "deepridge.cli", "run", str(config),
-         "--threads", str(threads), "--output-dir", str(tmp_path / "out")],
-        env=env, check=True, timeout=900)
+    peak = run_child(config, tmp_path / "out", threads)
     assert len(read_csv(tmp_path / "out" / "results.csv")) == 3
-    # ru_maxrss is in KiB on Linux
-    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
+    assert peak <= est_gb * 1e9
+
+
+@pytest.mark.slow
+def test_one_block_ablation_run_within_memory_estimate(tmp_path):
+    # the largest network of the paper-scale K ablation (pk_total 50,000):
+    # K=1, one block of 50,000 features and so one transform group, whose
+    # features on the 1000 train rows alone are 400 MB
+    threads = 2
+    config = tmp_path / "cfg.json"
+    write_config(config, kind="ablation_k", seeds=[0], model={"depth": 2},
+                 data={"n": 3000, "d": 50, "noise_levels": [1]},
+                 ablation={"k_values": [1], "pk_total": 50000})
+    net_cfg = cli._net_config(
+        cli.validate_config(cli.load_config(config))["model"], seed=0,
+        blocks=1, features_per_block=50000)
+    est_gb = cli._check_resources(3000, 1000, 50, net_cfg, threads, 4.0)
+    peak = run_child(config, tmp_path / "out", threads)
+    assert len(read_csv(tmp_path / "out" / "results.csv")) == 2
     assert peak <= est_gb * 1e9
 
 

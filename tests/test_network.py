@@ -281,14 +281,38 @@ def test_degenerate_width_equals_direct_ridge(split):
 
 
 def test_forward_reproduces_training_representation(split):
-    cfg = small_cfg()
-    model = train(split, cfg)
-    rep, n_train = stacked(split)
-    for m in range(1, cfg.depth + 1):
-        _, rep = train_layer(rep, n_train, split.y_train, cfg, m)
-        np.testing.assert_allclose(
-            network.forward(model, split.x_train, m).dense(),
-            rep.dense()[:n_train], rtol=1e-10)
+    # training transforms the train rows, then the validation rows, each as
+    # a row block of its own; forward given either split does the same
+    # GEMMs, so the coordinates agree bit for bit. In the second network
+    # each block is wider than a group and fills one on its own
+    n_train = split.x_train.shape[0]
+    wide = network.GROUP_COLUMNS + 100
+    for cfg in (small_cfg(), small_cfg(blocks=2, features_per_block=wide)):
+        model = train(split, cfg)
+        for m, rep in enumerate(trained_outputs(split, cfg), start=1):
+            for x, rows in ((split.x_train, slice(0, n_train)),
+                            (split.x_valid, slice(n_train, None))):
+                np.testing.assert_array_equal(
+                    network.forward(model, x, m).coords, rep.coords[rows])
+    assert network.group_bounds(2, wide) == [(0, 1), (1, 2)]
+
+
+def test_block_fits_hold_only_the_train_rows_features():
+    # one block of 1000 features on 6 inputs is one group whose features
+    # outweigh everything else the layer holds: the layer fits on the
+    # train rows' features and drops them before the validation rows'
+    split = simulate_single_neuron(
+        SimConfig(n=600, d=6, noise_std=0.2, activation="relu", seed=5))
+    cfg = small_cfg(depth=1, blocks=1, features_per_block=1000)
+    x, n_train = stacked(split)
+    assert len(x) == 2 * n_train
+    tracemalloc.start()
+    try:
+        train_layer(x, n_train, split.y_train, cfg, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(x) * cfg.features_per_block
 
 
 # --- compressed representation -----------------------------------------------
