@@ -10,34 +10,37 @@ penalty picked on the validation split, turns the network up to that depth
 into a predictor, so one training pass yields every depth and depth can be
 selected afterwards at no extra cost.
 
-A trained layer is two stacked arrays over its blocks: ridge coefficients
-and column scales. Input weights and biases are never stored: block k of
-layer m is drawn from the keyed stream (seed, m, k), so training and
-prediction redraw it on demand. Both share one chunked transform: blocks
-are cut into fixed groups, and each group's blocks are drawn into one
-weight buffer, applied to the rows one row block at a time (one GEMM
-each) and dropped after the last. Training transforms the train rows and
-then the validation rows, so its block fits hold the train rows' features
-only; prediction takes all its rows as one block. Groups may run on a
-thread pool.
-
 A layer's output is carried compressed. Block k's L columns are its
-features times the (P, L) map M_k = betas[k] / scales[k], and on a penalty
-grid those columns are nearly collinear: M_k has numerical rank r_k, about
-11 of L = 29 on the default grid. So each block's columns are kept as r_k
-coordinates on an orthonormal basis C_k of M_k's row space (a
-:class:`LayerBasis`, recomputed from betas and scales by one small SVD per
-block and signed canonically), and a layer's output is one (n, sum r_k)
-array. The next layer reads only those coordinates: block k of layer
-m >= 2 draws its (sum r_j, P) weights from (seed, m, k) and computes
+features times the (P, L) map M_k = betas[k] / scales[k] of its ridge
+coefficients over its column scales, and on a penalty grid those columns
+are nearly collinear: M_k has numerical rank r_k, about 11 of L = 29 on
+the default grid. So each block's columns are kept as r_k coordinates on
+an orthonormal basis C_k of M_k's row space, and a layer's output is one
+(n, sum r_k) array. Training takes each block's basis by one small SVD
+(signed canonically), once, and a trained layer is that
+:class:`LayerBasis`: the stacked (sum r_k, P) maps that turn features into
+coordinates and the (sum r_k, L) rows of the C_k'. The betas and scales
+live only while their transform group is fit.
+
+Input weights and biases are never stored: block k of layer m is drawn
+from the keyed stream (seed, m, k), so training and prediction redraw it
+on demand. Both share one chunked transform: blocks are cut into fixed
+groups, and each group's blocks are drawn into one weight buffer, applied
+to the rows one row block at a time (one GEMM each) and dropped after the
+last. Training transforms the train rows and then the validation rows, so
+its block fits hold the train rows' features only; prediction takes all
+its rows as one block and reads each group's rows of the stored basis.
+Groups may run on a thread pool.
+
+The next layer reads only the coordinates: block k of layer m >= 2 draws
+its (sum r_j, P) weights from (seed, m, k) and computes
 relu(coords W_k / sqrt(K*L) + b_k). The coordinates keep the norms of the
 dense rows, so the sqrt(K*L) scaling is that of the dense layer, and for
 orthonormal C the layer is the dense-input network in distribution; but
 its realization depends on the basis itself, so the ranks r_k are fixed
-in training and stored with the model. The final ridge is fit on the
-coordinates and stored as C times its coefficients, which is the ridge on
-the dense columns. :meth:`LayerOutput.dense` expands the dense columns on
-request.
+in training and stored with the model. The final ridge is fit and stored
+on the coordinates; C times its coefficients is the ridge on the dense
+columns. :meth:`LayerOutput.dense` expands the dense columns on request.
 
 Training never backpropagates: input weights are drawn, output weights are
 closed-form ridge solutions.
@@ -67,7 +70,7 @@ DEFAULT_LAMBDA_GRID = (
 )
 
 MODEL_FORMAT = "deepridge-model"
-MODEL_FORMAT_VERSION = 5
+MODEL_FORMAT_VERSION = 6
 
 # feature columns per transform GEMM: wide enough for BLAS to run at the
 # rate of 2000 columns, narrow enough that each worker's (D, columns) weight
@@ -149,33 +152,19 @@ class NetConfig:
 
 
 @dataclass(frozen=True)
-class LayerModel:
-    """One trained layer of K blocks of P features, as stacked arrays.
-
-    Block k owns the coefficients ``betas[k]`` of its ridge fit at every
-    penalty and the column scales ``scales[k]`` that normalize its L grid
-    predictions, and ``ranks[k]`` is how many directions of its columns
-    the layer's output keeps (see :func:`layer_basis`). Its input
-    weights and biases are not stored: they are redrawn from the keyed
-    stream (seed, layer, k) with the weight variance
-    ``_block_gammas(config, layer)[k]``.
-    """
-
-    betas: np.ndarray      # (K, P, L)
-    scales: np.ndarray     # (K, L), strictly positive
-    ranks: np.ndarray      # (K,) ints in 1..min(P, L)
-
-
-@dataclass(frozen=True)
 class LayerBasis:
-    """The numerical-rank coordinates of a layer's blocks, side by side.
+    """The numerical-rank coordinates of a layer's blocks, side by side;
+    a trained layer.
 
     Block k's L unit-scale columns are X_k = Z_k M_k for its features Z_k
     and M_k = betas[k] / scales[k] (P, L). With the thin SVD M_k = U S V'
     cut to the r_k singular values above ``RANK_TOLERANCE`` times the
     largest, X_k = (Z_k (U S)[:, :r_k]) C_k' with C_k = V[:, :r_k]
     orthonormal. Rows offsets[k]:offsets[k + 1] of ``maps`` and ``vt``
-    belong to block k: its ((U S)[:, :r_k])' and its C_k'.
+    belong to block k: its ((U S)[:, :r_k])' and its C_k'. Block k's input
+    weights and biases are not stored: they are redrawn from the keyed
+    stream (seed, layer, k) with the weight variance
+    ``_block_gammas(config, layer)[k]``.
     """
 
     maps: np.ndarray      # (sum r_k, P)
@@ -202,12 +191,11 @@ class LayerBasis:
         return [(slice(k * n_pen, (k + 1) * n_pen), slice(o[k], o[k + 1]))
                 for k in range(len(o) - 1)]
 
-    def compress(self, rows) -> np.ndarray:
-        """blockdiag(C)' rows: (K*L, c) to (sum r_k, c)."""
-        out = np.empty((self.width, rows.shape[1]))
-        for dense, comp in self._rows():
-            np.matmul(self.vt[comp], rows[dense], out=out[comp])
-        return out
+    def blocks(self, a: int, b: int) -> "LayerBasis":
+        """Blocks a..b-1's basis, as views of this one's rows."""
+        rows = slice(self.offsets[a], self.offsets[b])
+        return LayerBasis(maps=self.maps[rows], vt=self.vt[rows],
+                          offsets=self.offsets[a:b + 1] - self.offsets[a])
 
     def expand(self, rows) -> np.ndarray:
         """blockdiag(C) rows: (sum r_k, c) to (K*L, c)."""
@@ -226,21 +214,20 @@ class LayerBasis:
             offsets=np.concatenate([[0], np.cumsum(ranks)]))
 
 
-def layer_basis(betas, scales, ranks=None) -> LayerBasis:
+def layer_basis(betas, scales) -> LayerBasis:
     """The :class:`LayerBasis` of blocks with coefficients ``betas``
     (K, P, L) and column scales ``scales`` (K, L).
 
-    Block k keeps ``ranks[k]`` directions if ranks are given, else those
-    above the cut. A block whose columns are all zero keeps one (zero)
-    coordinate, so no array is ever empty. Each singular pair is signed so
-    that the largest-magnitude entry of its right vector is positive, so
-    the basis does not depend on the signs LAPACK picks.
+    Block k keeps the directions above the cut. A block whose columns are
+    all zero keeps one (zero) coordinate, so no array is ever empty. Each
+    singular pair is signed so that the largest-magnitude entry of its
+    right vector is positive, so the basis does not depend on the signs
+    LAPACK picks.
     """
     maps, vts = [], []
-    for k, (beta, scale) in enumerate(zip(betas, scales)):
+    for beta, scale in zip(betas, scales):
         u, s, vt = np.linalg.svd(beta / scale, full_matrices=False)
-        r = (max(1, int(np.count_nonzero(s > RANK_TOLERANCE * s[0])))
-             if ranks is None else int(ranks[k]))
+        r = max(1, int(np.count_nonzero(s > RANK_TOLERANCE * s[0])))
         vt = vt[:r]
         sign = np.sign(vt[np.arange(r), np.argmax(np.abs(vt), axis=1)])
         maps.append((u[:, :r] * (s[:r] * sign)).T)
@@ -265,7 +252,8 @@ class LayerOutput:
 
 @dataclass(frozen=True)
 class FinalFit:
-    """Final ridge for one depth, with its validation-selected penalty."""
+    """Final ridge for one depth, with its validation-selected penalty; its
+    (sum r_k, L) coefficients act on that layer's coordinates."""
 
     fit: RidgeGridFit
     lambda_star_index: int
@@ -281,7 +269,7 @@ class DeepRidgeModel:
     """A trained network: layers plus one final ridge per depth."""
 
     config: NetConfig
-    layers: tuple                       # depth LayerModels
+    layers: tuple                       # depth LayerBases
     final_fits: tuple                   # final_fits[m - 1] serves depth m
     input_dim: int
 
@@ -345,28 +333,32 @@ def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
     group's weight buffer, its features on one row block (the train rows,
     the validation rows or the rows to predict, so at most
     max(n_train, n_total - n_train) rows), and one block's ridge fit and
-    train-row grid predictions; input weights are redrawn per group and
-    never kept. Layer outputs, their bases and weight buffers are
-    counted at the dense width K*L, which bounds the compressed width
-    sum r_k. With ``baseline``, the flat baseline over ``cfg.layer_width``
-    features runs after the network, so the larger of the two counts (with
-    tiny n, wide d and small P the baseline can be).
+    train-row grid predictions, and the group's coefficients and scales;
+    input weights are redrawn per group and never kept. Layer outputs and
+    weight buffers are counted at the dense width K*L, and stored layers
+    and final ridges at K*min(P, L) rows; either bounds the compressed
+    width sum r_k. With ``baseline``, the flat baseline over
+    ``cfg.layer_width`` features runs after the network, so the larger of
+    the two counts (with tiny n, wide d and small P the baseline can be).
     """
     n_pen = cfg.n_penalties
     kl, p = cfg.layer_width, cfg.features_per_block
+    top = cfg.blocks * min(p, n_pen)
     groups = group_bounds(cfg.blocks, p)
     group_blocks = groups[0][1] - groups[0][0]
     workers = min(max(n_threads, 1), len(groups))
     widest_input = kl if cfg.depth > 1 else d
     network_floats = (
         n_total * (d + 2 * kl)   # stacked inputs; a layer's input, output
-        + cfg.depth * (cfg.blocks * p + kl) * n_pen   # coefficients
-        + 3 * kl * (p + n_pen)   # layer bases: the input's, and the
-                                 # output's in parts and joined
+        # stored layers (a layer's input among them) and final ridges; the
+        # output's basis in parts before they are joined
+        + cfg.depth * top * (p + 2 * n_pen) + top * (p + n_pen)
         + workers * (widest_input * (group_blocks + 1) * p   # weight buffer,
                      # one block's draw; one group's features on one row
-                     # block; one block's fit and grid predictions
+                     # block, coefficients and scales; one block's fit and
+                     # grid predictions
                      + max(n_train, n_total - n_train) * group_blocks * p
+                     + group_blocks * (p + 1) * n_pen
                      + fit_floats(n_train, p, n_pen) + n_train * n_pen)
         + fit_floats(n_train, kl, n_pen))   # final ridge
     baseline_floats = 0
@@ -396,10 +388,11 @@ def _group_block(cfg: NetConfig, layer_index: int, gammas, d: int, a, b):
     return FeatureBlock(weights=weights, biases=biases)
 
 
-def _layer_output(cfg: NetConfig, layer_index: int, x, row_blocks, basis,
-                  n_threads: int) -> LayerOutput:
-    """Layer ``layer_index``'s :class:`LayerOutput` on the rows of ``x``,
-    group by group and, within a group, row block by row block.
+def _layer_coords(cfg: NetConfig, layer_index: int, x, row_blocks, basis,
+                  n_threads: int):
+    """Layer ``layer_index``'s (n, sum r_k) coordinates on the rows of
+    ``x``, and its groups' bases, computed group by group and, within a
+    group, row block by row block.
 
     ``x`` is the raw input or the previous layer's output, and
     ``row_blocks`` are consecutive row slices that cover it. Each group
@@ -407,7 +400,8 @@ def _layer_output(cfg: NetConfig, layer_index: int, x, row_blocks, basis,
     that block's features (one GEMM), writes their coordinates and drops
     them before the next block's. ``basis(a, b, z)`` returns the
     :class:`LayerBasis` of blocks a..b-1; it is called once per group, with
-    the features z of the first row block only.
+    the features z of the first row block only, and its results come back
+    in group order.
 
     Groups may run on ``n_threads`` workers. Each takes the next rows of
     one buffer in group order, waiting for the group before it to be
@@ -463,52 +457,46 @@ def _layer_output(cfg: NetConfig, layer_index: int, x, row_blocks, basis,
 
     map_ordered(write_group, range(len(groups)), n_threads)
     buf.resize((tops[-1], x.shape[0]), refcheck=False)   # no view of buf left
-    return LayerOutput(coords=buf.T, basis=LayerBasis.join(parts))
+    return buf.T, parts
 
 
 def train_layer(x, n_train: int, y_train, cfg: NetConfig, layer_index: int,
                 n_threads: int = 1):
-    """Train one layer and return it plus its :class:`LayerOutput` on ``x``.
+    """Train one layer and return it, as the :class:`LayerBasis` of its
+    blocks, plus its :class:`LayerOutput` on ``x``.
 
     ``x`` stacks the train rows (the first ``n_train``) and the validation
     rows, as raw inputs or as the previous layer's output. Each block is
     drawn from its own keyed stream, transformed with the rest of its
     group, fit on the train rows over the whole penalty grid, and its grid
     predictions normalized by their train-row scales; its coordinates are
-    taken on the basis that :func:`layer_basis` gives for the fitted layer,
-    whose ranks the returned layer keeps. The train rows and the validation
-    rows are transformed as two row blocks, so the fits hold only the train
-    rows' features. Groups are independent, so they may run on
-    ``n_threads`` workers; results are identical for any thread count.
+    taken on the basis that :func:`layer_basis` gives for its group's fits,
+    which are then dropped. The train rows and the validation rows are
+    transformed as two row blocks, so the fits hold only the train rows'
+    features. Groups are independent, so they may run on ``n_threads``
+    workers; results are identical for any thread count.
     """
     y_train = np.asarray(y_train, dtype=float).ravel()
-    k_blocks, p, n_pen = cfg.blocks, cfg.features_per_block, cfg.n_penalties
-    betas = np.empty((k_blocks, p, n_pen))
-    scales = np.empty((k_blocks, n_pen))
+    p, n_pen = cfg.features_per_block, cfg.n_penalties
 
     def fit_group(a, b, z):
+        betas = np.empty((b - a, p, n_pen))
+        scales = np.empty((b - a, n_pen))
         grid = np.empty((n_train, n_pen))   # one block's train-row columns
-        for k in range(a, b):
-            zk = z[:, (k - a) * p:(k - a + 1) * p]
-            betas[k] = fit_grid(zk, y_train, cfg.lambda_grid).betas
-            scales[k] = column_scales(np.matmul(zk, betas[k], out=grid))
+        for j in range(b - a):
+            zj = z[:, j * p:(j + 1) * p]
+            betas[j] = fit_grid(zj, y_train, cfg.lambda_grid).betas
+            scales[j] = column_scales(np.matmul(zj, betas[j], out=grid))
         # freed before the SVDs: held through them, it left few-wide's
         # worker heaps fragmented and its peak RSS 205-221 MB, not 190 MB
         del grid
-        return layer_basis(betas[a:b], scales[a:b])
+        return layer_basis(betas, scales)
 
-    rep = _layer_output(cfg, layer_index, x,
-                        (slice(0, n_train), slice(n_train, None)), fit_group,
-                        n_threads)
-    return LayerModel(betas=betas, scales=scales, ranks=rep.basis.ranks), rep
-
-
-def _final_predictions(fit: RidgeGridFit, rep: LayerOutput) -> np.ndarray:
-    """Grid predictions of a final ridge stored for the dense columns X:
-    X beta, evaluated as coords (C' beta)."""
-    return ridge_predict(
-        dataclasses.replace(fit, betas=rep.basis.compress(fit.betas)),
-        rep.coords)
+    coords, parts = _layer_coords(cfg, layer_index, x,
+                                  (slice(0, n_train), slice(n_train, None)),
+                                  fit_group, n_threads)
+    basis = LayerBasis.join(parts)
+    return basis, LayerOutput(coords=coords, basis=basis)
 
 
 def _selected(fit: RidgeGridFit, valid_pred, y_valid) -> FinalFit:
@@ -522,9 +510,7 @@ def _fit_final(rep: LayerOutput, n_train: int, y_train, y_valid,
     # a ridge solution on X lies in X's row space, so the ridge on the
     # coordinates, times C, is the ridge on the dense columns
     fit = fit_grid(rep.coords[:n_train], y_train, lambdas)
-    fit = dataclasses.replace(fit, betas=rep.basis.expand(fit.betas))
-    valid = LayerOutput(coords=rep.coords[n_train:], basis=rep.basis)
-    return _selected(fit, _final_predictions(fit, valid), y_valid)
+    return _selected(fit, ridge_predict(fit, rep.coords[n_train:]), y_valid)
 
 
 def train(split: DataSplit, cfg: NetConfig, n_threads: int = 1) -> DeepRidgeModel:
@@ -551,8 +537,9 @@ def forward(model: DeepRidgeModel, x, depth: int | None = None,
             n_threads: int = 1) -> LayerOutput:
     """Representation after ``depth`` layers (the final ridge's input).
 
-    Transform groups may run on ``n_threads`` workers; the result is the
-    same for any thread count.
+    Each transform group reads its rows of the stored layer, so no SVD
+    runs. Groups may run on ``n_threads`` workers; the result is the same
+    for any thread count.
     """
     if depth is None:
         depth = model.depth
@@ -565,11 +552,11 @@ def forward(model: DeepRidgeModel, x, depth: int | None = None,
         raise ValueError("input contains NaN or inf")
     for m, layer in enumerate(model.layers[:depth], start=1):
         def stored(a, b, z):
-            return layer_basis(layer.betas[a:b], layer.scales[a:b],
-                               layer.ranks[a:b])
+            return layer.blocks(a, b)
 
-        rep = _layer_output(model.config, m, rep, (slice(None),), stored,
-                            n_threads)
+        coords, _ = _layer_coords(model.config, m, rep, (slice(None),),
+                                  stored, n_threads)
+        rep = LayerOutput(coords=coords, basis=layer)
     return rep
 
 
@@ -585,7 +572,7 @@ def predict(model: DeepRidgeModel, x, depth: int | None = None,
         depth = model.depth
     rep = forward(model, x, depth, n_threads)
     ff = model.final_fits[depth - 1]
-    return _final_predictions(ff.fit, rep)[:, ff.lambda_star_index]
+    return ridge_predict(ff.fit, rep.coords)[:, ff.lambda_star_index]
 
 
 def select_depth(model: DeepRidgeModel) -> int:
@@ -672,13 +659,14 @@ def _write_npy(zf, info, arr) -> None:
 
 
 def save_model(model: DeepRidgeModel, path) -> None:
-    """Serialize a trained model: a header, two arrays per layer and two
-    per final ridge.
+    """Serialize a trained model: a header, two arrays per layer (its
+    basis' ``maps`` and ``vt``) and two per final ridge (its coefficients
+    on the coordinates and its validation MSEs).
 
     Input weights, biases and weight variances are not written; they are
     redrawn from the keyed streams of the header config. Each layer's block
-    ranks go in the header, since they set the shape of the next layer's
-    draws.
+    ranks go in the header: they split its basis into blocks and set the
+    shape of the next layer's draws.
     """
     header = {
         "format": MODEL_FORMAT,
@@ -694,8 +682,8 @@ def save_model(model: DeepRidgeModel, path) -> None:
         "header.json": json.dumps(header, sort_keys=True, indent=1).encode(),
     }
     for m, layer in enumerate(model.layers, start=1):
-        entries[f"layer{m}.betas.npy"] = layer.betas
-        entries[f"layer{m}.scales.npy"] = layer.scales
+        entries[f"layer{m}.maps.npy"] = layer.maps
+        entries[f"layer{m}.vt.npy"] = layer.vt
     for m, ff in enumerate(model.final_fits, start=1):
         entries[f"final{m}.betas.npy"] = ff.fit.betas
         entries[f"final{m}.valid_mse.npy"] = ff.valid_mse
@@ -717,9 +705,10 @@ def _int_in(value, low: int, high: int) -> bool:
 def load_model(path) -> DeepRidgeModel:
     """Load a model written by :func:`save_model`.
 
-    Every array's shape and dtype and every index and rank in the header
-    are checked against the header config, so a damaged or inconsistent
-    file raises :class:`ModelFormatError`.
+    Every index and rank in the header is checked against the header
+    config, and every array's shape against them; an array that is not
+    float64 or holds a NaN or inf is refused too, so a damaged or
+    inconsistent file raises :class:`ModelFormatError`.
     """
     def corrupt(what):
         return ModelFormatError(f"{path}: corrupt model file ({what})")
@@ -746,12 +735,14 @@ def load_model(path) -> DeepRidgeModel:
                 if arr.dtype != np.float64 or arr.shape != shape:
                     raise corrupt(f"{name} is {arr.dtype} {arr.shape}, "
                                   f"expected float64 {shape}")
+                if not np.all(np.isfinite(arr)):
+                    raise corrupt(f"{name} holds NaN or inf")
                 return arr
 
             cfg = NetConfig(**header["config"])
             lam = np.asarray(cfg.lambda_grid, dtype=float)
             k_blocks, p = cfg.blocks, cfg.features_per_block
-            n_pen, width = cfg.n_penalties, cfg.layer_width
+            n_pen = cfg.n_penalties
             input_dim = header["input_dim"]
             if not _int_in(input_dim, 1, 2 ** 63):
                 raise corrupt(f"input_dim {input_dim!r}")
@@ -762,12 +753,14 @@ def load_model(path) -> DeepRidgeModel:
                             for r in ranks)):
                 raise corrupt(f"ranks must be {cfg.depth} lists of "
                               f"{k_blocks} ints in 1..{top}")
-            layers = [
-                LayerModel(
-                    betas=read_arr(f"layer{m}.betas.npy", (k_blocks, p, n_pen)),
-                    scales=read_arr(f"layer{m}.scales.npy", (k_blocks, n_pen)),
-                    ranks=np.array(ranks[m - 1]))
-                for m in range(1, cfg.depth + 1)]
+            layers = []
+            for m, layer_ranks in enumerate(ranks, start=1):
+                offsets = np.cumsum([0] + layer_ranks)
+                width = int(offsets[-1])
+                layers.append(LayerBasis(
+                    maps=read_arr(f"layer{m}.maps.npy", (width, p)),
+                    vt=read_arr(f"layer{m}.vt.npy", (width, n_pen)),
+                    offsets=offsets))
             if len(header["final_fits"]) != cfg.depth:
                 raise corrupt("need one final_fits entry per layer")
             finals = []
@@ -779,7 +772,8 @@ def load_model(path) -> DeepRidgeModel:
                 finals.append(FinalFit(
                     fit=RidgeGridFit(
                         lambdas=lam,
-                        betas=read_arr(f"final{d}.betas.npy", (width, n_pen))),
+                        betas=read_arr(f"final{d}.betas.npy",
+                                       (layers[d - 1].width, n_pen))),
                     lambda_star_index=star,
                     valid_mse=read_arr(f"final{d}.valid_mse.npy", (n_pen,))))
             return DeepRidgeModel(config=cfg, layers=tuple(layers),

@@ -210,14 +210,16 @@ def test_grouped_transform_matches_per_block_loop(split, monkeypatch):
             np.testing.assert_array_equal(drawn.weights, block.weights)
             np.testing.assert_array_equal(drawn.biases, block.biases)
         assert modes == [f.mode for f in fits]
-        np.testing.assert_allclose(
-            layer.betas, np.stack([f.betas for f in fits]), rtol=1e-10)
-        np.testing.assert_allclose(layer.scales, np.vstack(scales),
-                                   rtol=1e-10)
-        # the next layer reads each block's features times its (U S) map
+        # the stored layer is the basis of the reference fits over their
+        # scales; the next layer reads each block's features times its
+        # (U S) map
         x_basis = network.layer_basis(np.stack([f.betas for f in fits]),
                                       np.vstack(scales))
-        np.testing.assert_array_equal(x_basis.ranks, layer.ranks)
+        np.testing.assert_array_equal(x_basis.offsets, layer.offsets)
+        for name in ("maps", "vt"):
+            np.testing.assert_allclose(getattr(layer, name),
+                                       getattr(x_basis, name), rtol=1e-10,
+                                       atol=1e-12)
         xs = tuple(np.hstack([zs[i] @ x_basis.maps[comp].T
                               for zs, (_, comp) in zip(feats,
                                                        x_basis._rows())])
@@ -244,9 +246,10 @@ def test_forward_group_peak_holds_one_draw():
     blocks = network.GROUP_COLUMNS // p
     [(a, b)] = network.group_bounds(blocks, p)
     columns = (b - a) * p
-    layer = network.LayerModel(betas=np.zeros((blocks, p, n_pen)),
-                               scales=np.ones((blocks, n_pen)),
-                               ranks=np.ones(blocks, dtype=int))
+    # each block keeps one zero coordinate, as a block of zero betas does
+    layer = network.LayerBasis(maps=np.zeros((blocks, p)),
+                               vt=np.repeat(np.eye(1, n_pen), blocks, axis=0),
+                               offsets=np.arange(blocks + 1))
     model = DeepRidgeModel(
         config=NetConfig(depth=1, blocks=blocks, features_per_block=p,
                          lambda_grid=SMALL_GRID),
@@ -269,7 +272,6 @@ def test_forward_group_peak_holds_one_draw():
 def test_degenerate_width_equals_direct_ridge(split):
     cfg = small_cfg(depth=1, blocks=1)
     model = train(split, cfg)
-    layer = model.layers[0]
     rep = network.forward(model, split.x_train, 1).dense()
     # un-normalize and compare against a direct fit with the same block
     block = draw_block((cfg.seed, 1, 0), float(_block_gammas(cfg, 1)[0]),
@@ -277,7 +279,8 @@ def test_degenerate_width_equals_direct_ridge(split):
     direct_fit = ridge.fit_grid(
         apply_block(block, split.x_train), split.y_train, cfg.lambda_grid)
     direct = ridge.predict(direct_fit, apply_block(block, split.x_train))
-    assert np.abs(rep * layer.scales[0] - direct).max() < 1e-8
+    scales = ridge.column_scales(direct)
+    assert np.abs(rep * scales - direct).max() < 1e-8
 
 
 def test_forward_reproduces_training_representation(split):
@@ -328,25 +331,29 @@ def trained_outputs(split, cfg):
 
 
 def test_dense_expansion_reproduces_grid_columns(split):
-    # the dense columns computed block by block: each block's features times
-    # its betas over its scales, the next layer drawing on those columns'
+    # the dense columns computed block by block: each block's features
+    # times its ridge fit on the train rows, over the fitted columns'
+    # train-row scales, the next layer drawing on those columns'
     # coordinates and scaling for their dense width
     cfg = small_cfg(blocks=4, features_per_block=20,
                     lambda_grid=network.DEFAULT_LAMBDA_GRID)
-    model = train(split, cfg)
-    ref, _ = stacked(split)
+    ref, n_train = stacked(split)
     fan_in = ref.shape[1]
-    for m, (layer, rep) in enumerate(
-            zip(model.layers, trained_outputs(split, cfg)), start=1):
+    for m, rep in enumerate(trained_outputs(split, cfg), start=1):
         assert rep.basis.width < rep.basis.dense_width
-        dense = np.hstack([
-            apply_block(draw_block((cfg.seed, m, k), float(gamma),
-                                   cfg.features_per_block, ref.shape[1],
-                                   cfg.bias_range), ref, fan_in)
-            @ (layer.betas[k] / layer.scales[k])
-            for k, gamma in enumerate(_block_gammas(cfg, m))])
+        columns = []
+        for k, gamma in enumerate(_block_gammas(cfg, m)):
+            z = apply_block(draw_block((cfg.seed, m, k), float(gamma),
+                                       cfg.features_per_block, ref.shape[1],
+                                       cfg.bias_range), ref, fan_in)
+            fit = ridge.fit_grid(z[:n_train], split.y_train, cfg.lambda_grid)
+            pred = ridge.predict(fit, z)
+            columns.append(pred / ridge.column_scales(pred[:n_train]))
+        dense = np.hstack(columns)
         np.testing.assert_allclose(rep.dense(), dense, rtol=1e-10, atol=1e-10)
-        ref, fan_in = rep.basis.compress(dense.T).T, dense.shape[1]
+        ref = np.hstack([dense[:, cols] @ rep.basis.vt[comp].T
+                         for cols, comp in rep.basis._rows()])
+        fan_in = dense.shape[1]
 
 
 def compressing_cfg(**kw):
@@ -396,31 +403,6 @@ def test_draws_take_the_input_width_and_nothing_else(split, monkeypatch):
             np.testing.assert_array_equal(block.biases, want.biases)
 
 
-def test_stored_ranks_keep_predictions_continuous(split):
-    # layer-1 betas moved at the last few bits keep their stored ranks, so
-    # every layer-2 draw keeps its shape and depth-2 predictions barely
-    # move; a rank that changed would redraw all of layer 2's weights
-    model = train(split, compressing_cfg())
-    layer = model.layers[0]
-    want = predict(model, split.x_test)
-    scale = np.abs(want).max()
-
-    def with_layer1(betas, ranks):
-        moved = network.LayerModel(betas=betas, scales=layer.scales,
-                                   ranks=ranks)
-        return dataclasses.replace(model, layers=(moved, model.layers[1]))
-
-    for seed in range(3):
-        noise = np.random.default_rng(seed).standard_normal(layer.betas.shape)
-        got = predict(with_layer1(layer.betas * (1 + 1e-14 * noise),
-                                  layer.ranks), split.x_test)
-        assert np.abs(got - want).max() < 1e-6 * scale
-    bumped = layer.ranks.copy()
-    bumped[0] += 1
-    got = predict(with_layer1(layer.betas, bumped), split.x_test)
-    assert np.abs(got - want).max() > 1e-2 * scale
-
-
 def test_basis_signs_do_not_depend_on_svd(split, tmp_path, monkeypatch):
     # LAPACK may return any sign for a singular pair (u_i, v_i): flipping
     # every other pair changes no bit of training, forward or predict
@@ -439,7 +421,7 @@ def test_basis_signs_do_not_depend_on_svd(split, tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", flipped_svd)
     got = train(split, cfg)
     for a, b in zip(got.layers, want.layers):
-        for name in ("betas", "scales", "ranks"):
+        for name in ("maps", "vt", "offsets"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     for a, b in zip(got.final_fits, want.final_fits):
         np.testing.assert_array_equal(a.fit.betas, b.fit.betas)
@@ -453,6 +435,26 @@ def test_basis_signs_do_not_depend_on_svd(split, tmp_path, monkeypatch):
     save_model(want, tmp_path / "plain.drz")
     assert ((tmp_path / "flipped.drz").read_bytes()
             == (tmp_path / "plain.drz").read_bytes())
+
+
+def test_predict_runs_no_svd(split, tmp_path, monkeypatch):
+    # a trained layer is the basis forward reads, and each final ridge is
+    # stored on the coordinates: after training, nothing takes an SVD
+    model = train(split, compressing_cfg())
+    save_model(model, tmp_path / "model.drz")
+    want = [predict(model, split.x_test, depth) for depth in (1, 2)]
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD after training")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    loaded = load_model(tmp_path / "model.drz")
+    for m in (model, loaded):
+        for depth in (1, 2):
+            rep = network.forward(m, split.x_test, depth, n_threads=2)
+            assert rep.basis is m.layers[depth - 1]
+            np.testing.assert_array_equal(predict(m, split.x_test, depth),
+                                          want[depth - 1])
 
 
 @pytest.mark.parametrize("blocks, grid", [(3, SMALL_GRID),
@@ -475,17 +477,19 @@ def test_final_ridge_on_coordinates_equals_dense_ridge(split, blocks, grid):
         if blocks == 12:
             assert rep.basis.width < n_train < rep.basis.dense_width
             assert ref.mode == "dual"
-        for got, want in ((ff.fit.betas[:, well_posed],
-                           ref.betas[:, well_posed]),
-                          (dense @ ff.fit.betas, dense @ ref.betas)):
+        betas = rep.basis.expand(ff.fit.betas)
+        for got, want in ((betas[:, well_posed], ref.betas[:, well_posed]),
+                          (dense @ betas, dense @ ref.betas)):
             scale = np.abs(want).max(axis=0)
             assert np.all(np.abs(got - want) <= 1e-10 * scale)
 
 
 def _dense_predictions(model, x, depth):
+    # the final ridge expanded to the dense columns, on the dense columns
     ff = model.final_fits[depth - 1]
-    return ridge.predict(ff.fit, network.forward(model, x, depth).dense())[
-        :, ff.lambda_star_index]
+    rep = network.forward(model, x, depth)
+    fit = dataclasses.replace(ff.fit, betas=rep.basis.expand(ff.fit.betas))
+    return ridge.predict(fit, rep.dense())[:, ff.lambda_star_index]
 
 
 @pytest.mark.parametrize("grid", [(1.0,), SMALL_GRID],
@@ -495,8 +499,7 @@ def test_grids_without_compression(split, tmp_path, grid):
     # on five features leave every block its four directions
     model = train(split, small_cfg(lambda_grid=grid))
     for layer in model.layers:
-        ranks = network.layer_basis(layer.betas, layer.scales).ranks
-        assert np.all(ranks == len(grid))
+        assert np.all(layer.ranks == len(grid))
     save_model(model, tmp_path / "model.drz")
     loaded = load_model(tmp_path / "model.drz")
     for depth in (1, 2):
@@ -509,17 +512,34 @@ def test_grids_without_compression(split, tmp_path, grid):
 
 
 def test_training_basis_is_the_one_predict_uses(split, monkeypatch):
-    # each worker takes its group's basis, in training as in forward and
-    # predict; inspect takes the whole layer's at once: the same bits
+    # each worker takes its group's basis in training, the same bits as the
+    # whole layer's taken at once and for any thread count; forward and
+    # predict read each group's rows of that stored layer
     monkeypatch.setattr(network, "GROUP_COLUMNS", 10)
-    cfg = small_cfg(blocks=6, lambda_grid=network.DEFAULT_LAMBDA_GRID)
+    cfg = small_cfg(depth=1, blocks=6,
+                    lambda_grid=network.DEFAULT_LAMBDA_GRID)
     x, n_train = stacked(split)
+    fits, real_basis = [], network.layer_basis
+
+    def recorded_basis(betas, scales):
+        fits.append((betas.copy(), scales.copy()))
+        return real_basis(betas, scales)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(network, "layer_basis", recorded_basis)
+        want, _ = train_layer(x, n_train, split.y_train, cfg, 1)
+    assert len(fits) == len(network.group_bounds(cfg.blocks, 5)) == 3
+    whole = real_basis(*(np.concatenate(a) for a in zip(*fits)))
+    model = train(split, cfg)
     for threads in (1, 3):
         layer, rep = train_layer(x, n_train, split.y_train, cfg, 1, threads)
-        again = network.layer_basis(layer.betas, layer.scales)
-        for name in ("maps", "vt", "offsets"):
-            np.testing.assert_array_equal(getattr(rep.basis, name),
-                                          getattr(again, name))
+        assert rep.basis is layer
+        for got in (layer, want, model.layers[0]):
+            for name in ("maps", "vt", "offsets"):
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(whole, name))
+        out = network.forward(model, split.x_test, n_threads=threads)
+        assert out.basis is model.layers[0]
 
 
 def _within(seconds, fn):
@@ -750,8 +770,11 @@ def test_save_load_round_trip(split, tmp_path):
     assert loaded.config == model.config
     assert loaded.lambda_star_index == model.lambda_star_index
     assert loaded.input_dim == model.input_dim
-    np.testing.assert_array_equal(loaded.layers[0].scales,
-                                  model.layers[0].scales)
+    for a, b in zip(loaded.layers, model.layers, strict=True):
+        for name in ("maps", "vt", "offsets"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    for a, b in zip(loaded.final_fits, model.final_fits, strict=True):
+        np.testing.assert_array_equal(a.fit.betas, b.fit.betas)
     np.testing.assert_array_equal(predict(loaded, split.x_test),
                                   predict(model, split.x_test))
 
@@ -773,7 +796,7 @@ def _in_memory_archive(model, header_bytes, path):
     # reference writer: every payload built in memory, then written whole
     entries = {"header.json": header_bytes}
     for m, layer in enumerate(model.layers, start=1):
-        for name in ("betas", "scales"):
+        for name in ("maps", "vt"):
             entries[f"layer{m}.{name}.npy"] = _npy_bytes(getattr(layer, name))
     for m, ff in enumerate(model.final_fits, start=1):
         entries[f"final{m}.betas.npy"] = _npy_bytes(ff.fit.betas)
@@ -855,10 +878,11 @@ def test_load_rejects_future_version(split, tmp_path, monkeypatch):
 
 def test_load_rejects_v2_file(split, tmp_path, monkeypatch):
     # and a v4 file: its later layers drew on the dense columns, so its
-    # depth-2 predictions cannot be reproduced
+    # depth-2 predictions cannot be reproduced; and a v5 file, which stores
+    # betas and scales and dense final ridges, not the bases
     model = train(split, small_cfg())
     path = tmp_path / "model.drz"
-    for version in (2, 4):
+    for version in (2, 4, 5):
         monkeypatch.setattr(network, "MODEL_FORMAT_VERSION", version)
         save_model(model, path)
         monkeypatch.undo()
@@ -894,9 +918,9 @@ def test_archive_holds_two_arrays_per_layer_and_fit(split, tmp_path):
     assert names == [
         "final1.betas.npy", "final1.valid_mse.npy",
         "final2.betas.npy", "final2.valid_mse.npy", "header.json",
-        "layer1.betas.npy", "layer1.scales.npy",
-        "layer2.betas.npy", "layer2.scales.npy"]
-    assert header["format_version"] == 5
+        "layer1.maps.npy", "layer1.vt.npy",
+        "layer2.maps.npy", "layer2.vt.npy"]
+    assert header["format_version"] == 6
     assert sorted(header) == ["config", "final_fits", "format",
                               "format_version", "input_dim",
                               "library_version", "ranks"]
@@ -916,10 +940,25 @@ def _saved_with_changed_entry(model, tmp_path, entry, change):
     return broken
 
 
+def _with_entry(a, index, value):
+    a = a.copy()
+    a[index] = value
+    return a
+
+
 @pytest.mark.parametrize("entry, bad", [
-    ("layer1.betas.npy", lambda a: a[:, :-1]),                 # wrong shape
-    ("layer1.scales.npy", lambda a: a.astype(np.float32)),     # wrong dtype
-])
+    ("layer1.maps.npy", lambda a: a[:, :-1]),                  # wrong shape
+    ("layer1.vt.npy", lambda a: a.astype(np.float32)),         # wrong dtype
+    ("layer1.maps.npy", lambda a: a[:-1]),          # rows not sum of ranks
+    ("final1.betas.npy", lambda a: a[:-1]),
+    ("final1.betas.npy", lambda a: np.vstack([a, a[:1]])),
+    ("final1.valid_mse.npy", lambda a: np.full_like(a, np.nan)),
+    ("layer1.maps.npy", lambda a: _with_entry(a, (0, 0), np.nan)),
+    ("layer1.vt.npy", lambda a: _with_entry(a, (-1, -1), -np.inf)),
+    ("final1.betas.npy", lambda a: _with_entry(a, (0, 1), np.inf)),
+], ids=["maps-columns", "vt-float32", "maps-rows", "final-rows-short",
+        "final-rows-long", "valid-mse-nan", "maps-nan", "vt-inf",
+        "final-inf"])
 def test_load_rejects_inconsistent_array(split, tmp_path, entry, bad):
     broken = _saved_with_changed_entry(
         train(split, small_cfg(depth=1)), tmp_path, entry,
@@ -930,7 +969,8 @@ def test_load_rejects_inconsistent_array(split, tmp_path, entry, bad):
 
 
 # each edit breaks the header of a depth-2 model (so two final fits) over a
-# 4-point penalty grid
+# 4-point penalty grid; every block rank lies in 1..4, and one changed within
+# that range no longer matches its layer's arrays
 @pytest.mark.parametrize("edit", [
     lambda h: h.update(input_dim=0),
     lambda h: h.update(input_dim=6.0),
@@ -940,9 +980,10 @@ def test_load_rejects_inconsistent_array(split, tmp_path, entry, bad):
     lambda h: h["final_fits"][1].update(lambda_star_index=True),
     lambda h: h["final_fits"].pop(),
     lambda h: h["final_fits"].append(dict(h["final_fits"][0])),
+    lambda h: h["ranks"][0].__setitem__(0, h["ranks"][0][0] % 4 + 1),
 ], ids=["input-dim-zero", "input-dim-float", "star-past-grid", "star-negative",
         "star-float", "star-bool", "no-fit-at-full-depth",
-        "final-fits-past-depth"])
+        "final-fits-past-depth", "rank-in-range-not-the-arrays"])
 def test_load_rejects_inconsistent_header(split, tmp_path, edit):
     def change(data):
         header = json.loads(data)
