@@ -528,7 +528,8 @@ def test_training_basis_is_the_one_predict_uses(split, monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(network, "layer_basis", recorded_basis)
         want, _ = train_layer(x, n_train, split.y_train, cfg, 1)
-    assert len(fits) == len(network.group_bounds(cfg.blocks, 5)) == 3
+    assert len(fits) == len(network.group_bounds(
+        cfg.blocks, cfg.features_per_block)) == 3
     whole = real_basis(*(np.concatenate(a) for a in zip(*fits)))
     model = train(split, cfg)
     for threads in (1, 3):
