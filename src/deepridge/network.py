@@ -58,7 +58,8 @@ import numpy as np
 from . import __version__
 from .dataio import DataSplit, atomic_path
 from .features import FeatureBlock, apply_block, draw_block
-from .ridge import RidgeGridFit, column_scales, fit_floats, fit_grid
+from .ridge import (RidgeGridFit, column_scales, fit_floats, fit_grid,
+                    gram_matrix, penalty_grid, solve_grid)
 from .ridge import predict as ridge_predict
 from .seeding import map_ordered, stream_rng
 
@@ -339,7 +340,10 @@ def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
     and final ridges at K*min(P, L) rows; either bounds the compressed
     width sum r_k. With ``baseline``, the flat baseline over
     ``cfg.layer_width`` features runs after the network, so the larger of
-    the two counts (with tiny n, wide d and small P the baseline can be).
+    the two counts (with tiny n, wide d and small P the baseline can be):
+    its weights, weight variances and biases, its features on one row
+    block (one column group of them when it streams them), one ridge fit
+    and its validation and test predictions.
     """
     n_pen = cfg.n_penalties
     kl, p = cfg.layer_width, cfg.features_per_block
@@ -348,6 +352,7 @@ def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
     group_blocks = groups[0][1] - groups[0][0]
     workers = min(max(n_threads, 1), len(groups))
     widest_input = kl if cfg.depth > 1 else d
+    most_rows = max(n_train, n_total - n_train)
     network_floats = (
         n_total * (d + 2 * kl)   # stacked inputs; a layer's input, output
         # stored layers (a layer's input among them) and final ridges; the
@@ -357,15 +362,18 @@ def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
                      # one block's draw; one group's features on one row
                      # block, coefficients and scales; one block's fit and
                      # grid predictions
-                     + max(n_train, n_total - n_train) * group_blocks * p
+                     + most_rows * group_blocks * p
                      + group_blocks * (p + 1) * n_pen
                      + fit_floats(n_train, p, n_pen) + n_train * n_pen)
         + fit_floats(n_train, kl, n_pen))   # final ridge
     baseline_floats = 0
     if baseline:
+        feature_cols = min(kl, GROUP_COLUMNS) if kl > n_train else kl
         baseline_floats = (
-            (n_total + 2 * d + n_pen) * kl   # features, weights, coefficients
-            + fit_floats(n_train, kl, n_pen))
+            (d + 3) * kl   # weights, variances and their square roots, biases
+            + most_rows * feature_cols
+            + fit_floats(n_train, kl, n_pen)
+            + 2 * (n_total - n_train) * n_pen)
     return n_total * d + max(network_floats, baseline_floats)
 
 
@@ -613,30 +621,78 @@ def flat_random_feature_baseline(split: DataSplit, p_total: int, lambdas,
 
     Each of the ``p_total`` features gets its own weight variance, drawn
     uniformly from (gamma_low, gamma_high) or cycled from ``gamma_grid``.
+    With no more features than training rows the ridge is fit on each
+    split's whole feature matrix in turn; with more, the features are
+    streamed one column group at a time (:func:`_streamed_dual_fit`).
     """
     if p_total < 1:
         raise ValueError("p_total must be at least 1")
-    rng = stream_rng(seed, _TAG_BASELINE)
+    lam = penalty_grid(lambdas)
     if gamma_grid is not None:
         gammas = np.resize(np.asarray(gamma_grid, dtype=float), p_total)
         if not np.all(gammas > 0):
             raise ValueError("gamma_grid entries must be positive")
-    else:
+    elif not 0 < gamma_low < gamma_high:
+        raise ValueError("need 0 < gamma_low < gamma_high")
+    if not bias_range > 0:
+        raise ValueError("bias_range must be positive")
+    rng = stream_rng(seed, _TAG_BASELINE)
+    if gamma_grid is None:
         gammas = rng.uniform(gamma_low, gamma_high, size=p_total)
-    d = split.d
-    weights = rng.standard_normal((d, p_total)) * np.sqrt(gammas)
+    weights = rng.standard_normal((split.d, p_total))
+    weights *= np.sqrt(gammas)   # in place: one (d, p_total) array
     biases = rng.uniform(-bias_range, bias_range, size=p_total)
     block = FeatureBlock(weights=weights, biases=biases)
 
-    # one split's features at a time: each is dropped once used
-    fit = fit_grid(apply_block(block, split.x_train), split.y_train, lambdas)
-    ff = _selected(fit, ridge_predict(fit, apply_block(block, split.x_valid)),
-                   split.y_valid)
-    test_pred = ridge_predict(
-        fit, apply_block(block, split.x_test))[:, ff.lambda_star_index]
-    metrics = evaluate(test_pred, split.y_test, float(np.mean(split.y_train)))
+    if p_total > split.x_train.shape[0]:
+        fit, valid_pred, test_pred = _streamed_dual_fit(block, split, lam)
+    else:
+        # one split's features at a time: each is dropped once used
+        fit = fit_grid(apply_block(block, split.x_train), split.y_train, lam)
+        valid_pred = ridge_predict(fit, apply_block(block, split.x_valid))
+        test_pred = ridge_predict(fit, apply_block(block, split.x_test))
+    ff = _selected(fit, valid_pred, split.y_valid)
+    metrics = evaluate(test_pred[:, ff.lambda_star_index], split.y_test,
+                       float(np.mean(split.y_train)))
     return BaselineResult(metrics=metrics, lambda_star=ff.lambda_star,
                           lambda_star_index=ff.lambda_star_index)
+
+
+def _streamed_dual_fit(block: FeatureBlock, split: DataSplit, lam):
+    """The dual ridge fit of ``block``'s features on the train rows, and its
+    (rows, L) grid predictions on the validation and test rows, with no
+    split's whole feature matrix held.
+
+    ZZ'/n is the sum of each ``GROUP_COLUMNS``-wide column group's
+    Z_g Z_g'/n, so a first pass adds those up and the grid is solved once
+    on the sum. A second pass recomputes each group's train-row features,
+    takes the group's coefficients Z_g' alpha / n from the (n, L) dual
+    solution alpha, and adds the group's share to the validation and test
+    predictions.
+    """
+    n, p_total = split.x_train.shape[0], block.biases.size
+    groups = [slice(a, a + GROUP_COLUMNS)
+              for a in range(0, p_total, GROUP_COLUMNS)]
+
+    def features(cols, x):
+        return apply_block(FeatureBlock(weights=block.weights[:, cols],
+                                        biases=block.biases[cols]), x)
+
+    gram = np.zeros((n, n))
+    for cols in groups:
+        gram += gram_matrix(features(cols, split.x_train), "dual")
+    alpha = solve_grid(gram, split.y_train, lam)
+    del gram
+    betas = np.empty((p_total, lam.size))
+    valid_pred = np.zeros((split.x_valid.shape[0], lam.size))
+    test_pred = np.zeros((split.x_test.shape[0], lam.size))
+    for cols in groups:
+        np.matmul(features(cols, split.x_train).T, alpha, out=betas[cols])
+        betas[cols] /= n
+        valid_pred += features(cols, split.x_valid) @ betas[cols]
+        test_pred += features(cols, split.x_test) @ betas[cols]
+    return (RidgeGridFit(lambdas=lam, betas=betas, mode="dual"), valid_pred,
+            test_pred)
 
 
 # --- serialization ---------------------------------------------------------

@@ -19,6 +19,10 @@ coefficients come first, so Z' is touched once and no (P, n) product is
 formed. Beyond the Gram (about P n^2 flops) and its eigendecomposition
 (O(n^3)), the grid costs 2 n L (n + P) flops, where Z'V alone would cost
 2 P n^2, and holds only (n, L) and (P, L) arrays.
+
+A fit is two steps, :func:`gram_matrix` and :func:`solve_grid`. The dual
+Gram is a sum over column groups of Z, so a caller that cannot hold all of
+Z can add its groups' Grams and solve the grid on the sum.
 """
 
 from dataclasses import dataclass
@@ -63,7 +67,8 @@ class RidgeGridFit:
         return self.betas.shape[0]
 
 
-def _as_grid(lambdas) -> np.ndarray:
+def penalty_grid(lambdas) -> np.ndarray:
+    """``lambdas`` sorted; refused unless non-empty, positive and distinct."""
     lam = np.sort(np.asarray(lambdas, dtype=float).ravel())
     if lam.size == 0:
         raise ValueError("lambda grid must be non-empty")
@@ -90,27 +95,43 @@ def fit_grid(z, y, lambdas, mode: str | None = None) -> RidgeGridFit:
         raise ValueError(f"label length {y.shape[0]} does not match {n} rows")
     if not np.all(np.isfinite(y)):
         raise ValueError("non-finite entries in y")
-    lam = _as_grid(lambdas)
+    lam = penalty_grid(lambdas)
     if mode is None:
         mode = "dual" if p > n else "primal"
     if mode not in ("primal", "dual"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    gram = z.T @ z / n if mode == "primal" else z @ z.T / n
-    # a NaN or inf anywhere in z puts one on the Gram's diagonal (a sum of
-    # squares cannot cancel it), so z itself is never scanned
+    gram = gram_matrix(z, mode)
+    if mode == "primal":
+        betas = solve_grid(gram, z.T @ y / n, lam)
+    else:
+        betas = z.T @ solve_grid(gram, y, lam)
+        betas /= n
+    return RidgeGridFit(lambdas=lam, betas=betas, mode=mode)
+
+
+def gram_matrix(z, mode: str) -> np.ndarray:
+    """Z'Z/n for ``mode`` "primal", ZZ'/n for "dual", of an (n, P) ``z``."""
+    gram = z.T @ z if mode == "primal" else z @ z.T
+    gram /= z.shape[0]   # in place: no second Gram
+    return gram
+
+
+def solve_grid(gram, rhs, lam) -> np.ndarray:
+    """(gram + lam I)^-1 rhs for each penalty in ``lam``, one column each,
+    from one eigendecomposition of the symmetric ``gram``.
+
+    Eigenvalues are floored at ``EIG_RELATIVE_FLOOR`` times the largest. The
+    Gram of features Z is refused when its diagonal is not finite: a NaN
+    or inf anywhere in Z puts one there (a sum of squares cannot cancel
+    it), so Z itself is never scanned.
+    """
     if not np.all(np.isfinite(gram.diagonal())):
         raise ValueError("non-finite entries in z")
     mu, vecs = np.linalg.eigh(gram)
     mu = _floor_eigenvalues(mu)
-    if mode == "primal":
-        t = vecs.T @ (z.T @ y / n)
-        betas = vecs @ (t[:, None] / (mu[:, None] + lam[None, :]))
-    else:
-        s = vecs.T @ y
-        betas = z.T @ (vecs @ (s[:, None] / (mu[:, None] + lam[None, :])))
-        betas /= n
-    return RidgeGridFit(lambdas=lam, betas=betas, mode=mode)
+    t = vecs.T @ rhs
+    return vecs @ (t[:, None] / (mu[:, None] + lam[None, :]))
 
 
 def fit_floats(rows: int, cols: int, n_pen: int) -> int:

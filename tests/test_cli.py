@@ -194,13 +194,16 @@ def test_memory_estimate_bounds_traced_peak(threads, blocks, p, mode,
 
 @pytest.mark.parametrize("width, n, d, baseline_larger", [
     (40, 300, 8, False), (600, 300, 8, False), (600, 30, 200, True),
-], ids=["40", "600", "600-wide-input"])
+    (3372, 300, 8, False), (3372, 30, 200, True),
+], ids=["40", "600", "600-wide-input", "3372", "3372-wide-input"])
 def test_memory_estimate_bounds_traced_baseline_peak(width, n, d,
                                                      baseline_larger):
     # a run sizes the flat baseline at the network's layer width K*L; at 100
     # training rows it takes a primal and a dual fit. With 10 training rows
     # of 200 inputs its weights outgrow the network, so only the baseline
-    # term of the estimate bounds its peak
+    # term of the estimate bounds its peak. At 3372 features (four transform
+    # column groups, the last one ragged) the baseline streams its features
+    # one group at a time
     split = dataio.simulate_single_neuron(
         dataio.SimConfig(n=n, d=d, noise_std=0.1, seed=1))
     cfg = network.NetConfig(depth=1, blocks=width // len(SMALL_GRID),

@@ -11,7 +11,7 @@ import pytest
 
 from deepridge import network, ridge, theory
 from deepridge.dataio import DataSplit, SimConfig, simulate_single_neuron
-from deepridge.features import apply_block, draw_block
+from deepridge.features import FeatureBlock, apply_block, draw_block
 from deepridge.network import (DeepRidgeModel, FinalFit, Metrics, NetConfig,
                                _block_gammas, evaluate,
                                flat_random_feature_baseline, load_model,
@@ -759,6 +759,90 @@ def test_baseline_planted_signal():
 def test_baseline_rejects_bad_width(split):
     with pytest.raises(ValueError):
         flat_random_feature_baseline(split, 0, SMALL_GRID)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(gamma_low=-1.0), "need 0 < gamma_low < gamma_high"),
+    (dict(gamma_low=1.0, gamma_high=0.5), "need 0 < gamma_low < gamma_high"),
+    (dict(bias_range=0.0), "bias_range must be positive"),
+], ids=["negative-gamma", "reversed-gammas", "zero-bias-range"])
+def test_baseline_rejects_bad_arguments_before_any_draw(split, kwargs,
+                                                       message, monkeypatch):
+    def no_draw(*key):
+        raise AssertionError(f"stream {key} drawn before the checks")
+
+    monkeypatch.setattr(network, "stream_rng", no_draw)
+    with pytest.raises(ValueError, match=message):
+        flat_random_feature_baseline(split, 4, SMALL_GRID, **kwargs)
+
+
+# spans four transform column groups, the last one ragged
+STREAMED_WIDTH = 3 * network.GROUP_COLUMNS + 300
+
+
+def dense_baseline(split, p_total, seed):
+    """The flat baseline fit on each split's whole feature matrix: its
+    validation MSEs, the selected index and the test metrics."""
+    rng = network.stream_rng(seed, network._TAG_BASELINE)
+    gammas = rng.uniform(0.25, 1.25, size=p_total)
+    weights = rng.standard_normal((split.d, p_total)) * np.sqrt(gammas)
+    block = FeatureBlock(weights=weights,
+                         biases=rng.uniform(-1.0, 1.0, size=p_total))
+    fit = ridge.fit_grid(apply_block(block, split.x_train), split.y_train,
+                         SMALL_GRID)
+    valid_pred = ridge.predict(fit, apply_block(block, split.x_valid))
+    valid_mse = np.mean((valid_pred - split.y_valid[:, None]) ** 2, axis=0)
+    star = int(np.argmin(valid_mse))
+    test_pred = ridge.predict(fit, apply_block(block, split.x_test))[:, star]
+    return valid_mse, star, evaluate(test_pred, split.y_test,
+                                     float(np.mean(split.y_train)))
+
+
+def recorded_baseline(split, p_total, seed, monkeypatch):
+    """The baseline's result and its validation MSEs."""
+    selected, real = [], network._selected
+
+    def record(*args):
+        selected.append(real(*args))
+        return selected[-1]
+
+    monkeypatch.setattr(network, "_selected", record)
+    res = flat_random_feature_baseline(split, p_total, SMALL_GRID, seed=seed)
+    return res, selected[0].valid_mse
+
+
+def test_streamed_baseline_matches_dense_fit(split, monkeypatch):
+    # more features than train rows: the Gram is summed over column groups,
+    # which reorders the sums, so agreement is to rounding
+    assert STREAMED_WIDTH > split.x_train.shape[0]
+    res, valid_mse = recorded_baseline(split, STREAMED_WIDTH, 4, monkeypatch)
+    ref_mse, ref_star, ref_metrics = dense_baseline(split, STREAMED_WIDTH, 4)
+    assert res.lambda_star_index == ref_star
+    np.testing.assert_allclose(valid_mse, ref_mse, rtol=1e-10)
+    np.testing.assert_allclose(res.metrics.mse, ref_metrics.mse, rtol=1e-10)
+
+
+def test_primal_baseline_is_the_dense_fit(split, monkeypatch):
+    p_total = 60
+    assert p_total <= split.x_train.shape[0]
+    res, valid_mse = recorded_baseline(split, p_total, 4, monkeypatch)
+    ref_mse, ref_star, ref_metrics = dense_baseline(split, p_total, 4)
+    np.testing.assert_array_equal(valid_mse, ref_mse)
+    assert res.lambda_star_index == ref_star
+    assert res.metrics == ref_metrics
+
+
+def test_streamed_baseline_holds_no_whole_feature_matrix():
+    split = simulate_single_neuron(
+        SimConfig(n=900, d=6, noise_std=0.2, activation="relu", seed=5))
+    n_train = split.x_train.shape[0]
+    tracemalloc.start()
+    try:
+        flat_random_feature_baseline(split, STREAMED_WIDTH, SMALL_GRID)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n_train * STREAMED_WIDTH
 
 
 # --- serialization -----------------------------------------------------------
