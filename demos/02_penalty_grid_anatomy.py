@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""One eigendecomposition, a whole ridge path.
+"""One tridiagonal reduction, a whole ridge path.
 
 Shows that the grid fit matches per-penalty dense solves, that the primal
 (P x P) and dual (n x n) routes agree, and how coefficients shrink
@@ -29,7 +29,7 @@ dual = ridge.fit_grid(z, y, grid, mode="dual")
 print(f"primal vs dual coefficients:              "
       f"max |diff| = {np.abs(fit.betas - dual.betas).max():.2e}")
 
-# the whole grid costs about one decomposition, not one per penalty
+# the whole grid costs about one reduction, not one per penalty
 t0 = time.perf_counter()
 ridge.fit_grid(z, y, grid[:1])
 one = time.perf_counter() - t0

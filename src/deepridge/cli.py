@@ -8,7 +8,7 @@ Usage:
 Every run writes results.csv (deterministic given config, seeds and BLAS
 thread count), timings.csv (wall times, inherently not reproducible) and
 manifest.json (config hash, seeds for the kinds that draw, library
-version, BLAS thread settings). The FMNIST-style experiments read IDX
+version, BLAS thread settings, ridge grid solver). The FMNIST-style experiments read IDX
 files from the directory named by $DEEPRIDGE_DATA_DIR or the config's
 data.data_dir.
 """
@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from . import __version__, dataio, network, theory
+from . import __version__, dataio, network, ridge, theory
 
 DATA_DIR_ENV = "DEEPRIDGE_DATA_DIR"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -382,6 +382,9 @@ def run(config_path, seed_override=None, threads: int = 1,
         # feature GEMMs sum in an order set by the BLAS thread count, so
         # results.csv reproduces only at the same settings
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        # the tridiagonal and eigh grid solves agree to rounding, not bit
+        # for bit, so results.csv reproduces only on the same path
+        "grid_solver": ridge.grid_solver(),
         "outputs": [os.path.basename(p) for p in sorted(outputs)],
     }
     if "seeds" in cfg:

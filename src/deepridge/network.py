@@ -682,7 +682,7 @@ def _streamed_dual_fit(block: FeatureBlock, split: DataSplit, lam):
     for cols in groups:
         gram += gram_matrix(features(cols, split.x_train), "dual")
     alpha = solve_grid(gram, split.y_train, lam)
-    del gram
+    del gram   # the solve overwrote it with its reduction
     betas = np.empty((p_total, lam.size))
     valid_pred = np.zeros((split.x_valid.shape[0], lam.size))
     test_pred = np.zeros((split.x_test.shape[0], lam.size))

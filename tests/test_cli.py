@@ -51,6 +51,8 @@ def test_run_simulate_writes_results_and_manifest(tmp_path):
     assert saved["config_hash"] == manifest["config_hash"]
     assert saved["seeds"] == [0, 1]
     assert "results.csv" in saved["outputs"]
+    assert saved["grid_solver"] == ridge.grid_solver()
+    assert saved["grid_solver"] in ("tridiagonal", "eigh")
     assert (out / "timings.csv").exists()
 
 

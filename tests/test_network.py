@@ -494,12 +494,27 @@ def _dense_predictions(model, x, depth):
 
 @pytest.mark.parametrize("grid", [(1.0,), SMALL_GRID],
                          ids=["one-penalty", "every-rank-full"])
-def test_grids_without_compression(split, tmp_path, grid):
+def test_grids_without_compression(split, tmp_path, grid, monkeypatch):
     # one penalty gives each block one column; four well-spread penalties
-    # on five features leave every block its four directions
-    model = train(split, small_cfg(lambda_grid=grid))
-    for layer in model.layers:
-        assert np.all(layer.ranks == len(grid))
+    # leave a block min(4, live features) directions, since a relu feature
+    # that is zero on every train row gets a zero coefficient and adds none
+    # (layer 2's block 3 has two such features among its five)
+    live, real_fit_grid = [], network.fit_grid
+
+    def recorded_fit_grid(z, *args):
+        live.append(int(np.count_nonzero(np.any(z != 0, axis=0))))
+        return real_fit_grid(z, *args)
+
+    monkeypatch.setattr(network, "fit_grid", recorded_fit_grid)
+    cfg = small_cfg(lambda_grid=grid)
+    model = train(split, cfg)
+    monkeypatch.undo()
+    k = cfg.blocks
+    for m, layer in enumerate(model.layers):
+        # each layer's K block fits come before its final ridge's
+        block_live = live[m * (k + 1):m * (k + 1) + k]
+        np.testing.assert_array_equal(layer.ranks,
+                                      np.minimum(len(grid), block_live))
     save_model(model, tmp_path / "model.drz")
     loaded = load_model(tmp_path / "model.drz")
     for depth in (1, 2):

@@ -1,4 +1,6 @@
 import tracemalloc
+import types
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -140,18 +142,32 @@ def test_monotone_shrinkage_in_eigenbasis():
 
 
 def test_single_decomposition_for_whole_grid(monkeypatch):
-    calls = {"n": 0}
-    real_eigh = np.linalg.eigh
+    # one tridiagonal reduction of the Gram and one tridiagonal solve serve
+    # the whole grid; no eigendecomposition runs
+    needs_tridiagonal_path()
+    lapack = ridge._lapack()
+    calls = {name: 0 for name in vars(lapack)}
+    lwork_at = {"dsytrd": 8, "dormtr": 11}
 
-    def counting_eigh(*args, **kwargs):
-        calls["n"] += 1
-        return real_eigh(*args, **kwargs)
+    def counting(name):
+        def call(*args):
+            if name not in lwork_at or args[lwork_at[name]]._obj.value != -1:
+                calls[name] += 1   # not a workspace size query
+            return getattr(lapack, name)(*args)
+        call.__name__ = name
+        return call
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    counted = types.SimpleNamespace(**{name: counting(name) for name in calls})
+    monkeypatch.setattr(ridge, "_lapack", lambda: counted)
+    monkeypatch.setattr(np.linalg, "eigh", None)
     rng = np.random.default_rng(2)
-    ridge.fit_grid(rng.standard_normal((40, 30)), rng.standard_normal(40),
-                   GRID29)
-    assert calls["n"] == 1
+    for shape in ((40, 30), (30, 40)):
+        ridge.fit_grid(rng.standard_normal(shape),
+                       rng.standard_normal(shape[0]), GRID29)
+    # per fit (one primal, one dual): one reduction, one eigenvalue pass,
+    # Q' applied to the right-hand side and Q to the (r, L) solutions, and
+    # one tridiagonal solve for all 29 penalties
+    assert calls == {"dsytrd": 2, "dsterf": 2, "dormtr": 4, "dptsv": 2}
 
 
 def test_predict():
@@ -266,3 +282,93 @@ def test_property_grid_equals_dense_solves(problem, mode):
     oracle = dense_solve(z, y, lams)
     assert np.abs(fit.betas - oracle).max() <= _float64_tolerance(
         z, lams, oracle)
+
+
+def eigh_path():
+    """Within this context :func:`ridge.solve_grid` takes its eigh path."""
+    return mock.patch.object(ridge, "_lapack", lambda: None)
+
+
+def needs_tridiagonal_path():
+    if ridge.grid_solver() != "tridiagonal":
+        pytest.skip("numpy's LAPACK does not export the tridiagonal routines")
+
+
+@pytest.mark.parametrize("n, p", [(5, 1), (1, 5), (300, 200), (200, 300)],
+                         ids=["primal-r1", "dual-r1", "primal-blocked",
+                              "dual-blocked"])
+def test_tridiagonal_path_matches_eigh_path(n, p):
+    # r = 200 is past LAPACK's crossover to its blocked reduction
+    needs_tridiagonal_path()
+    rng = np.random.default_rng(n + p)
+    z = rng.standard_normal((n, p))
+    y = rng.standard_normal(n)
+    fit = ridge.fit_grid(z, y, GRID29)
+    with eigh_path():
+        assert ridge.grid_solver() == "eigh"
+        ref = ridge.fit_grid(z, y, GRID29)
+    assert fit.mode == ref.mode
+    assert np.abs(fit.betas - ref.betas).max() <= _float64_tolerance(
+        z, fit.lambdas, ref.betas)
+
+
+@PROPERTY_SETTINGS
+@given(ridge_problems(), st.sampled_from(["primal", "dual"]))
+def test_property_tridiagonal_equals_eigh(problem, mode):
+    needs_tridiagonal_path()
+    z, y, lams = problem
+    fit = ridge.fit_grid(z, y, lams, mode=mode)
+    with eigh_path():
+        ref = ridge.fit_grid(z, y, lams, mode=mode)
+    assert np.abs(fit.betas - ref.betas).max() <= _float64_tolerance(
+        z, lams, ref.betas)
+
+
+@pytest.mark.parametrize("r", [1, 4])
+def test_zero_gram_solves_to_rhs_over_penalty(r):
+    lam = ridge.penalty_grid(GRID29)
+    rhs = np.arange(1.0, r + 1)
+    want = rhs[:, None] / lam[None, :]
+    np.testing.assert_array_equal(
+        ridge.solve_grid(np.zeros((r, r)), rhs, lam), want)
+    with eigh_path():
+        got = ridge.solve_grid(np.zeros((r, r)), rhs, lam)
+    assert np.abs(got - want).max() <= 4 * EPS * np.abs(want).max()
+
+
+def test_penalty_floor_solves_singular_gram():
+    # a rank-one Gram at a penalty far below EIG_RELATIVE_FLOOR * mu_max:
+    # the penalty is raised to the floor, so the solve neither fails nor
+    # blows up, and along the Gram's range it agrees with the eigh path
+    # up to eps times the floored condition number 1 / EIG_RELATIVE_FLOOR
+    v = np.linspace(1.0, 2.0, 50)
+    lam = np.array([1e-20, 1.0])
+    got = ridge.solve_grid(np.outer(v, v), v, lam)
+    with eigh_path():
+        ref = ridge.solve_grid(np.outer(v, v), v, lam)
+    tol = 32 * EPS / ridge.EIG_RELATIVE_FLOOR * np.abs(ref).max()
+    assert np.abs(got - ref).max() <= tol
+    np.testing.assert_allclose(got[:, 1], v / (v @ v + 1.0), rtol=1e-12)
+
+
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("gram, rhs, lam", [
+    (np.eye(3)[:, :2], np.ones(3), [1.0]),
+    (np.eye(3, dtype=np.float32), np.ones(3), [1.0]),
+    (np.eye(4)[::2, ::2], np.ones(2), [1.0]),
+    (np.asfortranarray(np.arange(9.0).reshape(3, 3)), np.ones(3), [1.0]),
+    (read_only(np.eye(3)), np.ones(3), [1.0]),
+    (np.eye(3), np.ones(2), [1.0]),
+    (np.eye(3), np.ones((3, 1)), [1.0]),
+    (np.eye(3), np.ones(3), np.ones((2, 3))),
+], ids=["not-square", "float32", "strided", "fortran-order", "read-only",
+        "short-rhs", "2d-rhs", "2d-penalties"])
+def test_solve_grid_refuses_unfit_arguments(gram, rhs, lam):
+    # LAPACK is handed the Gram by pointer, overwrites it, and sizes its
+    # buffers from the Gram's order and the number of penalties
+    with pytest.raises(ValueError, match="gram must be|rhs|lam"):
+        ridge.solve_grid(gram, rhs, np.asarray(lam))
