@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""One tridiagonal reduction, a whole ridge path.
+"""One band reduction, a whole ridge path.
 
 Shows that the grid fit matches per-penalty dense solves, that the primal
 (P x P) and dual (n x n) routes agree, and how coefficients shrink

@@ -8,9 +8,9 @@ Usage:
 Every run writes results.csv (deterministic given config, seeds and BLAS
 thread count), timings.csv (wall times, inherently not reproducible) and
 manifest.json (config hash, seeds for the kinds that draw, library
-version, BLAS thread settings, ridge grid solver). The FMNIST-style experiments read IDX
-files from the directory named by $DEEPRIDGE_DATA_DIR or the config's
-data.data_dir.
+version, BLAS thread settings, ridge grid solver, numpy version and its
+BLAS/LAPACK build). The FMNIST-style experiments read IDX files from
+the directory named by $DEEPRIDGE_DATA_DIR or the config's data.data_dir.
 """
 
 import argparse
@@ -382,9 +382,12 @@ def run(config_path, seed_override=None, threads: int = 1,
         # feature GEMMs sum in an order set by the BLAS thread count, so
         # results.csv reproduces only at the same settings
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
-        # the tridiagonal and eigh grid solves agree to rounding, not bit
-        # for bit, so results.csv reproduces only on the same path
+        # the band and eigh grid solves agree to rounding, not bit for bit,
+        # so results.csv reproduces only on the same path, and on the path's
+        # own LAPACK build
         "grid_solver": ridge.grid_solver(),
+        "numpy_version": np.__version__,
+        "blas_build": blas_build(),
         "outputs": [os.path.basename(p) for p in sorted(outputs)],
     }
     if "seeds" in cfg:
@@ -393,6 +396,11 @@ def run(config_path, seed_override=None, threads: int = 1,
     with dataio.atomic_path(manifest_path) as tmp, open(tmp, "w") as f:
         json.dump(manifest, f, sort_keys=True, indent=1)
     return manifest
+
+
+def blas_build() -> dict:
+    """numpy's BLAS/LAPACK build entry (name, version, configuration)."""
+    return np.show_config(mode="dicts")["Build Dependencies"]["blas"]
 
 
 def inspect(model_path) -> str:

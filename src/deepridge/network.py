@@ -40,7 +40,7 @@ orthonormal C the layer is the dense-input network in distribution; but
 its realization depends on the basis itself, so the ranks r_k are fixed
 in training and stored with the model. The final ridge is fit and stored
 on the coordinates; C times its coefficients is the ridge on the dense
-columns. :meth:`LayerOutput.dense` expands the dense columns on request.
+columns, and no (n, K*L) dense array is ever formed.
 
 Training never backpropagates: input weights are drawn, output weights are
 closed-form ridge solutions.
@@ -198,13 +198,6 @@ class LayerBasis:
         return LayerBasis(maps=self.maps[rows], vt=self.vt[rows],
                           offsets=self.offsets[a:b + 1] - self.offsets[a])
 
-    def expand(self, rows) -> np.ndarray:
-        """blockdiag(C) rows: (sum r_k, c) to (K*L, c)."""
-        out = np.empty((self.dense_width, rows.shape[1]))
-        for dense, comp in self._rows():
-            np.matmul(self.vt[comp].T, rows[comp], out=out[dense])
-        return out
-
     @staticmethod
     def join(parts) -> "LayerBasis":
         """Consecutive blocks' bases as one."""
@@ -245,10 +238,6 @@ class LayerOutput:
 
     coords: np.ndarray    # (n, sum r_k)
     basis: LayerBasis
-
-    def dense(self) -> np.ndarray:
-        """The (n, K*L) unit-scale grid columns."""
-        return self.basis.expand(self.coords.T).T
 
 
 @dataclass(frozen=True)

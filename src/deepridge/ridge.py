@@ -4,18 +4,22 @@ Convention: for features Z (n x P), labels y and penalty lam,
 
     beta(lam) = (lam*I + Z'Z/n)^-1 Z'y/n.
 
-The grid never needs the Gram's eigenvectors. A Householder reduction
-Z'Z/n = Q T Q' to a symmetric tridiagonal T (Golub & Van Loan, Matrix
-Computations, section 8.3) turns each penalty into an O(P) tridiagonal
-solve:
+The grid never needs the Gram's eigenvectors, nor even a tridiagonal
+form. The first stage of a two-stage reduction (Bischof, Lang & Sun, A
+framework for symmetric band reduction, ACM TOMS 2000) takes
+Z'Z/n = Q B Q' to a symmetric band B of half-bandwidth kd, and each
+penalty becomes a banded Cholesky solve:
 
-    beta(lam) = Q (T + lam I)^-1 Q' (Z'y/n).
+    beta(lam) = Q (B + lam I)^-1 Q' (Z'y/n).
 
-The reduction costs about 4/3 P^3 flops; Q' is applied to one vector, all
-L tridiagonal systems are solved in one call (stacked as one tridiagonal
-of order L*P whose couplings between systems are zero), and Q is applied
-to the (P, L) result in about 2 P^2 L flops. T's eigenvalues, in O(P^2),
-give the largest eigenvalue mu_max that the penalty floor is set from. An
+The reduction costs about 4/3 P^3 flops, nearly all of them in BLAS-3
+updates of kd-wide panels; a full reduction to tridiagonal form spends
+half of its flops in memory-bound matrix-vector products. Q' is applied
+to one vector, each penalty's Cholesky factor costs about P kd^2 flops
+(the penalties are factored in stacks, each stack one band system whose
+couplings between penalties are zero), and Q is applied to the (P, L)
+result in about 2 P^2 L flops. The penalty floor is set from B's largest
+absolute row sum, a Gershgorin bound on the largest eigenvalue. An
 eigendecomposition would add the eigenvectors and an O(P^3)
 back-transform.
 
@@ -33,8 +37,8 @@ A fit is two steps, :func:`gram_matrix` and :func:`solve_grid`. The dual
 Gram is a sum over column groups of Z, so a caller that cannot hold all of
 Z can add its groups' Grams and solve the grid on the sum.
 
-The reduction and the solves are LAPACK's dsytrd, dsterf, dormtr and
-dptsv, called from the LAPACK that numpy itself links. Where that build
+The reduction and the solves are LAPACK's dsytrd_sy2sb, dormqr and
+dpbsv, called from the LAPACK that numpy itself links. Where that build
 does not export them, :func:`solve_grid` takes its one other path, an
 ``eigh`` of the Gram, which the tests also use as the reference.
 """
@@ -46,13 +50,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# relative floor, times the Gram's largest eigenvalue mu_max: the grid solve
-# raises each penalty to at least EIG_RELATIVE_FLOOR * mu_max, so T + lam I
-# stays positive definite when rounding leaves an eigenvalue of a singular
-# Gram slightly negative. The eigh path floors the eigenvalues at the same
-# level instead. Either moves a solve only at penalties near or below the
-# floor: not on the default grid (from 1e-4) unless mu_max nears 1e8
+# relative floor: the band solve raises each penalty to at least
+# EIG_RELATIVE_FLOOR * g, where g is the band B's largest absolute row sum
+# (mu_max <= g <= sqrt(2 kd + 1) mu_max for the Gram's largest eigenvalue
+# mu_max), so B + lam I stays positive definite when rounding leaves an
+# eigenvalue of a singular Gram slightly negative. The eigh path floors the
+# eigenvalues at EIG_RELATIVE_FLOOR * mu_max instead. Either moves a solve
+# only at penalties near or below the floor: not on the default grid (from
+# 1e-4) unless mu_max nears 1e7
 EIG_RELATIVE_FLOOR = 1e-12
+
+# the band solve's half-bandwidth kd is r // 32 for a Gram of order r,
+# clipped to [1, MAX_BANDWIDTH]; its penalties are factored in stacks of at
+# most BAND_STACK_FLOATS band entries (one penalty a stack when the band
+# alone is larger), one LAPACK call per stack
+MAX_BANDWIDTH = 32
+BAND_STACK_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -145,11 +158,12 @@ def solve_grid(gram, rhs, lam) -> np.ndarray:
     The solve consumes ``gram``: it is overwritten by the reduction's
     reflectors, so a caller drops it afterwards. It must be a square,
     writeable, C-contiguous float64 array, as :func:`gram_matrix` returns.
-    Each penalty is raised to at least ``EIG_RELATIVE_FLOOR`` times the
-    Gram's largest eigenvalue; a Gram with no positive eigenvalue gives
-    rhs / lam. The Gram of features Z is refused when its diagonal is not
-    finite: a NaN or inf anywhere in Z puts one there (a sum of squares
-    cannot cancel it), so Z itself is never scanned.
+    Each penalty is raised to at least ``EIG_RELATIVE_FLOOR`` times a
+    bound on the Gram's largest eigenvalue (the eigenvalue itself on the
+    eigh path); a zero Gram gives rhs / lam. The Gram of features Z is
+    refused when its diagonal is not finite: a NaN or inf anywhere in Z
+    puts one there (a sum of squares cannot cancel it), so Z itself is
+    never scanned.
     """
     gram_ok = (isinstance(gram, np.ndarray) and gram.ndim == 2
                and gram.shape[0] == gram.shape[1]
@@ -170,28 +184,36 @@ def solve_grid(gram, rhs, lam) -> np.ndarray:
     lapack = _lapack()
     if lapack is None:
         return _eigh_solve_grid(gram, rhs, lam)
-    return _tridiagonal_solve_grid(lapack, gram, rhs, lam)
+    return _band_solve_grid(lapack, gram, rhs, lam)
 
 
 def grid_solver() -> str:
-    """The path :func:`solve_grid` takes on this build: "tridiagonal"
-    (numpy's bundled LAPACK) or "eigh". Results agree to rounding, not bit
-    for bit, across the two."""
-    return "eigh" if _lapack() is None else "tridiagonal"
+    """The path :func:`solve_grid` takes on this build: "band" (numpy's
+    bundled LAPACK) or "eigh". Results agree to rounding, not bit for bit,
+    across the two."""
+    return "eigh" if _lapack() is None else "band"
 
 
 def fit_floats(rows: int, cols: int, n_pen: int) -> int:
     """Floats one :func:`fit_grid` call holds at its peak.
 
     For a (rows, cols) Z over ``n_pen`` penalties: the (r, r) Gram of Z's
-    smaller side, which the grid solve reduces in place, then the stacked
-    (r, n_pen) tridiagonal systems, their solution and its copy, and the
-    (cols, n_pen) coefficients. A second r^2 covers LAPACK's workspace
-    (64 r) and BLAS's packing buffers for the Gram product: one fit at one
-    BLAS thread raises peak RSS by 1.3-1.7 r^2 floats at r = 1000-2000.
+    smaller side, which the grid solve reduces in place, the (r, kd + 1)
+    band, one stack of band factors, the reduction's workspace (at most
+    66 r: 64,922 floats at r = 1000), the (r, n_pen) solutions and their
+    copy, and the (cols, n_pen) coefficients. A second r^2 covers BLAS's
+    packing buffers for the Gram product: one fit at one BLAS thread
+    raises peak RSS by 1.34-1.84 r^2 floats at r = 1000-2000.
     """
     r = min(rows, cols)
-    return 2 * r * r + (4 * r + cols) * n_pen
+    band = r * (_bandwidth(r) + 1)
+    stack = min(n_pen * band, max(BAND_STACK_FLOATS, band))
+    return 2 * r * r + band + stack + 66 * r + (2 * r + cols) * n_pen
+
+
+def _bandwidth(r: int) -> int:
+    """The band solve's half-bandwidth kd for a Gram of order r."""
+    return min(MAX_BANDWIDTH, max(1, r // 32))
 
 
 def _eigh_solve_grid(gram, rhs, lam) -> np.ndarray:
@@ -209,39 +231,61 @@ def _floor_eigenvalues(mu: np.ndarray) -> np.ndarray:
     return np.maximum(mu, EIG_RELATIVE_FLOOR * top)
 
 
-def _tridiagonal_solve_grid(lapack, gram, rhs, lam) -> np.ndarray:
+def _band_solve_grid(lapack, gram, rhs, lam) -> np.ndarray:
     r, n_pen = gram.shape[0], lam.size
-    # LAPACK reads the C-order Gram as its transpose, the same matrix, and
-    # keeps T and the reflectors in the triangle "L" of that reading
-    order, ld = _int(r), _int(max(r, 1))
-    diag, off = np.empty(r), np.empty(max(r - 1, 1))
-    tau = np.empty(max(r - 1, 1))
-    _call_with_workspace(lapack.dsytrd, b"L", order, gram, ld, diag, off, tau,
-                         lengths=1)
-    mu = diag.copy()
-    _call(lapack.dsterf, order, mu, off.copy())   # eigenvalues, ascending
-    top = float(mu[-1]) if r else 0.0
-    if top <= 0.0:
+    kd = _bandwidth(r)
+    # LAPACK reads the C-order Gram as its transpose, the same matrix. The
+    # reduction leaves B's lower band in band[j, d] = B(j + d, j), and Q's
+    # reflectors below it in the Gram's first r - kd columns
+    order, width, band_ld = _int(r), _int(kd), _int(kd + 1)
+    band = np.empty((r, kd + 1))
+    tau = np.empty(max(r - kd, 1))
+    _call_with_workspace(lapack.dsytrd_sy2sb, b"L", order, width, gram,
+                         _int(max(r, 1)), band, band_ld, tau, lengths=1)
+    # Gershgorin: B's largest absolute row sum bounds mu_max from above.
+    # Subdiagonal d holds B(j + d, j) at band[j, d], in rows j + d and j
+    row_sums = np.abs(band[:, 0])
+    for d in range(1, kd + 1):
+        band[max(r - d, 0):, d] = 0.0   # past B's end, so not B's entries
+        entries = np.abs(band[:, d])
+        row_sums += entries
+        row_sums[d:] += entries[:r - d]
+    top = float(row_sums.max(initial=0.0))
+    if top == 0.0:
         return rhs[:, None] / lam[None, :]
     lam_eff = np.maximum(lam, EIG_RELATIVE_FLOOR * top)
 
     qtb = rhs.copy()
-    _call_with_workspace(lapack.dormtr, b"L", b"L", b"T", order, _int(1),
-                         gram, ld, tau, qtb, ld, lengths=3)
-    # the L systems (T + lam_l I) s_l = Q'rhs as one tridiagonal of order
-    # L*r: its off-diagonal is T's within each system and zero between
-    # them, so the factorization never couples two systems
-    stacked_diag = (diag + lam_eff[:, None]).ravel()
-    stacked_off = np.zeros((n_pen, r))
-    stacked_off[:, :r - 1] = off[:r - 1]
-    stacked_off = stacked_off.ravel()[:-1]
-    s = np.tile(qtb, n_pen)
-    _call(lapack.dptsv, _int(s.size), _int(1), stacked_diag, stacked_off, s,
-          _int(max(s.size, 1)))
-    s = s.reshape(n_pen, r)   # column-major (r, L): one system per column
-    _call_with_workspace(lapack.dormtr, b"L", b"L", b"N", order, _int(n_pen),
-                         gram, ld, tau, s, ld, lengths=3)
+    if r - kd > 1:
+        _reflect(lapack, b"T", gram, tau, kd, qtb)
+    # s is column-major (r, L), one system per column. A stack of penalties
+    # is solved as one band system of order stack * r, which the zeros past
+    # each system's end keep from coupling one system to the next
+    s = np.empty((n_pen, r))
+    stack = max(1, BAND_STACK_FLOATS // band.size)
+    factors = np.empty((min(stack, n_pen), r, kd + 1))
+    for lo in range(0, n_pen, stack):
+        sol = s[lo:lo + stack]
+        factor = factors[:len(sol)]
+        factor[:] = band
+        factor[:, :, 0] += lam_eff[lo:lo + stack, None]
+        sol[:] = qtb
+        _call(lapack.dpbsv, b"L", _int(sol.size), width, _int(1), factor,
+              band_ld, sol, _int(sol.size), lengths=1)
+    if r - kd > 1:
+        _reflect(lapack, b"N", gram, tau, kd, s)
     return np.ascontiguousarray(s.T)
+
+
+def _reflect(lapack, trans, gram, tau, kd, c):
+    """Q (``trans`` "N") or Q' ("T") applied in place to ``c``, a C-order
+    (m, r) or (r,) array that LAPACK reads as (r, m). The r - kd reflectors
+    act on rows kd.. and sit below B's band, at flat offset kd."""
+    r = gram.shape[0]
+    _call_with_workspace(lapack.dormqr, b"L", trans, _int(r - kd),
+                         _int(c.size // r), _int(r - kd),
+                         gram.reshape(-1)[kd:], _int(r), tau,
+                         c.reshape(-1)[kd:], _int(r), lengths=2)
 
 
 _INT = ctypes.POINTER(ctypes.c_int64)
@@ -250,16 +294,15 @@ _LEN = ctypes.c_size_t   # hidden length of a Fortran character argument
 _ARRAY = np.ctypeslib.ndpointer(np.float64,
                                 flags=("C_CONTIGUOUS", "WRITEABLE"))
 _SIGNATURES = {
-    # uplo, n, a, lda, d, e, tau, work, lwork, info
-    "dsytrd": [_CHAR, _INT, _ARRAY, _INT, _ARRAY, _ARRAY, _ARRAY, _ARRAY,
-               _INT, _INT, _LEN],
-    # n, d, e, info
-    "dsterf": [_INT, _ARRAY, _ARRAY, _INT],
-    # side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork, info
-    "dormtr": [_CHAR, _CHAR, _CHAR, _INT, _INT, _ARRAY, _INT, _ARRAY, _ARRAY,
-               _INT, _ARRAY, _INT, _INT, _LEN, _LEN, _LEN],
-    # n, nrhs, d, e, b, ldb, info
-    "dptsv": [_INT, _INT, _ARRAY, _ARRAY, _ARRAY, _INT, _INT],
+    # uplo, n, kd, a, lda, ab, ldab, tau, work, lwork, info
+    "dsytrd_sy2sb": [_CHAR, _INT, _INT, _ARRAY, _INT, _ARRAY, _INT, _ARRAY,
+                     _ARRAY, _INT, _INT, _LEN],
+    # side, trans, m, n, k, a, lda, tau, c, ldc, work, lwork, info
+    "dormqr": [_CHAR, _CHAR, _INT, _INT, _INT, _ARRAY, _INT, _ARRAY, _ARRAY,
+               _INT, _ARRAY, _INT, _INT, _LEN, _LEN],
+    # uplo, n, kd, nrhs, ab, ldab, b, ldb, info
+    "dpbsv": [_CHAR, _INT, _INT, _INT, _ARRAY, _INT, _ARRAY, _INT, _INT,
+              _LEN],
 }
 
 

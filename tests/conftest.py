@@ -9,6 +9,21 @@ REFERENCE_GRID29 = (
 )
 
 
+def expand_rows(basis, rows):
+    """blockdiag(C) rows of a :class:`deepridge.network.LayerBasis`: its
+    (sum r_k, c) coordinate rows to (K*L, c) dense rows."""
+    out = np.empty((basis.dense_width, rows.shape[1]))
+    for dense, comp in basis._rows():
+        np.matmul(basis.vt[comp].T, rows[comp], out=out[dense])
+    return out
+
+
+def dense_columns(rep):
+    """The (n, K*L) unit-scale grid columns of a
+    :class:`deepridge.network.LayerOutput`."""
+    return expand_rows(rep.basis, rep.coords.T).T
+
+
 def make_two_class_images(n_per_class, seed):
     """Synthetic 28x28 two-class image set in FMNIST-like uint8 form.
 

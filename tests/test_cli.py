@@ -52,8 +52,22 @@ def test_run_simulate_writes_results_and_manifest(tmp_path):
     assert saved["seeds"] == [0, 1]
     assert "results.csv" in saved["outputs"]
     assert saved["grid_solver"] == ridge.grid_solver()
-    assert saved["grid_solver"] in ("tridiagonal", "eigh")
+    assert saved["grid_solver"] in ("band", "eigh")
     assert (out / "timings.csv").exists()
+
+
+def test_manifest_records_numpy_and_its_blas_build(tmp_path):
+    # the band solve's bits depend on the LAPACK numpy links, so a run
+    # records the build it ran on
+    config = tmp_path / "cfg.json"
+    write_config(config, seeds=[0])
+    out = tmp_path / "out"
+    manifest = cli.run(config, output_dir=str(out))
+    saved = json.loads((out / "manifest.json").read_text())
+    running = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    for record in (manifest, saved):
+        assert record["numpy_version"] == np.__version__
+        assert record["blas_build"] == running
 
 
 def test_default_noise_protocol_rows(tmp_path):

@@ -9,6 +9,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from conftest import dense_columns, expand_rows
 from deepridge import network, ridge, theory
 from deepridge.dataio import DataSplit, SimConfig, simulate_single_neuron
 from deepridge.features import FeatureBlock, apply_block, draw_block
@@ -117,16 +118,16 @@ def test_layer_width_arithmetic(split):
     x, n_train = stacked(split)
     cfg1 = small_cfg(blocks=1, lambda_grid=(1.0,))
     _, rep = train_layer(x, n_train, split.y_train, cfg1, 1)
-    assert rep.dense().shape == (x.shape[0], 1)
+    assert dense_columns(rep).shape == (x.shape[0], 1)
     cfg2 = small_cfg(blocks=2, lambda_grid=(0.1, 1.0, 10.0))
     _, rep = train_layer(x, n_train, split.y_train, cfg2, 1)
-    assert rep.dense().shape == (x.shape[0], 6)
+    assert dense_columns(rep).shape == (x.shape[0], 6)
 
 
 def test_layer_columns_unit_uncentered_std(split):
     x, n_train = stacked(split)
     _, rep = train_layer(x, n_train, split.y_train, small_cfg(), 1)
-    scales = np.sqrt(np.mean(rep.dense()[:n_train] ** 2, axis=0))
+    scales = np.sqrt(np.mean(dense_columns(rep)[:n_train] ** 2, axis=0))
     np.testing.assert_allclose(scales, 1.0, rtol=1e-10)
 
 
@@ -154,7 +155,7 @@ def test_planted_signal_recovered(split):
     x, n_train = stacked(split)
     layer, rep = train_layer(x, n_train, y_train, cfg, 1)
     # block 1, smallest penalty: first column of its group
-    col = rep.dense()[:n_train, 1 * cfg.n_penalties + 0]
+    col = dense_columns(rep)[:n_train, 1 * cfg.n_penalties + 0]
     corr = np.corrcoef(col, y_train)[0, 1]
     assert corr > 0.999
 
@@ -204,7 +205,7 @@ def test_grouped_transform_matches_per_block_loop(split, monkeypatch):
             x = network.LayerOutput(coords=x, basis=x_basis)
         layer, got = train_layer(x, xs[0].shape[0], split.y_train, cfg, m)
         monkeypatch.undo()
-        dense = got.dense()
+        dense = dense_columns(got)
         dense = (dense[:xs[0].shape[0]], dense[xs[0].shape[0]:])
         for (_, drawn), block in zip(draws, blocks, strict=True):
             np.testing.assert_array_equal(drawn.weights, block.weights)
@@ -234,8 +235,8 @@ def test_grouped_transform_matches_per_block_loop(split, monkeypatch):
             np.testing.assert_allclose(out.coords, xs[i], rtol=1e-10)
             np.testing.assert_allclose(dense[i], ref[i], rtol=1e-10,
                                        atol=1e-12)
-            np.testing.assert_allclose(out.dense(), ref[i], rtol=1e-10,
-                                       atol=1e-12)
+            np.testing.assert_allclose(dense_columns(out), ref[i],
+                                       rtol=1e-10, atol=1e-12)
 
 
 def test_forward_group_peak_holds_one_draw():
@@ -272,7 +273,7 @@ def test_forward_group_peak_holds_one_draw():
 def test_degenerate_width_equals_direct_ridge(split):
     cfg = small_cfg(depth=1, blocks=1)
     model = train(split, cfg)
-    rep = network.forward(model, split.x_train, 1).dense()
+    rep = dense_columns(network.forward(model, split.x_train, 1))
     # un-normalize and compare against a direct fit with the same block
     block = draw_block((cfg.seed, 1, 0), float(_block_gammas(cfg, 1)[0]),
                        cfg.features_per_block, split.d, cfg.bias_range)
@@ -350,7 +351,8 @@ def test_dense_expansion_reproduces_grid_columns(split):
             pred = ridge.predict(fit, z)
             columns.append(pred / ridge.column_scales(pred[:n_train]))
         dense = np.hstack(columns)
-        np.testing.assert_allclose(rep.dense(), dense, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(dense_columns(rep), dense, rtol=1e-10,
+                                   atol=1e-10)
         ref = np.hstack([dense[:, cols] @ rep.basis.vt[comp].T
                          for cols, comp in rep.basis._rows()])
         fan_in = dense.shape[1]
@@ -371,7 +373,7 @@ def test_coordinates_keep_dense_row_norms(split):
         rep = network.forward(model, split.x_test, m)
         assert rep.basis.width < rep.basis.dense_width
         np.testing.assert_allclose(np.linalg.norm(rep.coords, axis=1),
-                                   np.linalg.norm(rep.dense(), axis=1),
+                                   np.linalg.norm(dense_columns(rep), axis=1),
                                    rtol=1e-10)
 
 
@@ -472,12 +474,12 @@ def test_final_ridge_on_coordinates_equals_dense_ridge(split, blocks, grid):
     n_train = split.x_train.shape[0]
     well_posed = np.asarray(grid) >= (0 if blocks == 3 else 0.01)
     for ff, rep in zip(model.final_fits, trained_outputs(split, cfg)):
-        dense = rep.dense()[:n_train]
+        dense = dense_columns(rep)[:n_train]
         ref = ridge.fit_grid(dense, split.y_train, grid)
         if blocks == 12:
             assert rep.basis.width < n_train < rep.basis.dense_width
             assert ref.mode == "dual"
-        betas = rep.basis.expand(ff.fit.betas)
+        betas = expand_rows(rep.basis, ff.fit.betas)
         for got, want in ((betas[:, well_posed], ref.betas[:, well_posed]),
                           (dense @ betas, dense @ ref.betas)):
             scale = np.abs(want).max(axis=0)
@@ -488,8 +490,9 @@ def _dense_predictions(model, x, depth):
     # the final ridge expanded to the dense columns, on the dense columns
     ff = model.final_fits[depth - 1]
     rep = network.forward(model, x, depth)
-    fit = dataclasses.replace(ff.fit, betas=rep.basis.expand(ff.fit.betas))
-    return ridge.predict(fit, rep.dense())[:, ff.lambda_star_index]
+    fit = dataclasses.replace(ff.fit,
+                              betas=expand_rows(rep.basis, ff.fit.betas))
+    return ridge.predict(fit, dense_columns(rep))[:, ff.lambda_star_index]
 
 
 @pytest.mark.parametrize("grid", [(1.0,), SMALL_GRID],

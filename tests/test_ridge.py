@@ -142,12 +142,12 @@ def test_monotone_shrinkage_in_eigenbasis():
 
 
 def test_single_decomposition_for_whole_grid(monkeypatch):
-    # one tridiagonal reduction of the Gram and one tridiagonal solve serve
-    # the whole grid; no eigendecomposition runs
-    needs_tridiagonal_path()
+    # one band reduction of the Gram and one banded Cholesky solve per stack
+    # of penalties serve the whole grid; no eigendecomposition runs
+    needs_band_path()
     lapack = ridge._lapack()
     calls = {name: 0 for name in vars(lapack)}
-    lwork_at = {"dsytrd": 8, "dormtr": 11}
+    lwork_at = {"dsytrd_sy2sb": 9, "dormqr": 11}
 
     def counting(name):
         def call(*args):
@@ -161,13 +161,14 @@ def test_single_decomposition_for_whole_grid(monkeypatch):
     monkeypatch.setattr(ridge, "_lapack", lambda: counted)
     monkeypatch.setattr(np.linalg, "eigh", None)
     rng = np.random.default_rng(2)
-    for shape in ((40, 30), (30, 40)):
+    for shape in ((40, 30), (30, 40), (400, 300)):
         ridge.fit_grid(rng.standard_normal(shape),
                        rng.standard_normal(shape[0]), GRID29)
-    # per fit (one primal, one dual): one reduction, one eigenvalue pass,
+    # per fit (primal and dual at r = 30, primal at r = 300): one reduction,
     # Q' applied to the right-hand side and Q to the (r, L) solutions, and
-    # one tridiagonal solve for all 29 penalties
-    assert calls == {"dsytrd": 2, "dsterf": 2, "dormtr": 4, "dptsv": 2}
+    # one banded solve per stack of penalties. At r = 30 (kd = 1) all 29
+    # fit in one stack; at r = 300 (kd = 9) a stack holds 65536 // 3000 = 21
+    assert calls == {"dsytrd_sy2sb": 3, "dormqr": 6, "dpbsv": 1 + 1 + 2}
 
 
 def test_predict():
@@ -289,17 +290,23 @@ def eigh_path():
     return mock.patch.object(ridge, "_lapack", lambda: None)
 
 
-def needs_tridiagonal_path():
-    if ridge.grid_solver() != "tridiagonal":
-        pytest.skip("numpy's LAPACK does not export the tridiagonal routines")
+def needs_band_path():
+    if ridge.grid_solver() != "band":
+        pytest.skip("numpy's LAPACK does not export the band routines")
 
 
-@pytest.mark.parametrize("n, p", [(5, 1), (1, 5), (300, 200), (200, 300)],
-                         ids=["primal-r1", "dual-r1", "primal-blocked",
-                              "dual-blocked"])
-def test_tridiagonal_path_matches_eigh_path(n, p):
-    # r = 200 is past LAPACK's crossover to its blocked reduction
-    needs_tridiagonal_path()
+@pytest.mark.parametrize("n, p", [
+    (5, 1), (1, 5), (300, 200), (200, 300), (2, 9), (40, 33), (64, 80),
+    (1200, 1100),
+], ids=["primal-r1", "dual-r1", "primal-blocked", "dual-blocked",
+        "dual-r2", "primal-r33", "dual-r64", "primal-r1100"])
+def test_band_path_matches_eigh_path(n, p):
+    # the bandwidth rule's edges: kd = 1 up to r = 63, so at r = 2 the
+    # reduction leaves no reflector to apply, and r = 33 is past 32 but
+    # still kd = 1; r = 64 is the first order with kd = 2, r = 200 (kd = 6)
+    # is past LAPACK's crossover to blocked updates, and r = 1100 is past
+    # the cap kd = 32, one penalty to each of 29 banded solves
+    needs_band_path()
     rng = np.random.default_rng(n + p)
     z = rng.standard_normal((n, p))
     y = rng.standard_normal(n)
@@ -315,7 +322,9 @@ def test_tridiagonal_path_matches_eigh_path(n, p):
 @PROPERTY_SETTINGS
 @given(ridge_problems(), st.sampled_from(["primal", "dual"]))
 def test_property_tridiagonal_equals_eigh(problem, mode):
-    needs_tridiagonal_path()
+    # the band path against eigh; on these orders (r <= 12) kd = 1, so the
+    # band B is tridiagonal
+    needs_band_path()
     z, y, lams = problem
     fit = ridge.fit_grid(z, y, lams, mode=mode)
     with eigh_path():
@@ -372,3 +381,22 @@ def test_solve_grid_refuses_unfit_arguments(gram, rhs, lam):
     # buffers from the Gram's order and the number of penalties
     with pytest.raises(ValueError, match="gram must be|rhs|lam"):
         ridge.solve_grid(gram, rhs, np.asarray(lam))
+
+
+@pytest.mark.parametrize("r", [50, 64, 200], ids=["kd1", "kd2", "kd6"])
+def test_band_floor_lies_within_its_gershgorin_bounds(r, monkeypatch):
+    # the path graph's Laplacian is singular with null vector ones, so at a
+    # penalty below the floor the solve returns ones / (floor * g), where g
+    # is the band's largest absolute row sum: mu_max <= g <= sqrt(2 kd + 1)
+    # mu_max. A floor of 1e-3 keeps the solve's rounding far below the gap
+    # between mu_max and g (6e-5 of mu_max at r = 200)
+    needs_band_path()
+    monkeypatch.setattr(ridge, "EIG_RELATIVE_FLOOR", 1e-3)
+    gram = 2 * np.eye(r) - np.eye(r, k=1) - np.eye(r, k=-1)
+    gram[0, 0] = gram[-1, -1] = 1.0
+    mu_max = np.linalg.eigvalsh(gram)[-1]
+    kd = ridge._bandwidth(r)
+    s = ridge.solve_grid(gram, np.ones(r), np.array([1e-30]))
+    g = 1.0 / (1e-3 * s[:, 0])
+    assert np.all(g >= (1 - 1e-9) * mu_max)
+    assert np.all(g <= (1 + 1e-9) * np.sqrt(2 * kd + 1) * mu_max)
