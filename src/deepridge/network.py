@@ -88,8 +88,12 @@ GROUP_COLUMNS = 1024
 # LAPACK could change every later block's draw
 RANK_TOLERANCE = 1e-14
 
-# sub-stream tags (must never collide with block stream keys, which are
-# (seed, layer>=1, block) tuples of length 3)
+# stream tags. A tagged key puts its tag where a block's key (seed, layer,
+# block) puts the layer, and SeedSequence zero-pads a key, so (seed, 101)
+# draws what (seed, 101, 0) draws. So every tag (dataio's 101-103, these,
+# theory's 301) exceeds MAX_DEPTH, the deepest layer a NetConfig takes, and
+# each tag keys streams of one length only
+MAX_DEPTH = 100
 _TAG_GAMMA = 201
 _TAG_BASELINE = 202
 
@@ -102,9 +106,10 @@ class ModelFormatError(ValueError):
 class NetConfig:
     """Architecture and randomness settings for one network.
 
-    ``depth`` counts feature layers before the final ridge. Block weight
-    variances come either from ``gamma_grid`` (one entry per block) or are
-    drawn uniformly from (gamma_low, gamma_high) per block and layer.
+    ``depth`` counts feature layers before the final ridge, at most
+    ``MAX_DEPTH``. Block weight variances come either from ``gamma_grid``
+    (one entry per block) or are drawn uniformly from (gamma_low,
+    gamma_high) per block and layer.
     """
 
     depth: int = 2
@@ -118,8 +123,8 @@ class NetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be at least 1")
+        if not 1 <= self.depth <= MAX_DEPTH:
+            raise ValueError(f"depth must be in 1..{MAX_DEPTH}")
         if self.blocks < 1:
             raise ValueError("blocks must be at least 1")
         if self.features_per_block < 1:
@@ -330,9 +335,9 @@ def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
     width sum r_k. With ``baseline``, the flat baseline over
     ``cfg.layer_width`` features runs after the network, so the larger of
     the two counts (with tiny n, wide d and small P the baseline can be):
-    its weights, weight variances and biases, its features on one row
-    block (one column group of them when it streams them), one ridge fit
-    and its validation and test predictions.
+    one column group's weights, weight variances, their square roots and
+    biases, and its features on one row block, one ridge fit and its
+    validation and test predictions.
     """
     n_pen = cfg.n_penalties
     kl, p = cfg.layer_width, cfg.features_per_block
@@ -359,8 +364,7 @@ def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
     if baseline:
         feature_cols = min(kl, GROUP_COLUMNS) if kl > n_train else kl
         baseline_floats = (
-            (d + 3) * kl   # weights, variances and their square roots, biases
-            + most_rows * feature_cols
+            (d + 3 + most_rows) * feature_cols
             + fit_floats(n_train, kl, n_pen)
             + 2 * (n_total - n_train) * n_pen)
     return n_total * d + max(network_floats, baseline_floats)
@@ -496,10 +500,11 @@ def train_layer(x, n_train: int, y_train, cfg: NetConfig, layer_index: int,
     return basis, LayerOutput(coords=coords, basis=basis)
 
 
-def _selected(fit: RidgeGridFit, valid_pred, y_valid) -> FinalFit:
+def _selected(valid_pred, y_valid):
+    """The index of the penalty with the smallest validation MSE (ties go
+    to the smaller penalty), and the MSEs of (rows, L) ``valid_pred``."""
     valid_mse = np.mean((valid_pred - y_valid[:, None]) ** 2, axis=0)
-    star = int(np.argmin(valid_mse))  # ties resolve to the smaller penalty
-    return FinalFit(fit=fit, lambda_star_index=star, valid_mse=valid_mse)
+    return int(np.argmin(valid_mse)), valid_mse
 
 
 def _fit_final(rep: LayerOutput, n_train: int, y_train, y_valid,
@@ -507,7 +512,9 @@ def _fit_final(rep: LayerOutput, n_train: int, y_train, y_valid,
     # a ridge solution on X lies in X's row space, so the ridge on the
     # coordinates, times C, is the ridge on the dense columns
     fit = fit_grid(rep.coords[:n_train], y_train, lambdas)
-    return _selected(fit, ridge_predict(fit, rep.coords[n_train:]), y_valid)
+    star, valid_mse = _selected(ridge_predict(fit, rep.coords[n_train:]),
+                                y_valid)
+    return FinalFit(fit=fit, lambda_star_index=star, valid_mse=valid_mse)
 
 
 def train(split: DataSplit, cfg: NetConfig, n_threads: int = 1) -> DeepRidgeModel:
@@ -610,78 +617,66 @@ def flat_random_feature_baseline(split: DataSplit, p_total: int, lambdas,
 
     Each of the ``p_total`` features gets its own weight variance, drawn
     uniformly from (gamma_low, gamma_high) or cycled from ``gamma_grid``.
-    With no more features than training rows the ridge is fit on each
-    split's whole feature matrix in turn; with more, the features are
-    streamed one column group at a time (:func:`_streamed_dual_fit`).
+    The features come in keyed column groups, as a layer's blocks do:
+    group g is drawn from the stream (seed, 202, g) and redrawn whenever it
+    is needed again. With no more features than training rows there is one
+    group, fit by :func:`fit_grid`; with more, the groups are the
+    ``GROUP_COLUMNS``-wide ranges of :func:`group_bounds`, and the dual
+    Gram ZZ'/n, the sum of their Z_g Z_g'/n, is solved once for the (n, L)
+    dual solution alpha. Each group then adds its share of the validation
+    and test predictions, its coefficients the fit's or Z_g' alpha / n.
     """
     if p_total < 1:
         raise ValueError("p_total must be at least 1")
     lam = penalty_grid(lambdas)
     if gamma_grid is not None:
-        gammas = np.resize(np.asarray(gamma_grid, dtype=float), p_total)
-        if not np.all(gammas > 0):
-            raise ValueError("gamma_grid entries must be positive")
+        gamma_grid = np.asarray(gamma_grid, dtype=float).ravel()
+        if gamma_grid.size == 0 or not np.all(gamma_grid > 0):
+            raise ValueError("gamma_grid must be non-empty and positive")
     elif not 0 < gamma_low < gamma_high:
         raise ValueError("need 0 < gamma_low < gamma_high")
     if not bias_range > 0:
         raise ValueError("bias_range must be positive")
-    rng = stream_rng(seed, _TAG_BASELINE)
-    if gamma_grid is None:
-        gammas = rng.uniform(gamma_low, gamma_high, size=p_total)
-    weights = rng.standard_normal((split.d, p_total))
-    weights *= np.sqrt(gammas)   # in place: one (d, p_total) array
-    biases = rng.uniform(-bias_range, bias_range, size=p_total)
-    block = FeatureBlock(weights=weights, biases=biases)
+    n = split.x_train.shape[0]
+    dual = p_total > n
+    groups = group_bounds(p_total, 1) if dual else [(0, p_total)]
 
-    if p_total > split.x_train.shape[0]:
-        fit, valid_pred, test_pred = _streamed_dual_fit(block, split, lam)
+    def draw(g):
+        a, b = groups[g]
+        rng = stream_rng(seed, _TAG_BASELINE, g)
+        if gamma_grid is None:
+            gammas = rng.uniform(gamma_low, gamma_high, size=b - a)
+        else:
+            gammas = gamma_grid[np.arange(a, b) % gamma_grid.size]
+        weights = rng.standard_normal((split.d, b - a))
+        weights *= np.sqrt(gammas)   # in place: one (d, columns) array
+        biases = rng.uniform(-bias_range, bias_range, size=b - a)
+        return FeatureBlock(weights=weights, biases=biases)
+
+    # one split's features at a time: each is dropped once used
+    if dual:
+        gram = np.zeros((n, n))
+        for g in range(len(groups)):
+            gram += gram_matrix(apply_block(draw(g), split.x_train), "dual")
+        alpha = solve_grid(gram, split.y_train, lam)
+        del gram   # the solve overwrote it with its reduction
     else:
-        # one split's features at a time: each is dropped once used
-        fit = fit_grid(apply_block(block, split.x_train), split.y_train, lam)
-        valid_pred = ridge_predict(fit, apply_block(block, split.x_valid))
-        test_pred = ridge_predict(fit, apply_block(block, split.x_test))
-    ff = _selected(fit, valid_pred, split.y_valid)
-    metrics = evaluate(test_pred[:, ff.lambda_star_index], split.y_test,
-                       float(np.mean(split.y_train)))
-    return BaselineResult(metrics=metrics, lambda_star=ff.lambda_star,
-                          lambda_star_index=ff.lambda_star_index)
-
-
-def _streamed_dual_fit(block: FeatureBlock, split: DataSplit, lam):
-    """The dual ridge fit of ``block``'s features on the train rows, and its
-    (rows, L) grid predictions on the validation and test rows, with no
-    split's whole feature matrix held.
-
-    ZZ'/n is the sum of each ``GROUP_COLUMNS``-wide column group's
-    Z_g Z_g'/n, so a first pass adds those up and the grid is solved once
-    on the sum. A second pass recomputes each group's train-row features,
-    takes the group's coefficients Z_g' alpha / n from the (n, L) dual
-    solution alpha, and adds the group's share to the validation and test
-    predictions.
-    """
-    n, p_total = split.x_train.shape[0], block.biases.size
-    groups = [slice(a, a + GROUP_COLUMNS)
-              for a in range(0, p_total, GROUP_COLUMNS)]
-
-    def features(cols, x):
-        return apply_block(FeatureBlock(weights=block.weights[:, cols],
-                                        biases=block.biases[cols]), x)
-
-    gram = np.zeros((n, n))
-    for cols in groups:
-        gram += gram_matrix(features(cols, split.x_train), "dual")
-    alpha = solve_grid(gram, split.y_train, lam)
-    del gram   # the solve overwrote it with its reduction
-    betas = np.empty((p_total, lam.size))
+        coef = fit_grid(apply_block(draw(0), split.x_train), split.y_train,
+                        lam).betas
     valid_pred = np.zeros((split.x_valid.shape[0], lam.size))
     test_pred = np.zeros((split.x_test.shape[0], lam.size))
-    for cols in groups:
-        np.matmul(features(cols, split.x_train).T, alpha, out=betas[cols])
-        betas[cols] /= n
-        valid_pred += features(cols, split.x_valid) @ betas[cols]
-        test_pred += features(cols, split.x_test) @ betas[cols]
-    return (RidgeGridFit(lambdas=lam, betas=betas, mode="dual"), valid_pred,
-            test_pred)
+    for g in range(len(groups)):
+        block = draw(g)
+        if dual:
+            coef = apply_block(block, split.x_train).T @ alpha
+            coef /= n
+        valid_pred += apply_block(block, split.x_valid) @ coef
+        test_pred += apply_block(block, split.x_test) @ coef
+    star, _ = _selected(valid_pred, split.y_valid)
+    metrics = evaluate(test_pred[:, star], split.y_test,
+                       float(np.mean(split.y_train)))
+    return BaselineResult(metrics=metrics, lambda_star=float(lam[star]),
+                          lambda_star_index=star)
 
 
 # --- serialization ---------------------------------------------------------

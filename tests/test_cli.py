@@ -210,16 +210,17 @@ def test_memory_estimate_bounds_traced_peak(threads, blocks, p, mode,
 
 @pytest.mark.parametrize("width, n, d, baseline_larger", [
     (40, 300, 8, False), (600, 300, 8, False), (600, 30, 200, True),
-    (3372, 300, 8, False), (3372, 30, 200, True),
+    (3372, 300, 8, False), (3372, 30, 200, False),
 ], ids=["40", "600", "600-wide-input", "3372", "3372-wide-input"])
 def test_memory_estimate_bounds_traced_baseline_peak(width, n, d,
                                                      baseline_larger):
     # a run sizes the flat baseline at the network's layer width K*L; at 100
     # training rows it takes a primal and a dual fit. With 10 training rows
-    # of 200 inputs its weights outgrow the network, so only the baseline
-    # term of the estimate bounds its peak. At 3372 features (four transform
-    # column groups, the last one ragged) the baseline streams its features
-    # one group at a time
+    # of 200 inputs its weights outgrow the network at 600 features, so only
+    # the baseline term of the estimate bounds its peak. At 3372 features
+    # (four column groups, the last one ragged) the baseline holds one
+    # group's weights and features at a time, which at 200 inputs is less
+    # than the network's count
     split = dataio.simulate_single_neuron(
         dataio.SimConfig(n=n, d=d, noise_std=0.1, seed=1))
     cfg = network.NetConfig(depth=1, blocks=width // len(SMALL_GRID),
@@ -592,6 +593,8 @@ def _data(**fields):
      [], "'k_values' must not repeat"),
     ({"kind": "ablation_depth", "ablation": {"depths": [1, 2, 2]}}, [],
      "'depths' must not repeat"),
+    ({"kind": "ablation_depth", "ablation": {"depths": [1, 101]}}, [],
+     "invalid model config: depth must be in 1..100"),
 ], ids=["guard", "missing-idx", "n-10", "c-grid-negative", "n-groups-0",
         "b-low-negative", "c-grid-empty", "c-grid-bool", "blocks-bool",
         "depth-bool", "gamma-low-bool", "lambda-grid-bool",
@@ -599,7 +602,7 @@ def _data(**fields):
         "threads-0", "threads-negative", "seeds-repeated",
         "seed-override-repeated", "seed-override-theory-curves",
         "noise-levels-repeated",
-        "k-values-repeated", "depths-repeated"])
+        "k-values-repeated", "depths-repeated", "depth-101"])
 def test_refused_before_any_output(tmp_path, monkeypatch, capsys, overrides,
                                    argv, message):
     monkeypatch.chdir(tmp_path)

@@ -68,6 +68,11 @@ def test_default_config_matches_reference_settings():
 def test_config_validation():
     with pytest.raises(ValueError):
         NetConfig(depth=0)
+    NetConfig(depth=network.MAX_DEPTH)
+    with pytest.raises(ValueError, match="depth"):
+        # (seed, 101, 0), block 0 of layer 101, would draw the simulated
+        # data's stream (seed, 101)
+        NetConfig(depth=101)
     with pytest.raises(ValueError):
         NetConfig(lambda_grid=(1.0, 1.0))
     with pytest.raises(ValueError):
@@ -757,15 +762,9 @@ def test_baseline_planted_signal():
     # labels exactly linear in the baseline's own relu features
     rng_probe = np.random.default_rng(0)
     x_all = rng_probe.standard_normal((600, 6))
-    from deepridge.network import _TAG_BASELINE
-    from deepridge.seeding import stream_rng
-    rng = stream_rng(3, _TAG_BASELINE)
     p_total = 40
-    gammas = rng.uniform(0.25, 1.25, size=p_total)
-    weights = rng.standard_normal((6, p_total)) * np.sqrt(gammas)
-    biases = rng.uniform(-1.0, 1.0, size=p_total)
-    z = np.maximum(x_all @ weights / np.sqrt(6) + biases, 0.0)
-    y_all = z @ np.linspace(-1, 1, p_total)
+    block = baseline_block(6, p_total, 200, seed=3)
+    y_all = apply_block(block, x_all) @ np.linspace(-1, 1, p_total)
     split = DataSplit(
         x_train=x_all[:200], y_train=y_all[:200],
         x_valid=x_all[200:400], y_valid=y_all[200:400],
@@ -783,7 +782,10 @@ def test_baseline_rejects_bad_width(split):
     (dict(gamma_low=-1.0), "need 0 < gamma_low < gamma_high"),
     (dict(gamma_low=1.0, gamma_high=0.5), "need 0 < gamma_low < gamma_high"),
     (dict(bias_range=0.0), "bias_range must be positive"),
-], ids=["negative-gamma", "reversed-gammas", "zero-bias-range"])
+    (dict(gamma_grid=()), "gamma_grid must be non-empty and positive"),
+    (dict(gamma_grid=(1.0, -1.0)), "gamma_grid must be non-empty and positive"),
+], ids=["negative-gamma", "reversed-gammas", "zero-bias-range",
+        "empty-gamma-grid", "negative-gamma-grid"])
 def test_baseline_rejects_bad_arguments_before_any_draw(split, kwargs,
                                                        message, monkeypatch):
     def no_draw(*key):
@@ -798,14 +800,36 @@ def test_baseline_rejects_bad_arguments_before_any_draw(split, kwargs,
 STREAMED_WIDTH = 3 * network.GROUP_COLUMNS + 300
 
 
-def dense_baseline(split, p_total, seed):
-    """The flat baseline fit on each split's whole feature matrix: its
-    validation MSEs, the selected index and the test metrics."""
-    rng = network.stream_rng(seed, network._TAG_BASELINE)
-    gammas = rng.uniform(0.25, 1.25, size=p_total)
-    weights = rng.standard_normal((split.d, p_total)) * np.sqrt(gammas)
-    block = FeatureBlock(weights=weights,
-                         biases=rng.uniform(-1.0, 1.0, size=p_total))
+def baseline_group(rng, d, cols, gammas=None):
+    """``cols`` baseline features on ``d`` inputs, drawn from ``rng`` as the
+    baseline draws a column group: variances (unless ``gammas`` gives
+    them), weights, then biases."""
+    if gammas is None:
+        gammas = rng.uniform(0.25, 1.25, size=cols)
+    weights = rng.standard_normal((d, cols)) * np.sqrt(gammas)
+    return FeatureBlock(weights=weights,
+                        biases=rng.uniform(-1.0, 1.0, size=cols))
+
+
+def baseline_block(d, p_total, n_train, seed, gamma_grid=None):
+    """The flat baseline's whole feature block: one group when p_total <=
+    n_train, else the groups of ``group_bounds(p_total, 1)``, group g drawn
+    from the keyed stream (seed, 202, g); feature j's variance is
+    gamma_grid[j % len(gamma_grid)] when a grid is given."""
+    groups = ([(0, p_total)] if p_total <= n_train
+              else network.group_bounds(p_total, 1))
+    cycled = None if gamma_grid is None else np.resize(gamma_grid, p_total)
+    parts = [baseline_group(network.stream_rng(seed, network._TAG_BASELINE, g),
+                            d, b - a, None if cycled is None else cycled[a:b])
+             for g, (a, b) in enumerate(groups)]
+    return FeatureBlock(weights=np.hstack([p.weights for p in parts]),
+                        biases=np.concatenate([p.biases for p in parts]))
+
+
+def dense_baseline(split, block):
+    """The flat baseline fit on each split's whole feature matrix of
+    ``block``: its validation MSEs, the selected index and the test
+    metrics."""
     fit = ridge.fit_grid(apply_block(block, split.x_train), split.y_train,
                          SMALL_GRID)
     valid_pred = ridge.predict(fit, apply_block(block, split.x_valid))
@@ -816,7 +840,7 @@ def dense_baseline(split, p_total, seed):
                                      float(np.mean(split.y_train)))
 
 
-def recorded_baseline(split, p_total, seed, monkeypatch):
+def recorded_baseline(split, p_total, seed, monkeypatch, **kwargs):
     """The baseline's result and its validation MSEs."""
     selected, real = [], network._selected
 
@@ -825,34 +849,64 @@ def recorded_baseline(split, p_total, seed, monkeypatch):
         return selected[-1]
 
     monkeypatch.setattr(network, "_selected", record)
-    res = flat_random_feature_baseline(split, p_total, SMALL_GRID, seed=seed)
-    return res, selected[0].valid_mse
+    res = flat_random_feature_baseline(split, p_total, SMALL_GRID, seed=seed,
+                                       **kwargs)
+    [(_, valid_mse)] = selected
+    return res, valid_mse
 
 
 def test_streamed_baseline_matches_dense_fit(split, monkeypatch):
     # more features than train rows: the Gram is summed over column groups,
     # which reorders the sums, so agreement is to rounding
-    assert STREAMED_WIDTH > split.x_train.shape[0]
+    n_train = split.x_train.shape[0]
+    assert STREAMED_WIDTH > n_train
     res, valid_mse = recorded_baseline(split, STREAMED_WIDTH, 4, monkeypatch)
-    ref_mse, ref_star, ref_metrics = dense_baseline(split, STREAMED_WIDTH, 4)
+    ref_mse, ref_star, ref_metrics = dense_baseline(
+        split, baseline_block(split.d, STREAMED_WIDTH, n_train, 4))
     assert res.lambda_star_index == ref_star
     np.testing.assert_allclose(valid_mse, ref_mse, rtol=1e-10)
     np.testing.assert_allclose(res.metrics.mse, ref_metrics.mse, rtol=1e-10)
 
 
-def test_primal_baseline_is_the_dense_fit(split, monkeypatch):
-    p_total = 60
-    assert p_total <= split.x_train.shape[0]
+def test_grouped_baseline_cycles_gamma_grid_across_groups(split,
+                                                           monkeypatch):
+    # feature j takes gamma_grid[j % 3] in whichever group it falls; 1024
+    # is not a multiple of 3, so each group starts at another grid entry
+    grid = (0.3, 0.7, 1.1)
+    res, valid_mse = recorded_baseline(split, STREAMED_WIDTH, 4, monkeypatch,
+                                       gamma_grid=grid)
+    ref_mse, ref_star, ref_metrics = dense_baseline(
+        split, baseline_block(split.d, STREAMED_WIDTH,
+                              split.x_train.shape[0], 4, gamma_grid=grid))
+    assert res.lambda_star_index == ref_star
+    np.testing.assert_allclose(valid_mse, ref_mse, rtol=1e-10)
+    np.testing.assert_allclose(res.metrics.mse, ref_metrics.mse, rtol=1e-10)
+
+
+@pytest.mark.parametrize("p_total, dual", [(60, False), (500, True)],
+                         ids=["primal-60", "dual-500"])
+def test_one_group_baseline_is_the_single_draw_fit(split, p_total, dual,
+                                                   monkeypatch):
+    # one column group, primal or dual: the fit and predictions are those
+    # of the whole matrix, and (seed, 202, 0) draws what (seed, 202) does,
+    # so the baseline is bit for bit the fit of one draw from (seed, 202)
+    assert p_total <= network.GROUP_COLUMNS
+    assert (p_total > split.x_train.shape[0]) == dual
     res, valid_mse = recorded_baseline(split, p_total, 4, monkeypatch)
-    ref_mse, ref_star, ref_metrics = dense_baseline(split, p_total, 4)
+    single = baseline_group(network.stream_rng(4, network._TAG_BASELINE),
+                            split.d, p_total)
+    ref_mse, ref_star, ref_metrics = dense_baseline(split, single)
     np.testing.assert_array_equal(valid_mse, ref_mse)
     assert res.lambda_star_index == ref_star
     assert res.metrics == ref_metrics
 
 
-def test_streamed_baseline_holds_no_whole_feature_matrix():
+@pytest.mark.parametrize("d", [6, 200], ids=["narrow-input", "wide-input"])
+def test_streamed_baseline_holds_no_whole_feature_matrix(d):
+    # neither a split's whole features nor, at 200 inputs, the whole
+    # (d, p_total) weight array
     split = simulate_single_neuron(
-        SimConfig(n=900, d=6, noise_std=0.2, activation="relu", seed=5))
+        SimConfig(n=900, d=d, noise_std=0.2, activation="relu", seed=5))
     n_train = split.x_train.shape[0]
     tracemalloc.start()
     try:
@@ -861,6 +915,8 @@ def test_streamed_baseline_holds_no_whole_feature_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n_train * STREAMED_WIDTH
+    if d == 200:
+        assert peak < 8 * d * STREAMED_WIDTH
 
 
 # --- serialization -----------------------------------------------------------
