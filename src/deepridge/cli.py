@@ -9,8 +9,11 @@ Every run writes results.csv (deterministic given config, seeds and BLAS
 thread count), timings.csv (wall times, inherently not reproducible) and
 manifest.json (config hash, seeds for the kinds that draw, library
 version, BLAS thread settings, ridge grid solver, numpy version and its
-BLAS/LAPACK build). The FMNIST-style experiments read IDX files from
-the directory named by $DEEPRIDGE_DATA_DIR or the config's data.data_dir.
+BLAS/LAPACK build). A run that trains networks also writes
+diagnostics.json: for each split, the memory guard's estimate for its
+network and the process's peak RSS after it, also not reproducible. The
+FMNIST-style experiments read IDX files from the directory named by
+$DEEPRIDGE_DATA_DIR or the config's data.data_dir.
 """
 
 import argparse
@@ -19,12 +22,13 @@ import dataclasses
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 
 import numpy as np
 
-from . import __version__, dataio, network, ridge, theory
+from . import __version__, dataio, network, ridge, seeding, theory
 
 DATA_DIR_ENV = "DEEPRIDGE_DATA_DIR"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -106,7 +110,18 @@ def load_config(path) -> dict:
     return cfg
 
 
-def validate_config(cfg: dict) -> dict:
+def _check_seeds(label, seeds) -> None:
+    _distinct(label, seeds)
+    for s in seeds:
+        # a larger seed would alias another seed's keyed streams
+        if not 0 <= s <= seeding.KEY_MAX:
+            raise ConfigError(f"{label}: seed {s} is outside "
+                              f"0..{seeding.KEY_MAX}")
+
+
+def validate_config(cfg: dict, seed_override=None) -> dict:
+    """The checked config, with defaults filled in; ``seed_override``,
+    if given, replaces its seeds."""
     kind = _field(cfg, "kind", str, required=True)
     if kind not in KINDS:
         raise ConfigError(f"config field 'kind' must be one of {KINDS}")
@@ -117,7 +132,13 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError("config field 'seeds' must be a non-empty list")
         if not all(_has_type(s, int) for s in seeds):
             raise ConfigError("config field 'seeds' must contain integers")
-        _distinct("config field 'seeds'", seeds)
+        _check_seeds("config field 'seeds'", seeds)
+    if seed_override:
+        if seeds is None:
+            raise ConfigError(f"--seed-override does not apply to kind "
+                              f"'{kind}', which draws nothing")
+        _check_seeds("--seed-override", seed_override)
+        seeds = seed_override
     model = _field(cfg, "model", dict, default={})
     data = _field(cfg, "data", dict, default={})
     ablation = _field(cfg, "ablation", dict, default={})
@@ -255,11 +276,11 @@ def _image_pairs(data_cfg: dict):
 def _experiments(cfg: dict, threads: int) -> list:
     """Train and score every seed, network, noise level and reported depth.
 
-    Writes results.csv, timings.csv and any saved models; returns their
-    paths. First, before any output, it reads the data files, builds the
-    first split and each network's NetConfig, and runs the memory guard
-    once per network on the first split's sizes: no split's size depends
-    on the seed or the noise level.
+    Writes results.csv, timings.csv, diagnostics.json and any saved
+    models; returns their paths. First, before any output, it reads the
+    data files, builds the first split and each network's NetConfig, and
+    runs the memory guard once per network on the first split's sizes: no
+    split's size depends on the seed or the noise level.
     """
     kind, data_cfg, ablation = cfg["kind"], cfg["data"], cfg["ablation"]
     if kind == "fmnist":
@@ -287,12 +308,13 @@ def _experiments(cfg: dict, threads: int) -> list:
     networks = []
     for overrides, depths in variants:
         net_cfg = _net_config(cfg["model"], cfg["seeds"][0], **overrides)
-        _check_resources(n_total, n_train, first.d, net_cfg, threads,
-                         cfg["limits"]["max_memory_gb"], baseline)
-        networks.append((net_cfg, depths))
+        est_gb = _check_resources(n_total, n_train, first.d, net_cfg,
+                                  threads, cfg["limits"]["max_memory_gb"],
+                                  baseline)
+        networks.append((net_cfg, depths, est_gb))
 
     os.makedirs(cfg["output_dir"], exist_ok=True)
-    rows, timings, outputs = [], [], []
+    rows, timings, outputs, diagnostics = [], [], [], []
 
     def add(key, metrics, wall):
         rows.append(key + tuple(
@@ -302,7 +324,7 @@ def _experiments(cfg: dict, threads: int) -> list:
 
     for seed in cfg["seeds"]:
         split_at = source(seed)
-        for planned, depths in networks:
+        for planned, depths, est_gb in networks:
             net_cfg = dataclasses.replace(planned, seed=seed)
             for level in data_cfg["noise_levels"]:
                 split = split_at(level)
@@ -334,13 +356,27 @@ def _experiments(cfg: dict, threads: int) -> list:
                         bias_range=net_cfg.bias_range, seed=seed)
                     add((seed, "flat_rf", level, "", ""), res.metrics,
                         time.perf_counter() - t0)
+                diagnostics.append({
+                    "seed": seed, "noise_level": level, "k": net_cfg.blocks,
+                    "depth": net_cfg.depth, "guard_estimate_mb": est_gb * 1e3,
+                    "peak_rss_mb": _peak_rss_mb()})
 
     for name, columns, table in (("results.csv", RESULT_COLUMNS, rows),
                                  ("timings.csv", TIMING_COLUMNS, timings)):
         path = os.path.join(cfg["output_dir"], name)
         dataio.write_csv(path, columns, table)
         outputs.append(path)
+    path = os.path.join(cfg["output_dir"], "diagnostics.json")
+    with dataio.atomic_path(path) as tmp, open(tmp, "w") as f:
+        json.dump({"splits": diagnostics}, f, indent=1)
+    outputs.append(path)
     return outputs
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
 
 
 def run(config_path, seed_override=None, threads: int = 1,
@@ -352,13 +388,7 @@ def run(config_path, seed_override=None, threads: int = 1,
     """
     if threads < 1:
         raise ConfigError("--threads must be at least 1")
-    cfg = validate_config(load_config(config_path))
-    if seed_override:
-        if "seeds" not in cfg:
-            raise ConfigError(f"--seed-override does not apply to kind "
-                              f"'{cfg['kind']}', which draws nothing")
-        _distinct("--seed-override", seed_override)
-        cfg["seeds"] = list(seed_override)
+    cfg = validate_config(load_config(config_path), seed_override)
     if output_dir:
         cfg["output_dir"] = output_dir
     if cfg["kind"] == "theory_curves":

@@ -46,7 +46,9 @@ Training never backpropagates: input weights are drawn, output weights are
 closed-form ridge solutions.
 """
 
+import ctypes
 import dataclasses
+import functools
 import io
 import json
 import threading
@@ -73,10 +75,13 @@ DEFAULT_LAMBDA_GRID = (
 MODEL_FORMAT = "deepridge-model"
 MODEL_FORMAT_VERSION = 6
 
-# feature columns per transform GEMM: wide enough for BLAS to run at the
-# rate of 2000 columns, narrow enough that each worker's (D, columns) weight
-# buffer and (rows, columns) features stay small
-GROUP_COLUMNS = 1024
+# feature columns per transform GEMM: narrow enough that each worker's
+# (D, columns) weight buffer and (rows, columns) features stay small, wide
+# enough for BLAS to run near its rate on wider GEMMs. On 1000 rows of 1219
+# inputs (many-narrow's layer 2), 500 columns ran at 93 GFLOP/s against 104
+# at 1000 (2 BLAS threads; 61 against 67 at one). The width sets the GEMM
+# shapes, so it also sets the last digits of the features
+GROUP_COLUMNS = 512
 
 # a block keeps the singular directions of its (P, L) grid map above this
 # fraction of the largest singular value. On the default grid (K=100,
@@ -370,6 +375,30 @@ def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
     return n_total * d + max(network_floats, baseline_floats)
 
 
+@functools.cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or None where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, TypeError, AttributeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+def _release_free_heap() -> None:
+    """Return the C heap's free pages to the OS; changes no value.
+
+    glibc keeps freed memory below its trim threshold, which grows with the
+    largest block it has freed, so a layer pass's freed features and fits
+    stayed resident and added to the next pass's peak.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 def _group_block(cfg: NetConfig, layer_index: int, gammas, d: int, a, b):
     """Blocks a..b-1 of a layer side by side, drawn for a ``d``-wide input.
 
@@ -411,6 +440,9 @@ def _layer_coords(cfg: NetConfig, layer_index: int, x, row_blocks, basis,
     any thread count. The buffer is sized for the largest rank, min(P, L)
     per block, and then cut in place to the rows taken; rows past them are
     never written, so never resident.
+
+    Once every group's weights, features and fits are freed, the free heap
+    is returned to the OS (:func:`_release_free_heap`), once per layer pass.
     """
     if isinstance(x, LayerOutput):
         x, fan_in = x.coords, x.basis.dense_width
@@ -458,6 +490,7 @@ def _layer_coords(cfg: NetConfig, layer_index: int, x, row_blocks, basis,
 
     map_ordered(write_group, range(len(groups)), n_threads)
     buf.resize((tops[-1], x.shape[0]), refcheck=False)   # no view of buf left
+    _release_free_heap()
     return buf.T, parts
 
 
@@ -672,7 +705,9 @@ def flat_random_feature_baseline(split: DataSplit, p_total: int, lambdas,
             coef /= n
         valid_pred += apply_block(block, split.x_valid) @ coef
         test_pred += apply_block(block, split.x_test) @ coef
+        del block   # before the next group's draw: peak_floats counts one
     star, _ = _selected(valid_pred, split.y_valid)
+    _release_free_heap()   # else the next network's first layer counts it
     metrics = evaluate(test_pred[:, star], split.y_test,
                        float(np.mean(split.y_train)))
     return BaselineResult(metrics=metrics, lambda_star=float(lam[star]),

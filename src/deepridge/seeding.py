@@ -10,12 +10,21 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-_U64 = 0xFFFFFFFFFFFFFFFF
+KEY_MAX = 2 ** 32 - 1
 
 
 def stream_rng(*key: int) -> np.random.Generator:
-    """Return a generator fully determined by the integer tuple ``key``."""
-    words = tuple(int(k) & _U64 for k in key)
+    """Return a generator fully determined by the integer tuple ``key``.
+
+    Every element must lie in 0..2^32 - 1: SeedSequence splits a larger
+    one into 32-bit words, so (s + t * 2^32, ...) would draw what (s, t,
+    ...) draws.
+    """
+    words = tuple(int(k) for k in key)
+    for k in words:
+        if not 0 <= k <= KEY_MAX:
+            raise ValueError(f"stream key element {k} is outside "
+                             f"0..{KEY_MAX}")
     return np.random.default_rng(np.random.SeedSequence(words))
 
 

@@ -103,6 +103,38 @@ def test_seed_override(tmp_path):
     assert {r[0] for r in rows[1:]} == {"5"}
 
 
+def test_seeds_at_the_range_ends_run(tmp_path):
+    config = tmp_path / "cfg.json"
+    write_config(config, seeds=[0, 2 ** 32 - 1])
+    out = tmp_path / "out"
+    cli.run(config, output_dir=str(out))
+    rows = read_csv(out / "results.csv")
+    assert {r[0] for r in rows[1:]} == {"0", str(2 ** 32 - 1)}
+
+
+def test_diagnostics_record_guard_estimate_and_peak_rss(tmp_path):
+    # one row per split, in run order: the guard's estimate for its network
+    # and the peak RSS so far, which can only grow
+    config = tmp_path / "cfg.json"
+    write_config(config, kind="ablation_k", seeds=[0, 1],
+                 ablation={"k_values": [1, 2], "pk_total": 8},
+                 data={"n": 90, "d": 4, "noise_levels": [1, 2]})
+    out = tmp_path / "out"
+    manifest = cli.run(config, output_dir=str(out))
+    assert "diagnostics.json" in manifest["outputs"]
+    splits = json.loads((out / "diagnostics.json").read_text())["splits"]
+    assert [(r["seed"], r["k"], r["noise_level"]) for r in splits] == [
+        (s, k, level) for s in (0, 1) for k in (1, 2) for level in (1, 2)]
+    for row in splits:
+        assert row["depth"] == 1
+        assert row["guard_estimate_mb"] > 0 and row["peak_rss_mb"] > 0
+    estimates = {r["k"]: r["guard_estimate_mb"] for r in splits}
+    assert estimates[1] != estimates[2]
+    assert all(r["guard_estimate_mb"] == estimates[r["k"]] for r in splits)
+    peaks = [r["peak_rss_mb"] for r in splits]
+    assert peaks == sorted(peaks)
+
+
 def test_empty_seeds_rejected_before_compute(tmp_path):
     config = tmp_path / "cfg.json"
     write_config(config, seeds=[])
@@ -173,12 +205,12 @@ def test_resource_guard_aborts(tmp_path):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("blocks, p, mode", [(6, 300, "dual"),
-                                             (50, 40, "primal")],
+@pytest.mark.parametrize("blocks, p, mode", [(4, 250, "dual"),
+                                             (24, 40, "primal")],
                          ids=["dual", "primal"])
 def test_memory_estimate_bounds_traced_peak(threads, blocks, p, mode,
                                             monkeypatch):
-    # 100 training rows: P=300 takes the dual ridge path and P=40 the primal
+    # 100 training rows: P=250 takes the dual ridge path and P=40 the primal
     # one; either layer shape is two transform groups, so two threads overlap
     n, d = 300, 8
     split = dataio.simulate_single_neuron(
@@ -218,7 +250,7 @@ def test_memory_estimate_bounds_traced_baseline_peak(width, n, d,
     # training rows it takes a primal and a dual fit. With 10 training rows
     # of 200 inputs its weights outgrow the network at 600 features, so only
     # the baseline term of the estimate bounds its peak. At 3372 features
-    # (four column groups, the last one ragged) the baseline holds one
+    # (seven column groups, the last one ragged) the baseline holds one
     # group's weights and features at a time, which at 200 inputs is less
     # than the network's count
     split = dataio.simulate_single_neuron(
@@ -595,6 +627,11 @@ def _data(**fields):
      "'depths' must not repeat"),
     ({"kind": "ablation_depth", "ablation": {"depths": [1, 101]}}, [],
      "invalid model config: depth must be in 1..100"),
+    ({"seeds": [0, 2 ** 32]}, [],
+     "'seeds': seed 4294967296 is outside 0..4294967295"),
+    ({"seeds": [-1]}, [], "'seeds': seed -1 is outside"),
+    ({}, ["--seed-override", f"1,{2 ** 32 + 1}"],
+     "--seed-override: seed 4294967297 is outside"),
 ], ids=["guard", "missing-idx", "n-10", "c-grid-negative", "n-groups-0",
         "b-low-negative", "c-grid-empty", "c-grid-bool", "blocks-bool",
         "depth-bool", "gamma-low-bool", "lambda-grid-bool",
@@ -602,7 +639,8 @@ def _data(**fields):
         "threads-0", "threads-negative", "seeds-repeated",
         "seed-override-repeated", "seed-override-theory-curves",
         "noise-levels-repeated",
-        "k-values-repeated", "depths-repeated", "depth-101"])
+        "k-values-repeated", "depths-repeated", "depth-101", "seed-2-32",
+        "seed-negative", "seed-override-2-32"])
 def test_refused_before_any_output(tmp_path, monkeypatch, capsys, overrides,
                                    argv, message):
     monkeypatch.chdir(tmp_path)

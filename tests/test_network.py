@@ -1,6 +1,8 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -166,13 +168,13 @@ def test_planted_signal_recovered(split):
 
 
 def test_grouped_transform_matches_per_block_loop(split, monkeypatch):
-    # P=500 makes groups of two blocks, so K=5 ends in a ragged group of one.
+    # P=250 makes groups of two blocks, so K=5 ends in a ragged group of one.
     # A GEMM of another shape may sum in another order, so features can
     # differ by a few ulps; near-interpolating penalties such as 1e-4 would
     # amplify that by the Gram's condition number, hence penalties >= 0.1.
     # From layer 2 on, the loop draws each block on the previous layer's
     # sum r coordinates and scales its features for the K*L dense columns
-    cfg = small_cfg(blocks=5, features_per_block=500,
+    cfg = small_cfg(blocks=5, features_per_block=250,
                     lambda_grid=(0.1, 1.0, 100.0))
     p = cfg.features_per_block
     assert [b - a for a, b in network.group_bounds(cfg.blocks, p)] == [2, 2, 1]
@@ -688,6 +690,92 @@ def test_thread_count_does_not_change_anything(split, tmp_path,
     assert (tmp_path / "a.drz").read_bytes() == (tmp_path / "b.drz").read_bytes()
 
 
+# --- freed heap --------------------------------------------------------------
+
+def test_each_layer_pass_releases_the_free_heap(split, monkeypatch):
+    calls = []
+    monkeypatch.setattr(network, "_release_free_heap",
+                        lambda: calls.append(1))
+    model = train(split, small_cfg(depth=3))
+    assert len(calls) == 3
+    for depth in (1, 2, 3):
+        calls.clear()
+        predict(model, split.x_test, depth)
+        assert len(calls) == depth
+    calls.clear()
+    flat_random_feature_baseline(split, 500, SMALL_GRID)
+    assert len(calls) == 1
+
+
+def test_heap_release_changes_no_value(split, tmp_path, monkeypatch):
+    # the same network and baseline with and without malloc_trim
+    cfg = small_cfg(depth=3)
+
+    def run(name):
+        model = train(split, cfg)
+        save_model(model, tmp_path / name)
+        return ([predict(model, split.x_test, m) for m in (1, 2, 3)],
+                flat_random_feature_baseline(split, 500, SMALL_GRID))
+
+    trimmed = run("trimmed.drz")
+    monkeypatch.setattr(network, "_malloc_trim", lambda: None)
+    untrimmed = run("untrimmed.drz")
+    assert ((tmp_path / "trimmed.drz").read_bytes()
+            == (tmp_path / "untrimmed.drz").read_bytes())
+    for a, b in zip(trimmed[0], untrimmed[0]):
+        np.testing.assert_array_equal(a, b)
+    assert trimmed[1] == untrimmed[1]
+
+
+ROUNDS_RSS_CHILD = """
+import os, threading, time
+from deepridge import dataio, network
+page = os.sysconf("SC_PAGE_SIZE")
+
+def rss():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * page
+
+peak, done = [0], threading.Event()
+
+def sample():
+    while not done.is_set():
+        peak[0] = max(peak[0], rss())
+        time.sleep(2e-4)
+
+split = dataio.simulate_single_neuron(
+    dataio.SimConfig(n=2100, d=50, noise_std=0.3, seed=1))
+cfg = network.NetConfig(depth=2, blocks=70, features_per_block=100, seed=1)
+threading.Thread(target=sample, daemon=True).start()
+for _ in range(2):
+    peak[0] = rss()
+    model = network.train(split, cfg)
+    network.predict(model, split.x_test)
+    del model
+    network.flat_random_feature_baseline(split, cfg.layer_width,
+                                         cfg.lambda_grid, seed=1)
+    print(peak[0])
+done.set()
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="needs /proc/self/statm")
+def test_second_round_peaks_no_higher_than_the_first():
+    # two identical rounds of train, predict and the flat baseline in a
+    # child process, its RSS sampled every 0.2 ms. Without the release
+    # glibc kept the first round's freed features and fits resident, and
+    # the second round peaked 4.7 MB higher (0.2 MB with it)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(network.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", ROUNDS_RSS_CHILD], env=env,
+                         check=True, timeout=120, capture_output=True,
+                         text=True)
+    first, second = (int(v) for v in out.stdout.split())
+    assert abs(second - first) <= 2 * 2 ** 20
+
+
 # --- depth selection ---------------------------------------------------------
 
 def _forged_model(valid_mses):
@@ -870,8 +958,9 @@ def test_streamed_baseline_matches_dense_fit(split, monkeypatch):
 
 def test_grouped_baseline_cycles_gamma_grid_across_groups(split,
                                                            monkeypatch):
-    # feature j takes gamma_grid[j % 3] in whichever group it falls; 1024
-    # is not a multiple of 3, so each group starts at another grid entry
+    # feature j takes gamma_grid[j % 3] in whichever group it falls;
+    # GROUP_COLUMNS is not a multiple of 3, so each group starts at another
+    # grid entry
     grid = (0.3, 0.7, 1.1)
     res, valid_mse = recorded_baseline(split, STREAMED_WIDTH, 4, monkeypatch,
                                        gamma_grid=grid)
