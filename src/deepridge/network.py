@@ -16,11 +16,12 @@ coefficients over its column scales, and on a penalty grid those columns
 are nearly collinear: M_k has numerical rank r_k, about 11 of L = 29 on
 the default grid. So each block's columns are kept as r_k coordinates on
 an orthonormal basis C_k of M_k's row space, and a layer's output is one
-(n, sum r_k) array. Training takes each block's basis by one small SVD
-(signed canonically), once, and a trained layer is that
-:class:`LayerBasis`: the stacked (sum r_k, P) maps that turn features into
-coordinates and the (sum r_k, L) rows of the C_k'. The betas and scales
-live only while their transform group is fit.
+(n, sum r_k) array; :func:`forward` returns it. Training takes each
+block's map by one small SVD (signed canonically), once, and a trained
+layer is that :class:`LayerBasis`: one stacked (sum r_k, P) array of the
+maps that turn features into coordinates. The C_k are not kept, since
+the next layer and the final ridge read only the coordinates, and the
+betas and scales live only while their transform group is fit.
 
 Input weights and biases are never stored: block k of layer m is drawn
 from the keyed stream (seed, m, k), so training and prediction redraw it
@@ -51,6 +52,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import threading
 import zipfile
 from dataclasses import dataclass
@@ -61,9 +63,9 @@ from . import __version__
 from .dataio import DataSplit, atomic_path
 from .features import FeatureBlock, apply_block, draw_block
 from .ridge import (RidgeGridFit, column_scales, fit_floats, fit_grid,
-                    gram_matrix, penalty_grid, solve_grid)
+                    penalty_grid, solve_grid)
 from .ridge import predict as ridge_predict
-from .seeding import map_ordered, stream_rng
+from .seeding import KEY_MAX, map_ordered, stream_rng
 
 # 29-point default penalty grid used throughout the experiments
 DEFAULT_LAMBDA_GRID = (
@@ -73,7 +75,7 @@ DEFAULT_LAMBDA_GRID = (
 )
 
 MODEL_FORMAT = "deepridge-model"
-MODEL_FORMAT_VERSION = 6
+MODEL_FORMAT_VERSION = 7
 
 # feature columns per transform GEMM: narrow enough that each worker's
 # (D, columns) weight buffer and (rows, columns) features stay small, wide
@@ -107,6 +109,22 @@ class ModelFormatError(ValueError):
     """Raised for corrupt or incompatible serialized models."""
 
 
+def _checked_draws(gamma_low, gamma_high, gamma_grid, bias_range):
+    """``gamma_grid`` as a tuple of floats, or None; refuses weight
+    variances and a bias range that are not positive and finite, which
+    would fail only at the first draw."""
+    if gamma_grid is not None:
+        gamma_grid = tuple(float(v) for v in gamma_grid)
+        if not gamma_grid or not all(0 < v < math.inf for v in gamma_grid):
+            raise ValueError("gamma_grid must be non-empty and positive "
+                             "and finite")
+    elif not 0 < gamma_low < gamma_high < math.inf:
+        raise ValueError("need 0 < gamma_low < gamma_high < inf")
+    if not 0 < bias_range < math.inf:
+        raise ValueError("bias_range must be positive and finite")
+    return gamma_grid
+
+
 @dataclass(frozen=True)
 class NetConfig:
     """Architecture and randomness settings for one network.
@@ -114,7 +132,8 @@ class NetConfig:
     ``depth`` counts feature layers before the final ridge, at most
     ``MAX_DEPTH``. Block weight variances come either from ``gamma_grid``
     (one entry per block) or are drawn uniformly from (gamma_low,
-    gamma_high) per block and layer.
+    gamma_high) per block and layer. ``seed`` keys every stream, so it
+    lies in 0..``KEY_MAX``.
     """
 
     depth: int = 2
@@ -128,29 +147,31 @@ class NetConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("depth", "blocks", "features_per_block", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(
+                    value, bool):
+                raise ValueError(f"{name} must be an integer")
         if not 1 <= self.depth <= MAX_DEPTH:
             raise ValueError(f"depth must be in 1..{MAX_DEPTH}")
         if self.blocks < 1:
             raise ValueError("blocks must be at least 1")
         if self.features_per_block < 1:
             raise ValueError("features_per_block must be at least 1")
+        if not 0 <= self.seed <= KEY_MAX:
+            raise ValueError(f"seed must be in 0..{KEY_MAX}")
         grid = tuple(float(v) for v in self.lambda_grid)
-        if len(grid) == 0 or not all(v > 0 for v in grid):
-            raise ValueError("lambda_grid must be non-empty and positive")
+        if len(grid) == 0 or not all(0 < v < math.inf for v in grid):
+            raise ValueError("lambda_grid must be non-empty, positive and "
+                             "finite")
         if sorted(grid) != list(grid) or len(set(grid)) != len(grid):
             raise ValueError("lambda_grid must be strictly increasing")
         object.__setattr__(self, "lambda_grid", grid)
-        if self.gamma_grid is not None:
-            gg = tuple(float(v) for v in self.gamma_grid)
-            if len(gg) != self.blocks:
-                raise ValueError("gamma_grid must have one entry per block")
-            if not all(v > 0 for v in gg):
-                raise ValueError("gamma_grid entries must be positive")
-            object.__setattr__(self, "gamma_grid", gg)
-        elif not 0 < self.gamma_low < self.gamma_high:
-            raise ValueError("need 0 < gamma_low < gamma_high")
-        if not self.bias_range > 0:
-            raise ValueError("bias_range must be positive")
+        gg = _checked_draws(self.gamma_low, self.gamma_high, self.gamma_grid,
+                            self.bias_range)
+        if gg is not None and len(gg) != self.blocks:
+            raise ValueError("gamma_grid must have one entry per block")
+        object.__setattr__(self, "gamma_grid", gg)
 
     @property
     def n_penalties(self) -> int:
@@ -164,22 +185,22 @@ class NetConfig:
 
 @dataclass(frozen=True)
 class LayerBasis:
-    """The numerical-rank coordinates of a layer's blocks, side by side;
-    a trained layer.
+    """The numerical-rank maps of a layer's blocks, stacked; a trained
+    layer.
 
     Block k's L unit-scale columns are X_k = Z_k M_k for its features Z_k
     and M_k = betas[k] / scales[k] (P, L). With the thin SVD M_k = U S V'
     cut to the r_k singular values above ``RANK_TOLERANCE`` times the
     largest, X_k = (Z_k (U S)[:, :r_k]) C_k' with C_k = V[:, :r_k]
-    orthonormal. Rows offsets[k]:offsets[k + 1] of ``maps`` and ``vt``
-    belong to block k: its ((U S)[:, :r_k])' and its C_k'. Block k's input
-    weights and biases are not stored: they are redrawn from the keyed
-    stream (seed, layer, k) with the weight variance
+    orthonormal. Rows offsets[k]:offsets[k + 1] of ``maps`` are block k's
+    ((U S)[:, :r_k])', which turns its features into its r_k coordinates;
+    C_k is not kept, as nothing reads the dense columns. Block k's input
+    weights and biases are not stored either: they are redrawn from the
+    keyed stream (seed, layer, k) with the weight variance
     ``_block_gammas(config, layer)[k]``.
     """
 
     maps: np.ndarray      # (sum r_k, P)
-    vt: np.ndarray        # (sum r_k, L)
     offsets: np.ndarray   # (K + 1,) ints, offsets[0] == 0
 
     @property
@@ -191,31 +212,22 @@ class LayerBasis:
         """Compressed width, sum r_k."""
         return int(self.offsets[-1])
 
-    @property
-    def dense_width(self) -> int:
-        """Dense width, K * L."""
-        return (len(self.offsets) - 1) * self.vt.shape[1]
-
     def _rows(self):
-        """(dense rows, compressed rows) of each block, as slices."""
-        n_pen, o = self.vt.shape[1], self.offsets
-        return [(slice(k * n_pen, (k + 1) * n_pen), slice(o[k], o[k + 1]))
-                for k in range(len(o) - 1)]
+        """Each block's rows of ``maps``, as slices."""
+        o = self.offsets
+        return [slice(o[k], o[k + 1]) for k in range(len(o) - 1)]
 
     def blocks(self, a: int, b: int) -> "LayerBasis":
-        """Blocks a..b-1's basis, as views of this one's rows."""
-        rows = slice(self.offsets[a], self.offsets[b])
-        return LayerBasis(maps=self.maps[rows], vt=self.vt[rows],
+        """Blocks a..b-1's basis, as a view of this one's rows."""
+        return LayerBasis(maps=self.maps[self.offsets[a]:self.offsets[b]],
                           offsets=self.offsets[a:b + 1] - self.offsets[a])
 
     @staticmethod
     def join(parts) -> "LayerBasis":
         """Consecutive blocks' bases as one."""
         ranks = np.concatenate([part.ranks for part in parts])
-        return LayerBasis(
-            maps=np.concatenate([part.maps for part in parts]),
-            vt=np.concatenate([part.vt for part in parts]),
-            offsets=np.concatenate([[0], np.cumsum(ranks)]))
+        return LayerBasis(maps=np.concatenate([part.maps for part in parts]),
+                          offsets=np.concatenate([[0], np.cumsum(ranks)]))
 
 
 def layer_basis(betas, scales) -> LayerBasis:
@@ -226,28 +238,16 @@ def layer_basis(betas, scales) -> LayerBasis:
     all zero keeps one (zero) coordinate, so no array is ever empty. Each
     singular pair is signed so that the largest-magnitude entry of its
     right vector is positive, so the basis does not depend on the signs
-    LAPACK picks.
+    LAPACK picks; the right vectors are then dropped.
     """
-    maps, vts = [], []
+    maps = []
     for beta, scale in zip(betas, scales):
         u, s, vt = np.linalg.svd(beta / scale, full_matrices=False)
         r = max(1, int(np.count_nonzero(s > RANK_TOLERANCE * s[0])))
-        vt = vt[:r]
-        sign = np.sign(vt[np.arange(r), np.argmax(np.abs(vt), axis=1)])
+        sign = np.sign(vt[np.arange(r), np.argmax(np.abs(vt[:r]), axis=1)])
         maps.append((u[:, :r] * (s[:r] * sign)).T)
-        vts.append(vt * sign[:, None])
-    return LayerBasis(maps=np.concatenate(maps), vt=np.concatenate(vts),
-                      offsets=np.cumsum([0] + [len(v) for v in vts]))
-
-
-@dataclass(frozen=True)
-class LayerOutput:
-    """A layer's representation of n rows, compressed: block k's L columns
-    are ``coords`` columns offsets[k]:offsets[k + 1] of ``basis`` times
-    C_k'."""
-
-    coords: np.ndarray    # (n, sum r_k)
-    basis: LayerBasis
+    return LayerBasis(maps=np.concatenate(maps),
+                      offsets=np.cumsum([0] + [len(m) for m in maps]))
 
 
 @dataclass(frozen=True)
@@ -335,14 +335,14 @@ def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
     max(n_train, n_total - n_train) rows), and one block's ridge fit and
     train-row grid predictions, and the group's coefficients and scales;
     input weights are redrawn per group and never kept. Layer outputs and
-    weight buffers are counted at the dense width K*L, and stored layers
-    and final ridges at K*min(P, L) rows; either bounds the compressed
-    width sum r_k. With ``baseline``, the flat baseline over
-    ``cfg.layer_width`` features runs after the network, so the larger of
-    the two counts (with tiny n, wide d and small P the baseline can be):
-    one column group's weights, weight variances, their square roots and
-    biases, and its features on one row block, one ridge fit and its
-    validation and test predictions.
+    weight buffers are counted at the dense width K*L, and stored layers,
+    each row its P map floats and L final-ridge floats, at K*min(P, L)
+    rows; either bounds the compressed width sum r_k. With ``baseline``,
+    the flat baseline over ``cfg.layer_width`` features runs after the
+    network, so the larger of the two counts (with tiny n, wide d and
+    small P the baseline can be): one column group's weights, weight
+    variances, their square roots and biases, and its features on one row
+    block, one ridge fit and its validation and test predictions.
     """
     n_pen = cfg.n_penalties
     kl, p = cfg.layer_width, cfg.features_per_block
@@ -355,8 +355,8 @@ def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
     network_floats = (
         n_total * (d + 2 * kl)   # stacked inputs; a layer's input, output
         # stored layers (a layer's input among them) and final ridges; the
-        # output's basis in parts before they are joined
-        + cfg.depth * top * (p + 2 * n_pen) + top * (p + n_pen)
+        # output's maps in parts before they are joined
+        + cfg.depth * top * (p + n_pen) + top * p
         + workers * (widest_input * (group_blocks + 1) * p   # weight buffer,
                      # one block's draw; one group's features on one row
                      # block, coefficients and scales; one block's fit and
@@ -444,11 +444,9 @@ def _layer_coords(cfg: NetConfig, layer_index: int, x, row_blocks, basis,
     Once every group's weights, features and fits are freed, the free heap
     is returned to the OS (:func:`_release_free_heap`), once per layer pass.
     """
-    if isinstance(x, LayerOutput):
-        x, fan_in = x.coords, x.basis.dense_width
-    else:
-        x = np.asarray(x, dtype=float)
-        fan_in = x.shape[1]
+    x = np.asarray(x, dtype=float)
+    # a later layer reads coordinates that keep the norms of K*L columns
+    fan_in = x.shape[1] if layer_index == 1 else cfg.layer_width
     p = cfg.features_per_block
     gammas = _block_gammas(cfg, layer_index)
     buf = np.empty((cfg.blocks * min(p, cfg.n_penalties), x.shape[0]))
@@ -477,7 +475,7 @@ def _layer_coords(cfg: NetConfig, layer_index: int, x, row_blocks, basis,
                 if i == 0:
                     part = basis(*groups[g], z)
                     out = place(g, part.width)
-                for j, (_, comp) in enumerate(part._rows()):
+                for j, comp in enumerate(part._rows()):
                     np.matmul(part.maps[comp], z[:, j * p:(j + 1) * p].T,
                               out=out[comp, rows])
                 del z   # before the next row block's features
@@ -497,7 +495,7 @@ def _layer_coords(cfg: NetConfig, layer_index: int, x, row_blocks, basis,
 def train_layer(x, n_train: int, y_train, cfg: NetConfig, layer_index: int,
                 n_threads: int = 1):
     """Train one layer and return it, as the :class:`LayerBasis` of its
-    blocks, plus its :class:`LayerOutput` on ``x``.
+    blocks, plus its (n, sum r_k) coordinates on the rows of ``x``.
 
     ``x`` stacks the train rows (the first ``n_train``) and the validation
     rows, as raw inputs or as the previous layer's output. Each block is
@@ -529,8 +527,7 @@ def train_layer(x, n_train: int, y_train, cfg: NetConfig, layer_index: int,
     coords, parts = _layer_coords(cfg, layer_index, x,
                                   (slice(0, n_train), slice(n_train, None)),
                                   fit_group, n_threads)
-    basis = LayerBasis.join(parts)
-    return basis, LayerOutput(coords=coords, basis=basis)
+    return LayerBasis.join(parts), coords
 
 
 def _selected(valid_pred, y_valid):
@@ -540,12 +537,11 @@ def _selected(valid_pred, y_valid):
     return int(np.argmin(valid_mse)), valid_mse
 
 
-def _fit_final(rep: LayerOutput, n_train: int, y_train, y_valid,
-               lambdas) -> FinalFit:
+def _fit_final(coords, n_train: int, y_train, y_valid, lambdas) -> FinalFit:
     # a ridge solution on X lies in X's row space, so the ridge on the
     # coordinates, times C, is the ridge on the dense columns
-    fit = fit_grid(rep.coords[:n_train], y_train, lambdas)
-    star, valid_mse = _selected(ridge_predict(fit, rep.coords[n_train:]),
+    fit = fit_grid(coords[:n_train], y_train, lambdas)
+    star, valid_mse = _selected(ridge_predict(fit, coords[n_train:]),
                                 y_valid)
     return FinalFit(fit=fit, lambda_star_index=star, valid_mse=valid_mse)
 
@@ -571,8 +567,9 @@ def train(split: DataSplit, cfg: NetConfig, n_threads: int = 1) -> DeepRidgeMode
 
 
 def forward(model: DeepRidgeModel, x, depth: int | None = None,
-            n_threads: int = 1) -> LayerOutput:
-    """Representation after ``depth`` layers (the final ridge's input).
+            n_threads: int = 1) -> np.ndarray:
+    """Representation after ``depth`` layers (the final ridge's input):
+    the (n, sum r_k) coordinates of that layer's blocks.
 
     Each transform group reads its rows of the stored layer, so no SVD
     runs. Groups may run on ``n_threads`` workers; the result is the same
@@ -591,9 +588,8 @@ def forward(model: DeepRidgeModel, x, depth: int | None = None,
         def stored(a, b, z):
             return layer.blocks(a, b)
 
-        coords, _ = _layer_coords(model.config, m, rep, (slice(None),),
-                                  stored, n_threads)
-        rep = LayerOutput(coords=coords, basis=layer)
+        rep, _ = _layer_coords(model.config, m, rep, (slice(None),), stored,
+                               n_threads)
     return rep
 
 
@@ -609,7 +605,7 @@ def predict(model: DeepRidgeModel, x, depth: int | None = None,
         depth = model.depth
     rep = forward(model, x, depth, n_threads)
     ff = model.final_fits[depth - 1]
-    return ridge_predict(ff.fit, rep.coords)[:, ff.lambda_star_index]
+    return ridge_predict(ff.fit, rep)[:, ff.lambda_star_index]
 
 
 def select_depth(model: DeepRidgeModel) -> int:
@@ -662,14 +658,9 @@ def flat_random_feature_baseline(split: DataSplit, p_total: int, lambdas,
     if p_total < 1:
         raise ValueError("p_total must be at least 1")
     lam = penalty_grid(lambdas)
+    gamma_grid = _checked_draws(gamma_low, gamma_high, gamma_grid, bias_range)
     if gamma_grid is not None:
-        gamma_grid = np.asarray(gamma_grid, dtype=float).ravel()
-        if gamma_grid.size == 0 or not np.all(gamma_grid > 0):
-            raise ValueError("gamma_grid must be non-empty and positive")
-    elif not 0 < gamma_low < gamma_high:
-        raise ValueError("need 0 < gamma_low < gamma_high")
-    if not bias_range > 0:
-        raise ValueError("bias_range must be positive")
+        gamma_grid = np.array(gamma_grid)
     n = split.x_train.shape[0]
     dual = p_total > n
     groups = group_bounds(p_total, 1) if dual else [(0, p_total)]
@@ -688,9 +679,19 @@ def flat_random_feature_baseline(split: DataSplit, p_total: int, lambdas,
 
     # one split's features at a time: each is dropped once used
     if dual:
-        gram = np.zeros((n, n))
+        # each Z_g Z_g'/n goes into one reused buffer, so no group maps in
+        # a fresh Gram; the buffer is held through the next group's draw
+        # only where the Gram outweighs that group's (d, columns) weights
+        gram, part = np.zeros((n, n)), None
         for g in range(len(groups)):
-            gram += gram_matrix(apply_block(draw(g), split.x_train), "dual")
+            z = apply_block(draw(g), split.x_train)
+            part = np.matmul(z, z.T, out=part)
+            del z   # before the next group's draw
+            part /= n
+            gram += part
+            if n * n < split.d * GROUP_COLUMNS:
+                part = None
+        del part
         alpha = solve_grid(gram, split.y_train, lam)
         del gram   # the solve overwrote it with its reduction
     else:
@@ -734,9 +735,9 @@ def _write_npy(zf, info, arr) -> None:
 
 
 def save_model(model: DeepRidgeModel, path) -> None:
-    """Serialize a trained model: a header, two arrays per layer (its
-    basis' ``maps`` and ``vt``) and two per final ridge (its coefficients
-    on the coordinates and its validation MSEs).
+    """Serialize a trained model: a header, one array per layer (its
+    basis' ``maps``) and two per final ridge (its coefficients on the
+    coordinates and its validation MSEs).
 
     Input weights, biases and weight variances are not written; they are
     redrawn from the keyed streams of the header config. Each layer's block
@@ -758,7 +759,6 @@ def save_model(model: DeepRidgeModel, path) -> None:
     }
     for m, layer in enumerate(model.layers, start=1):
         entries[f"layer{m}.maps.npy"] = layer.maps
-        entries[f"layer{m}.vt.npy"] = layer.vt
     for m, ff in enumerate(model.final_fits, start=1):
         entries[f"final{m}.betas.npy"] = ff.fit.betas
         entries[f"final{m}.valid_mse.npy"] = ff.valid_mse
@@ -831,11 +831,8 @@ def load_model(path) -> DeepRidgeModel:
             layers = []
             for m, layer_ranks in enumerate(ranks, start=1):
                 offsets = np.cumsum([0] + layer_ranks)
-                width = int(offsets[-1])
-                layers.append(LayerBasis(
-                    maps=read_arr(f"layer{m}.maps.npy", (width, p)),
-                    vt=read_arr(f"layer{m}.vt.npy", (width, n_pen)),
-                    offsets=offsets))
+                maps = read_arr(f"layer{m}.maps.npy", (int(offsets[-1]), p))
+                layers.append(LayerBasis(maps=maps, offsets=offsets))
             if len(header["final_fits"]) != cfg.depth:
                 raise corrupt("need one final_fits entry per layer")
             finals = []

@@ -102,12 +102,13 @@ class RidgeGridFit:
 
 
 def penalty_grid(lambdas) -> np.ndarray:
-    """``lambdas`` sorted; refused unless non-empty, positive and distinct."""
+    """``lambdas`` sorted; refused unless non-empty, positive, finite and
+    distinct."""
     lam = np.sort(np.asarray(lambdas, dtype=float).ravel())
     if lam.size == 0:
         raise ValueError("lambda grid must be non-empty")
-    if not np.all(lam > 0):
-        raise ValueError("all penalties must be strictly positive")
+    if not np.all((lam > 0) & (lam < np.inf)):
+        raise ValueError("all penalties must be strictly positive and finite")
     if np.any(np.diff(lam) == 0):
         raise ValueError("duplicate penalties in grid")
     return lam

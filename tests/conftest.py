@@ -1,5 +1,7 @@
 import numpy as np
 
+from deepridge import network
+
 # the 29-point penalty grid, restated independently of the package so the
 # shipped constant stays pinned to these exact values
 REFERENCE_GRID29 = (
@@ -9,19 +11,56 @@ REFERENCE_GRID29 = (
 )
 
 
-def expand_rows(basis, rows):
-    """blockdiag(C) rows of a :class:`deepridge.network.LayerBasis`: its
-    (sum r_k, c) coordinate rows to (K*L, c) dense rows."""
-    out = np.empty((basis.dense_width, rows.shape[1]))
-    for dense, comp in basis._rows():
-        np.matmul(basis.vt[comp].T, rows[comp], out=out[dense])
-    return out
+def recorded_bases(monkeypatch):
+    """Record the (betas, scales) of every ``network.layer_basis`` call, in
+    call order: one per transform group, so train on one thread."""
+    calls, real = [], network.layer_basis
+
+    def record(betas, scales):
+        calls.append((betas.copy(), scales.copy()))
+        return real(betas, scales)
+
+    monkeypatch.setattr(network, "layer_basis", record)
+    return calls
 
 
-def dense_columns(rep):
-    """The (n, K*L) unit-scale grid columns of a
-    :class:`deepridge.network.LayerOutput`."""
-    return expand_rows(rep.basis, rep.coords.T).T
+def block_bases(betas, scales):
+    """Each block's C_k' (r_k, L), by the SVD, rank cut and sign rule of
+    ``network.layer_basis``, so its rows pair bit for bit with that
+    block's rows of the maps."""
+    cs = []
+    for beta, scale in zip(betas, scales):
+        _, s, vt = np.linalg.svd(beta / scale, full_matrices=False)
+        r = max(1, int(np.count_nonzero(s > network.RANK_TOLERANCE * s[0])))
+        vt = vt[:r]
+        cs.append(vt * np.sign(vt[np.arange(r),
+                                  np.argmax(np.abs(vt), axis=1)])[:, None])
+    return cs
+
+
+def layer_bases(calls, cfg):
+    """Per trained layer, each block's C_k', from the ``recorded_bases``
+    calls of one-thread training under ``cfg``."""
+    groups = len(network.group_bounds(cfg.blocks, cfg.features_per_block))
+    assert len(calls) % groups == 0
+    return [[c for betas, scales in calls[i:i + groups]
+             for c in block_bases(betas, scales)]
+            for i in range(0, len(calls), groups)]
+
+
+def expand_rows(cs, rows):
+    """blockdiag(C) times (sum r_k, c) coordinate rows: (K*L, c) dense
+    rows."""
+    offsets = np.cumsum([0] + [len(c) for c in cs])
+    assert offsets[-1] == len(rows)
+    return np.vstack([c.T @ rows[a:b]
+                      for c, a, b in zip(cs, offsets, offsets[1:])])
+
+
+def dense_columns(coords, cs):
+    """The (n, K*L) unit-scale grid columns of a layer's (n, sum r_k)
+    coordinates, with its blocks' C_k' ``cs``."""
+    return expand_rows(cs, coords.T).T
 
 
 def make_two_class_images(n_per_class, seed):

@@ -632,6 +632,15 @@ def _data(**fields):
     ({"seeds": [-1]}, [], "'seeds': seed -1 is outside"),
     ({}, ["--seed-override", f"1,{2 ** 32 + 1}"],
      "--seed-override: seed 4294967297 is outside"),
+    # each failed only at the first draw, after the output directory was
+    # made, with an uncaught OverflowError
+    ({"model": _model(gamma_high=math.inf)}, [],
+     "invalid model config: need 0 < gamma_low < gamma_high < inf"),
+    ({"model": _model(bias_range=math.inf)}, [],
+     "invalid model config: bias_range must be positive and finite"),
+    ({"model": _model(lambda_grid=[0.1, math.inf])}, [],
+     "invalid model config: lambda_grid must be non-empty, positive and "
+     "finite"),
 ], ids=["guard", "missing-idx", "n-10", "c-grid-negative", "n-groups-0",
         "b-low-negative", "c-grid-empty", "c-grid-bool", "blocks-bool",
         "depth-bool", "gamma-low-bool", "lambda-grid-bool",
@@ -640,7 +649,8 @@ def _data(**fields):
         "seed-override-repeated", "seed-override-theory-curves",
         "noise-levels-repeated",
         "k-values-repeated", "depths-repeated", "depth-101", "seed-2-32",
-        "seed-negative", "seed-override-2-32"])
+        "seed-negative", "seed-override-2-32", "gamma-high-inf",
+        "bias-range-inf", "lambda-grid-inf"])
 def test_refused_before_any_output(tmp_path, monkeypatch, capsys, overrides,
                                    argv, message):
     monkeypatch.chdir(tmp_path)

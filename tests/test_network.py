@@ -11,7 +11,8 @@ import zipfile
 import numpy as np
 import pytest
 
-from conftest import dense_columns, expand_rows
+from conftest import (block_bases, dense_columns, expand_rows, layer_bases,
+                      recorded_bases)
 from deepridge import network, ridge, theory
 from deepridge.dataio import DataSplit, SimConfig, simulate_single_neuron
 from deepridge.features import FeatureBlock, apply_block, draw_block
@@ -20,6 +21,7 @@ from deepridge.network import (DeepRidgeModel, FinalFit, Metrics, NetConfig,
                                flat_random_feature_baseline, load_model,
                                predict, save_model, select_depth, train,
                                train_layer)
+from deepridge.seeding import KEY_MAX
 
 SMALL_GRID = (1e-4, 0.1, 1.0, 100.0)
 
@@ -55,6 +57,14 @@ def small_cfg(**kw):
     return NetConfig(**base)
 
 
+def trained_with_bases(split, cfg, monkeypatch):
+    """``train(split, cfg)`` and, per layer, its blocks' C_k'."""
+    with monkeypatch.context() as patched:
+        calls = recorded_bases(patched)
+        model = train(split, cfg)
+    return model, layer_bases(calls, cfg)
+
+
 # --- configuration -----------------------------------------------------------
 
 def test_default_config_matches_reference_settings():
@@ -65,6 +75,9 @@ def test_default_config_matches_reference_settings():
     assert cfg.n_penalties == 29
     assert cfg.lambda_grid == REFERENCE_GRID29
     assert (cfg.gamma_low, cfg.gamma_high) == (0.25, 1.25)
+
+
+NAN, INF = float("nan"), float("inf")
 
 
 def test_config_validation():
@@ -85,9 +98,21 @@ def test_config_validation():
         NetConfig(blocks=3, gamma_grid=(0.5, 1.0))   # wrong length
     with pytest.raises(ValueError):
         NetConfig(bias_range=0.0)
-
-
-NAN = float("nan")
+    NetConfig(seed=KEY_MAX)
+    for bad, message in (
+            (dict(gamma_high=INF), "gamma_low < gamma_high < inf"),
+            (dict(bias_range=INF), "bias_range"),
+            (dict(lambda_grid=(1.0, INF)), "lambda_grid"),
+            (dict(blocks=2, gamma_grid=(1.0, INF)), "gamma_grid"),
+            (dict(seed=-1), "seed"),
+            (dict(seed=KEY_MAX + 1), "seed"),
+            (dict(depth=True), "depth must be an integer"),
+            (dict(blocks=True), "blocks must be an integer"),
+            (dict(features_per_block=True), "features_per_block"),
+            (dict(seed=False), "seed must be an integer"),
+            (dict(depth=2.0), "depth must be an integer")):
+        with pytest.raises(ValueError, match=message):
+            NetConfig(**bad)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -121,20 +146,19 @@ def test_explicit_gamma_grid_used_verbatim(split, monkeypatch):
 
 # --- layer training ----------------------------------------------------------
 
-def test_layer_width_arithmetic(split):
-    x, n_train = stacked(split)
-    cfg1 = small_cfg(blocks=1, lambda_grid=(1.0,))
-    _, rep = train_layer(x, n_train, split.y_train, cfg1, 1)
-    assert dense_columns(rep).shape == (x.shape[0], 1)
-    cfg2 = small_cfg(blocks=2, lambda_grid=(0.1, 1.0, 10.0))
-    _, rep = train_layer(x, n_train, split.y_train, cfg2, 1)
-    assert dense_columns(rep).shape == (x.shape[0], 6)
+def test_layer_width_arithmetic(split, monkeypatch):
+    rows = len(stacked(split)[0])
+    for blocks, grid, width in ((1, (1.0,), 1), (2, (0.1, 1.0, 10.0), 6)):
+        cfg = small_cfg(depth=1, blocks=blocks, lambda_grid=grid)
+        [(coords, cs)] = trained_outputs(split, cfg, monkeypatch)
+        assert dense_columns(coords, cs).shape == (rows, width)
 
 
-def test_layer_columns_unit_uncentered_std(split):
-    x, n_train = stacked(split)
-    _, rep = train_layer(x, n_train, split.y_train, small_cfg(), 1)
-    scales = np.sqrt(np.mean(dense_columns(rep)[:n_train] ** 2, axis=0))
+def test_layer_columns_unit_uncentered_std(split, monkeypatch):
+    n_train = split.x_train.shape[0]
+    [(coords, cs)] = trained_outputs(split, small_cfg(depth=1), monkeypatch)
+    scales = np.sqrt(np.mean(dense_columns(coords, cs)[:n_train] ** 2,
+                             axis=0))
     np.testing.assert_allclose(scales, 1.0, rtol=1e-10)
 
 
@@ -150,19 +174,19 @@ def test_second_layer_consumes_full_width(split, monkeypatch):
                for args, block in draws)
 
 
-def test_planted_signal_recovered(split):
+def test_planted_signal_recovered(split, monkeypatch):
     # make the labels an exact combination of block 1's relu features
-    cfg = small_cfg(blocks=2, lambda_grid=(1e-4, 1.0))
+    cfg = small_cfg(depth=1, blocks=2, lambda_grid=(1e-4, 1.0))
     # gamma for block 1 comes from its own stream; reproduce the draw
     gamma = float(_block_gammas(cfg, 1)[1])
     block = draw_block((7, 1, 1), gamma, cfg.features_per_block, split.d,
                        cfg.bias_range)
     coef = np.arange(1.0, cfg.features_per_block + 1)
     y_train = apply_block(block, split.x_train) @ coef
-    x, n_train = stacked(split)
-    layer, rep = train_layer(x, n_train, y_train, cfg, 1)
+    n_train = split.x_train.shape[0]
+    [(coords, cs)] = trained_outputs(split, cfg, monkeypatch, y_train)
     # block 1, smallest penalty: first column of its group
-    col = dense_columns(rep)[:n_train, 1 * cfg.n_penalties + 0]
+    col = dense_columns(coords, cs)[:n_train, 1 * cfg.n_penalties + 0]
     corr = np.corrcoef(col, y_train)[0, 1]
     assert corr > 0.999
 
@@ -178,8 +202,8 @@ def test_grouped_transform_matches_per_block_loop(split, monkeypatch):
                     lambda_grid=(0.1, 1.0, 100.0))
     p = cfg.features_per_block
     assert [b - a for a, b in network.group_bounds(cfg.blocks, p)] == [2, 2, 1]
-    model = train(split, cfg)
-    xs, fan_in, x_basis = (split.x_train, split.x_valid), split.d, None
+    model, model_bases = trained_with_bases(split, cfg, monkeypatch)
+    xs, fan_in = (split.x_train, split.x_valid), split.d
     for m in range(1, cfg.depth + 1):
         blocks, feats, fits, scales, reps = [], [], [], [], ([], [])
         for k, gamma in enumerate(_block_gammas(cfg, m)):
@@ -207,12 +231,12 @@ def test_grouped_transform_matches_per_block_loop(split, monkeypatch):
             return fit
 
         monkeypatch.setattr(network, "fit_grid", recorded_fit_grid)
-        x = np.vstack(xs)
-        if x_basis is not None:
-            x = network.LayerOutput(coords=x, basis=x_basis)
-        layer, got = train_layer(x, xs[0].shape[0], split.y_train, cfg, m)
+        calls = recorded_bases(monkeypatch)
+        layer, got = train_layer(np.vstack(xs), xs[0].shape[0], split.y_train,
+                                 cfg, m)
         monkeypatch.undo()
-        dense = dense_columns(got)
+        [got_bases] = layer_bases(calls, cfg)
+        dense = dense_columns(got, got_bases)
         dense = (dense[:xs[0].shape[0]], dense[xs[0].shape[0]:])
         for (_, drawn), block in zip(draws, blocks, strict=True):
             np.testing.assert_array_equal(drawn.weights, block.weights)
@@ -221,29 +245,30 @@ def test_grouped_transform_matches_per_block_loop(split, monkeypatch):
         # the stored layer is the basis of the reference fits over their
         # scales; the next layer reads each block's features times its
         # (U S) map
-        x_basis = network.layer_basis(np.stack([f.betas for f in fits]),
-                                      np.vstack(scales))
+        ref_fits = np.stack([f.betas for f in fits]), np.vstack(scales)
+        x_basis = network.layer_basis(*ref_fits)
         np.testing.assert_array_equal(x_basis.offsets, layer.offsets)
-        for name in ("maps", "vt"):
-            np.testing.assert_allclose(getattr(layer, name),
-                                       getattr(x_basis, name), rtol=1e-10,
-                                       atol=1e-12)
+        np.testing.assert_allclose(layer.maps, x_basis.maps, rtol=1e-10,
+                                   atol=1e-12)
+        for got_c, want_c in zip(got_bases, block_bases(*ref_fits),
+                                 strict=True):
+            np.testing.assert_allclose(got_c, want_c, rtol=1e-10, atol=1e-12)
         xs = tuple(np.hstack([zs[i] @ x_basis.maps[comp].T
-                              for zs, (_, comp) in zip(feats,
-                                                       x_basis._rows())])
+                              for zs, comp in zip(feats, x_basis._rows())])
                    for i in range(2))
-        fan_in = x_basis.dense_width
-        np.testing.assert_allclose(got.coords, np.vstack(xs), rtol=1e-10)
+        fan_in = cfg.layer_width
+        np.testing.assert_allclose(got, np.vstack(xs), rtol=1e-10)
         # the columns have unit scale: an entry near zero is compared to
         # within 1e-12 of that scale, as a dense column expanded from its
         # coordinates rounds to that scale, not to the entry's own
         for i, a in enumerate((split.x_train, split.x_valid)):
             out = network.forward(model, a, m)
-            np.testing.assert_allclose(out.coords, xs[i], rtol=1e-10)
+            np.testing.assert_allclose(out, xs[i], rtol=1e-10)
             np.testing.assert_allclose(dense[i], ref[i], rtol=1e-10,
                                        atol=1e-12)
-            np.testing.assert_allclose(dense_columns(out), ref[i],
-                                       rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(
+                dense_columns(out, model_bases[m - 1]), ref[i], rtol=1e-10,
+                atol=1e-12)
 
 
 def test_forward_group_peak_holds_one_draw():
@@ -256,7 +281,6 @@ def test_forward_group_peak_holds_one_draw():
     columns = (b - a) * p
     # each block keeps one zero coordinate, as a block of zero betas does
     layer = network.LayerBasis(maps=np.zeros((blocks, p)),
-                               vt=np.repeat(np.eye(1, n_pen), blocks, axis=0),
                                offsets=np.arange(blocks + 1))
     model = DeepRidgeModel(
         config=NetConfig(depth=1, blocks=blocks, features_per_block=p,
@@ -277,10 +301,10 @@ def test_forward_group_peak_holds_one_draw():
 
 # --- full training and prediction --------------------------------------------
 
-def test_degenerate_width_equals_direct_ridge(split):
+def test_degenerate_width_equals_direct_ridge(split, monkeypatch):
     cfg = small_cfg(depth=1, blocks=1)
-    model = train(split, cfg)
-    rep = dense_columns(network.forward(model, split.x_train, 1))
+    model, [cs] = trained_with_bases(split, cfg, monkeypatch)
+    rep = dense_columns(network.forward(model, split.x_train, 1), cs)
     # un-normalize and compare against a direct fit with the same block
     block = draw_block((cfg.seed, 1, 0), float(_block_gammas(cfg, 1)[0]),
                        cfg.features_per_block, split.d, cfg.bias_range)
@@ -291,7 +315,7 @@ def test_degenerate_width_equals_direct_ridge(split):
     assert np.abs(rep * scales - direct).max() < 1e-8
 
 
-def test_forward_reproduces_training_representation(split):
+def test_forward_reproduces_training_representation(split, monkeypatch):
     # training transforms the train rows, then the validation rows, each as
     # a row block of its own; forward given either split does the same
     # GEMMs, so the coordinates agree bit for bit. In the second network
@@ -300,11 +324,12 @@ def test_forward_reproduces_training_representation(split):
     wide = network.GROUP_COLUMNS + 100
     for cfg in (small_cfg(), small_cfg(blocks=2, features_per_block=wide)):
         model = train(split, cfg)
-        for m, rep in enumerate(trained_outputs(split, cfg), start=1):
+        for m, (coords, _) in enumerate(
+                trained_outputs(split, cfg, monkeypatch), start=1):
             for x, rows in ((split.x_train, slice(0, n_train)),
                             (split.x_valid, slice(n_train, None))):
-                np.testing.assert_array_equal(
-                    network.forward(model, x, m).coords, rep.coords[rows])
+                np.testing.assert_array_equal(network.forward(model, x, m),
+                                              coords[rows])
     assert network.group_bounds(2, wide) == [(0, 1), (1, 2)]
 
 
@@ -328,17 +353,22 @@ def test_block_fits_hold_only_the_train_rows_features():
 
 # --- compressed representation -----------------------------------------------
 
-def trained_outputs(split, cfg):
-    """Each layer's training-time output, as ``train`` computes it."""
+def trained_outputs(split, cfg, monkeypatch, y_train=None):
+    """Each layer's training-time coordinates, as ``train`` computes them
+    (against ``y_train``, by default the split's), with its blocks'
+    C_k'."""
     rep, n_train = stacked(split)
+    y_train = split.y_train if y_train is None else y_train
     outputs = []
-    for m in range(1, cfg.depth + 1):
-        _, rep = train_layer(rep, n_train, split.y_train, cfg, m)
-        outputs.append(rep)
-    return outputs
+    with monkeypatch.context() as patched:
+        calls = recorded_bases(patched)
+        for m in range(1, cfg.depth + 1):
+            _, rep = train_layer(rep, n_train, y_train, cfg, m)
+            outputs.append(rep)
+    return list(zip(outputs, layer_bases(calls, cfg), strict=True))
 
 
-def test_dense_expansion_reproduces_grid_columns(split):
+def test_dense_expansion_reproduces_grid_columns(split, monkeypatch):
     # the dense columns computed block by block: each block's features
     # times its ridge fit on the train rows, over the fitted columns'
     # train-row scales, the next layer drawing on those columns'
@@ -346,9 +376,10 @@ def test_dense_expansion_reproduces_grid_columns(split):
     cfg = small_cfg(blocks=4, features_per_block=20,
                     lambda_grid=network.DEFAULT_LAMBDA_GRID)
     ref, n_train = stacked(split)
-    fan_in = ref.shape[1]
-    for m, rep in enumerate(trained_outputs(split, cfg), start=1):
-        assert rep.basis.width < rep.basis.dense_width
+    fan_in, n_pen = ref.shape[1], cfg.n_penalties
+    for m, (coords, cs) in enumerate(trained_outputs(split, cfg, monkeypatch),
+                                     start=1):
+        assert coords.shape[1] < cfg.layer_width
         columns = []
         for k, gamma in enumerate(_block_gammas(cfg, m)):
             z = apply_block(draw_block((cfg.seed, m, k), float(gamma),
@@ -358,10 +389,10 @@ def test_dense_expansion_reproduces_grid_columns(split):
             pred = ridge.predict(fit, z)
             columns.append(pred / ridge.column_scales(pred[:n_train]))
         dense = np.hstack(columns)
-        np.testing.assert_allclose(dense_columns(rep), dense, rtol=1e-10,
-                                   atol=1e-10)
-        ref = np.hstack([dense[:, cols] @ rep.basis.vt[comp].T
-                         for cols, comp in rep.basis._rows()])
+        np.testing.assert_allclose(dense_columns(coords, cs), dense,
+                                   rtol=1e-10, atol=1e-10)
+        ref = np.hstack([dense[:, k * n_pen:(k + 1) * n_pen] @ c.T
+                         for k, c in enumerate(cs)])
         fan_in = dense.shape[1]
 
 
@@ -371,17 +402,18 @@ def compressing_cfg(**kw):
                      lambda_grid=network.DEFAULT_LAMBDA_GRID, **kw)
 
 
-def test_coordinates_keep_dense_row_norms(split):
+def test_coordinates_keep_dense_row_norms(split, monkeypatch):
     # C_k is orthonormal, so each row's coordinates have its dense
     # columns' norm: that is why features on the coordinates, scaled by
     # the dense width K*L, keep the dense input's pre-activation variance
-    model = train(split, compressing_cfg(depth=3))
-    for m in range(1, 4):
-        rep = network.forward(model, split.x_test, m)
-        assert rep.basis.width < rep.basis.dense_width
-        np.testing.assert_allclose(np.linalg.norm(rep.coords, axis=1),
-                                   np.linalg.norm(dense_columns(rep), axis=1),
-                                   rtol=1e-10)
+    cfg = compressing_cfg(depth=3)
+    model, bases = trained_with_bases(split, cfg, monkeypatch)
+    for m, cs in enumerate(bases, start=1):
+        coords = network.forward(model, split.x_test, m)
+        assert coords.shape[1] < cfg.layer_width
+        np.testing.assert_allclose(
+            np.linalg.norm(coords, axis=1),
+            np.linalg.norm(dense_columns(coords, cs), axis=1), rtol=1e-10)
 
 
 def test_draws_take_the_input_width_and_nothing_else(split, monkeypatch):
@@ -417,7 +449,7 @@ def test_basis_signs_do_not_depend_on_svd(split, tmp_path, monkeypatch):
     # every other pair changes no bit of training, forward or predict
     cfg = compressing_cfg()
     want = train(split, cfg)
-    outputs = [(network.forward(want, split.x_test, depth).coords,
+    outputs = [(network.forward(want, split.x_test, depth),
                 predict(want, split.x_test, depth)) for depth in (1, 2)]
     real_svd = np.linalg.svd
 
@@ -430,14 +462,14 @@ def test_basis_signs_do_not_depend_on_svd(split, tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", flipped_svd)
     got = train(split, cfg)
     for a, b in zip(got.layers, want.layers):
-        for name in ("maps", "vt", "offsets"):
+        for name in ("maps", "offsets"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     for a, b in zip(got.final_fits, want.final_fits):
         np.testing.assert_array_equal(a.fit.betas, b.fit.betas)
         np.testing.assert_array_equal(a.valid_mse, b.valid_mse)
     for depth, (coords, pred) in enumerate(outputs, start=1):
         np.testing.assert_array_equal(
-            network.forward(got, split.x_test, depth).coords, coords)
+            network.forward(got, split.x_test, depth), coords)
         np.testing.assert_array_equal(predict(got, split.x_test, depth), pred)
     save_model(got, tmp_path / "flipped.drz")
     monkeypatch.undo()
@@ -461,7 +493,7 @@ def test_predict_runs_no_svd(split, tmp_path, monkeypatch):
     for m in (model, loaded):
         for depth in (1, 2):
             rep = network.forward(m, split.x_test, depth, n_threads=2)
-            assert rep.basis is m.layers[depth - 1]
+            assert rep.shape == (len(split.x_test), m.layers[depth - 1].width)
             np.testing.assert_array_equal(predict(m, split.x_test, depth),
                                           want[depth - 1])
 
@@ -469,7 +501,8 @@ def test_predict_runs_no_svd(split, tmp_path, monkeypatch):
 @pytest.mark.parametrize("blocks, grid", [(3, SMALL_GRID),
                                           (12, network.DEFAULT_LAMBDA_GRID)],
                          ids=["both-primal", "primal-on-coordinates"])
-def test_final_ridge_on_coordinates_equals_dense_ridge(split, blocks, grid):
+def test_final_ridge_on_coordinates_equals_dense_ridge(split, blocks, grid,
+                                                      monkeypatch):
     # with 12 blocks of 5 features on 29 penalties the coordinates are at
     # most 60 wide against 80 training rows, while the dense columns are
     # 348 wide: the stored fit is primal, the dense reference dual. Those
@@ -480,26 +513,26 @@ def test_final_ridge_on_coordinates_equals_dense_ridge(split, blocks, grid):
     model = train(split, cfg)
     n_train = split.x_train.shape[0]
     well_posed = np.asarray(grid) >= (0 if blocks == 3 else 0.01)
-    for ff, rep in zip(model.final_fits, trained_outputs(split, cfg)):
-        dense = dense_columns(rep)[:n_train]
+    for ff, (coords, cs) in zip(model.final_fits,
+                                trained_outputs(split, cfg, monkeypatch)):
+        dense = dense_columns(coords, cs)[:n_train]
         ref = ridge.fit_grid(dense, split.y_train, grid)
         if blocks == 12:
-            assert rep.basis.width < n_train < rep.basis.dense_width
+            assert coords.shape[1] < n_train < cfg.layer_width
             assert ref.mode == "dual"
-        betas = expand_rows(rep.basis, ff.fit.betas)
+        betas = expand_rows(cs, ff.fit.betas)
         for got, want in ((betas[:, well_posed], ref.betas[:, well_posed]),
                           (dense @ betas, dense @ ref.betas)):
             scale = np.abs(want).max(axis=0)
             assert np.all(np.abs(got - want) <= 1e-10 * scale)
 
 
-def _dense_predictions(model, x, depth):
+def _dense_predictions(model, bases, x, depth):
     # the final ridge expanded to the dense columns, on the dense columns
-    ff = model.final_fits[depth - 1]
-    rep = network.forward(model, x, depth)
-    fit = dataclasses.replace(ff.fit,
-                              betas=expand_rows(rep.basis, ff.fit.betas))
-    return ridge.predict(fit, dense_columns(rep))[:, ff.lambda_star_index]
+    ff, cs = model.final_fits[depth - 1], bases[depth - 1]
+    fit = dataclasses.replace(ff.fit, betas=expand_rows(cs, ff.fit.betas))
+    dense = dense_columns(network.forward(model, x, depth), cs)
+    return ridge.predict(fit, dense)[:, ff.lambda_star_index]
 
 
 @pytest.mark.parametrize("grid", [(1.0,), SMALL_GRID],
@@ -516,9 +549,11 @@ def test_grids_without_compression(split, tmp_path, grid, monkeypatch):
         return real_fit_grid(z, *args)
 
     monkeypatch.setattr(network, "fit_grid", recorded_fit_grid)
+    calls = recorded_bases(monkeypatch)
     cfg = small_cfg(lambda_grid=grid)
     model = train(split, cfg)
     monkeypatch.undo()
+    bases = layer_bases(calls, cfg)
     k = cfg.blocks
     for m, layer in enumerate(model.layers):
         # each layer's K block fits come before its final ridge's
@@ -532,7 +567,7 @@ def test_grids_without_compression(split, tmp_path, grid, monkeypatch):
         np.testing.assert_array_equal(predict(loaded, split.x_test, depth),
                                       pred)
         np.testing.assert_allclose(
-            pred, _dense_predictions(model, split.x_test, depth),
+            pred, _dense_predictions(model, bases, split.x_test, depth),
             rtol=1e-10, atol=1e-10 * np.abs(pred).max())
 
 
@@ -558,14 +593,13 @@ def test_training_basis_is_the_one_predict_uses(split, monkeypatch):
     whole = real_basis(*(np.concatenate(a) for a in zip(*fits)))
     model = train(split, cfg)
     for threads in (1, 3):
-        layer, rep = train_layer(x, n_train, split.y_train, cfg, 1, threads)
-        assert rep.basis is layer
+        layer, _ = train_layer(x, n_train, split.y_train, cfg, 1, threads)
         for got in (layer, want, model.layers[0]):
-            for name in ("maps", "vt", "offsets"):
+            for name in ("maps", "offsets"):
                 np.testing.assert_array_equal(getattr(got, name),
                                               getattr(whole, name))
         out = network.forward(model, split.x_test, n_threads=threads)
-        assert out.basis is model.layers[0]
+        assert out.shape == (len(split.x_test), whole.width)
 
 
 def _within(seconds, fn):
@@ -601,7 +635,7 @@ def test_groups_place_their_rows_in_order_under_contention(split,
             kind, (_, rep) = _within(60, lambda: train_layer(
                 x, n_train, split.y_train, cfg, 1, n_threads=8))
             assert kind == "value"
-            np.testing.assert_array_equal(rep.coords, serial.coords)
+            np.testing.assert_array_equal(rep, serial)
     finally:
         sys.setswitchinterval(interval)
 
@@ -872,8 +906,15 @@ def test_baseline_rejects_bad_width(split):
     (dict(bias_range=0.0), "bias_range must be positive"),
     (dict(gamma_grid=()), "gamma_grid must be non-empty and positive"),
     (dict(gamma_grid=(1.0, -1.0)), "gamma_grid must be non-empty and positive"),
+    (dict(gamma_high=INF), "need 0 < gamma_low < gamma_high < inf"),
+    (dict(bias_range=INF), "bias_range must be positive and finite"),
+    (dict(gamma_grid=(1.0, INF)), "gamma_grid must be non-empty and positive "
+                                  "and finite"),
+    (dict(lambdas=(0.1, INF)), "penalties must be strictly positive and "
+                               "finite"),
 ], ids=["negative-gamma", "reversed-gammas", "zero-bias-range",
-        "empty-gamma-grid", "negative-gamma-grid"])
+        "empty-gamma-grid", "negative-gamma-grid", "infinite-gamma-high",
+        "infinite-bias-range", "infinite-gamma-grid", "infinite-penalty"])
 def test_baseline_rejects_bad_arguments_before_any_draw(split, kwargs,
                                                        message, monkeypatch):
     def no_draw(*key):
@@ -881,7 +922,8 @@ def test_baseline_rejects_bad_arguments_before_any_draw(split, kwargs,
 
     monkeypatch.setattr(network, "stream_rng", no_draw)
     with pytest.raises(ValueError, match=message):
-        flat_random_feature_baseline(split, 4, SMALL_GRID, **kwargs)
+        flat_random_feature_baseline(split, 4, **{"lambdas": SMALL_GRID,
+                                                  **kwargs})
 
 
 # spans four transform column groups, the last one ragged
@@ -1019,7 +1061,7 @@ def test_save_load_round_trip(split, tmp_path):
     assert loaded.lambda_star_index == model.lambda_star_index
     assert loaded.input_dim == model.input_dim
     for a, b in zip(loaded.layers, model.layers, strict=True):
-        for name in ("maps", "vt", "offsets"):
+        for name in ("maps", "offsets"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     for a, b in zip(loaded.final_fits, model.final_fits, strict=True):
         np.testing.assert_array_equal(a.fit.betas, b.fit.betas)
@@ -1044,8 +1086,7 @@ def _in_memory_archive(model, header_bytes, path):
     # reference writer: every payload built in memory, then written whole
     entries = {"header.json": header_bytes}
     for m, layer in enumerate(model.layers, start=1):
-        for name in ("maps", "vt"):
-            entries[f"layer{m}.{name}.npy"] = _npy_bytes(getattr(layer, name))
+        entries[f"layer{m}.maps.npy"] = _npy_bytes(layer.maps)
     for m, ff in enumerate(model.final_fits, start=1):
         entries[f"final{m}.betas.npy"] = _npy_bytes(ff.fit.betas)
         entries[f"final{m}.valid_mse.npy"] = _npy_bytes(ff.valid_mse)
@@ -1157,7 +1198,25 @@ def test_load_rejects_v3_file(split, tmp_path):
         load_model(path)
 
 
-def test_archive_holds_two_arrays_per_layer_and_fit(split, tmp_path):
+def test_load_rejects_v6_file(split, tmp_path, monkeypatch):
+    # a v6 archive also holds each layer's C_k' rows, layer{m}.vt.npy
+    model = train(split, small_cfg())
+    path, v6 = tmp_path / "model.drz", tmp_path / "v6.drz"
+    monkeypatch.setattr(network, "MODEL_FORMAT_VERSION", 6)
+    save_model(model, path)
+    monkeypatch.undo()
+    with zipfile.ZipFile(path) as src, zipfile.ZipFile(v6, "w") as dst:
+        for name in src.namelist():
+            dst.writestr(name, src.read(name))
+        for m, layer in enumerate(model.layers, start=1):
+            dst.writestr(f"layer{m}.vt.npy", _npy_bytes(
+                np.zeros((layer.width, model.config.n_penalties))))
+    with pytest.raises(network.ModelFormatError,
+                       match="unsupported format version 6"):
+        load_model(v6)
+
+
+def test_archive_holds_one_array_per_layer_and_two_per_fit(split, tmp_path):
     model = train(split, small_cfg(depth=2))
     save_model(model, tmp_path / "model.drz")
     with zipfile.ZipFile(tmp_path / "model.drz") as zf:
@@ -1166,15 +1225,31 @@ def test_archive_holds_two_arrays_per_layer_and_fit(split, tmp_path):
     assert names == [
         "final1.betas.npy", "final1.valid_mse.npy",
         "final2.betas.npy", "final2.valid_mse.npy", "header.json",
-        "layer1.maps.npy", "layer1.vt.npy",
-        "layer2.maps.npy", "layer2.vt.npy"]
-    assert header["format_version"] == 6
+        "layer1.maps.npy", "layer2.maps.npy"]
+    assert header["format_version"] == 7
     assert sorted(header) == ["config", "final_fits", "format",
                               "format_version", "input_dim",
                               "library_version", "ranks"]
     assert header["final_fits"] == [{"lambda_star_index": ff.lambda_star_index}
                                     for ff in model.final_fits]
     assert header["ranks"] == [layer.ranks.tolist() for layer in model.layers]
+
+
+def test_load_reads_every_entry_save_writes(split, tmp_path, monkeypatch):
+    # an entry that load_model never opens is a field nothing reads
+    path = tmp_path / "model.drz"
+    save_model(train(split, small_cfg()), path)
+    opened, real_open = set(), zipfile.ZipFile.open
+
+    def record_open(zf, name, *args, **kwargs):
+        opened.add(getattr(name, "filename", name))
+        return real_open(zf, name, *args, **kwargs)
+
+    monkeypatch.setattr(zipfile.ZipFile, "open", record_open)
+    load_model(path)
+    monkeypatch.undo()
+    with zipfile.ZipFile(path) as zf:
+        assert opened == set(zf.namelist())
 
 
 def _saved_with_changed_entry(model, tmp_path, entry, change):
@@ -1196,16 +1271,16 @@ def _with_entry(a, index, value):
 
 @pytest.mark.parametrize("entry, bad", [
     ("layer1.maps.npy", lambda a: a[:, :-1]),                  # wrong shape
-    ("layer1.vt.npy", lambda a: a.astype(np.float32)),         # wrong dtype
+    ("layer1.maps.npy", lambda a: a.astype(np.float32)),       # wrong dtype
     ("layer1.maps.npy", lambda a: a[:-1]),          # rows not sum of ranks
     ("final1.betas.npy", lambda a: a[:-1]),
     ("final1.betas.npy", lambda a: np.vstack([a, a[:1]])),
     ("final1.valid_mse.npy", lambda a: np.full_like(a, np.nan)),
     ("layer1.maps.npy", lambda a: _with_entry(a, (0, 0), np.nan)),
-    ("layer1.vt.npy", lambda a: _with_entry(a, (-1, -1), -np.inf)),
+    ("layer1.maps.npy", lambda a: _with_entry(a, (-1, -1), -np.inf)),
     ("final1.betas.npy", lambda a: _with_entry(a, (0, 1), np.inf)),
-], ids=["maps-columns", "vt-float32", "maps-rows", "final-rows-short",
-        "final-rows-long", "valid-mse-nan", "maps-nan", "vt-inf",
+], ids=["maps-columns", "maps-float32", "maps-rows", "final-rows-short",
+        "final-rows-long", "valid-mse-nan", "maps-nan", "maps-inf",
         "final-inf"])
 def test_load_rejects_inconsistent_array(split, tmp_path, entry, bad):
     broken = _saved_with_changed_entry(
@@ -1229,9 +1304,12 @@ def test_load_rejects_inconsistent_array(split, tmp_path, entry, bad):
     lambda h: h["final_fits"].pop(),
     lambda h: h["final_fits"].append(dict(h["final_fits"][0])),
     lambda h: h["ranks"][0].__setitem__(0, h["ranks"][0][0] % 4 + 1),
+    lambda h: h["config"].update(seed=2 ** 32 + 3),
+    lambda h: h["config"].update(depth=2.0),
 ], ids=["input-dim-zero", "input-dim-float", "star-past-grid", "star-negative",
         "star-float", "star-bool", "no-fit-at-full-depth",
-        "final-fits-past-depth", "rank-in-range-not-the-arrays"])
+        "final-fits-past-depth", "rank-in-range-not-the-arrays",
+        "seed-past-2-32", "depth-float"])
 def test_load_rejects_inconsistent_header(split, tmp_path, edit):
     def change(data):
         header = json.loads(data)
