@@ -68,6 +68,14 @@ def _has_type(value, kind) -> bool:
                                         or not isinstance(value, bool))
 
 
+def _float(name, value) -> float:
+    try:   # JSON integers are unbounded, floats are not
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"config field '{name}' holds a number too large "
+                          f"for a float") from None
+
+
 def _field(mapping, name, kind, default=None, required=False):
     if name not in mapping or mapping[name] is None:
         if required:
@@ -75,7 +83,7 @@ def _field(mapping, name, kind, default=None, required=False):
         return default
     value = mapping[name]
     if kind is float and _has_type(value, int):
-        value = float(value)
+        value = _float(name, value)
     if not _has_type(value, kind):
         raise ConfigError(f"config field '{name}' must be {kind.__name__}")
     return value
@@ -192,10 +200,12 @@ def validate_config(cfg: dict, seed_override=None) -> dict:
                 f"non-negative integers")
         _distinct(f"config field '{name}'", values)
     for section, name in (("model", "lambda_grid"), ("model", "gamma_grid"),
-                          ("theory", "c_grid")):
-        if not all(_has_type(v, (int, float))
-                   for v in out[section][name] or ()):
-            raise ConfigError(f"config field '{name}' must contain numbers")
+                          ("theory", "c_grid"), ("data", "noise_levels")):
+        for v in out[section][name] or ():
+            if not _has_type(v, (int, float)):
+                raise ConfigError(f"config field '{name}' must contain "
+                                  f"numbers")
+            _float(name, v)
     pk_total = out["ablation"]["pk_total"]
     for k in out["ablation"]["k_values"]:
         if k < 1 or pk_total % k != 0:
@@ -228,10 +238,11 @@ def _check_resources(n_total: int, n_train: int, d: int,
                      cfg: network.NetConfig, threads: int,
                      max_memory_gb: float, baseline: bool = False) -> float:
     """Estimated peak memory of a run (:func:`network.peak_floats`) in GB;
-    aborts before any large allocation when it exceeds the limit."""
-    est_gb = 8.0 * network.peak_floats(cfg, n_total, n_train, d, threads,
-                                       baseline) / 1e9
-    if est_gb > max_memory_gb:
+    aborts before any large allocation when it exceeds the limit. The
+    exact byte count is compared, as it may pass a float's range."""
+    est = 8 * network.peak_floats(cfg, n_total, n_train, d, threads, baseline)
+    est_gb = est / 1e9 if est < 1e300 else float("inf")
+    if est > max_memory_gb * 1e9:
         raise ConfigError(
             f"estimated memory {est_gb:.1f} GB exceeds limits.max_memory_gb="
             f"{max_memory_gb}; reduce blocks/features_per_block/depth "
@@ -277,21 +288,25 @@ def _experiments(cfg: dict, threads: int) -> list:
     """Train and score every seed, network, noise level and reported depth.
 
     Writes results.csv, timings.csv, diagnostics.json and any saved
-    models; returns their paths. First, before any output, it reads the
-    data files, builds the first split and each network's NetConfig, and
-    runs the memory guard once per network on the first split's sizes: no
-    split's size depends on the seed or the noise level.
+    models; returns their paths. First, before any output, it finds the
+    splits' sizes (a simulated split's are the config's, an image split's
+    the first split's), builds each network's NetConfig and runs the memory
+    guard once per network: no split's size depends on the seed or level.
     """
     kind, data_cfg, ablation = cfg["kind"], cfg["data"], cfg["ablation"]
     if kind == "fmnist":
         source = _image_pairs(data_cfg)
         model_prefix = f"model_pair{data_cfg['pair_index']}"
+        with _section("data"):
+            first = source(cfg["seeds"][0])(data_cfg["noise_levels"][0])
+        n_train, d = first.x_train.shape
+        n_total = n_train + len(first.x_valid) + len(first.x_test)
+        del first
     else:
         source, model_prefix = _simulated(data_cfg), "model"
-    with _section("data"):
-        first = source(cfg["seeds"][0])(data_cfg["noise_levels"][0])
-    n_train = first.x_train.shape[0]
-    n_total = n_train + first.x_valid.shape[0] + first.x_test.shape[0]
+        n_total, n_train, d = data_cfg["n"], data_cfg["n"] // 3, data_cfg["d"]
+        with _section("data"):
+            dataio.SimConfig(n=n_total, d=d, noise_std=0.0)   # checks n, d
     flat_kind = kind in ("simulate", "fmnist")
     baseline = flat_kind and cfg["baseline"]
     save_models = flat_kind and cfg["save_models"]
@@ -308,7 +323,7 @@ def _experiments(cfg: dict, threads: int) -> list:
     networks = []
     for overrides, depths in variants:
         net_cfg = _net_config(cfg["model"], cfg["seeds"][0], **overrides)
-        est_gb = _check_resources(n_total, n_train, first.d, net_cfg,
+        est_gb = _check_resources(n_total, n_train, d, net_cfg,
                                   threads, cfg["limits"]["max_memory_gb"],
                                   baseline)
         networks.append((net_cfg, depths, est_gb))
@@ -496,7 +511,7 @@ def main(argv=None) -> int:
                   f"{manifest['config']['output_dir']}")
         else:
             print(inspect(args.model))
-    except (ConfigError, network.ModelFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError, theory.ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -131,31 +131,25 @@ def load_idx(path) -> np.ndarray:
     (count,) integer vector.
     """
     data = _read_idx_bytes(path)
-    if len(data) < 8:
-        raise ValueError(f"{path}: inconsistent length (truncated header)")
     magic = int.from_bytes(data[:4], "big")
+    header = 16 if magic == IDX_IMAGE_MAGIC else 8
+    if len(data) < header:
+        raise ValueError(f"{path}: inconsistent length (truncated header)")
     if magic == IDX_IMAGE_MAGIC:
-        if len(data) < 16:
-            raise ValueError(f"{path}: inconsistent length (truncated header)")
         count, rows, cols = struct.unpack(">III", data[4:16])
-        expected = 16 + count * rows * cols
-        if len(data) != expected:
-            raise ValueError(
-                f"{path}: inconsistent length ({len(data)} bytes, header"
-                f" declares {expected})"
-            )
-        pixels = np.frombuffer(data, dtype=np.uint8, offset=16)
-        return pixels.reshape(count, rows * cols).astype(float) / 255.0
+        width = rows * cols
+    elif magic == IDX_LABEL_MAGIC:
+        (count,), width = struct.unpack(">I", data[4:8]), 1
+    else:
+        raise ValueError(f"{path}: unrecognized IDX magic {magic:#010x}")
+    expected = header + count * width
+    if len(data) != expected:
+        raise ValueError(f"{path}: inconsistent length ({len(data)} bytes, "
+                         f"header declares {expected})")
+    values = np.frombuffer(data, dtype=np.uint8, offset=header)
     if magic == IDX_LABEL_MAGIC:
-        (count,) = struct.unpack(">I", data[4:8])
-        expected = 8 + count
-        if len(data) != expected:
-            raise ValueError(
-                f"{path}: inconsistent length ({len(data)} bytes, header"
-                f" declares {expected})"
-            )
-        return np.frombuffer(data, dtype=np.uint8, offset=8).astype(np.int64)
-    raise ValueError(f"{path}: unrecognized IDX magic {magic:#010x}")
+        return values.astype(np.int64)
+    return values.reshape(count, width).astype(float) / 255.0
 
 
 def load_idx_pair(images_path, labels_path):

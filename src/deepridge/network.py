@@ -31,7 +31,7 @@ to the rows one row block at a time (one GEMM each) and dropped after the
 last. Training transforms the train rows and then the validation rows, so
 its block fits hold the train rows' features only; prediction takes all
 its rows as one block and reads each group's rows of the stored basis.
-Groups may run on a thread pool.
+Groups may run on a thread pool; the caller copies their output in order.
 
 The next layer reads only the coordinates: block k of layer m >= 2 draws
 its (sum r_j, P) weights from (seed, m, k) and computes
@@ -53,7 +53,6 @@ import functools
 import io
 import json
 import math
-import threading
 import zipfile
 from dataclasses import dataclass
 
@@ -333,14 +332,15 @@ def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
     group's weight buffer, its features on one row block (the train rows,
     the validation rows or the rows to predict, so at most
     max(n_train, n_total - n_train) rows), and one block's ridge fit and
-    train-row grid predictions, and the group's coefficients and scales;
+    train-row grid predictions, and the group's coefficients, scales and
+    coordinates, and one more group's coordinates may wait to be copied;
     input weights are redrawn per group and never kept. Layer outputs and
-    weight buffers are counted at the dense width K*L, and stored layers,
-    each row its P map floats and L final-ridge floats, at K*min(P, L)
-    rows; either bounds the compressed width sum r_k. With ``baseline``,
-    the flat baseline over ``cfg.layer_width`` features runs after the
-    network, so the larger of the two counts (with tiny n, wide d and
-    small P the baseline can be): one column group's weights, weight
+    weight buffers are counted at the dense width K*L, and stored layers
+    (each row P map and L final-ridge floats) and coordinates at min(P, L)
+    rows per block; either bounds the compressed width sum r_k. With
+    ``baseline``, the flat baseline over ``cfg.layer_width`` features runs
+    after the network, so the larger of the two counts (with tiny n, wide
+    d and small P the baseline can be): one column group's weights, weight
     variances, their square roots and biases, and its features on one row
     block, one ridge fit and its validation and test predictions.
     """
@@ -357,6 +357,7 @@ def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
         # stored layers (a layer's input among them) and final ridges; the
         # output's maps in parts before they are joined
         + cfg.depth * top * (p + n_pen) + top * p
+        + (workers + 1) * group_blocks * min(p, n_pen) * n_total   # coords
         + workers * (widest_input * (group_blocks + 1) * p   # weight buffer,
                      # one block's draw; one group's features on one row
                      # block, coefficients and scales; one block's fit and
@@ -427,67 +428,48 @@ def _layer_coords(cfg: NetConfig, layer_index: int, x, row_blocks, basis,
     ``x`` is the raw input or the previous layer's output, and
     ``row_blocks`` are consecutive row slices that cover it. Each group
     draws its weight buffer once, then for each row block in turn computes
-    that block's features (one GEMM), writes their coordinates and drops
-    them before the next block's. ``basis(a, b, z)`` returns the
-    :class:`LayerBasis` of blocks a..b-1; it is called once per group, with
-    the features z of the first row block only, and its results come back
-    in group order.
+    that block's features (one GEMM), writes their coordinates into the
+    group's own (width, n) array and drops them before the next block's.
+    ``basis(a, b, z)`` returns the :class:`LayerBasis` of blocks a..b-1;
+    it is called once per group, with the features z of the first row
+    block only.
 
-    Groups may run on ``n_threads`` workers. Each takes the next rows of
-    one buffer in group order, waiting for the group before it to be
-    placed, and writes its transposed coordinates there: workers write
-    straight into memory the caller owns, and the layout is the same for
-    any thread count. The buffer is sized for the largest rank, min(P, L)
-    per block, and then cut in place to the rows taken; rows past them are
-    never written, so never resident.
-
-    Once every group's weights, features and fits are freed, the free heap
-    is returned to the OS (:func:`_release_free_heap`), once per layer pass.
+    Groups may run on ``n_threads`` workers. The calling thread takes
+    their results in group order from :func:`map_ordered` and copies each
+    into the next rows of one buffer, so the layout is the same for any
+    thread count. The buffer is sized for rank min(P, L) per block and
+    then cut in place to the rows taken; rows past them are never written,
+    so never resident. Then, with every group's weights, features and fits
+    freed, the free heap is returned to the OS (:func:`_release_free_heap`).
     """
     x = np.asarray(x, dtype=float)
     # a later layer reads coordinates that keep the norms of K*L columns
     fan_in = x.shape[1] if layer_index == 1 else cfg.layer_width
     p = cfg.features_per_block
     gammas = _block_gammas(cfg, layer_index)
+
+    def group_coords(group):
+        block = _group_block(cfg, layer_index, gammas, x.shape[1], *group)
+        for i, rows in enumerate(row_blocks):
+            z = apply_block(block, x[rows], fan_in)
+            if i == 0:
+                part = basis(*group, z)
+                out = np.empty((part.width, x.shape[0]))
+            for j, comp in enumerate(part._rows()):
+                np.matmul(part.maps[comp], z[:, j * p:(j + 1) * p].T,
+                          out=out[comp, rows])
+            del z   # before the next row block's features
+        return part, out
+
     buf = np.empty((cfg.blocks * min(p, cfg.n_penalties), x.shape[0]))
-    groups = group_bounds(cfg.blocks, p)
-    parts = [None] * len(groups)
-    tops = [0] + [None] * len(groups)   # group g takes tops[g]:tops[g + 1]
-    failed = []
-    placed = threading.Condition()
-
-    def place(g, width):
-        with placed:
-            placed.wait_for(lambda: tops[g] is not None
-                            or min(failed, default=g) < g)
-            if tops[g] is None:   # a group before this one failed
-                raise RuntimeError(f"transform group {min(failed)} failed")
-            tops[g + 1] = tops[g] + width
-            placed.notify_all()
-        return buf[tops[g]:tops[g + 1]]
-
-    def write_group(g):
-        try:
-            block = _group_block(cfg, layer_index, gammas, x.shape[1],
-                                 *groups[g])
-            for i, rows in enumerate(row_blocks):
-                z = apply_block(block, x[rows], fan_in)
-                if i == 0:
-                    part = basis(*groups[g], z)
-                    out = place(g, part.width)
-                for j, comp in enumerate(part._rows()):
-                    np.matmul(part.maps[comp], z[:, j * p:(j + 1) * p].T,
-                              out=out[comp, rows])
-                del z   # before the next row block's features
-            parts[g] = part
-        except BaseException:
-            with placed:   # no later group is left waiting
-                failed.append(g)
-                placed.notify_all()
-            raise
-
-    map_ordered(write_group, range(len(groups)), n_threads)
-    buf.resize((tops[-1], x.shape[0]), refcheck=False)   # no view of buf left
+    parts, top = [], 0
+    for part, out in map_ordered(group_coords,
+                                 group_bounds(cfg.blocks, p), n_threads):
+        buf[top:top + part.width] = out
+        top += part.width
+        parts.append(part)
+    del out   # the last group's copy, freed before the heap is trimmed
+    buf.resize((top, x.shape[0]), refcheck=False)   # no view of buf left
     _release_free_heap()
     return buf.T, parts
 
@@ -585,11 +567,8 @@ def forward(model: DeepRidgeModel, x, depth: int | None = None,
     if not np.all(np.isfinite(rep)):
         raise ValueError("input contains NaN or inf")
     for m, layer in enumerate(model.layers[:depth], start=1):
-        def stored(a, b, z):
-            return layer.blocks(a, b)
-
-        rep, _ = _layer_coords(model.config, m, rep, (slice(None),), stored,
-                               n_threads)
+        rep, _ = _layer_coords(model.config, m, rep, (slice(None),),
+                               lambda a, b, z: layer.blocks(a, b), n_threads)
     return rep
 
 

@@ -6,6 +6,7 @@ stream, so draws depend only on the key and never on the order in which
 work is scheduled.
 """
 
+import collections
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -28,12 +29,19 @@ def stream_rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
-def map_ordered(fn, items, n_threads: int) -> list:
-    """``[fn(item) for item in items]``, on ``n_threads`` workers if > 1.
-
-    Results are kept by position, so scheduling never changes the output.
-    """
+def map_ordered(fn, items, n_threads: int):
+    """Yield ``fn(item)`` for each item in order, on ``n_threads`` workers
+    if > 1, so scheduling never changes the output. Lazy: at one thread
+    ``fn`` runs on an item once the last result is taken; a pool runs at
+    most one item past its workers ahead of the oldest result not taken."""
     if n_threads <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(fn, items))
+        ahead = collections.deque()
+        for item in items:
+            ahead.append(pool.submit(fn, item))
+            if len(ahead) > n_threads:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()

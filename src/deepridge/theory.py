@@ -63,8 +63,8 @@ class TheoryParams:
         b = tuple(float(v) for v in self.b)
         if len(c) == 0 or len(c) != len(b):
             raise ValueError("c and b must be equal-length and non-empty")
-        if not (all(v > 0 for v in c) and all(v > 0 for v in b)):
-            raise ValueError("aspect ratios and signal strengths must be > 0")
+        if not all(0 < v < math.inf for v in c + b):
+            raise ValueError("c and b entries must be > 0 and finite")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "b", b)
 
@@ -306,8 +306,8 @@ def risk_curves(params: TheoryParams, c_grid) -> np.ndarray:
     c_grid = np.asarray(c_grid, dtype=float).ravel()
     if c_grid.size == 0:
         raise ValueError("c_grid must be non-empty")
-    if not np.all(c_grid > 0):
-        raise ValueError("c_grid entries must be > 0")
+    if not np.all((c_grid > 0) & (c_grid < math.inf)):
+        raise ValueError("c_grid entries must be > 0 and finite")
     *_, flat, optimal, suboptimal = _headline(params, c_grid[:, None])
     return np.column_stack([c_grid, flat[:, 0], optimal, suboptimal])
 
@@ -625,8 +625,8 @@ def monte_carlo_risk(scenario: RiskScenario, estimators, replications: int,
             out.append(float(err @ err))
         return out
 
-    # (R, n_estimators)
-    risks = np.asarray(map_ordered(one_rep, range(replications), n_threads))
+    risks = np.array(list(map_ordered(one_rep, range(replications),
+                                      n_threads)))   # (R, n_estimators)
     return [McResult(estimator=label, risk=float(col.mean()),
                      stderr=float(col.std(ddof=1) / math.sqrt(replications)),
                      replications=replications)

@@ -641,6 +641,23 @@ def _data(**fields):
     ({"model": _model(lambda_grid=[0.1, math.inf])}, [],
      "invalid model config: lambda_grid must be non-empty, positive and "
      "finite"),
+    # the guard ran only after the first split was drawn: numpy failed to
+    # allocate its 1.2 PB
+    ({"data": {"n": 3_000_000_000_000}}, [],
+     "exceeds limits.max_memory_gb=4.0"),
+    # each raised an uncaught OverflowError converting an integer to float
+    ({"model": _model(bias_range=10 ** 400)}, [],
+     "config field 'bias_range' holds a number too large for a float"),
+    ({"model": _model(lambda_grid=[0.1, 10 ** 400])}, [],
+     "config field 'lambda_grid' holds a number too large for a float"),
+    ({"data": _data(noise_levels=[10 ** 400])}, [],
+     "config field 'noise_levels' holds a number too large for a float"),
+    ({"kind": "ablation_k",
+      "ablation": {"k_values": [1], "pk_total": 10 ** 400}}, [],
+     "estimated memory inf GB exceeds limits.max_memory_gb=4.0"),
+    # wrote an inf,nan,nan,nan row and exited 0
+    ({"kind": "theory_curves", "theory": {"c_grid": [1.0, math.inf]}}, [],
+     "'theory': c_grid entries must be > 0 and finite"),
 ], ids=["guard", "missing-idx", "n-10", "c-grid-negative", "n-groups-0",
         "b-low-negative", "c-grid-empty", "c-grid-bool", "blocks-bool",
         "depth-bool", "gamma-low-bool", "lambda-grid-bool",
@@ -650,7 +667,10 @@ def _data(**fields):
         "noise-levels-repeated",
         "k-values-repeated", "depths-repeated", "depth-101", "seed-2-32",
         "seed-negative", "seed-override-2-32", "gamma-high-inf",
-        "bias-range-inf", "lambda-grid-inf"])
+        "bias-range-inf", "lambda-grid-inf", "guard-before-first-draw",
+        "bias-range-past-float", "lambda-grid-past-float",
+        "noise-level-past-float", "guard-count-past-float",
+        "c-grid-inf"])
 def test_refused_before_any_output(tmp_path, monkeypatch, capsys, overrides,
                                    argv, message):
     monkeypatch.chdir(tmp_path)
@@ -663,4 +683,17 @@ def test_refused_before_any_output(tmp_path, monkeypatch, capsys, overrides,
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+# overflow on the way to the breakdown the identity check catches
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_theory_breakdown_is_an_error_not_a_traceback(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    write_config(config, kind="theory_curves", theory={"c_grid": [1e300]})
+    out = tmp_path / "out"
+    assert cli.main(["run", str(config), "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: resolvent trace forms disagree")
     assert not out.exists()

@@ -622,8 +622,8 @@ def _within(seconds, fn):
 def test_groups_place_their_rows_in_order_under_contention(split,
                                                            monkeypatch):
     # one-block groups on more workers than cores, with the interpreter
-    # switching threads as often as it can: the rows each group takes must
-    # not depend on which group finishes first
+    # switching threads as often as it can, so groups finish out of order:
+    # the calling thread must still copy their coordinates in group order
     monkeypatch.setattr(network, "GROUP_COLUMNS", 5)
     cfg = small_cfg(blocks=12, lambda_grid=network.DEFAULT_LAMBDA_GRID)
     x, n_train = stacked(split)
@@ -641,8 +641,9 @@ def test_groups_place_their_rows_in_order_under_contention(split,
 
 
 def test_failed_group_leaves_no_worker_waiting(split, monkeypatch):
-    # the third of six one-block groups fails before it takes its rows;
-    # the groups after it are waiting for those rows on other workers
+    # the third of six one-block groups fails in its fits while the groups
+    # after it run on other workers: the error must reach the caller when
+    # it takes that group's result, with no worker left running
     monkeypatch.setattr(network, "GROUP_COLUMNS", 5)
     cfg = small_cfg(blocks=6)
     x, n_train = stacked(split)
@@ -658,6 +659,36 @@ def test_failed_group_leaves_no_worker_waiting(split, monkeypatch):
     kind, exc = _within(60, lambda: train_layer(
         x, n_train, split.y_train, cfg, 1, n_threads=4))
     assert kind == "error" and isinstance(exc, ValueError)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_layer_pass_holds_one_copy_of_its_coordinates(threads, monkeypatch):
+    # 60 groups of two 4-feature blocks on 1000 stacked rows: each group's
+    # coordinates are small beside the layer's, so a pass that held every
+    # group's until the last one was copied would hold them twice
+    monkeypatch.setattr(network, "GROUP_COLUMNS", 8)
+    split = simulate_single_neuron(
+        SimConfig(n=1500, d=6, noise_std=0.2, activation="relu", seed=5))
+    cfg = small_cfg(depth=1, blocks=120, features_per_block=4)
+    x, n_train = stacked(split)
+    assert len(x) == 1000 and len(network.group_bounds(120, 4)) == 60
+
+    def traced(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (layer, coords), peak = traced(lambda: train_layer(
+        x, n_train, split.y_train, cfg, 1, threads))
+    assert peak < 1.5 * coords.nbytes
+    model = DeepRidgeModel(config=cfg, layers=(layer,), final_fits=(),
+                           input_dim=split.d)
+    out, peak = traced(lambda: network.forward(model, x, n_threads=threads))
+    np.testing.assert_array_equal(out, coords)
+    assert peak < 1.5 * out.nbytes
 
 
 def test_train_holds_no_two_dense_layer_arrays():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from deepridge.seeding import KEY_MAX, stream_rng
+from deepridge.seeding import KEY_MAX, map_ordered, stream_rng
 
 
 @pytest.mark.parametrize("key, alias", [
@@ -32,3 +32,32 @@ def test_seeds_at_the_range_ends_draw(seed):
     a, b = stream_rng(seed, 1, 0).random(3), stream_rng(seed, 1, 0).random(3)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, stream_rng(seed, 1, 1).random(3))
+
+
+def test_map_ordered_at_one_thread_runs_an_item_once_the_last_is_taken():
+    calls = []
+
+    def fn(item):
+        calls.append(item)
+        return 10 * item
+
+    results = map_ordered(fn, [1, 2, 3], 1)
+    assert calls == []
+    assert next(results) == 10 and calls == [1]
+    assert next(results) == 20 and calls == [1, 2]
+    assert list(results) == [30] and calls == [1, 2, 3]
+
+
+def test_map_ordered_on_a_pool_runs_one_item_past_its_workers_ahead():
+    # the oldest result not yet taken is at most n_threads + 1 items back
+    calls = []
+
+    def fn(item):
+        calls.append(item)
+        return 10 * item
+
+    results = map_ordered(fn, range(8), 2)
+    assert next(results) == 0 and max(calls) <= 2
+    assert next(results) == 10 and max(calls) <= 3
+    assert list(results) == [10 * i for i in range(2, 8)]
+    assert sorted(calls) == list(range(8))

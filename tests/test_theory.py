@@ -281,6 +281,15 @@ def test_risk_curves_refuse_empty_grid():
         risk_curves(theory.default_curve_params(), [])
 
 
+@pytest.mark.parametrize("c_grid", [[1.0, np.inf], [np.nan]],
+                         ids=["inf", "nan"])
+def test_risk_curves_refuse_non_finite_entries(c_grid):
+    # an infinite c gave a row of nan risks
+    with pytest.raises(ValueError, match="c_grid entries must be > 0 and "
+                                         "finite"):
+        risk_curves(theory.default_curve_params(), c_grid)
+
+
 @pytest.mark.parametrize("c_grid", [
     np.geomspace(0.1, 10.0, 200),   # the benchmark's grid
     np.geomspace(0.1, 10.0, 25),    # the CLI's default grid
@@ -678,6 +687,10 @@ def test_params_validation():
         TheoryParams(c=(1.0,), b=(1.0, 2.0))
     with pytest.raises(ValueError):
         TheoryParams(c=(-1.0,), b=(1.0,))
+    for c, b in (((np.inf,), (1.0,)), ((1.0,), (np.inf,)),
+                 ((1.0, np.nan), (1.0, 1.0))):
+        with pytest.raises(ValueError, match="> 0 and finite"):
+            TheoryParams(c=c, b=b)
     p = params_k3()
     assert p.n_groups == 3
     assert p.b_bar == pytest.approx(3.0)
