@@ -471,12 +471,16 @@ def inspect(model_path) -> str:
         lines.append(
             f"layer {m} width:  {ranks.sum()} of K*L={cfg.layer_width} "
             f"columns (block ranks r_k {ranks.min()}..{ranks.max()})")
-    lines.append(f"final penalty:   lambda*={model.final.lambda_star:g} "
-                 f"(index {model.lambda_star_index})")
+    # a selected penalty on either end of a grid of several may lie past it
+    last = cfg.n_penalties - 1
+    edges = {0, last} if last > 0 else set()
     for m, ff in enumerate(model.final_fits, start=1):
+        star = ff.lambda_star_index
+        edge = ", at the edge of the grid" if star in edges else ""
         lines.append(
             f"depth {m} validation MSE at its lambda*: "
-            f"{float(ff.valid_mse[ff.lambda_star_index]):.6g}")
+            f"{float(ff.valid_mse[star]):.6g} (lambda*="
+            f"{cfg.lambda_grid[star]:g}, index {star} of 0..{last}{edge})")
     return "\n".join(lines)
 
 

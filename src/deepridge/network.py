@@ -41,7 +41,10 @@ orthonormal C the layer is the dense-input network in distribution; but
 its realization depends on the basis itself, so the ranks r_k are fixed
 in training and stored with the model. The final ridge is fit and stored
 on the coordinates; C times its coefficients is the ridge on the dense
-columns, and no (n, K*L) dense array is ever formed.
+columns, and no (n, K*L) dense array is ever formed. Training fits it over
+the whole penalty grid and scores every penalty on the validation rows,
+but keeps only the coefficients at the selected penalty: prediction reads
+no other, so scoring another penalty takes a retrain.
 
 Training never backpropagates: input weights are drawn, output weights are
 closed-form ridge solutions.
@@ -61,8 +64,8 @@ import numpy as np
 from . import __version__
 from .dataio import DataSplit, atomic_path
 from .features import FeatureBlock, apply_block, draw_block
-from .ridge import (RidgeGridFit, column_scales, fit_floats, fit_grid,
-                    penalty_grid, solve_grid)
+from .ridge import (column_scales, fit_floats, fit_grid, penalty_grid,
+                    solve_grid)
 from .ridge import predict as ridge_predict
 from .seeding import KEY_MAX, map_ordered, stream_rng
 
@@ -74,7 +77,7 @@ DEFAULT_LAMBDA_GRID = (
 )
 
 MODEL_FORMAT = "deepridge-model"
-MODEL_FORMAT_VERSION = 7
+MODEL_FORMAT_VERSION = 8
 
 # feature columns per transform GEMM: narrow enough that each worker's
 # (D, columns) weight buffer and (rows, columns) features stay small, wide
@@ -251,16 +254,14 @@ def layer_basis(betas, scales) -> LayerBasis:
 
 @dataclass(frozen=True)
 class FinalFit:
-    """Final ridge for one depth, with its validation-selected penalty; its
-    (sum r_k, L) coefficients act on that layer's coordinates."""
+    """Final ridge for one depth: its (sum r_k,) coefficients on that
+    layer's coordinates at the validation-selected penalty
+    ``lambda_grid[lambda_star_index]``, and every penalty's validation MSE.
+    The other penalties' coefficients are not kept."""
 
-    fit: RidgeGridFit
+    coef: np.ndarray       # (sum r_k,)
     lambda_star_index: int
     valid_mse: np.ndarray  # per-penalty validation MSE
-
-    @property
-    def lambda_star(self) -> float:
-        return float(self.fit.lambdas[self.lambda_star_index])
 
 
 @dataclass
@@ -277,12 +278,8 @@ class DeepRidgeModel:
         return self.config.depth
 
     @property
-    def final(self) -> FinalFit:
-        return self.final_fits[-1]
-
-    @property
     def lambda_star_index(self) -> int:
-        return self.final.lambda_star_index
+        return self.final_fits[-1].lambda_star_index
 
 
 @dataclass(frozen=True)
@@ -336,13 +333,14 @@ def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
     coordinates, and one more group's coordinates may wait to be copied;
     input weights are redrawn per group and never kept. Layer outputs and
     weight buffers are counted at the dense width K*L, and stored layers
-    (each row P map and L final-ridge floats) and coordinates at min(P, L)
-    rows per block; either bounds the compressed width sum r_k. With
-    ``baseline``, the flat baseline over ``cfg.layer_width`` features runs
-    after the network, so the larger of the two counts (with tiny n, wide
-    d and small P the baseline can be): one column group's weights, weight
-    variances, their square roots and biases, and its features on one row
-    block, one ridge fit and its validation and test predictions.
+    (each row P map floats and one final-ridge coefficient) and coordinates
+    at min(P, L) rows per block; either bounds the compressed width sum
+    r_k. With ``baseline``, the flat baseline over ``cfg.layer_width``
+    features runs after the network, so the larger of the two counts (with
+    tiny n, wide d and small P the baseline can be): one column group's
+    weights, weight variances, their square roots and biases, and its
+    features on one row block, one ridge fit and its validation and test
+    predictions.
     """
     n_pen = cfg.n_penalties
     kl, p = cfg.layer_width, cfg.features_per_block
@@ -356,7 +354,7 @@ def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
         n_total * (d + 2 * kl)   # stacked inputs; a layer's input, output
         # stored layers (a layer's input among them) and final ridges; the
         # output's maps in parts before they are joined
-        + cfg.depth * top * (p + n_pen) + top * p
+        + cfg.depth * top * (p + 1) + top * p
         + (workers + 1) * group_blocks * min(p, n_pen) * n_total   # coords
         + workers * (widest_input * (group_blocks + 1) * p   # weight buffer,
                      # one block's draw; one group's features on one row
@@ -525,7 +523,8 @@ def _fit_final(coords, n_train: int, y_train, y_valid, lambdas) -> FinalFit:
     fit = fit_grid(coords[:n_train], y_train, lambdas)
     star, valid_mse = _selected(ridge_predict(fit, coords[n_train:]),
                                 y_valid)
-    return FinalFit(fit=fit, lambda_star_index=star, valid_mse=valid_mse)
+    return FinalFit(coef=np.ascontiguousarray(fit.betas[:, star]),
+                    lambda_star_index=star, valid_mse=valid_mse)
 
 
 def train(split: DataSplit, cfg: NetConfig, n_threads: int = 1) -> DeepRidgeModel:
@@ -574,7 +573,8 @@ def forward(model: DeepRidgeModel, x, depth: int | None = None,
 
 def predict(model: DeepRidgeModel, x, depth: int | None = None,
             n_threads: int = 1) -> np.ndarray:
-    """Predict labels using the final ridge for ``depth``.
+    """Predict labels using the final ridge for ``depth``: that layer's
+    coordinates times its coefficients at the selected penalty.
 
     Layers beyond ``depth`` are never touched, so a deep model evaluates
     any shallower architecture directly. ``n_threads`` is passed to
@@ -583,8 +583,7 @@ def predict(model: DeepRidgeModel, x, depth: int | None = None,
     if depth is None:
         depth = model.depth
     rep = forward(model, x, depth, n_threads)
-    ff = model.final_fits[depth - 1]
-    return ridge_predict(ff.fit, rep)[:, ff.lambda_star_index]
+    return rep @ model.final_fits[depth - 1].coef
 
 
 def select_depth(model: DeepRidgeModel) -> int:
@@ -716,7 +715,8 @@ def _write_npy(zf, info, arr) -> None:
 def save_model(model: DeepRidgeModel, path) -> None:
     """Serialize a trained model: a header, one array per layer (its
     basis' ``maps``) and two per final ridge (its coefficients on the
-    coordinates and its validation MSEs).
+    coordinates at the selected penalty, and every penalty's validation
+    MSE).
 
     Input weights, biases and weight variances are not written; they are
     redrawn from the keyed streams of the header config. Each layer's block
@@ -739,7 +739,7 @@ def save_model(model: DeepRidgeModel, path) -> None:
     for m, layer in enumerate(model.layers, start=1):
         entries[f"layer{m}.maps.npy"] = layer.maps
     for m, ff in enumerate(model.final_fits, start=1):
-        entries[f"final{m}.betas.npy"] = ff.fit.betas
+        entries[f"final{m}.coef.npy"] = ff.coef
         entries[f"final{m}.valid_mse.npy"] = ff.valid_mse
     with atomic_path(path) as tmp, zipfile.ZipFile(tmp, "w") as zf:
         for name in sorted(entries):
@@ -794,7 +794,6 @@ def load_model(path) -> DeepRidgeModel:
                 return arr
 
             cfg = NetConfig(**header["config"])
-            lam = np.asarray(cfg.lambda_grid, dtype=float)
             k_blocks, p = cfg.blocks, cfg.features_per_block
             n_pen = cfg.n_penalties
             input_dim = header["input_dim"]
@@ -821,10 +820,8 @@ def load_model(path) -> DeepRidgeModel:
                     raise corrupt(f"depth {d} lambda_star_index {star!r} "
                                   f"outside 0..{n_pen - 1}")
                 finals.append(FinalFit(
-                    fit=RidgeGridFit(
-                        lambdas=lam,
-                        betas=read_arr(f"final{d}.betas.npy",
-                                       (layers[d - 1].width, n_pen))),
+                    coef=read_arr(f"final{d}.coef.npy",
+                                  (layers[d - 1].width,)),
                     lambda_star_index=star,
                     valid_mse=read_arr(f"final{d}.valid_mse.npy", (n_pen,))))
             return DeepRidgeModel(config=cfg, layers=tuple(layers),

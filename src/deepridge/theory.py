@@ -113,13 +113,18 @@ def mp_stieltjes(lam, c):
     """Marcenko-Pastur resolvent trace m(lam; c) for identity covariance.
 
     Limit of p^-1 tr (lam*I + X'X/n)^-1 with p/n -> c. Evaluated from the
-    stable root of its quadratic c*lam*m^2 + (1-c+lam)*m - 1 = 0.
+    stable root of its quadratic c*lam*m^2 + (1-c+lam)*m - 1 = 0. Where
+    the quadratic's discriminant overflows (|1 - c + lam| past about 1e154
+    or c*lam past about 1e307) the root cannot be evaluated in floating
+    point, and the result is NaN.
     """
     lam = _check_pos(lam, c)
     t = (1.0 - c) + lam
-    s = np.sqrt(t * t + 4.0 * c * lam)
-    # pick the cancellation-free expression for each sign of t
-    out = np.where(t >= 0, 2.0 / (s + t), (s - t) / (2.0 * c * lam))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.sqrt(t * t + 4.0 * c * lam)
+        # pick the cancellation-free expression for each sign of t
+        out = np.where(t >= 0, 2.0 / (s + t), (s - t) / (2.0 * c * lam))
+    out = np.where(np.isfinite(s), out, np.nan)
     return out if out.ndim else float(out)
 
 
@@ -138,13 +143,16 @@ def xi(lam, c):
     """n-normalized resolvent trace: xi = c * m(lam; c).
 
     The equivalent closed form (1 - lam*m) / (1/c - 1 + lam*m) is checked
-    on every call; disagreement indicates a numerical breakdown.
+    on every call; disagreement, a NaN or an inf among them included,
+    indicates a numerical breakdown.
     """
     lam = _check_pos(lam, c)
     m = mp_stieltjes(lam, c)
     val = c * m
-    alt = (1.0 - lam * m) / (1.0 / c - 1.0 + lam * m)
-    if np.any(np.abs(val - alt) > 1e-9 * np.maximum(1.0, np.abs(val))):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alt = (1.0 - lam * m) / (1.0 / c - 1.0 + lam * m)
+        agree = np.abs(val - alt) <= 1e-9 * np.maximum(1.0, np.abs(val))
+    if not np.all(agree):
         raise ConsistencyError(
             f"resolvent trace forms disagree at lam={lam}, c={c}")
     return val if np.ndim(val) else float(val)

@@ -532,6 +532,20 @@ def test_main_inspect_round_trip(tmp_path, capsys):
     assert "deepridge-model" in capsys.readouterr().out
 
 
+def _with_header(src_path, dst_path, edit):
+    """Copy the model file ``src_path`` with ``edit`` applied to its
+    header."""
+    with zipfile.ZipFile(src_path) as src, \
+            zipfile.ZipFile(dst_path, "w") as dst:
+        for name in src.namelist():
+            data = src.read(name)
+            if name == "header.json":
+                header = json.loads(data)
+                edit(header)
+                data = json.dumps(header).encode()
+            dst.writestr(name, data)
+
+
 def test_main_inspect_bad_header_index(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     write_config(config, seeds=[0], save_models=True)
@@ -539,17 +553,40 @@ def test_main_inspect_bad_header_index(tmp_path, capsys):
     cli.main(["run", str(config), "--output-dir", str(out)])
     capsys.readouterr()
     broken = tmp_path / "broken.drz"
-    with zipfile.ZipFile(out / "model_seed0_noise1.drz") as src, \
-            zipfile.ZipFile(broken, "w") as dst:
-        for name in src.namelist():
-            data = src.read(name)
-            if name == "header.json":
-                header = json.loads(data)
-                header["final_fits"][0]["lambda_star_index"] = len(SMALL_GRID)
-                data = json.dumps(header).encode()
-            dst.writestr(name, data)
+    _with_header(out / "model_seed0_noise1.drz", broken,
+                 lambda h: h["final_fits"][0].update(
+                     lambda_star_index=len(SMALL_GRID)))
     assert cli.main(["inspect", str(broken)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("star", [0, 1, len(SMALL_GRID) - 1])
+def test_inspect_reports_each_lambda_star_and_flags_grid_edge(tmp_path,
+                                                              star):
+    # the edge flag is read from the stored index alone: only the first and
+    # the last of the grid's penalties are flagged
+    config = tmp_path / "cfg.json"
+    write_config(config, seeds=[0], save_models=True,
+                 model={"depth": 2, "blocks": 2, "features_per_block": 4,
+                        "lambda_grid": SMALL_GRID})
+    out = tmp_path / "out"
+    cli.run(config, output_dir=str(out))
+    edited = tmp_path / "edited.drz"
+    _with_header(out / "model_seed0_noise1.drz", edited,
+                 lambda h: h["final_fits"][1].update(lambda_star_index=star))
+    model = network.load_model(edited)
+    text = cli.inspect(edited)
+    last = len(SMALL_GRID) - 1
+    for m, ff in enumerate(model.final_fits, start=1):
+        i = ff.lambda_star_index
+        mse = float(ff.valid_mse[i])
+        edge = ", at the edge of the grid" if i in (0, last) else ""
+        assert (f"depth {m} validation MSE at its lambda*: {mse:.6g} "
+                f"(lambda*={SMALL_GRID[i]:g}, index {i} of 0..{last}{edge})"
+                ) in text.splitlines()
+    assert model.final_fits[1].lambda_star_index == star
+    assert text.count("at the edge of the grid") == sum(
+        ff.lambda_star_index in (0, last) for ff in model.final_fits)
 
 
 def test_main_threads_flag_reproducible(tmp_path):
@@ -686,9 +723,6 @@ def test_refused_before_any_output(tmp_path, monkeypatch, capsys, overrides,
     assert not out.exists()
 
 
-# overflow on the way to the breakdown the identity check catches
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_theory_breakdown_is_an_error_not_a_traceback(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     write_config(config, kind="theory_curves", theory={"c_grid": [1e300]})

@@ -465,7 +465,7 @@ def test_basis_signs_do_not_depend_on_svd(split, tmp_path, monkeypatch):
         for name in ("maps", "offsets"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     for a, b in zip(got.final_fits, want.final_fits):
-        np.testing.assert_array_equal(a.fit.betas, b.fit.betas)
+        np.testing.assert_array_equal(a.coef, b.coef)
         np.testing.assert_array_equal(a.valid_mse, b.valid_mse)
     for depth, (coords, pred) in enumerate(outputs, start=1):
         np.testing.assert_array_equal(
@@ -505,22 +505,27 @@ def test_final_ridge_on_coordinates_equals_dense_ridge(split, blocks, grid,
                                                       monkeypatch):
     # with 12 blocks of 5 features on 29 penalties the coordinates are at
     # most 60 wide against 80 training rows, while the dense columns are
-    # 348 wide: the stored fit is primal, the dense reference dual. Those
-    # 348 columns have rank at most 60, so below penalty 0.01 the dense
-    # reference's own primal and dual coefficients differ by more than
-    # 1e-10; there the fitted values are compared instead
+    # 348 wide: the fit on the coordinates is primal, the dense reference
+    # dual. Those 348 columns have rank at most 60, so below penalty 0.01
+    # the dense reference's own primal and dual coefficients differ by more
+    # than 1e-10; there the fitted values are compared instead. The model
+    # keeps the coordinate fit's column at the selected penalty, bit for bit
     cfg = small_cfg(blocks=blocks, lambda_grid=grid)
     model = train(split, cfg)
     n_train = split.x_train.shape[0]
     well_posed = np.asarray(grid) >= (0 if blocks == 3 else 0.01)
     for ff, (coords, cs) in zip(model.final_fits,
                                 trained_outputs(split, cfg, monkeypatch)):
+        fit = ridge.fit_grid(coords[:n_train], split.y_train, grid)
+        assert ff.coef.shape == (coords.shape[1],)
+        np.testing.assert_array_equal(ff.coef,
+                                      fit.betas[:, ff.lambda_star_index])
         dense = dense_columns(coords, cs)[:n_train]
         ref = ridge.fit_grid(dense, split.y_train, grid)
         if blocks == 12:
             assert coords.shape[1] < n_train < cfg.layer_width
-            assert ref.mode == "dual"
-        betas = expand_rows(cs, ff.fit.betas)
+            assert (fit.mode, ref.mode) == ("primal", "dual")
+        betas = expand_rows(cs, fit.betas)
         for got, want in ((betas[:, well_posed], ref.betas[:, well_posed]),
                           (dense @ betas, dense @ ref.betas)):
             scale = np.abs(want).max(axis=0)
@@ -529,10 +534,10 @@ def test_final_ridge_on_coordinates_equals_dense_ridge(split, blocks, grid,
 
 def _dense_predictions(model, bases, x, depth):
     # the final ridge expanded to the dense columns, on the dense columns
-    ff, cs = model.final_fits[depth - 1], bases[depth - 1]
-    fit = dataclasses.replace(ff.fit, betas=expand_rows(cs, ff.fit.betas))
+    cs = bases[depth - 1]
+    coef = expand_rows(cs, model.final_fits[depth - 1].coef[:, None])
     dense = dense_columns(network.forward(model, x, depth), cs)
-    return ridge.predict(fit, dense)[:, ff.lambda_star_index]
+    return (dense @ coef)[:, 0]
 
 
 @pytest.mark.parametrize("grid", [(1.0,), SMALL_GRID],
@@ -844,11 +849,9 @@ def test_second_round_peaks_no_higher_than_the_first():
 # --- depth selection ---------------------------------------------------------
 
 def _forged_model(valid_mses):
-    finals = tuple(
-        FinalFit(fit=ridge.RidgeGridFit(
-            lambdas=np.array([1.0]), betas=np.zeros((2, 1)), mode="primal"),
-            lambda_star_index=0, valid_mse=np.array([mse]))
-        for mse in valid_mses)
+    finals = tuple(FinalFit(coef=np.zeros(2), lambda_star_index=0,
+                            valid_mse=np.array([mse]))
+                   for mse in valid_mses)
     cfg = NetConfig(depth=len(valid_mses), blocks=1, features_per_block=2,
                     lambda_grid=(1.0,))
     return DeepRidgeModel(config=cfg, layers=(None,) * len(valid_mses),
@@ -1095,7 +1098,7 @@ def test_save_load_round_trip(split, tmp_path):
         for name in ("maps", "offsets"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     for a, b in zip(loaded.final_fits, model.final_fits, strict=True):
-        np.testing.assert_array_equal(a.fit.betas, b.fit.betas)
+        np.testing.assert_array_equal(a.coef, b.coef)
     np.testing.assert_array_equal(predict(loaded, split.x_test),
                                   predict(model, split.x_test))
 
@@ -1119,7 +1122,7 @@ def _in_memory_archive(model, header_bytes, path):
     for m, layer in enumerate(model.layers, start=1):
         entries[f"layer{m}.maps.npy"] = _npy_bytes(layer.maps)
     for m, ff in enumerate(model.final_fits, start=1):
-        entries[f"final{m}.betas.npy"] = _npy_bytes(ff.fit.betas)
+        entries[f"final{m}.coef.npy"] = _npy_bytes(ff.coef)
         entries[f"final{m}.valid_mse.npy"] = _npy_bytes(ff.valid_mse)
     with zipfile.ZipFile(path, "w") as zf:
         for name in sorted(entries):
@@ -1247,6 +1250,26 @@ def test_load_rejects_v6_file(split, tmp_path, monkeypatch):
         load_model(v6)
 
 
+def test_load_rejects_v7_file(split, tmp_path, monkeypatch):
+    # a v7 archive holds each final ridge's coefficients at every penalty,
+    # final{m}.betas.npy of shape (sum r_k, L), in place of final{m}.coef.npy
+    model = train(split, small_cfg())
+    path, v7 = tmp_path / "model.drz", tmp_path / "v7.drz"
+    monkeypatch.setattr(network, "MODEL_FORMAT_VERSION", 7)
+    save_model(model, path)
+    monkeypatch.undo()
+    with zipfile.ZipFile(path) as src, zipfile.ZipFile(v7, "w") as dst:
+        for name in src.namelist():
+            if not name.endswith(".coef.npy"):
+                dst.writestr(name, src.read(name))
+        for m, layer in enumerate(model.layers, start=1):
+            dst.writestr(f"final{m}.betas.npy", _npy_bytes(
+                np.zeros((layer.width, model.config.n_penalties))))
+    with pytest.raises(network.ModelFormatError,
+                       match="unsupported format version 7"):
+        load_model(v7)
+
+
 def test_archive_holds_one_array_per_layer_and_two_per_fit(split, tmp_path):
     model = train(split, small_cfg(depth=2))
     save_model(model, tmp_path / "model.drz")
@@ -1254,10 +1277,10 @@ def test_archive_holds_one_array_per_layer_and_two_per_fit(split, tmp_path):
         names = sorted(zf.namelist())
         header = json.loads(zf.read("header.json"))
     assert names == [
-        "final1.betas.npy", "final1.valid_mse.npy",
-        "final2.betas.npy", "final2.valid_mse.npy", "header.json",
+        "final1.coef.npy", "final1.valid_mse.npy",
+        "final2.coef.npy", "final2.valid_mse.npy", "header.json",
         "layer1.maps.npy", "layer2.maps.npy"]
-    assert header["format_version"] == 7
+    assert header["format_version"] == 8
     assert sorted(header) == ["config", "final_fits", "format",
                               "format_version", "input_dim",
                               "library_version", "ranks"]
@@ -1304,15 +1327,16 @@ def _with_entry(a, index, value):
     ("layer1.maps.npy", lambda a: a[:, :-1]),                  # wrong shape
     ("layer1.maps.npy", lambda a: a.astype(np.float32)),       # wrong dtype
     ("layer1.maps.npy", lambda a: a[:-1]),          # rows not sum of ranks
-    ("final1.betas.npy", lambda a: a[:-1]),
-    ("final1.betas.npy", lambda a: np.vstack([a, a[:1]])),
+    ("final1.coef.npy", lambda a: a[:-1]),
+    ("final1.coef.npy", lambda a: np.concatenate([a, a[:1]])),
+    ("final1.coef.npy", lambda a: a[:, None]),       # a column, not a vector
     ("final1.valid_mse.npy", lambda a: np.full_like(a, np.nan)),
     ("layer1.maps.npy", lambda a: _with_entry(a, (0, 0), np.nan)),
     ("layer1.maps.npy", lambda a: _with_entry(a, (-1, -1), -np.inf)),
-    ("final1.betas.npy", lambda a: _with_entry(a, (0, 1), np.inf)),
+    ("final1.coef.npy", lambda a: _with_entry(a, 1, np.inf)),
 ], ids=["maps-columns", "maps-float32", "maps-rows", "final-rows-short",
-        "final-rows-long", "valid-mse-nan", "maps-nan", "maps-inf",
-        "final-inf"])
+        "final-rows-long", "final-column", "valid-mse-nan", "maps-nan",
+        "maps-inf", "final-inf"])
 def test_load_rejects_inconsistent_array(split, tmp_path, entry, bad):
     broken = _saved_with_changed_entry(
         train(split, small_cfg(depth=1)), tmp_path, entry,

@@ -119,6 +119,19 @@ def test_xi_consistency_sweep():
             assert abs(v - alt) <= 1e-10 * max(1.0, abs(v))
 
 
+def test_breakdown_past_float_range_raises_without_warnings():
+    # at c = lam = 1e300 the discriminant overflows: the root is NaN, not
+    # the 0 that an inf discriminant gave, and the breakdown is reported by
+    # the identity check alone; the suite turns any numpy warning into an
+    # error, so an overflow on the way would fail this test
+    assert np.isnan(mp_stieltjes(1e300, 1e300))
+    assert np.isnan(mp_stieltjes(1.0, 1e160))
+    with pytest.raises(ConsistencyError, match="resolvent trace forms"):
+        xi(1e300, 1e300)
+    with pytest.raises(ConsistencyError, match="resolvent trace forms"):
+        risk_curves(theory.default_curve_params(), [1e300])
+
+
 def test_xi_limits():
     assert xi(1.0, 1e-9) < 1e-8
     lam = 1e7
