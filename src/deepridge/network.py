@@ -67,7 +67,7 @@ from .features import FeatureBlock, apply_block, draw_block
 from .ridge import (column_scales, fit_floats, fit_grid, penalty_grid,
                     solve_grid)
 from .ridge import predict as ridge_predict
-from .seeding import KEY_MAX, map_ordered, stream_rng
+from .seeding import KEY_MAX, is_integer, map_ordered, stream_rng
 
 # 29-point default penalty grid used throughout the experiments
 DEFAULT_LAMBDA_GRID = (
@@ -150,9 +150,7 @@ class NetConfig:
 
     def __post_init__(self):
         for name in ("depth", "blocks", "features_per_block", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(
-                    value, bool):
+            if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
         if not 1 <= self.depth <= MAX_DEPTH:
             raise ValueError(f"depth must be in 1..{MAX_DEPTH}")
@@ -277,10 +275,6 @@ class DeepRidgeModel:
     def depth(self) -> int:
         return self.config.depth
 
-    @property
-    def lambda_star_index(self) -> int:
-        return self.final_fits[-1].lambda_star_index
-
 
 @dataclass(frozen=True)
 class Metrics:
@@ -296,7 +290,6 @@ class BaselineResult:
     """Flat random-feature ridge baseline outcome."""
 
     metrics: Metrics
-    lambda_star: float
     lambda_star_index: int
 
 
@@ -558,8 +551,8 @@ def forward(model: DeepRidgeModel, x, depth: int | None = None,
     """
     if depth is None:
         depth = model.depth
-    if not 1 <= depth <= model.depth:
-        raise ValueError(f"depth must be in 1..{model.depth}")
+    if not _int_in(depth, 1, model.depth + 1):
+        raise ValueError(f"depth must be an integer in 1..{model.depth}")
     rep = np.asarray(x, dtype=float)
     if rep.ndim != 2 or rep.shape[1] != model.input_dim:
         raise ValueError(f"expected {model.input_dim} input columns")
@@ -689,27 +682,23 @@ def flat_random_feature_baseline(split: DataSplit, p_total: int, lambdas,
     _release_free_heap()   # else the next network's first layer counts it
     metrics = evaluate(test_pred[:, star], split.y_test,
                        float(np.mean(split.y_train)))
-    return BaselineResult(metrics=metrics, lambda_star=float(lam[star]),
-                          lambda_star_index=star)
+    return BaselineResult(metrics=metrics, lambda_star_index=star)
 
 
 # --- serialization ---------------------------------------------------------
 #
 # A model file is a zip archive of .npy payloads plus a JSON header. Entries
 # are written in sorted order with fixed timestamps and no compression, so
-# an identical model always produces identical bytes. Arrays are streamed
-# into the archive one at a time, never copied into memory first.
+# an identical model always produces identical bytes. Each entry's bytes are
+# built in memory and written whole: the largest, a layer's (sum r_k, P)
+# maps, is about 5 MB at the paper's default shape.
 
 
-def _write_npy(zf, info, arr) -> None:
-    arr = np.ascontiguousarray(arr)
-    # preset the exact .npy length: zipfile decides on zip64 from it
-    header = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        header, np.lib.format.header_data_from_array_1_0(arr))
-    info.file_size = header.tell() + arr.nbytes
-    with zf.open(info, "w") as f:
-        np.lib.format.write_array(f, arr, version=(1, 0))
+def _npy_bytes(arr) -> bytes:
+    """``arr`` as a version 1.0 .npy file in C order."""
+    out = io.BytesIO()
+    np.lib.format.write_array(out, np.ascontiguousarray(arr), version=(1, 0))
+    return out.getvalue()
 
 
 def save_model(model: DeepRidgeModel, path) -> None:
@@ -737,23 +726,18 @@ def save_model(model: DeepRidgeModel, path) -> None:
         "header.json": json.dumps(header, sort_keys=True, indent=1).encode(),
     }
     for m, layer in enumerate(model.layers, start=1):
-        entries[f"layer{m}.maps.npy"] = layer.maps
+        entries[f"layer{m}.maps.npy"] = _npy_bytes(layer.maps)
     for m, ff in enumerate(model.final_fits, start=1):
-        entries[f"final{m}.coef.npy"] = ff.coef
-        entries[f"final{m}.valid_mse.npy"] = ff.valid_mse
+        entries[f"final{m}.coef.npy"] = _npy_bytes(ff.coef)
+        entries[f"final{m}.valid_mse.npy"] = _npy_bytes(ff.valid_mse)
     with atomic_path(path) as tmp, zipfile.ZipFile(tmp, "w") as zf:
         for name in sorted(entries):
-            info = zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0))
-            if name == "header.json":
-                zf.writestr(info, entries[name])
-            else:
-                _write_npy(zf, info, entries[name])
+            zf.writestr(zipfile.ZipInfo(name, date_time=(1980, 1, 1, 0, 0, 0)),
+                        entries[name])
 
 
 def _int_in(value, low: int, high: int) -> bool:
-    # JSON booleans load as Python ints; they are not indices here
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and low <= value < high)
+    return is_integer(value) and low <= value < high
 
 
 def load_model(path) -> DeepRidgeModel:

@@ -33,9 +33,9 @@ formed. Beyond the Gram (about P n^2 flops) and its reduction (O(n^3)),
 the grid costs 2 n L (n + P) flops and holds only (n, L) and (P, L)
 arrays.
 
-A fit is two steps, :func:`gram_matrix` and :func:`solve_grid`. The dual
-Gram is a sum over column groups of Z, so a caller that cannot hold all of
-Z can add its groups' Grams and solve the grid on the sum.
+:func:`fit_grid` forms the Gram and hands it to :func:`solve_grid`. The
+dual Gram is a sum over column groups of Z, so a caller that cannot hold
+all of Z can add its groups' Grams and solve the grid on the sum itself.
 
 The reduction and the solves are LAPACK's dsytrd_sy2sb, dormqr and
 dpbsv, called from the LAPACK that numpy itself links. Where that build
@@ -81,19 +81,8 @@ class RidgeGridFit:
     mode: str               # "primal" or "dual"
 
     def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        if lam.ndim != 1 or lam.size == 0:
-            raise ValueError("lambda grid must be a non-empty 1-d sequence")
-        if not np.all(lam > 0):
-            raise ValueError("all penalties must be strictly positive")
-        if not np.all(np.diff(lam) > 0):
-            raise ValueError("penalty grid must be strictly increasing")
         if not np.all(np.isfinite(self.betas)):
             raise ValueError("non-finite ridge coefficients")
-        if self.betas.ndim != 2 or self.betas.shape[1] != lam.size:
-            raise ValueError("betas must have one column per penalty")
-        if self.mode not in ("primal", "dual"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
     @property
     def n_features(self) -> int:
@@ -135,20 +124,14 @@ def fit_grid(z, y, lambdas, mode: str | None = None) -> RidgeGridFit:
     if mode not in ("primal", "dual"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    # the solve consumes the Gram, which is dropped as soon as it returns
-    if mode == "primal":
-        betas = solve_grid(gram_matrix(z, mode), z.T @ y / n, lam)
-    else:
-        betas = z.T @ solve_grid(gram_matrix(z, mode), y, lam)
+    gram = z.T @ z if mode == "primal" else z @ z.T
+    gram /= n   # in place: no second Gram
+    betas = solve_grid(gram, z.T @ y / n if mode == "primal" else y, lam)
+    del gram   # consumed by the solve, so dropped as soon as it returns
+    if mode == "dual":
+        betas = z.T @ betas
         betas /= n
     return RidgeGridFit(lambdas=lam, betas=betas, mode=mode)
-
-
-def gram_matrix(z, mode: str) -> np.ndarray:
-    """Z'Z/n for ``mode`` "primal", ZZ'/n for "dual", of an (n, P) ``z``."""
-    gram = z.T @ z if mode == "primal" else z @ z.T
-    gram /= z.shape[0]   # in place: no second Gram
-    return gram
 
 
 def solve_grid(gram, rhs, lam) -> np.ndarray:
@@ -157,13 +140,13 @@ def solve_grid(gram, rhs, lam) -> np.ndarray:
 
     The solve consumes ``gram``: it is overwritten by the reduction's
     reflectors, so a caller drops it afterwards. It must be a square,
-    writeable, C-contiguous float64 array, as :func:`gram_matrix` returns.
-    Each penalty is raised to at least ``EIG_RELATIVE_FLOOR`` times a
-    bound on the Gram's largest eigenvalue (the eigenvalue itself on the
-    eigh path); a zero Gram gives rhs / lam. The Gram of features Z is
-    refused when its diagonal is not finite: a NaN or inf anywhere in Z
-    puts one there (a sum of squares cannot cancel it), so Z itself is
-    never scanned.
+    writeable, C-contiguous float64 array, as :func:`fit_grid` forms it.
+    Each penalty must be positive and finite, and is raised to at least
+    ``EIG_RELATIVE_FLOOR`` times a bound on the Gram's largest eigenvalue
+    (the eigenvalue itself on the eigh path); a zero Gram gives rhs / lam.
+    The Gram of features Z is refused when its diagonal is not finite: a
+    NaN or inf anywhere in Z puts one there (a sum of squares cannot cancel
+    it), so Z itself is never scanned.
     """
     gram_ok = (isinstance(gram, np.ndarray) and gram.ndim == 2
                and gram.shape[0] == gram.shape[1]
@@ -179,6 +162,8 @@ def solve_grid(gram, rhs, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 1:
         raise ValueError("lam must be a 1-d array of penalties")
+    if not np.all((lam > 0) & (lam < np.inf)):
+        raise ValueError("all penalties must be strictly positive and finite")
     if not np.all(np.isfinite(gram.diagonal())):
         raise ValueError("non-finite entries in z")
     lapack = _lapack()

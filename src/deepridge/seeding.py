@@ -14,6 +14,12 @@ import numpy as np
 KEY_MAX = 2 ** 32 - 1
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer: bool is an int in
+    Python, but not a count, key or index."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def stream_rng(*key: int) -> np.random.Generator:
     """Return a generator fully determined by the integer tuple ``key``.
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import write_csv
-from .seeding import map_ordered, stream_rng
+from .seeding import is_integer, map_ordered, stream_rng
 
 _TAG_MC = 301
 
@@ -80,7 +80,8 @@ class TheoryParams:
 
 @dataclass(frozen=True)
 class RiskReport:
-    """Closed-form risks and optimizers for one regime."""
+    """Closed-form risks and optimizers for one regime. The flat model's
+    optimal scale at ``lambda_bar`` is 1; :func:`flat_optima` gives it."""
 
     flat_risk: float
     ensemble_optimal_risk: float
@@ -88,7 +89,6 @@ class RiskReport:
     lambda_star: tuple      # per-group optimal penalties
     alpha_star: tuple       # per-group optimal weights at the flat penalty
     lambda_bar: float       # flat model's optimal penalty
-    a_bar: float            # flat model's optimal scale at lambda_bar
 
 
 @dataclass(frozen=True)
@@ -404,7 +404,7 @@ def _headline(params: TheoryParams, c):
     run left to right, so each row of a grid equals its regime evaluated
     alone, bit for bit.
 
-    Returns (lambda_star, alpha_star, flat, ensemble_optimal,
+    Returns (lambda_bar, lambda_star, alpha_star, flat, ensemble_optimal,
     ensemble_suboptimal).
     """
     b, bb = np.asarray(params.b), params.b_bar
@@ -414,7 +414,8 @@ def _headline(params: TheoryParams, c):
     at_flat = _group_quadratic(lambda_bar, b, c, bb)
     _, lin, quad = at_flat
     alpha_star = lin / quad
-    return (lam_star, alpha_star, _flat_risk(1.0, lambda_bar, ck, bb),
+    return (lambda_bar, lam_star, alpha_star,
+            _flat_risk(1.0, lambda_bar, ck, bb),
             _total(_weighted_risk(1.0, _group_quadratic(lam_star, b, c, bb))),
             _total(_weighted_risk(alpha_star, at_flat)))
 
@@ -422,26 +423,25 @@ def _headline(params: TheoryParams, c):
 def risk_report(params: TheoryParams) -> RiskReport:
     """Bundle of the headline closed-form risks for one regime.
 
-    Every group is evaluated at once: one :func:`nu_family` call at the
-    per-group optimal penalties and one at the flat penalty.
+    Every group is evaluated at once, by three :func:`nu_family` calls: at
+    the per-group optimal penalties, at the flat penalty, for the flat model.
     """
-    lambda_bar, a_bar = flat_optima(params)
-    lam_star, alpha_star, flat, optimal, suboptimal = _headline(
+    _flat_aspect(params)   # refuses unequal group aspect ratios
+    lambda_bar, lam_star, alpha_star, flat, optimal, suboptimal = _headline(
         params, np.asarray(params.c))
     return RiskReport(
         flat_risk=float(flat[0]), ensemble_optimal_risk=optimal,
         ensemble_suboptimal_risk=suboptimal,
         lambda_star=tuple(lam_star.tolist()),
         alpha_star=tuple(alpha_star.tolist()),
-        lambda_bar=lambda_bar, a_bar=a_bar)
+        lambda_bar=float(lambda_bar[0]))
 
 
 # --- Monte Carlo oracle ----------------------------------------------------
 
 
 def _check_integer(name: str, value) -> int:
-    # bool is an int in Python, but not a count
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -534,8 +534,7 @@ def _parse_spec(est, offsets):
         return "zero", whole, []
     if kind == "submodel":
         _, k, lam, alpha = est
-        if (isinstance(k, bool) or not isinstance(k, (int, np.integer))
-                or not 0 <= k < n_groups):
+        if not is_integer(k) or not 0 <= k < n_groups:
             raise ValueError(f"submodel group index {k!r} out of range")
         _check_penalties(kind, lam)
         group = (offsets[k], offsets[k + 1])

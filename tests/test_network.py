@@ -741,6 +741,24 @@ def test_predict_validation(split):
             predict(model, x)
 
 
+@pytest.mark.parametrize("depth", [1.0, True, np.float64(2.0), "1"],
+                         ids=["float", "bool", "numpy-float", "str"])
+def test_forward_refuses_a_depth_that_is_not_an_integer(split, depth):
+    # depth=1.0 failed in slicing with a TypeError, and True ran as depth 1
+    model = train(split, small_cfg())
+    for fn in (network.forward, predict):
+        with pytest.raises(ValueError, match="depth must be an integer"):
+            fn(model, split.x_test, depth=depth)
+
+
+def test_numpy_integer_depth_predicts_as_int(split):
+    model = train(split, small_cfg())
+    for depth in (1, 2):
+        np.testing.assert_array_equal(
+            predict(model, split.x_test, depth=np.int64(depth)),
+            predict(model, split.x_test, depth=depth))
+
+
 def test_thread_count_does_not_change_anything(split, tmp_path,
                                                monkeypatch):
     # groups of two blocks, so the workers share three groups
@@ -748,7 +766,8 @@ def test_thread_count_does_not_change_anything(split, tmp_path,
     cfg = small_cfg(blocks=6)
     serial = train(split, cfg, n_threads=1)
     threaded = train(split, cfg, n_threads=4)
-    assert serial.lambda_star_index == threaded.lambda_star_index
+    assert ([ff.lambda_star_index for ff in serial.final_fits]
+            == [ff.lambda_star_index for ff in threaded.final_fits])
     expected = predict(serial, split.x_test)
     np.testing.assert_array_equal(predict(threaded, split.x_test), expected)
     for k in (1, 2, 4):
@@ -911,7 +930,7 @@ def test_evaluate_degenerate_labels():
 def test_baseline_single_feature(split):
     res = flat_random_feature_baseline(split, 1, SMALL_GRID, seed=1)
     assert np.isfinite(res.metrics.one_minus_r2)
-    assert res.lambda_star in SMALL_GRID
+    assert res.lambda_star_index in range(len(SMALL_GRID))
 
 
 def test_baseline_planted_signal():
@@ -1092,7 +1111,8 @@ def test_save_load_round_trip(split, tmp_path):
     save_model(model, path)
     loaded = load_model(path)
     assert loaded.config == model.config
-    assert loaded.lambda_star_index == model.lambda_star_index
+    assert ([ff.lambda_star_index for ff in loaded.final_fits]
+            == [ff.lambda_star_index for ff in model.final_fits])
     assert loaded.input_dim == model.input_dim
     for a, b in zip(loaded.layers, model.layers, strict=True):
         for name in ("maps", "offsets"):

@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 import types
 from unittest import mock
@@ -381,6 +382,22 @@ def test_solve_grid_refuses_unfit_arguments(gram, rhs, lam):
     # buffers from the Gram's order and the number of penalties
     with pytest.raises(ValueError, match="gram must be|rhs|lam"):
         ridge.solve_grid(gram, rhs, np.asarray(lam))
+
+
+@pytest.mark.parametrize("path", ["band", "eigh"])
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf],
+                         ids=["negative", "zero", "nan", "inf"])
+def test_solve_grid_refuses_penalties_not_positive_and_finite(path, bad):
+    # unrefused, -1 and 0 were raised to the floor penalty, and a NaN set
+    # every penalty's column to NaN on the band path, which solves stacks
+    # of penalties in one LAPACK call
+    if path == "band":
+        needs_band_path()
+    lam = np.array([0.1, bad, 10.0])
+    solver = eigh_path() if path == "eigh" else contextlib.nullcontext()
+    with solver, pytest.raises(ValueError,
+                               match="strictly positive and finite"):
+        ridge.solve_grid(2 * np.eye(4), np.ones(4), lam)
 
 
 @pytest.mark.parametrize("r", [50, 64, 200], ids=["kd1", "kd2", "kd6"])

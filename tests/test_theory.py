@@ -372,6 +372,12 @@ def test_hetero_penalty_near_equal_pairs_use_limit_form():
     assert abs(sol.gram[0, 1] - sol.gram[0, 0]) < 1e-6 * abs(sol.gram[0, 0])
 
 
+def test_risk_report_refuses_unequal_group_aspect_ratios():
+    # the flat model pools one ratio over every group
+    with pytest.raises(ValueError, match="equal group aspect ratios"):
+        theory.risk_report(TheoryParams(c=(1.0, 2.0), b=(1.0, 1.0)))
+
+
 def test_risk_report_coherent_with_components():
     p = params_k3()
     rep = theory.risk_report(p)
@@ -381,7 +387,7 @@ def test_risk_report_coherent_with_components():
         ensemble_risk((1.0,) * 3, rep.lambda_star, p))
     assert all(abs(optimal_alpha(rep.lambda_bar, p, k) - rep.alpha_star[k])
                < 1e-12 for k in range(3))
-    assert abs(rep.a_bar - 1.0) < 1e-8   # evaluated at its own lambda_bar
+    assert rep.lambda_bar == flat_optima(p)[0]
     # the all-groups pass is exactly the per-group closed forms, summed
     # in group order
     assert rep.ensemble_optimal_risk == ensemble_risk(
