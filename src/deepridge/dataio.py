@@ -9,13 +9,14 @@ and :func:`write_csv`, the one CSV writer.
 import contextlib
 import csv
 import gzip
+import math
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import stream_rng
+from .seeding import check_count, stream_rng
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -73,12 +74,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 3 or self.n % 3 != 0:
+        if check_count("n", self.n) % 3 != 0:
             raise ValueError("n must be a positive multiple of 3")
-        if self.d < 1:
-            raise ValueError("d must be at least 1")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+        check_count("d", self.d)
+        if not 0 <= self.noise_std < math.inf:
+            raise ValueError("noise_std must be non-negative and finite")
         if self.activation not in ("relu", "sigmoid"):
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -199,8 +199,7 @@ def make_binary_pair(train_images, train_labels, test_images, test_labels,
     balanced. Test rows are all
     rows of the pair in the given test set.
     """
-    if not 0 <= pair_index <= 9:
-        raise ValueError("pair_index must be in 0..9")
+    check_count("pair_index", pair_index, 0, 9)
     cls_a, cls_b = pair_index, (pair_index + 1) % 10
     train_labels = np.asarray(train_labels).ravel()
     test_labels = np.asarray(test_labels).ravel()
@@ -212,7 +211,7 @@ def make_binary_pair(train_images, train_labels, test_images, test_labels,
         raise ValueError(f"empty class after filtering pair {cls_a}/{cls_b}")
     take = min(idx_a.size, idx_b.size)
     if per_class_cap is not None:
-        take = min(take, int(per_class_cap))
+        take = min(take, check_count("per_class_cap", per_class_cap))
     if take < 2:
         raise ValueError("too few rows per class to split train/validation")
 

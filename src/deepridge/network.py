@@ -67,7 +67,7 @@ from .features import FeatureBlock, apply_block, draw_block
 from .ridge import (column_scales, fit_floats, fit_grid, penalty_grid,
                     solve_grid)
 from .ridge import predict as ridge_predict
-from .seeding import KEY_MAX, is_integer, map_ordered, stream_rng
+from .seeding import KEY_MAX, check_count, map_ordered, stream_rng
 
 # 29-point default penalty grid used throughout the experiments
 DEFAULT_LAMBDA_GRID = (
@@ -149,17 +149,11 @@ class NetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("depth", "blocks", "features_per_block", "seed"):
-            if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer")
-        if not 1 <= self.depth <= MAX_DEPTH:
-            raise ValueError(f"depth must be in 1..{MAX_DEPTH}")
-        if self.blocks < 1:
-            raise ValueError("blocks must be at least 1")
-        if self.features_per_block < 1:
-            raise ValueError("features_per_block must be at least 1")
-        if not 0 <= self.seed <= KEY_MAX:
-            raise ValueError(f"seed must be in 0..{KEY_MAX}")
+        for name, low, high in (("depth", 1, MAX_DEPTH), ("blocks", 1, None),
+                                ("features_per_block", 1, None),
+                                ("seed", 0, KEY_MAX)):
+            object.__setattr__(self, name,
+                               check_count(name, getattr(self, name), low, high))
         grid = tuple(float(v) for v in self.lambda_grid)
         if len(grid) == 0 or not all(0 < v < math.inf for v in grid):
             raise ValueError("lambda_grid must be non-empty, positive and "
@@ -551,8 +545,7 @@ def forward(model: DeepRidgeModel, x, depth: int | None = None,
     """
     if depth is None:
         depth = model.depth
-    if not _int_in(depth, 1, model.depth + 1):
-        raise ValueError(f"depth must be an integer in 1..{model.depth}")
+    check_count("depth", depth, 1, model.depth)
     rep = np.asarray(x, dtype=float)
     if rep.ndim != 2 or rep.shape[1] != model.input_dim:
         raise ValueError(f"expected {model.input_dim} input columns")
@@ -626,8 +619,7 @@ def flat_random_feature_baseline(split: DataSplit, p_total: int, lambdas,
     dual solution alpha. Each group then adds its share of the validation
     and test predictions, its coefficients the fit's or Z_g' alpha / n.
     """
-    if p_total < 1:
-        raise ValueError("p_total must be at least 1")
+    check_count("p_total", p_total)
     lam = penalty_grid(lambdas)
     gamma_grid = _checked_draws(gamma_low, gamma_high, gamma_grid, bias_range)
     if gamma_grid is not None:
@@ -736,10 +728,6 @@ def save_model(model: DeepRidgeModel, path) -> None:
                         entries[name])
 
 
-def _int_in(value, low: int, high: int) -> bool:
-    return is_integer(value) and low <= value < high
-
-
 def load_model(path) -> DeepRidgeModel:
     """Load a model written by :func:`save_model`.
 
@@ -780,16 +768,15 @@ def load_model(path) -> DeepRidgeModel:
             cfg = NetConfig(**header["config"])
             k_blocks, p = cfg.blocks, cfg.features_per_block
             n_pen = cfg.n_penalties
-            input_dim = header["input_dim"]
-            if not _int_in(input_dim, 1, 2 ** 63):
-                raise corrupt(f"input_dim {input_dim!r}")
-            ranks, top = header["ranks"], min(p, n_pen)
+            input_dim = check_count("input_dim", header["input_dim"])
+            ranks = header["ranks"]
             if not (isinstance(ranks, list) and len(ranks) == cfg.depth
                     and all(isinstance(r, list) and len(r) == k_blocks
-                            and all(_int_in(v, 1, top + 1) for v in r)
                             for r in ranks)):
                 raise corrupt(f"ranks must be {cfg.depth} lists of "
-                              f"{k_blocks} ints in 1..{top}")
+                              f"{k_blocks} ints")
+            ranks = [[check_count("ranks", v, 1, min(p, n_pen)) for v in r]
+                     for r in ranks]
             layers = []
             for m, layer_ranks in enumerate(ranks, start=1):
                 offsets = np.cumsum([0] + layer_ranks)
@@ -799,10 +786,8 @@ def load_model(path) -> DeepRidgeModel:
                 raise corrupt("need one final_fits entry per layer")
             finals = []
             for d, spec in enumerate(header["final_fits"], start=1):
-                star = spec["lambda_star_index"]
-                if not _int_in(star, 0, n_pen):
-                    raise corrupt(f"depth {d} lambda_star_index {star!r} "
-                                  f"outside 0..{n_pen - 1}")
+                star = check_count(f"depth {d} lambda_star_index",
+                                   spec["lambda_star_index"], 0, n_pen - 1)
                 finals.append(FinalFit(
                     coef=read_arr(f"final{d}.coef.npy",
                                   (layers[d - 1].width,)),

@@ -14,10 +14,18 @@ import numpy as np
 KEY_MAX = 2 ** 32 - 1
 
 
-def is_integer(value) -> bool:
-    """Whether ``value`` is an int or a numpy integer: bool is an int in
-    Python, but not a count, key or index."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def check_count(name: str, value, low: int = 1, high: int | None = None) -> int:
+    """``value`` as an int if it is an int or numpy integer in
+    ``low``..``high`` (no upper end if ``high`` is None); otherwise a
+    ``ValueError`` naming ``name``. bool is an int in Python, but not a
+    count, key or index."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must be in {low}..{high}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}")
+    return int(value)
 
 
 def stream_rng(*key: int) -> np.random.Generator:
@@ -39,8 +47,10 @@ def map_ordered(fn, items, n_threads: int):
     """Yield ``fn(item)`` for each item in order, on ``n_threads`` workers
     if > 1, so scheduling never changes the output. Lazy: at one thread
     ``fn`` runs on an item once the last result is taken; a pool runs at
-    most one item past its workers ahead of the oldest result not taken."""
-    if n_threads <= 1:
+    most one item past its workers ahead of the oldest result not taken.
+    ``n_threads`` must be a positive integer, checked before any item runs."""
+    n_threads = check_count("n_threads", n_threads)
+    if n_threads == 1:
         yield from map(fn, items)
         return
     with ThreadPoolExecutor(max_workers=n_threads) as pool:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import write_csv
-from .seeding import is_integer, map_ordered, stream_rng
+from .seeding import check_count, map_ordered, stream_rng
 
 _TAG_MC = 301
 
@@ -223,14 +223,9 @@ def _flat_risk(a, lam, ck, bb):
     return bb - 2.0 * a * bb * nu + a * a * (bb * nu_hat - ck * nu_prime)
 
 
-def _check_group(k: int, params: TheoryParams) -> None:
-    if not 0 <= k < params.n_groups:
-        raise ValueError(f"group index {k} out of range")
-
-
 def sub_model_risk(alpha: float, lam: float, k: int, params: TheoryParams) -> float:
     """Asymptotic risk of group k's ridge fit, scaled by ``alpha``."""
-    _check_group(k, params)
+    check_count("group index", k, 0, params.n_groups - 1)
     return float(_weighted_risk(alpha, _group_quadratic(
         lam, params.b[k], params.c[k], params.b_bar)))
 
@@ -247,13 +242,13 @@ def ensemble_risk(alphas, lams, params: TheoryParams) -> float:
 
 def optimal_lambda(params: TheoryParams, k: int) -> float:
     """Group k's risk-minimizing penalty (at unit weight)."""
-    _check_group(k, params)
+    check_count("group index", k, 0, params.n_groups - 1)
     return float(_optimal_lambda(params.b[k], params.c[k], params.b_bar))
 
 
 def optimal_alpha(lam: float, params: TheoryParams, k: int) -> float:
     """Group k's risk-minimizing weight at a fixed penalty."""
-    _check_group(k, params)
+    check_count("group index", k, 0, params.n_groups - 1)
     _, lin, quad = _group_quadratic(lam, params.b[k], params.c[k],
                                     params.b_bar)
     return float(lin / quad)
@@ -323,8 +318,7 @@ def risk_curves(params: TheoryParams, c_grid) -> np.ndarray:
 def default_curve_params(n_groups: int = 10, b_low: float = 0.5,
                          b_high: float = 1.5) -> TheoryParams:
     """Illustration regime: heterogeneous signal strengths, identity spectra."""
-    if n_groups < 1:
-        raise ValueError("n_groups must be at least 1")
+    check_count("n_groups", n_groups)
     if not (b_low > 0 and b_high > 0):
         raise ValueError("b_low and b_high must be > 0")
     b = np.linspace(b_low, b_high, n_groups)
@@ -440,12 +434,6 @@ def risk_report(params: TheoryParams) -> RiskReport:
 # --- Monte Carlo oracle ----------------------------------------------------
 
 
-def _check_integer(name: str, value) -> int:
-    if not is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class RiskScenario:
     """Finite-sample regime for the oracle: n, group sizes, signal strengths."""
@@ -455,13 +443,13 @@ class RiskScenario:
     b: tuple
 
     def __post_init__(self):
-        n = _check_integer("n", self.n)
-        p = tuple(_check_integer(f"p[{k}]", v) for k, v in enumerate(self.p))
+        n = check_count("n", self.n)
+        p = tuple(check_count(f"p[{k}]", v) for k, v in enumerate(self.p))
         b = tuple(float(v) for v in self.b)
-        if n < 1 or len(p) == 0 or len(p) != len(b):
-            raise ValueError("need n >= 1 and equal-length p and b")
-        if any(v < 1 for v in p) or not all(v > 0 for v in b):
-            raise ValueError("group sizes must be >= 1, strengths > 0")
+        if len(p) == 0 or len(p) != len(b):
+            raise ValueError("need non-empty, equal-length p and b")
+        if not all(v > 0 for v in b):
+            raise ValueError("strengths must be > 0")
         if n * sum(p) > MAX_DESIGN_ELEMENTS:
             raise ValueError(
                 f"design matrix of {n} x {sum(p)} exceeds the resource "
@@ -534,8 +522,7 @@ def _parse_spec(est, offsets):
         return "zero", whole, []
     if kind == "submodel":
         _, k, lam, alpha = est
-        if not is_integer(k) or not 0 <= k < n_groups:
-            raise ValueError(f"submodel group index {k!r} out of range")
+        check_count(f"submodel group index {k!r}", k, 0, n_groups - 1)
         _check_penalties(kind, lam)
         group = (offsets[k], offsets[k + 1])
         return (f"submodel[k={k},lam={float(lam):g},alpha={float(alpha):g}]",
@@ -601,10 +588,7 @@ def monte_carlo_risk(scenario: RiskScenario, estimators, replications: int,
 
     Returns one :class:`McResult` per spec, in order.
     """
-    if _check_integer("replications", replications) < 2:
-        raise ValueError("need at least 2 replications for a standard error")
-    if _check_integer("n_threads", n_threads) < 1:
-        raise ValueError("n_threads must be at least 1")
+    check_count("replications", replications, 2)   # for a standard error
     offsets = np.concatenate([[0], np.cumsum(scenario.p)]).tolist()
     specs = [_parse_spec(est, offsets) for est in estimators]
     # every (design, lam) fit needed, computed once per replication

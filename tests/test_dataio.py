@@ -66,6 +66,22 @@ def test_invalid_sim_config(kwargs):
         SimConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(n=300.0), "n must be an integer"),
+    (dict(d=5.0), "d must be an integer"),
+    (dict(d=True), "d must be an integer"),
+    (dict(noise_std=float("nan")), "noise_std must be non-negative and "
+                                   "finite"),
+    (dict(noise_std=float("inf")), "noise_std must be non-negative and "
+                                   "finite"),
+], ids=["float-n", "float-d", "bool-d", "nan-noise", "inf-noise"])
+def test_sim_config_refuses_what_failed_only_in_the_draw(kwargs, message):
+    # each passed the constructor: the floats and the bool failed in the
+    # draw with a TypeError, the others as "non-finite entries in y_train"
+    with pytest.raises(ValueError, match=message):
+        SimConfig(**{"n": 300, "d": 5, "noise_std": 0.1, **kwargs})
+
+
 # --- IDX files ---------------------------------------------------------------
 
 def _toy_images():
@@ -188,6 +204,22 @@ def test_binary_pair_deterministic():
     b = dataio.make_binary_pair(tr_x, tr_y, te_x, te_y, **kwargs)
     np.testing.assert_array_equal(a.x_train, b.x_train)
     np.testing.assert_array_equal(a.y_test, b.y_test)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(pair_index=True), "pair_index must be an integer"),
+    (dict(pair_index=1.0), "pair_index must be an integer"),
+    (dict(per_class_cap=5.9), "per_class_cap must be an integer"),
+    (dict(per_class_cap=True), "per_class_cap must be an integer"),
+], ids=["bool-pair", "float-pair", "float-cap", "bool-cap"])
+def test_binary_pair_refuses_counts_that_are_not_integers(kwargs, message):
+    # the pair indices each built pair 1/2; a cap of 5.9 took 5 rows per
+    # class, and True one, refused only as too few to split
+    tr_x, tr_y = _toy_class_set(seed=1)
+    with pytest.raises(ValueError, match=message):
+        dataio.make_binary_pair(tr_x, tr_y, tr_x, tr_y,
+                                **{"pair_index": 0, "per_class_cap": 10,
+                                   **kwargs})
 
 
 def test_binary_pair_empty_class():

@@ -75,10 +75,17 @@ def test_dimension_mismatch():
     dict(p=0),
     dict(bias_range=0.0),
     dict(input_dim=0),
+    # each failed in the draw: a TypeError, or numpy's OverflowError for
+    # an infinite bias range; an infinite gamma drew infinite weights
+    dict(p=2.5),
+    dict(p=True),
+    dict(input_dim=3.0),
+    dict(bias_range=float("inf")),
+    dict(gamma=float("inf")),
 ])
 def test_invalid_specs(bad):
     args = dict(stream_key=(0, 0, 0), gamma=1.0, p=2, input_dim=3,
                 bias_range=1.0)
     args.update(bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(bad))):
         draw_block(**args)

@@ -21,7 +21,7 @@ from deepridge.network import (DeepRidgeModel, FinalFit, Metrics, NetConfig,
                                flat_random_feature_baseline, load_model,
                                predict, save_model, select_depth, train,
                                train_layer)
-from deepridge.seeding import KEY_MAX
+from deepridge.seeding import KEY_MAX, map_ordered
 
 SMALL_GRID = (1e-4, 0.1, 1.0, 100.0)
 
@@ -759,6 +759,35 @@ def test_numpy_integer_depth_predicts_as_int(split):
             predict(model, split.x_test, depth=depth))
 
 
+@pytest.mark.parametrize("n_threads", [2.5, 0, -2, True],
+                         ids=["float", "zero", "negative", "bool"])
+@pytest.mark.parametrize("entry", ["map_ordered", "train", "predict"])
+def test_thread_counts_that_are_not_positive_integers_are_refused(
+        split, entry, n_threads):
+    # each ran: 2.5 on a pool of 3 workers, the others serially
+    model = train(split, small_cfg(depth=1)) if entry == "predict" else None
+    calls = []
+    with pytest.raises(ValueError, match="n_threads must be"):
+        if entry == "map_ordered":
+            list(map_ordered(calls.append, range(3), n_threads))
+        elif entry == "train":
+            train(split, small_cfg(depth=1), n_threads=n_threads)
+        else:
+            predict(model, split.x_test, n_threads=n_threads)
+    assert calls == []   # refused before the first item ran
+
+
+def test_numpy_integer_counts_are_stored_as_ints(split, tmp_path):
+    # save_model's JSON header raised a TypeError on a numpy integer
+    cfg = small_cfg(depth=np.int64(1), blocks=np.int32(3),
+                    features_per_block=np.int64(5), seed=np.uint32(7))
+    assert cfg == small_cfg(depth=1)
+    assert {type(v) for v in (cfg.depth, cfg.blocks, cfg.features_per_block,
+                              cfg.seed)} == {int}
+    save_model(train(split, cfg), tmp_path / "model.drz")
+    assert load_model(tmp_path / "model.drz").config == cfg
+
+
 def test_thread_count_does_not_change_anything(split, tmp_path,
                                                monkeypatch):
     # groups of two blocks, so the workers share three groups
@@ -965,9 +994,13 @@ def test_baseline_rejects_bad_width(split):
                                   "and finite"),
     (dict(lambdas=(0.1, INF)), "penalties must be strictly positive and "
                                "finite"),
+    # True ran one feature; 2.5 raised a TypeError
+    (dict(p_total=True), "p_total must be an integer"),
+    (dict(p_total=2.5), "p_total must be an integer"),
 ], ids=["negative-gamma", "reversed-gammas", "zero-bias-range",
         "empty-gamma-grid", "negative-gamma-grid", "infinite-gamma-high",
-        "infinite-bias-range", "infinite-gamma-grid", "infinite-penalty"])
+        "infinite-bias-range", "infinite-gamma-grid", "infinite-penalty",
+        "bool-width", "float-width"])
 def test_baseline_rejects_bad_arguments_before_any_draw(split, kwargs,
                                                        message, monkeypatch):
     def no_draw(*key):
@@ -975,8 +1008,9 @@ def test_baseline_rejects_bad_arguments_before_any_draw(split, kwargs,
 
     monkeypatch.setattr(network, "stream_rng", no_draw)
     with pytest.raises(ValueError, match=message):
-        flat_random_feature_baseline(split, 4, **{"lambdas": SMALL_GRID,
-                                                  **kwargs})
+        flat_random_feature_baseline(split, **{"p_total": 4,
+                                               "lambdas": SMALL_GRID,
+                                               **kwargs})
 
 
 # spans four transform column groups, the last one ragged
@@ -1152,10 +1186,11 @@ def _in_memory_archive(model, header_bytes, path):
 
 
 @pytest.mark.parametrize("limit_offset", [None, -1, 1])
-def test_streamed_save_matches_in_memory_archive(split, tmp_path, monkeypatch,
-                                                 limit_offset):
-    # with the zip64 limit just below or above the largest entry's size, the
-    # entry's zip64 fields depend on the size zipfile is told in advance
+def test_whole_entry_save_matches_reference_archive_at_zip64_limits(
+        split, tmp_path, monkeypatch, limit_offset):
+    # byte for byte at the default zip64 limit and with it just below or
+    # above the largest entry's size, where zipfile's choice of zip64
+    # fields turns on that entry's length
     model = train(split, small_cfg())
     path, ref = tmp_path / "model.drz", tmp_path / "ref.drz"
     save_model(model, path)

@@ -61,3 +61,8 @@ def test_map_ordered_on_a_pool_runs_one_item_past_its_workers_ahead():
     assert next(results) == 10 and max(calls) <= 3
     assert list(results) == [10 * i for i in range(2, 8)]
     assert sorted(calls) == list(range(8))
+
+
+def test_map_ordered_takes_a_numpy_integer_thread_count():
+    results = map_ordered(lambda item: 10 * item, range(5), np.int64(2))
+    assert list(results) == [0, 10, 20, 30, 40]

@@ -208,15 +208,16 @@ def test_alpha_star_is_one_at_lambda_star():
         assert abs(optimal_alpha(optimal_lambda(p, k), p, k) - 1.0) < 1e-8
 
 
-@pytest.mark.parametrize("k", [-1, 3])
+@pytest.mark.parametrize("k", [-1, 3, True, 1.0])
 def test_group_index_checked(k):
-    # a negative index must not wrap around to the last group
+    # a negative index must not wrap around to the last group; True was
+    # group 1, and 1.0 raised a TypeError from indexing
     p = params_k3()
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="group index must be"):
         sub_model_risk(1.0, 1.0, k, p)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="group index must be"):
         optimal_lambda(p, k)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="group index must be"):
         optimal_alpha(1.0, p, k)
 
 
@@ -287,6 +288,13 @@ def test_risk_curves_vanish_at_zero_complexity():
     p = theory.default_curve_params()
     table = risk_curves(p, [1e-7])
     assert np.all(table[0, 1:] < 1e-3)
+
+
+@pytest.mark.parametrize("n_groups", [True, 2.5], ids=["bool", "float"])
+def test_curve_params_refuse_a_group_count_that_is_not_an_integer(n_groups):
+    # True gave one group; 2.5 failed in numpy's linspace with a TypeError
+    with pytest.raises(ValueError, match="n_groups must be an integer"):
+        theory.default_curve_params(n_groups)
 
 
 def test_risk_curves_refuse_empty_grid():
