@@ -202,10 +202,8 @@ def validate_config(cfg: dict, seed_override=None) -> dict:
     for section, name in (("model", "lambda_grid"), ("model", "gamma_grid"),
                           ("theory", "c_grid"), ("data", "noise_levels")):
         for v in out[section][name] or ():
-            if not _has_type(v, (int, float)):
-                raise ConfigError(f"config field '{name}' must contain "
-                                  f"numbers")
-            _float(name, v)
+            if _has_type(v, int):
+                _float(name, v)
     pk_total = out["ablation"]["pk_total"]
     for k in out["ablation"]["k_values"]:
         if k < 1 or pk_total % k != 0:
@@ -215,8 +213,8 @@ def validate_config(cfg: dict, seed_override=None) -> dict:
         raise ConfigError("config field 'depths' must be >= 1")
     if out["data"]["activation"] not in ("relu", "sigmoid"):
         raise ConfigError("config field 'activation' must be relu or sigmoid")
-    if not out["limits"]["max_memory_gb"] > 0:   # NaN would pass any guard
-        raise ConfigError("config field 'max_memory_gb' must be positive")
+    with _section("limits"):   # NaN or inf would pass any guard
+        seeding.check_real("max_memory_gb", out["limits"]["max_memory_gb"], 0)
     if seeds is not None:
         out["seeds"] = [int(s) for s in seeds]
     return out
@@ -234,20 +232,28 @@ def _net_config(model_cfg: dict, seed: int, **overrides) -> network.NetConfig:
         raise ConfigError(f"invalid model config: {exc}")
 
 
-def _check_resources(n_total: int, n_train: int, d: int,
-                     cfg: network.NetConfig, threads: int,
-                     max_memory_gb: float, baseline: bool = False) -> float:
-    """Estimated peak memory of a run (:func:`network.peak_floats`) in GB;
-    aborts before any large allocation when it exceeds the limit. The
-    exact byte count is compared, as it may pass a float's range."""
-    est = 8 * network.peak_floats(cfg, n_total, n_train, d, threads, baseline)
+def _check_memory(floats: int, max_memory_gb: float, reduce: str) -> float:
+    """An estimated peak of ``floats`` float64s in GB; aborts before any
+    large allocation when it exceeds the limit, naming the settings to
+    ``reduce``. The exact byte count is compared, as it may pass a float's
+    range."""
+    est = 8 * floats
     est_gb = est / 1e9 if est < 1e300 else float("inf")
     if est > max_memory_gb * 1e9:
         raise ConfigError(
             f"estimated memory {est_gb:.1f} GB exceeds limits.max_memory_gb="
-            f"{max_memory_gb}; reduce blocks/features_per_block/depth "
-            f"or per_class_cap, or raise the limit")
+            f"{max_memory_gb}; reduce {reduce}, or raise the limit")
     return est_gb
+
+
+def _check_resources(n_total: int, n_train: int, d: int,
+                     cfg: network.NetConfig, threads: int,
+                     max_memory_gb: float, baseline: bool = False) -> float:
+    """Estimated peak memory of a run (:func:`network.peak_floats`) in GB,
+    through :func:`_check_memory`."""
+    return _check_memory(
+        network.peak_floats(cfg, n_total, n_train, d, threads, baseline),
+        max_memory_gb, "blocks/features_per_block/depth or per_class_cap")
 
 
 def _simulated(data_cfg: dict):
@@ -410,6 +416,9 @@ def run(config_path, seed_override=None, threads: int = 1,
         tc = cfg["theory"]
         c_grid = (np.geomspace(0.1, 10.0, 25) if tc["c_grid"] is None
                   else tc["c_grid"])
+        _check_memory(theory.curve_floats(len(c_grid), tc["n_groups"]),
+                      cfg["limits"]["max_memory_gb"],
+                      "n_groups or the length of c_grid")
         with _section("theory"):
             table = theory.risk_curves(theory.default_curve_params(
                 tc["n_groups"], tc["b_low"], tc["b_high"]), c_grid)

@@ -9,14 +9,13 @@ and :func:`write_csv`, the one CSV writer.
 import contextlib
 import csv
 import gzip
-import math
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import check_count, stream_rng
+from .seeding import check_count, check_real, stream_rng
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -77,8 +76,7 @@ class SimConfig:
         if check_count("n", self.n) % 3 != 0:
             raise ValueError("n must be a positive multiple of 3")
         check_count("d", self.d)
-        if not 0 <= self.noise_std < math.inf:
-            raise ValueError("noise_std must be non-negative and finite")
+        check_real("noise_std", self.noise_std, 0, strict=False)
         if self.activation not in ("relu", "sigmoid"):
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -249,8 +247,7 @@ def add_feature_noise(split: DataSplit, level: int, seed: int = 0) -> DataSplit:
     of x_train (fallback 1.0 when the features are constant). Level 0
     returns the input unchanged; labels are never touched.
     """
-    if level < 0:
-        raise ValueError("noise level must be non-negative")
+    level = check_real("level", level, 0, strict=False)
     if level == 0:
         return split
     pooled = float(np.sqrt(np.mean(np.var(split.x_train, axis=0))))

@@ -6,12 +6,11 @@ columns of W are drawn N(0, gamma*I) and the biases uniformly on
 variance near gamma * mean(x_i^2) regardless of the input width.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import check_count, stream_rng
+from .seeding import check_count, check_real, stream_rng
 
 
 @dataclass(frozen=True)
@@ -31,12 +30,10 @@ def draw_block(stream_key: tuple, gamma: float, p: int, input_dim: int,
                bias_range: float) -> FeatureBlock:
     """Draw a block of ``p`` features; the content depends only on
     ``stream_key``."""
-    if not 0 < gamma < math.inf:
-        raise ValueError("gamma must be positive and finite")
+    check_real("gamma", gamma, 0)
     check_count("block width p", p)
     check_count("input_dim", input_dim)
-    if not 0 < bias_range < math.inf:
-        raise ValueError("bias_range must be positive and finite")
+    check_real("bias_range", bias_range, 0)
     rng = stream_rng(*stream_key)
     weights = rng.standard_normal((input_dim, p))
     weights *= np.sqrt(gamma)   # in place: one (D, P) array per draw

@@ -55,7 +55,6 @@ import dataclasses
 import functools
 import io
 import json
-import math
 import zipfile
 from dataclasses import dataclass
 
@@ -67,7 +66,8 @@ from .features import FeatureBlock, apply_block, draw_block
 from .ridge import (column_scales, fit_floats, fit_grid, penalty_grid,
                     solve_grid)
 from .ridge import predict as ridge_predict
-from .seeding import KEY_MAX, check_count, map_ordered, stream_rng
+from .seeding import (KEY_MAX, check_count, check_real, map_ordered,
+                      stream_rng)
 
 # 29-point default penalty grid used throughout the experiments
 DEFAULT_LAMBDA_GRID = (
@@ -116,14 +116,13 @@ def _checked_draws(gamma_low, gamma_high, gamma_grid, bias_range):
     variances and a bias range that are not positive and finite, which
     would fail only at the first draw."""
     if gamma_grid is not None:
-        gamma_grid = tuple(float(v) for v in gamma_grid)
-        if not gamma_grid or not all(0 < v < math.inf for v in gamma_grid):
-            raise ValueError("gamma_grid must be non-empty and positive "
-                             "and finite")
-    elif not 0 < gamma_low < gamma_high < math.inf:
-        raise ValueError("need 0 < gamma_low < gamma_high < inf")
-    if not 0 < bias_range < math.inf:
-        raise ValueError("bias_range must be positive and finite")
+        gamma_grid = tuple(map(float, check_real("gamma_grid", gamma_grid, 0)))
+        if not gamma_grid:
+            raise ValueError("gamma_grid must be non-empty")
+    elif (check_real("gamma_low", gamma_low, 0)
+          >= check_real("gamma_high", gamma_high, 0)):
+        raise ValueError("gamma_low must be below gamma_high")
+    check_real("bias_range", bias_range, 0)
     return gamma_grid
 
 
@@ -154,12 +153,11 @@ class NetConfig:
                                 ("seed", 0, KEY_MAX)):
             object.__setattr__(self, name,
                                check_count(name, getattr(self, name), low, high))
-        grid = tuple(float(v) for v in self.lambda_grid)
-        if len(grid) == 0 or not all(0 < v < math.inf for v in grid):
-            raise ValueError("lambda_grid must be non-empty, positive and "
-                             "finite")
-        if sorted(grid) != list(grid) or len(set(grid)) != len(grid):
-            raise ValueError("lambda_grid must be strictly increasing")
+        grid = tuple(map(float, check_real("lambda_grid", self.lambda_grid,
+                                           0)))
+        if not grid or sorted(set(grid)) != list(grid):
+            raise ValueError("lambda_grid must be non-empty and strictly "
+                             "increasing")
         object.__setattr__(self, "lambda_grid", grid)
         gg = _checked_draws(self.gamma_low, self.gamma_high, self.gamma_grid,
                             self.bias_range)
@@ -585,6 +583,7 @@ def evaluate(predictions, y_test, y_train_mean: float) -> Metrics:
 
     Accuracy is included only for 0/1 labels, thresholding at 0.5.
     """
+    y_train_mean = check_real("y_train_mean", y_train_mean)
     predictions = np.asarray(predictions, dtype=float).ravel()
     y_test = np.asarray(y_test, dtype=float).ravel()
     if predictions.shape != y_test.shape:

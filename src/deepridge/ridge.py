@@ -50,6 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .seeding import check_real
+
 # relative floor: the band solve raises each penalty to at least
 # EIG_RELATIVE_FLOOR * g, where g is the band B's largest absolute row sum
 # (mu_max <= g <= sqrt(2 kd + 1) mu_max for the Gram's largest eigenvalue
@@ -92,11 +94,9 @@ class RidgeGridFit:
 def penalty_grid(lambdas) -> np.ndarray:
     """``lambdas`` sorted; refused unless non-empty, positive, finite and
     distinct."""
-    lam = np.sort(np.asarray(lambdas, dtype=float).ravel())
+    lam = np.sort(np.ravel(check_real("penalties", lambdas, 0)))
     if lam.size == 0:
         raise ValueError("lambda grid must be non-empty")
-    if not np.all((lam > 0) & (lam < np.inf)):
-        raise ValueError("all penalties must be strictly positive and finite")
     if np.any(np.diff(lam) == 0):
         raise ValueError("duplicate penalties in grid")
     return lam
@@ -159,11 +159,9 @@ def solve_grid(gram, rhs, lam) -> np.ndarray:
     if rhs.shape != gram.shape[:1]:
         raise ValueError(f"rhs of shape {rhs.shape} does not match a Gram "
                          f"of order {gram.shape[0]}")
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim != 1:
+    lam = check_real("lam", lam, 0)
+    if np.ndim(lam) != 1:
         raise ValueError("lam must be a 1-d array of penalties")
-    if not np.all((lam > 0) & (lam < np.inf)):
-        raise ValueError("all penalties must be strictly positive and finite")
     if not np.all(np.isfinite(gram.diagonal())):
         raise ValueError("non-finite entries in z")
     lapack = _lapack()

@@ -28,13 +28,42 @@ def check_count(name: str, value, low: int = 1, high: int | None = None) -> int:
     return int(value)
 
 
+def check_real(name: str, value, low: float | None = None,
+               strict: bool = True) -> float | np.ndarray:
+    """``value`` as a float, or a float array for a list, tuple or array,
+    if every entry is an int, float or numpy real, not a bool, finite and
+    above ``low`` (at or above it if not ``strict``); otherwise a
+    ``ValueError`` naming ``name``. ``low`` is None or 0."""
+    many = isinstance(value, (list, tuple, np.ndarray))
+    if not (value.dtype.kind in "iuf" if isinstance(value, np.ndarray)
+            else all(isinstance(v, (int, float, np.integer, np.floating))
+                     and not isinstance(v, bool)
+                     for v in (value if many else (value,)))):
+        raise ValueError(f"{name} must be a real number")
+    try:
+        out = np.asarray(value, dtype=float) if many else float(value)
+    except OverflowError:   # an int past a float's range
+        out = np.float64(np.inf)
+    ok = abs(out) < np.inf   # False for NaN too
+    if low is not None:
+        ok &= out > low if strict else out >= low
+    if not (ok.all() if many else ok):
+        raise ValueError(f"{name} must be " + (
+            "finite" if low is None else
+            f"{'positive' if strict else 'non-negative'} and finite"))
+    return out
+
+
 def stream_rng(*key: int) -> np.random.Generator:
     """Return a generator fully determined by the integer tuple ``key``.
 
-    Every element must lie in 0..2^32 - 1: SeedSequence splits a larger
-    one into 32-bit words, so (s + t * 2^32, ...) would draw what (s, t,
-    ...) draws.
+    The key must not be empty: SeedSequence zero-pads a key, so () would
+    draw what (0,) draws. Every element must lie in 0..2^32 - 1:
+    SeedSequence splits a larger one into 32-bit words, so (s + t * 2^32,
+    ...) would draw what (s, t, ...) draws.
     """
+    if not key:
+        raise ValueError("stream key must not be empty")
     words = tuple(int(k) for k in key)
     for k in words:
         if not 0 <= k <= KEY_MAX:

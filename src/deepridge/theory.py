@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import write_csv
-from .seeding import check_count, map_ordered, stream_rng
+from .seeding import check_count, check_real, map_ordered, stream_rng
 
 _TAG_MC = 301
 
@@ -59,12 +59,10 @@ class TheoryParams:
     b: tuple        # per-group signal strengths
 
     def __post_init__(self):
-        c = tuple(float(v) for v in self.c)
-        b = tuple(float(v) for v in self.b)
+        c = tuple(map(float, check_real("c", self.c, 0)))
+        b = tuple(map(float, check_real("b", self.b, 0)))
         if len(c) == 0 or len(c) != len(b):
             raise ValueError("c and b must be equal-length and non-empty")
-        if not all(0 < v < math.inf for v in c + b):
-            raise ValueError("c and b entries must be > 0 and finite")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "b", b)
 
@@ -101,14 +99,6 @@ class HeteroPenaltySolution:
     optimal_risk: float
 
 
-def _check_pos(lam, c):
-    lam = np.asarray(lam, dtype=float)
-    # written as "not all > 0" so that NaN is refused too
-    if not (np.all(lam > 0) and np.all(np.asarray(c) > 0)):
-        raise ValueError("lambda and c must be strictly positive")
-    return lam
-
-
 def mp_stieltjes(lam, c):
     """Marcenko-Pastur resolvent trace m(lam; c) for identity covariance.
 
@@ -118,7 +108,7 @@ def mp_stieltjes(lam, c):
     or c*lam past about 1e307) the root cannot be evaluated in floating
     point, and the result is NaN.
     """
-    lam = _check_pos(lam, c)
+    lam, c = check_real("lam", lam, 0), check_real("c", c, 0)
     t = (1.0 - c) + lam
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.sqrt(t * t + 4.0 * c * lam)
@@ -133,7 +123,7 @@ def mp_stieltjes_deriv(lam, c):
 
     Equals -d m(lam; c)/d lam; obtained by differentiating m's quadratic.
     """
-    lam = _check_pos(lam, c)
+    lam, c = check_real("lam", lam, 0), check_real("c", c, 0)
     m = mp_stieltjes(lam, c)
     out = (c * m * m + m) / (2.0 * c * lam * m + (1.0 - c) + lam)
     return out if np.ndim(out) else float(out)
@@ -146,8 +136,7 @@ def xi(lam, c):
     on every call; disagreement, a NaN or an inf among them included,
     indicates a numerical breakdown.
     """
-    lam = _check_pos(lam, c)
-    m = mp_stieltjes(lam, c)
+    m = mp_stieltjes(lam, c)   # refuses a lam or c not positive and finite
     val = c * m
     with np.errstate(divide="ignore", invalid="ignore"):
         alt = (1.0 - lam * m) / (1.0 / c - 1.0 + lam * m)
@@ -226,13 +215,14 @@ def _flat_risk(a, lam, ck, bb):
 def sub_model_risk(alpha: float, lam: float, k: int, params: TheoryParams) -> float:
     """Asymptotic risk of group k's ridge fit, scaled by ``alpha``."""
     check_count("group index", k, 0, params.n_groups - 1)
+    alpha = check_real("alpha", alpha)
     return float(_weighted_risk(alpha, _group_quadratic(
         lam, params.b[k], params.c[k], params.b_bar)))
 
 
 def ensemble_risk(alphas, lams, params: TheoryParams) -> float:
     """Risk of the weighted sum of group fits; cross terms vanish."""
-    alphas = np.asarray(alphas, dtype=float).ravel()
+    alphas = np.ravel(check_real("alphas", alphas))
     lams = np.asarray(lams, dtype=float).ravel()
     if alphas.size != params.n_groups or lams.size != params.n_groups:
         raise ValueError("need one weight and one penalty per group")
@@ -267,7 +257,8 @@ def flat_risk(a: float, lam: float, params: TheoryParams) -> float:
     The resolvent functionals are evaluated at the pooled aspect ratio
     c*K; requires equal group sizes.
     """
-    return float(_flat_risk(a, lam, _flat_aspect(params), params.b_bar))
+    return float(_flat_risk(check_real("a", a), lam, _flat_aspect(params),
+                            params.b_bar))
 
 
 def flat_optima(params: TheoryParams, lam: float | None = None):
@@ -306,21 +297,29 @@ def risk_curves(params: TheoryParams, c_grid) -> np.ndarray:
     crossover and stays below it; the flat-penalty, re-weighted ensemble
     overtakes it at the same complexity or later.
     """
-    c_grid = np.asarray(c_grid, dtype=float).ravel()
+    c_grid = np.ravel(check_real("c_grid", c_grid, 0))
     if c_grid.size == 0:
         raise ValueError("c_grid must be non-empty")
-    if not np.all((c_grid > 0) & (c_grid < math.inf)):
-        raise ValueError("c_grid entries must be > 0 and finite")
     *_, flat, optimal, suboptimal = _headline(params, c_grid[:, None])
     return np.column_stack([c_grid, flat[:, 0], optimal, suboptimal])
+
+
+def curve_floats(n_c: int, n_groups: int) -> int:
+    """Floats :func:`risk_curves` holds at its peak on ``n_c`` aspect
+    ratios of a :func:`default_curve_params` regime of ``n_groups`` groups,
+    the regime's own tuples included. Traced peaks ran at 11.3-11.7 floats
+    per (c, group) entry of the grid's arrays, 15 per group of the regime's
+    tuples and 15-17 per c, so 16 per entry of a grid one larger each way
+    bounds them; 1024 more cover 6-7 kB of small objects."""
+    return 16 * (n_c + 1) * (n_groups + 1) + 1024
 
 
 def default_curve_params(n_groups: int = 10, b_low: float = 0.5,
                          b_high: float = 1.5) -> TheoryParams:
     """Illustration regime: heterogeneous signal strengths, identity spectra."""
     check_count("n_groups", n_groups)
-    if not (b_low > 0 and b_high > 0):
-        raise ValueError("b_low and b_high must be > 0")
+    check_real("b_low", b_low, 0)
+    check_real("b_high", b_high, 0)
     b = np.linspace(b_low, b_high, n_groups)
     return TheoryParams(c=(1.0,) * n_groups, b=tuple(b))
 
@@ -345,9 +344,9 @@ def hetero_penalty_solution(params: TheoryParams,
     if params.n_groups != 1:
         raise ValueError("heterogeneous-penalty mixing is defined for a "
                          "single feature group")
-    lams = np.asarray(lambda_grid, dtype=float).ravel()
-    if lams.size == 0 or not np.all(lams > 0):
-        raise ValueError("penalty grid must be non-empty and positive")
+    lams = np.ravel(check_real("lambda_grid", lambda_grid, 0))
+    if lams.size == 0:
+        raise ValueError("lambda_grid must be non-empty")
     # row-major order: the first duplicate pair a double loop would meet
     dups = np.argwhere(np.triu(np.equal.outer(lams, lams), 1))
     if dups.size:
@@ -445,11 +444,9 @@ class RiskScenario:
     def __post_init__(self):
         n = check_count("n", self.n)
         p = tuple(check_count(f"p[{k}]", v) for k, v in enumerate(self.p))
-        b = tuple(float(v) for v in self.b)
+        b = tuple(map(float, check_real("b", self.b, 0)))
         if len(p) == 0 or len(p) != len(b):
             raise ValueError("need non-empty, equal-length p and b")
-        if not all(v > 0 for v in b):
-            raise ValueError("strengths must be > 0")
         if n * sum(p) > MAX_DESIGN_ELEMENTS:
             raise ValueError(
                 f"design matrix of {n} x {sum(p)} exceeds the resource "
@@ -501,12 +498,6 @@ def _ridge_solves(x, y, lams):
     return dict(zip(lams, fits))
 
 
-def _check_penalties(kind: str, lams) -> None:
-    lams = np.asarray(lams, dtype=float)
-    if not np.all(np.isfinite(lams) & (lams > 0)):
-        raise ValueError(f"{kind} penalties must be finite and > 0")
-
-
 def _parse_spec(est, offsets):
     """One oracle spec as ``(label, coords, terms)``, checked before any draw.
 
@@ -523,20 +514,22 @@ def _parse_spec(est, offsets):
     if kind == "submodel":
         _, k, lam, alpha = est
         check_count(f"submodel group index {k!r}", k, 0, n_groups - 1)
-        _check_penalties(kind, lam)
+        lam = check_real("submodel lam", lam, 0)
+        alpha = check_real("submodel alpha", alpha)
         group = (offsets[k], offsets[k + 1])
-        return (f"submodel[k={k},lam={float(lam):g},alpha={float(alpha):g}]",
-                slice(*group), [(group, float(lam), float(alpha), whole)])
+        return (f"submodel[k={k},lam={lam:g},alpha={alpha:g}]",
+                slice(*group), [(group, lam, alpha, whole)])
     if kind == "flat":
         _, lam, scale = est
-        _check_penalties(kind, lam)
-        return (f"flat[lam={float(lam):g},a={float(scale):g}]", whole,
-                [(full, float(lam), float(scale), whole)])
+        lam = check_real("flat lam", lam, 0)
+        scale = check_real("flat scale", scale)
+        return (f"flat[lam={lam:g},a={scale:g}]", whole,
+                [(full, lam, scale, whole)])
     if kind not in ("ensemble", "multi_penalty"):
         raise ValueError(f"unknown estimator kind {kind!r}")
     _, lams, weights = est
-    lams = np.asarray(lams, dtype=float).ravel()
-    weights = np.asarray(weights, dtype=float).ravel()
+    lams = np.ravel(check_real(f"{kind} lams", lams, 0))
+    weights = np.ravel(check_real(f"{kind} weights", weights))
     if kind == "ensemble":
         if lams.size != n_groups or weights.size != n_groups:
             raise ValueError(
@@ -551,7 +544,6 @@ def _parse_spec(est, offsets):
                 f"multi_penalty needs one weight per penalty, got "
                 f"{lams.size} penalties and {weights.size} weights")
         designs, places = [full] * lams.size, [whole] * lams.size
-    _check_penalties(kind, lams)
     label = f"{kind}[" + ",".join(f"{l:g}" for l in lams.tolist()) + "]"
     return label, whole, list(zip(designs, lams.tolist(), weights.tolist(),
                                   places))
@@ -574,11 +566,12 @@ def monte_carlo_risk(scenario: RiskScenario, estimators, replications: int,
 
     Specs are read once, before any replication, as weighted sums of ridge
     fits: a group index out of range, a penalty or weight count that does
-    not match, a penalty that is not finite and positive, or an unknown
-    kind raises ``ValueError``, as does a ``replications`` or ``n_threads``
-    that is not an integer (bools included), fewer than 2 replications or
-    fewer than 1 thread. Each replication forms one Gram matrix per design
-    matrix it fits (the full design, and each group's columns). A design
+    not match, a penalty that is not positive and finite, a weight or scale
+    that is not finite, or an unknown kind raises ``ValueError``, as does a
+    ``replications`` or ``n_threads`` that is not an integer (bools
+    included), fewer than 2 replications or fewer than 1 thread. Each
+    replication forms one Gram matrix per design matrix it fits (the full
+    design, and each group's columns). A design
     with at most ``_SOLVES_PER_EIGH`` distinct penalties gets one dense
     solve per penalty on it, a longer grid one eigendecomposition that
     serves every penalty (see :func:`_ridge_solves`). A submodel is scored

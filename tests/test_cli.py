@@ -635,11 +635,11 @@ def _data(**fields):
      "missing data file"),
     ({"data": _data(n=10)}, [], "'data': n must be a positive multiple of 3"),
     ({"kind": "theory_curves", "theory": {"c_grid": [0.5, -1]}}, [],
-     "'theory': c_grid entries must be > 0"),
+     "'theory': c_grid must be positive and finite"),
     ({"kind": "theory_curves", "theory": {"n_groups": 0}}, [],
      "'theory': n_groups must be at least 1"),
     ({"kind": "theory_curves", "theory": {"b_low": -1}}, [],
-     "'theory': b_low and b_high must be > 0"),
+     "'theory': b_low must be positive and finite"),
     ({"kind": "theory_curves", "theory": {"c_grid": []}}, [], "c_grid"),
     ({"kind": "theory_curves", "theory": {"c_grid": [True]}}, [], "c_grid"),
     ({"model": _model(blocks=True)}, [], "'blocks' must be int"),
@@ -672,12 +672,11 @@ def _data(**fields):
     # each failed only at the first draw, after the output directory was
     # made, with an uncaught OverflowError
     ({"model": _model(gamma_high=math.inf)}, [],
-     "invalid model config: need 0 < gamma_low < gamma_high < inf"),
+     "invalid model config: gamma_high must be positive and finite"),
     ({"model": _model(bias_range=math.inf)}, [],
      "invalid model config: bias_range must be positive and finite"),
     ({"model": _model(lambda_grid=[0.1, math.inf])}, [],
-     "invalid model config: lambda_grid must be non-empty, positive and "
-     "finite"),
+     "invalid model config: lambda_grid must be positive and finite"),
     # the guard ran only after the first split was drawn: numpy failed to
     # allocate its 1.2 PB
     ({"data": {"n": 3_000_000_000_000}}, [],
@@ -694,7 +693,13 @@ def _data(**fields):
      "estimated memory inf GB exceeds limits.max_memory_gb=4.0"),
     # wrote an inf,nan,nan,nan row and exited 0
     ({"kind": "theory_curves", "theory": {"c_grid": [1.0, math.inf]}}, [],
-     "'theory': c_grid entries must be > 0 and finite"),
+     "'theory': c_grid must be positive and finite"),
+    # turned the memory guard off
+    ({"limits": {"max_memory_gb": math.inf}}, [],
+     "'limits': max_memory_gb must be positive and finite"),
+    # warned in numpy's linspace before the parameters were refused
+    ({"kind": "theory_curves", "theory": {"b_high": math.inf}}, [],
+     "'theory': b_high must be positive and finite"),
 ], ids=["guard", "missing-idx", "n-10", "c-grid-negative", "n-groups-0",
         "b-low-negative", "c-grid-empty", "c-grid-bool", "blocks-bool",
         "depth-bool", "gamma-low-bool", "lambda-grid-bool",
@@ -707,7 +712,7 @@ def _data(**fields):
         "bias-range-inf", "lambda-grid-inf", "guard-before-first-draw",
         "bias-range-past-float", "lambda-grid-past-float",
         "noise-level-past-float", "guard-count-past-float",
-        "c-grid-inf"])
+        "c-grid-inf", "limit-inf", "b-high-inf"])
 def test_refused_before_any_output(tmp_path, monkeypatch, capsys, overrides,
                                    argv, message):
     monkeypatch.chdir(tmp_path)
@@ -720,6 +725,26 @@ def test_refused_before_any_output(tmp_path, monkeypatch, capsys, overrides,
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_theory_curves_guard_refuses_a_vast_group_count(tmp_path, capsys):
+    # built each group's tuples before any check: 10**12 groups are tens of
+    # terabytes
+    config = tmp_path / "cfg.json"
+    write_config(config, kind="theory_curves", theory={"n_groups": 10 ** 12})
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = cli.main(["run", str(config), "--output-dir", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: estimated memory")
+    assert "reduce n_groups" in err
+    assert peak < 1e6
     assert not out.exists()
 
 

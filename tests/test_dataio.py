@@ -288,6 +288,19 @@ def test_noise_negative_level_rejected():
         dataio.add_feature_noise(_small_split(), -1)
 
 
+@pytest.mark.parametrize("level", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+def test_noise_level_not_finite_refused_before_any_draw(level, monkeypatch):
+    # each drew all three splits' noise, then failed as "non-finite
+    # entries in x_train"
+    def no_draws(*key):
+        raise AssertionError("noise drawn before the level was checked")
+    monkeypatch.setattr(dataio, "stream_rng", no_draws)
+    with pytest.raises(ValueError,
+                       match="level must be non-negative and finite"):
+        dataio.add_feature_noise(_small_split(), level)
+
+
 # --- DataSplit invariants ----------------------------------------------------
 
 def test_datasplit_validation():

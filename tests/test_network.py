@@ -100,7 +100,7 @@ def test_config_validation():
         NetConfig(bias_range=0.0)
     NetConfig(seed=KEY_MAX)
     for bad, message in (
-            (dict(gamma_high=INF), "gamma_low < gamma_high < inf"),
+            (dict(gamma_high=INF), "gamma_high must be positive and finite"),
             (dict(bias_range=INF), "bias_range"),
             (dict(lambda_grid=(1.0, INF)), "lambda_grid"),
             (dict(blocks=2, gamma_grid=(1.0, INF)), "gamma_grid"),
@@ -121,9 +121,12 @@ def test_config_validation():
     (lambda s: flat_random_feature_baseline(s, 4, SMALL_GRID,
                                             gamma_grid=(1.0, NAN)),
      "gamma_grid"),
-    (lambda s: theory.TheoryParams(c=(NAN,), b=(1.0,)), "> 0"),
-    (lambda s: theory.TheoryParams(c=(1.0,), b=(NAN,)), "> 0"),
-    (lambda s: theory.RiskScenario(n=10, p=(3,), b=(NAN,)), "> 0"),
+    (lambda s: theory.TheoryParams(c=(NAN,), b=(1.0,)),
+     "c must be positive and finite"),
+    (lambda s: theory.TheoryParams(c=(1.0,), b=(NAN,)),
+     "b must be positive and finite"),
+    (lambda s: theory.RiskScenario(n=10, p=(3,), b=(NAN,)),
+     "b must be positive and finite"),
     (lambda s: theory.default_curve_params(b_high=NAN), "b_high"),
     (lambda s: theory.risk_curves(theory.default_curve_params(), [0.5, NAN]),
      "c_grid"),
@@ -949,6 +952,12 @@ def test_evaluate_binary_accuracy():
     assert m.accuracy == pytest.approx(2 / 3)
 
 
+def test_evaluate_refuses_a_train_mean_that_is_not_finite():
+    # NaN gave NaN metrics
+    with pytest.raises(ValueError, match="y_train_mean must be finite"):
+        evaluate(np.zeros(3), np.arange(3.0), y_train_mean=float("nan"))
+
+
 def test_evaluate_degenerate_labels():
     with pytest.raises(ValueError, match="degenerate"):
         evaluate(np.zeros(3), np.full(3, 2.0), y_train_mean=2.0)
@@ -983,17 +992,15 @@ def test_baseline_rejects_bad_width(split):
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    (dict(gamma_low=-1.0), "need 0 < gamma_low < gamma_high"),
-    (dict(gamma_low=1.0, gamma_high=0.5), "need 0 < gamma_low < gamma_high"),
+    (dict(gamma_low=-1.0), "gamma_low must be positive and finite"),
+    (dict(gamma_low=1.0, gamma_high=0.5), "gamma_low must be below gamma_high"),
     (dict(bias_range=0.0), "bias_range must be positive"),
-    (dict(gamma_grid=()), "gamma_grid must be non-empty and positive"),
-    (dict(gamma_grid=(1.0, -1.0)), "gamma_grid must be non-empty and positive"),
-    (dict(gamma_high=INF), "need 0 < gamma_low < gamma_high < inf"),
+    (dict(gamma_grid=()), "gamma_grid must be non-empty"),
+    (dict(gamma_grid=(1.0, -1.0)), "gamma_grid must be positive and finite"),
+    (dict(gamma_high=INF), "gamma_high must be positive and finite"),
     (dict(bias_range=INF), "bias_range must be positive and finite"),
-    (dict(gamma_grid=(1.0, INF)), "gamma_grid must be non-empty and positive "
-                                  "and finite"),
-    (dict(lambdas=(0.1, INF)), "penalties must be strictly positive and "
-                               "finite"),
+    (dict(gamma_grid=(1.0, INF)), "gamma_grid must be positive and finite"),
+    (dict(lambdas=(0.1, INF)), "penalties must be positive and finite"),
     # True ran one feature; 2.5 raised a TypeError
     (dict(p_total=True), "p_total must be an integer"),
     (dict(p_total=2.5), "p_total must be an integer"),

@@ -396,7 +396,7 @@ def test_solve_grid_refuses_penalties_not_positive_and_finite(path, bad):
     lam = np.array([0.1, bad, 10.0])
     solver = eigh_path() if path == "eigh" else contextlib.nullcontext()
     with solver, pytest.raises(ValueError,
-                               match="strictly positive and finite"):
+                               match="lam must be positive and finite"):
         ridge.solve_grid(2 * np.eye(4), np.ones(4), lam)
 
 

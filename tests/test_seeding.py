@@ -1,7 +1,74 @@
+import math
+
 import numpy as np
 import pytest
 
-from deepridge.seeding import KEY_MAX, map_ordered, stream_rng
+from deepridge.seeding import KEY_MAX, check_real, map_ordered, stream_rng
+
+
+@pytest.mark.parametrize("value, low, strict, expected", [
+    (3, None, True, 3.0),
+    (-2.5, None, True, -2.5),
+    (np.int32(4), 0, True, 4.0),
+    (np.float32(0.5), 0, True, 0.5),
+    (0, 0, False, 0.0),
+    (1e300, 0, True, 1e300),
+], ids=["int", "negative-float", "numpy-int", "numpy-float",
+        "zero-non-negative", "large-finite"])
+def test_check_real_returns_a_float(value, low, strict, expected):
+    out = check_real("x", value, low, strict)
+    assert type(out) is float and out == expected
+
+
+@pytest.mark.parametrize("value", [
+    [1, 2.5, np.float64(3.0)], (0.5,), np.arange(3), np.array([[1.0, 2.0]]),
+    np.array([], dtype=float),
+], ids=["list", "tuple", "int-array", "2d-array", "empty-array"])
+def test_check_real_returns_a_float_array(value):
+    out = check_real("x", value, 0, strict=False)
+    assert out.dtype == np.float64
+    np.testing.assert_array_equal(out, np.asarray(value, dtype=float))
+
+
+@pytest.mark.parametrize("value, low, strict, message", [
+    (True, None, True, "x must be a real number"),
+    (np.bool_(False), None, True, "x must be a real number"),
+    ("1.0", None, True, "x must be a real number"),
+    (None, 0, True, "x must be a real number"),
+    ([1.0, True], None, True, "x must be a real number"),
+    (np.array([True]), None, True, "x must be a real number"),
+    (np.array(["1"]), None, True, "x must be a real number"),
+    (math.nan, None, True, "x must be finite"),
+    (math.inf, None, True, "x must be finite"),
+    (-math.inf, None, True, "x must be finite"),
+    (10 ** 400, None, True, "x must be finite"),
+    ([1.0, math.nan], None, True, "x must be finite"),
+    (math.nan, 0, True, "x must be positive and finite"),
+    (math.inf, 0, True, "x must be positive and finite"),
+    (0, 0, True, "x must be positive and finite"),
+    (-1.0, 0, True, "x must be positive and finite"),
+    (np.array([1.0, 0.0]), 0, True, "x must be positive and finite"),
+    (-1e-300, 0, False, "x must be non-negative and finite"),
+    (math.nan, 0, False, "x must be non-negative and finite"),
+    ([0.0, math.inf], 0, False, "x must be non-negative and finite"),
+], ids=["bool", "numpy-bool", "string", "none", "bool-in-list",
+        "bool-array", "string-array", "nan", "inf", "minus-inf",
+        "int-past-float", "nan-in-list", "nan-positive", "inf-positive",
+        "zero-positive", "negative-positive", "zero-in-array-positive",
+        "negative-non-negative", "nan-non-negative",
+        "inf-in-list-non-negative"])
+def test_check_real_refuses(value, low, strict, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_real("x", value, low, strict)
+
+
+def test_empty_key_is_refused():
+    # SeedSequence zero-pads a key, so () would draw what (0,) draws
+    np.testing.assert_array_equal(
+        np.random.SeedSequence(()).generate_state(4),
+        np.random.SeedSequence((0,)).generate_state(4))
+    with pytest.raises(ValueError, match="stream key must not be empty"):
+        stream_rng()
 
 
 @pytest.mark.parametrize("key, alias", [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -80,9 +82,9 @@ def test_positivity_validation():
     with pytest.raises(ValueError):
         mp_stieltjes_deriv(0.0, 1.0)
     # every group at once: one bad aspect ratio rejects the whole vector
-    with pytest.raises(ValueError, match="strictly positive"):
+    with pytest.raises(ValueError, match="c must be positive and finite"):
         nu_family(1.0, np.array([1.0, 0.0, 2.0]))
-    with pytest.raises(ValueError, match="strictly positive"):
+    with pytest.raises(ValueError, match="c must be positive and finite"):
         mp_stieltjes(np.array([0.5, 1.0]), np.array([1.0, -1.0]))
 
 
@@ -98,6 +100,50 @@ def test_positivity_validation():
 def test_nan_penalty_rejected(call):
     # NaN fails every comparison, so a "<= 0" test would let it through
     with pytest.raises(ValueError, match="positive"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: monte_carlo_risk(RiskScenario(n=20, p=(10,), b=(np.inf,)),
+                              [("zero",)], 2),
+     "b must be positive and finite"),
+    (lambda: hetero_penalty_solution(TheoryParams(c=(3.0,), b=(3.0,)),
+                                     [0.1, np.inf]),
+     "lambda_grid must be positive and finite"),
+    (lambda: mp_stieltjes(np.inf, 1.0), "lam must be positive and finite"),
+    (lambda: mp_stieltjes(1.0, np.inf), "c must be positive and finite"),
+    (lambda: sub_model_risk(np.nan, 1.0, 0, params_k3()),
+     "alpha must be finite"),
+    (lambda: flat_risk(np.inf, 1.0, params_k3()), "a must be finite"),
+    (lambda: ensemble_risk([np.nan], [1.0], TheoryParams(c=(1.0,), b=(1.0,))),
+     "alphas must be finite"),
+    (lambda: theory.default_curve_params(3, np.inf, 2.0),
+     "b_low must be positive and finite"),
+    (lambda: monte_carlo_risk(RiskScenario(n=20, p=(10,), b=(1.0,)),
+                              [("submodel", 0, 1.0, np.nan)], 2),
+     "submodel alpha must be finite"),
+    (lambda: monte_carlo_risk(RiskScenario(n=20, p=(10,), b=(1.0,)),
+                              [("flat", 1.0, np.inf)], 2),
+     "flat scale must be finite"),
+    (lambda: monte_carlo_risk(RiskScenario(n=20, p=(10, 10), b=(1.0, 1.0)),
+                              [("ensemble", (1.0, 1.0), (1.0, np.nan))], 2),
+     "ensemble weights must be finite"),
+    (lambda: monte_carlo_risk(RiskScenario(n=20, p=(10,), b=(1.0,)),
+                              [("multi_penalty", (0.1, 1.0), (-np.inf, 1.0))],
+                              2),
+     "multi_penalty weights must be finite"),
+], ids=["scenario-b", "hetero-grid", "stieltjes-lam", "stieltjes-c",
+        "submodel-alpha", "flat-a", "ensemble-alphas", "curve-b-low",
+        "spec-submodel-alpha", "spec-flat-scale", "spec-ensemble-weights",
+        "spec-multi-penalty-weights"])
+def test_settings_not_finite_refused_naming_them(call, message, monkeypatch):
+    # the scenario's risk read inf after numpy warnings, the hetero grid
+    # raised a ConsistencyError, the curve parameters warned, and the rest
+    # returned NaN or inf
+    def no_draws(*key):
+        raise AssertionError("a replication started before the checks")
+    monkeypatch.setattr(theory, "stream_rng", no_draws)
+    with pytest.raises(ValueError, match=message):
         call()
 
 
@@ -297,6 +343,19 @@ def test_curve_params_refuse_a_group_count_that_is_not_an_integer(n_groups):
         theory.default_curve_params(n_groups)
 
 
+@pytest.mark.parametrize("n_c, n_groups", [
+    (1, 1), (1, 1000), (25, 1), (25, 300), (400, 50), (3000, 1)])
+def test_curve_floats_bounds_traced_peak(n_c, n_groups):
+    c_grid = np.geomspace(0.1, 10.0, n_c).tolist()
+    tracemalloc.start()
+    try:
+        risk_curves(theory.default_curve_params(n_groups), c_grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 8 * theory.curve_floats(n_c, n_groups) >= peak
+
+
 def test_risk_curves_refuse_empty_grid():
     with pytest.raises(ValueError, match="c_grid"):
         risk_curves(theory.default_curve_params(), [])
@@ -306,8 +365,7 @@ def test_risk_curves_refuse_empty_grid():
                          ids=["inf", "nan"])
 def test_risk_curves_refuse_non_finite_entries(c_grid):
     # an infinite c gave a row of nan risks
-    with pytest.raises(ValueError, match="c_grid entries must be > 0 and "
-                                         "finite"):
+    with pytest.raises(ValueError, match="c_grid must be positive and finite"):
         risk_curves(theory.default_curve_params(), c_grid)
 
 
@@ -716,7 +774,7 @@ def test_params_validation():
         TheoryParams(c=(-1.0,), b=(1.0,))
     for c, b in (((np.inf,), (1.0,)), ((1.0,), (np.inf,)),
                  ((1.0, np.nan), (1.0, 1.0))):
-        with pytest.raises(ValueError, match="> 0 and finite"):
+        with pytest.raises(ValueError, match="must be positive and finite"):
             TheoryParams(c=c, b=b)
     p = params_k3()
     assert p.n_groups == 3
