@@ -380,7 +380,7 @@ def _experiments(cfg: dict, threads: int) -> list:
                 diagnostics.append({
                     "seed": seed, "noise_level": level, "k": net_cfg.blocks,
                     "depth": net_cfg.depth, "guard_estimate_mb": est_gb * 1e3,
-                    "peak_rss_mb": _peak_rss_mb()})
+                    "process_peak_rss_mb": _peak_rss_mb()})
 
     for name, columns, table in (("results.csv", RESULT_COLUMNS, rows),
                                  ("timings.csv", TIMING_COLUMNS, timings)):
@@ -407,8 +407,10 @@ def run(config_path, seed_override=None, threads: int = 1,
     Every check runs before the output directory is made, so a refused
     config writes nothing.
     """
-    if threads < 1:
-        raise ConfigError("--threads must be at least 1")
+    try:
+        threads = seeding.check_count("--threads", threads)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     cfg = validate_config(load_config(config_path), seed_override)
     if output_dir:
         cfg["output_dir"] = output_dir

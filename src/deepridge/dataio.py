@@ -15,18 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import check_count, check_real, stream_rng
+from .seeding import (TAG_NOISE, TAG_PAIR, TAG_SIM, check_count, check_real,
+                      stream_rng)
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 # share of each class's drawn training rows that a binary pair validates on
 VALID_FRACTION = 0.2
-
-# sub-stream tags so distinct draws on one seed never share a stream
-_TAG_SIM = 101
-_TAG_PAIR = 102
-_TAG_NOISE = 103
 
 
 @dataclass(frozen=True)
@@ -92,7 +88,7 @@ def simulate_single_neuron(cfg: SimConfig) -> DataSplit:
     each coordinate redrawn until |w_i| < 3, and rows go to the three splits
     in draw order (equal thirds).
     """
-    rng = stream_rng(cfg.seed, _TAG_SIM)
+    rng = stream_rng(cfg.seed, TAG_SIM)
     x = rng.standard_normal((cfg.n, cfg.d))
     w = rng.standard_normal(cfg.d)
     out = np.abs(w) >= 3.0
@@ -201,7 +197,7 @@ def make_binary_pair(train_images, train_labels, test_images, test_labels,
     cls_a, cls_b = pair_index, (pair_index + 1) % 10
     train_labels = np.asarray(train_labels).ravel()
     test_labels = np.asarray(test_labels).ravel()
-    rng = stream_rng(seed, _TAG_PAIR, pair_index)
+    rng = stream_rng(seed, TAG_PAIR, pair_index)
 
     idx_a = np.flatnonzero(train_labels == cls_a)
     idx_b = np.flatnonzero(train_labels == cls_b)
@@ -259,7 +255,7 @@ def add_feature_noise(split: DataSplit, level: int, seed: int = 0) -> DataSplit:
     # perturbation for a given seed; splits draw independently
     for i, name in enumerate(("x_train", "x_valid", "x_test")):
         x = getattr(split, name)
-        rng = stream_rng(seed, _TAG_NOISE, i)
+        rng = stream_rng(seed, TAG_NOISE, i)
         noisy[name] = x + scale * rng.standard_normal(x.shape)
     return DataSplit(
         x_train=noisy["x_train"], y_train=split.y_train,

@@ -66,8 +66,8 @@ from .features import FeatureBlock, apply_block, draw_block
 from .ridge import (column_scales, fit_floats, fit_grid, penalty_grid,
                     solve_grid)
 from .ridge import predict as ridge_predict
-from .seeding import (KEY_MAX, check_count, check_real, map_ordered,
-                      stream_rng)
+from .seeding import (KEY_MAX, MAX_DEPTH, TAG_BASELINE, TAG_GAMMA, check_count,
+                      check_real, map_ordered, stream_rng)
 
 # 29-point default penalty grid used throughout the experiments
 DEFAULT_LAMBDA_GRID = (
@@ -96,15 +96,6 @@ GROUP_COLUMNS = 512
 # is known only to about eps times the largest, and a re-cut on another
 # LAPACK could change every later block's draw
 RANK_TOLERANCE = 1e-14
-
-# stream tags. A tagged key puts its tag where a block's key (seed, layer,
-# block) puts the layer, and SeedSequence zero-pads a key, so (seed, 101)
-# draws what (seed, 101, 0) draws. So every tag (dataio's 101-103, these,
-# theory's 301) exceeds MAX_DEPTH, the deepest layer a NetConfig takes, and
-# each tag keys streams of one length only
-MAX_DEPTH = 100
-_TAG_GAMMA = 201
-_TAG_BASELINE = 202
 
 
 class ModelFormatError(ValueError):
@@ -289,7 +280,7 @@ def _block_gammas(cfg: NetConfig, layer_index: int) -> np.ndarray:
     if cfg.gamma_grid is not None:
         return np.asarray(cfg.gamma_grid, dtype=float)
     return np.array([
-        stream_rng(cfg.seed, _TAG_GAMMA, layer_index, k).uniform(
+        stream_rng(cfg.seed, TAG_GAMMA, layer_index, k).uniform(
             cfg.gamma_low, cfg.gamma_high)
         for k in range(cfg.blocks)
     ])
@@ -332,7 +323,7 @@ def peak_floats(cfg: NetConfig, n_total: int, n_train: int, d: int,
     top = cfg.blocks * min(p, n_pen)
     groups = group_bounds(cfg.blocks, p)
     group_blocks = groups[0][1] - groups[0][0]
-    workers = min(max(n_threads, 1), len(groups))
+    workers = min(check_count("n_threads", n_threads), len(groups))
     widest_input = kl if cfg.depth > 1 else d
     most_rows = max(n_train, n_total - n_train)
     network_floats = (
@@ -629,7 +620,7 @@ def flat_random_feature_baseline(split: DataSplit, p_total: int, lambdas,
 
     def draw(g):
         a, b = groups[g]
-        rng = stream_rng(seed, _TAG_BASELINE, g)
+        rng = stream_rng(seed, TAG_BASELINE, g)
         if gamma_grid is None:
             gammas = rng.uniform(gamma_low, gamma_high, size=b - a)
         else:

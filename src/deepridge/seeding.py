@@ -13,6 +13,19 @@ import numpy as np
 
 KEY_MAX = 2 ** 32 - 1
 
+# the stream key layout. A block's key is (seed, layer, block), its layer in
+# 1..MAX_DEPTH, the deepest layer a NetConfig takes. A tagged key puts its
+# tag where a block's key puts the layer, and SeedSequence zero-pads a key,
+# so (seed, 101) draws what (seed, 101, 0) draws. So every tag exceeds
+# MAX_DEPTH, and each tag keys streams of one length only
+MAX_DEPTH = 100
+TAG_SIM = 101        # (seed, 101): the simulated data
+TAG_PAIR = 102       # (seed, 102, pair): an image pair's rows
+TAG_NOISE = 103      # (seed, 103, part): feature noise on one part
+TAG_GAMMA = 201      # (seed, 201, layer, block): a block's weight variance
+TAG_BASELINE = 202   # (seed, 202, group): a flat baseline column group
+TAG_MC = 301         # (seed, 301, replication): a Monte Carlo replication
+
 
 def check_count(name: str, value, low: int = 1, high: int | None = None) -> int:
     """``value`` as an int if it is an int or numpy integer in
@@ -58,18 +71,20 @@ def stream_rng(*key: int) -> np.random.Generator:
     """Return a generator fully determined by the integer tuple ``key``.
 
     The key must not be empty: SeedSequence zero-pads a key, so () would
-    draw what (0,) draws. Every element must lie in 0..2^32 - 1:
-    SeedSequence splits a larger one into 32-bit words, so (s + t * 2^32,
-    ...) would draw what (s, t, ...) draws.
+    draw what (0,) draws. Every element must be an int or numpy integer,
+    not a bool, so 1.5 or True never draws what 1 draws, and lie in
+    0..2^32 - 1: SeedSequence splits a larger one into 32-bit words, so
+    (s + t * 2^32, ...) would draw what (s, t, ...) draws.
     """
     if not key:
         raise ValueError("stream key must not be empty")
-    words = tuple(int(k) for k in key)
-    for k in words:
+    for k in key:
+        if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+            raise ValueError(f"stream key element {k!r} must be an integer")
         if not 0 <= k <= KEY_MAX:
             raise ValueError(f"stream key element {k} is outside "
                              f"0..{KEY_MAX}")
-    return np.random.default_rng(np.random.SeedSequence(words))
+    return np.random.default_rng(np.random.SeedSequence(key))
 
 
 def map_ordered(fn, items, n_threads: int):

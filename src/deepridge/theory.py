@@ -24,9 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import write_csv
-from .seeding import check_count, check_real, map_ordered, stream_rng
-
-_TAG_MC = 301
+from .seeding import TAG_MC, check_count, check_real, map_ordered, stream_rng
 
 # replications draw an (n, sum p) design matrix; refuse absurd allocations.
 # A fit on more than _SOLVES_PER_EIGH penalties peaks at its r x r Gram plus
@@ -591,7 +589,7 @@ def monte_carlo_risk(scenario: RiskScenario, estimators, replications: int,
             design_lams.setdefault(design, set()).add(lam)
 
     def one_rep(r):
-        rng = stream_rng(seed, _TAG_MC, r)
+        rng = stream_rng(seed, TAG_MC, r)
         beta = np.concatenate([
             rng.normal(0.0, math.sqrt(bk / pk), size=pk)
             for pk, bk in zip(scenario.p, scenario.b)])

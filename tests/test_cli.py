@@ -114,25 +114,39 @@ def test_seeds_at_the_range_ends_run(tmp_path):
 
 def test_diagnostics_record_guard_estimate_and_peak_rss(tmp_path):
     # one row per split, in run order: the guard's estimate for its network
-    # and the peak RSS so far, which can only grow
+    # and the process's peak RSS so far, which can only grow, so the K=1
+    # splits after K=2 carry K=2's peak
     config = tmp_path / "cfg.json"
     write_config(config, kind="ablation_k", seeds=[0, 1],
-                 ablation={"k_values": [1, 2], "pk_total": 8},
+                 ablation={"k_values": [2, 1], "pk_total": 8},
                  data={"n": 90, "d": 4, "noise_levels": [1, 2]})
     out = tmp_path / "out"
     manifest = cli.run(config, output_dir=str(out))
     assert "diagnostics.json" in manifest["outputs"]
     splits = json.loads((out / "diagnostics.json").read_text())["splits"]
     assert [(r["seed"], r["k"], r["noise_level"]) for r in splits] == [
-        (s, k, level) for s in (0, 1) for k in (1, 2) for level in (1, 2)]
+        (s, k, level) for s in (0, 1) for k in (2, 1) for level in (1, 2)]
     for row in splits:
         assert row["depth"] == 1
-        assert row["guard_estimate_mb"] > 0 and row["peak_rss_mb"] > 0
+        assert row["guard_estimate_mb"] > 0 and row["process_peak_rss_mb"] > 0
     estimates = {r["k"]: r["guard_estimate_mb"] for r in splits}
     assert estimates[1] != estimates[2]
     assert all(r["guard_estimate_mb"] == estimates[r["k"]] for r in splits)
-    peaks = [r["peak_rss_mb"] for r in splits]
+    peaks = [r["process_peak_rss_mb"] for r in splits]
     assert peaks == sorted(peaks)
+
+
+@pytest.mark.parametrize("threads", [1.5, True], ids=["float", "bool"])
+def test_threads_must_be_an_integer_before_any_output(tmp_path, threads):
+    # each passed the old threads < 1 test, made the output directory and
+    # failed only in the thread pool, leaving the directory empty
+    config = tmp_path / "cfg.json"
+    write_config(config, seeds=[0])
+    out = tmp_path / "out"
+    with pytest.raises(cli.ConfigError,
+                       match="^--threads must be an integer$"):
+        cli.run(config, threads=threads, output_dir=str(out))
+    assert not out.exists()
 
 
 def test_empty_seeds_rejected_before_compute(tmp_path):

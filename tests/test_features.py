@@ -89,3 +89,10 @@ def test_invalid_specs(bad):
     args.update(bad)
     with pytest.raises(ValueError, match=next(iter(bad))):
         draw_block(**args)
+
+
+def test_a_key_element_that_is_not_an_integer_is_refused():
+    # drew what the key (1, 1, 0) draws
+    with pytest.raises(ValueError,
+                       match=r"^stream key element 1\.5 must be an integer$"):
+        draw_block((1.5, 1, 0), 1.0, 2, 3, 1.0)

@@ -21,7 +21,7 @@ from deepridge.network import (DeepRidgeModel, FinalFit, Metrics, NetConfig,
                                flat_random_feature_baseline, load_model,
                                predict, save_model, select_depth, train,
                                train_layer)
-from deepridge.seeding import KEY_MAX, map_ordered
+from deepridge.seeding import KEY_MAX, TAG_BASELINE, map_ordered
 
 SMALL_GRID = (1e-4, 0.1, 1.0, 100.0)
 
@@ -1043,7 +1043,7 @@ def baseline_block(d, p_total, n_train, seed, gamma_grid=None):
     groups = ([(0, p_total)] if p_total <= n_train
               else network.group_bounds(p_total, 1))
     cycled = None if gamma_grid is None else np.resize(gamma_grid, p_total)
-    parts = [baseline_group(network.stream_rng(seed, network._TAG_BASELINE, g),
+    parts = [baseline_group(network.stream_rng(seed, TAG_BASELINE, g),
                             d, b - a, None if cycled is None else cycled[a:b])
              for g, (a, b) in enumerate(groups)]
     return FeatureBlock(weights=np.hstack([p.weights for p in parts]),
@@ -1118,7 +1118,7 @@ def test_one_group_baseline_is_the_single_draw_fit(split, p_total, dual,
     assert p_total <= network.GROUP_COLUMNS
     assert (p_total > split.x_train.shape[0]) == dual
     res, valid_mse = recorded_baseline(split, p_total, 4, monkeypatch)
-    single = baseline_group(network.stream_rng(4, network._TAG_BASELINE),
+    single = baseline_group(network.stream_rng(4, TAG_BASELINE),
                             split.d, p_total)
     ref_mse, ref_star, ref_metrics = dense_baseline(split, single)
     np.testing.assert_array_equal(valid_mse, ref_mse)

@@ -1,9 +1,20 @@
+import ast
+import collections
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from deepridge.seeding import KEY_MAX, check_real, map_ordered, stream_rng
+from deepridge import dataio, features, network, seeding, theory
+from deepridge.seeding import (KEY_MAX, MAX_DEPTH, TAG_BASELINE, TAG_GAMMA,
+                               TAG_MC, TAG_NOISE, TAG_PAIR, TAG_SIM,
+                               check_real, map_ordered, stream_rng)
+
+# the modules that draw, each through its own ``stream_rng`` binding:
+# bench/spans.py times draws by patching these, and drawn_keys records them
+DRAWING_MODULES = (dataio, features, network, theory)
 
 
 @pytest.mark.parametrize("value, low, strict, expected", [
@@ -86,6 +97,128 @@ def test_keys_past_32_bits_are_refused(key, alias):
     with pytest.raises(ValueError, match=f"element {key[0]} is outside"):
         stream_rng(*key)
     stream_rng(*alias).random()
+
+
+@pytest.mark.parametrize("key", [
+    (1.5,), (True,), (np.float64(2.0),), (3, "1"), (np.bool_(False), 2),
+], ids=["float", "bool", "numpy-float", "string", "numpy-bool"])
+def test_key_elements_that_are_not_integers_are_refused(key):
+    # int() truncated each element, so 1.5, True and 2.0 drew the streams
+    # of 1, 1 and 2
+    element = re.escape(repr(next(k for k in key if not isinstance(k, int)
+                                  or isinstance(k, bool))))
+    with pytest.raises(ValueError,
+                       match=f"^stream key element {element} must be an "
+                             f"integer$"):
+        stream_rng(*key)
+
+
+@pytest.mark.parametrize("call, element", [
+    (lambda: dataio.simulate_single_neuron(
+        dataio.SimConfig(n=30, d=3, noise_std=0.1, seed=1.5)), "1.5"),
+    (lambda: theory.monte_carlo_risk(
+        theory.RiskScenario(n=10, p=(4,), b=(1.0,)), [("zero",)], 2,
+        seed=1.5), "1.5"),
+    (lambda: network.flat_random_feature_baseline(
+        dataio.simulate_single_neuron(
+            dataio.SimConfig(n=30, d=3, noise_std=0.1, seed=1)),
+        20, (0.1, 1.0), seed=True), "True"),
+], ids=["simulate", "monte-carlo", "flat-baseline"])
+def test_entry_points_refuse_a_seed_that_is_not_an_integer(call, element):
+    # each returned seed 1's results
+    with pytest.raises(ValueError,
+                       match=f"^stream key element {element} must be an "
+                             f"integer$"):
+        call()
+
+
+def test_a_numpy_integer_key_draws_the_int_key():
+    assert (stream_rng(np.int64(7), 1).random()
+            == stream_rng(7, 1).random() == 0.7701409510034741)
+
+
+@pytest.mark.parametrize("key, first", [
+    ((7, TAG_SIM), 0.7328596948408228),
+    ((7, TAG_PAIR, 3), 0.6108367015007257),
+    ((7, TAG_NOISE, 2), 0.8642260291169858),
+    ((7, TAG_GAMMA, 2, 5), 0.46786813820072226),
+    ((7, TAG_BASELINE, 1), 0.6558387405348649),
+    ((7, TAG_MC, 4), 0.11353355604411242),
+    ((7, 2, 9), 0.24737614824165788),
+], ids=["sim", "pair", "noise", "gamma", "baseline", "monte-carlo",
+        "block"])
+def test_streams_stay_where_they_are(key, first):
+    # every output bit follows from these streams: a moved key or a new
+    # key rule shows here first
+    assert stream_rng(*key).random() == first
+
+
+def drawn_keys(monkeypatch) -> list:
+    """Every stream key drawn by the package's entry points: the data, the
+    noise, an image pair, a depth-2 network trained and scored, a flat
+    baseline of two column groups and the Monte Carlo oracle."""
+    keys = []
+
+    def record(*key):
+        keys.append(key)
+        return stream_rng(*key)
+
+    for module in DRAWING_MODULES:
+        monkeypatch.setattr(module, "stream_rng", record)
+    split = dataio.simulate_single_neuron(
+        dataio.SimConfig(n=60, d=3, noise_std=0.1, seed=5))
+    dataio.add_feature_noise(split, 1, seed=5)
+    labels = np.repeat(np.arange(10), 6)
+    images = labels[:, None] + np.zeros((1, 4))
+    dataio.make_binary_pair(images, labels, images, labels, 3, seed=5)
+    model = network.train(split, network.NetConfig(
+        depth=2, blocks=3, features_per_block=4, lambda_grid=(0.1, 1.0),
+        seed=5))
+    network.predict(model, split.x_test)
+    assert 600 > network.GROUP_COLUMNS and 600 > split.x_train.shape[0]
+    network.flat_random_feature_baseline(split, 600, (0.1, 1.0), seed=5)
+    theory.monte_carlo_risk(theory.RiskScenario(n=10, p=(4,), b=(1.0,)),
+                            [("zero",)], 2, seed=5)
+    return keys
+
+
+def test_every_drawn_key_follows_the_layout(monkeypatch):
+    # a tagged key puts its tag where a block's key (seed, layer, block)
+    # puts the layer, and SeedSequence zero-pads a key, so (seed, 101)
+    # draws what (seed, 101, 0) draws: every tag must exceed every layer,
+    # and each tag key streams of one length only
+    tags = [v for name, v in vars(seeding).items() if name.startswith("TAG_")]
+    assert all(tag > MAX_DEPTH for tag in tags), tags
+    assert len(set(tags)) == len(tags), tags
+    lengths = collections.defaultdict(set)
+    for key in drawn_keys(monkeypatch):
+        if key[1] in tags:
+            lengths[key[1]].add(len(key))
+        else:
+            assert len(key) == 3 and 1 <= key[1] <= MAX_DEPTH, key
+    assert all(len(n) == 1 for n in lengths.values()), dict(lengths)
+    assert sorted(lengths) == sorted(tags)   # every tag was drawn
+
+
+def _numpy_random_uses(path) -> list:
+    """The np.random attributes and random imports in one source file."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "random"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+            or isinstance(node, (ast.Import, ast.ImportFrom))
+            and "random" in ast.unparse(node)]
+
+
+def test_every_draw_goes_through_the_patched_bindings():
+    # a module drawing from np.random itself would escape both the
+    # benchmark's draw timings and the key layout test
+    for module in DRAWING_MODULES:
+        assert module.stream_rng is seeding.stream_rng, module.__name__
+    paths = sorted(pathlib.Path(seeding.__file__).parent.glob("*.py"))
+    uses = {path.name: _numpy_random_uses(path) for path in paths}
+    assert uses.pop("seeding.py")   # the check does see np.random
+    assert uses == {name: [] for name in uses}
 
 
 def test_negative_key_is_refused():
