@@ -41,14 +41,24 @@ RESULT_COLUMNS = ("seed", "method", "noise_level", "k", "m",
                   "mse", "one_minus_r2", "accuracy")
 TIMING_COLUMNS = ("seed", "method", "noise_level", "k", "m", "wall_time_s")
 
-# JSON type of every NetConfig field a config's "model" section may set; the
-# defaults and the checks are NetConfig's own
-MODEL_FIELDS = {
-    "depth": int, "blocks": int, "features_per_block": int,
-    "lambda_grid": list, "gamma_low": float, "gamma_high": float,
-    "gamma_grid": list, "bias_range": float,
+# the fields each config section takes, with their defaults, the root's
+# under None. A missing or null field takes its default, and any other key
+# is refused. The model section takes NetConfig's fields but its seed
+FIELDS = {
+    None: {"kind": None, "seeds": None, "output_dir": ".",
+           "save_models": False, "baseline": True, "model": {}, "data": {},
+           "ablation": {}, "theory": {}, "limits": {}},
+    "model": {f.name: f.default for f in dataclasses.fields(network.NetConfig)
+              if f.name != "seed"},
+    "data": {"n": 3000, "d": 50, "activation": "relu",
+             "noise_levels": None,   # [0, 1, 2] for fmnist, else 1..9
+             "pair_index": 0, "per_class_cap": 2000, "data_dir": None},
+    "ablation": {"k_values": [1, 50, 100, 200, 500], "pk_total": 50000,
+                 "depths": [1, 2, 3, 4, 5]},
+    "theory": {"n_groups": 10, "b_low": 0.5, "b_high": 1.5,
+               "c_grid": None},   # 25 points, geomspace(0.1, 10)
+    "limits": {"max_memory_gb": 4.0},
 }
-_NET_DEFAULTS = network.NetConfig()
 
 IDX_BASENAMES = {
     "train_images": "train-images-idx3-ubyte",
@@ -62,47 +72,48 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
 
 
-def _has_type(value, kind) -> bool:
-    # JSON booleans load as Python ints; only a bool field takes one
-    return isinstance(value, kind) and (kind is bool
-                                        or not isinstance(value, bool))
+@contextlib.contextmanager
+def _section(name=None):
+    """Turn a library refusal into a ConfigError naming the config section,
+    if any; the library's message names the field or flag."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"config section '{name}': {exc}" if name
+                          else str(exc)) from None
 
 
-def _float(name, value) -> float:
-    try:   # JSON integers are unbounded, floats are not
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"config field '{name}' holds a number too large "
-                          f"for a float") from None
-
-
-def _field(mapping, name, kind, default=None, required=False):
-    if name not in mapping or mapping[name] is None:
-        if required:
-            raise ConfigError(f"config field '{name}' is required")
-        return default
-    value = mapping[name]
-    if kind is float and _has_type(value, int):
-        value = _float(name, value)
-    if not _has_type(value, kind):
+def _typed(name, value, kind):
+    # exact for these types: a JSON true is no str or dict, and 1 no bool
+    if not isinstance(value, kind):
         raise ConfigError(f"config field '{name}' must be {kind.__name__}")
     return value
 
 
-def _distinct(label, values) -> None:
+def _filled(section, given: dict) -> dict:
+    """``given`` with each missing or null field of ``section`` at its
+    default; refuses a key the section does not take."""
+    fields = FIELDS[section]
+    for key in given:
+        if key not in fields:
+            where = ("config root" if section is None
+                     else f"config section '{section}'")
+            raise ConfigError(f"{where} has no field {key!r}")
+    return {name: default if given.get(name) is None else given[name]
+            for name, default in fields.items()}
+
+
+def _counts(name, values, low, high=None) -> list:
+    """``values`` as a list of ints, if it is a non-empty list of distinct
+    integers in ``low``..``high`` (:func:`seeding.check_count`)."""
+    if not isinstance(values, list) or not values:
+        raise ValueError(f"{name} must be a non-empty list")
+    values = [seeding.check_count(f"{name} entry {v!r}", v, low, high)
+              for v in values]
     # a repeated seed, noise level, K or depth would train and report twice
     if len(set(values)) != len(values):
-        raise ConfigError(f"{label} must not repeat an entry")
-
-
-@contextlib.contextmanager
-def _section(name):
-    """Turn a library refusal into a ConfigError naming the config section;
-    the library's message names the field."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"config section '{name}': {exc}") from None
+        raise ValueError(f"{name} must not repeat an entry")
+    return values
 
 
 def load_config(path) -> dict:
@@ -118,118 +129,74 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _check_seeds(label, seeds) -> None:
-    _distinct(label, seeds)
-    for s in seeds:
-        # a larger seed would alias another seed's keyed streams
-        if not 0 <= s <= seeding.KEY_MAX:
-            raise ConfigError(f"{label}: seed {s} is outside "
-                              f"0..{seeding.KEY_MAX}")
-
-
 def validate_config(cfg: dict, seed_override=None) -> dict:
     """The checked config, with defaults filled in; ``seed_override``,
-    if given, replaces its seeds."""
-    kind = _field(cfg, "kind", str, required=True)
+    if given, replaces its seeds. Every field is checked whether or not
+    the config's kind reads it, but theory_curves ignores the seeds."""
+    out = _filled(None, cfg)
+    kind = out["kind"]
     if kind not in KINDS:
         raise ConfigError(f"config field 'kind' must be one of {KINDS}")
-    seeds = None
-    if kind != "theory_curves":   # the risk curves draw nothing
-        seeds = _field(cfg, "seeds", list, required=True)
-        if len(seeds) == 0:
-            raise ConfigError("config field 'seeds' must be a non-empty list")
-        if not all(_has_type(s, int) for s in seeds):
-            raise ConfigError("config field 'seeds' must contain integers")
-        _check_seeds("config field 'seeds'", seeds)
-    if seed_override:
-        if seeds is None:
+    for name, json_type in (("output_dir", str), ("save_models", bool),
+                            ("baseline", bool)):
+        _typed(name, out[name], json_type)
+    out.update({s: _filled(s, _typed(s, out[s], dict)) for s in FIELDS if s})
+    if kind == "theory_curves":   # the risk curves draw nothing
+        del out["seeds"]
+        if seed_override is not None:
             raise ConfigError(f"--seed-override does not apply to kind "
                               f"'{kind}', which draws nothing")
-        _check_seeds("--seed-override", seed_override)
-        seeds = seed_override
-    model = _field(cfg, "model", dict, default={})
-    data = _field(cfg, "data", dict, default={})
-    ablation = _field(cfg, "ablation", dict, default={})
-    theory_cfg = _field(cfg, "theory", dict, default={})
-    limits = _field(cfg, "limits", dict, default={})
-    out = {
-        "kind": kind,
-        "output_dir": _field(cfg, "output_dir", str, default="."),
-        "save_models": bool(_field(cfg, "save_models", bool, default=False)),
-        "baseline": bool(_field(cfg, "baseline", bool, default=True)),
-        "model": {
-            name: _field(model, name, json_type,
-                         default=getattr(_NET_DEFAULTS, name))
-            for name, json_type in MODEL_FIELDS.items()
-        },
-        "data": {
-            "n": _field(data, "n", int, default=3000),
-            "d": _field(data, "d", int, default=50),
-            "activation": _field(data, "activation", str, default="relu"),
-            "noise_levels": _field(
-                data, "noise_levels", list,
-                default=[0, 1, 2] if kind == "fmnist" else list(range(1, 10))),
-            "pair_index": _field(data, "pair_index", int, default=0),
-            "per_class_cap": _field(data, "per_class_cap", int, default=2000),
-            "data_dir": _field(data, "data_dir", str, default=None),
-        },
-        "ablation": {
-            "k_values": _field(ablation, "k_values", list,
-                               default=[1, 50, 100, 200, 500]),
-            "pk_total": _field(ablation, "pk_total", int, default=50000),
-            "depths": _field(ablation, "depths", list,
-                             default=[1, 2, 3, 4, 5]),
-        },
-        "theory": {
-            "n_groups": _field(theory_cfg, "n_groups", int, default=10),
-            "b_low": _field(theory_cfg, "b_low", float, default=0.5),
-            "b_high": _field(theory_cfg, "b_high", float, default=1.5),
-            "c_grid": _field(theory_cfg, "c_grid", list, default=None),
-        },
-        "limits": {
-            "max_memory_gb": _field(limits, "max_memory_gb", float,
-                                    default=4.0),
-        },
-    }
-    for section, name in (("data", "noise_levels"), ("ablation", "k_values"),
-                          ("ablation", "depths")):
-        values = out[section][name]
-        if not values or not all(_has_type(v, int) and v >= 0 for v in values):
-            raise ConfigError(
-                f"config field '{name}' must be a non-empty list of "
-                f"non-negative integers")
-        _distinct(f"config field '{name}'", values)
-    for section, name in (("model", "lambda_grid"), ("model", "gamma_grid"),
-                          ("theory", "c_grid"), ("data", "noise_levels")):
-        for v in out[section][name] or ():
-            if _has_type(v, int):
-                _float(name, v)
-    pk_total = out["ablation"]["pk_total"]
-    for k in out["ablation"]["k_values"]:
-        if k < 1 or pk_total % k != 0:
-            raise ConfigError(f"config field 'k_values': pk_total={pk_total} "
-                              f"is not divisible by K={k}")
-    if min(out["ablation"]["depths"]) < 1:
-        raise ConfigError("config field 'depths' must be >= 1")
-    if out["data"]["activation"] not in ("relu", "sigmoid"):
-        raise ConfigError("config field 'activation' must be relu or sigmoid")
+    elif out["seeds"] is None:
+        raise ConfigError("config field 'seeds' is required")
+    else:
+        with _section():
+            out["seeds"] = _counts("seeds", out["seeds"], 0, seeding.KEY_MAX)
+            if seed_override is not None:
+                out["seeds"] = _counts("--seed-override", seed_override, 0,
+                                       seeding.KEY_MAX)
+    model, data, ablation = out["model"], out["data"], out["ablation"]
+    with _section("model"):
+        net = network.NetConfig(**model)
+    out["model"] = {name: getattr(net, name) for name in model}
+    if data["noise_levels"] is None:
+        data["noise_levels"] = ([0, 1, 2] if kind == "fmnist"
+                                else list(range(1, 10)))
+    if data["data_dir"] is not None:
+        _typed("data_dir", data["data_dir"], str)
+    with _section("data"):
+        dataio.SimConfig(n=data["n"], d=data["d"], noise_std=0.0,
+                         activation=data["activation"])
+        data["noise_levels"] = _counts("noise_levels", data["noise_levels"], 0)
+        # a level past a float's range would overflow at its first draw
+        seeding.check_real("noise_levels", data["noise_levels"])
+        seeding.check_count("pair_index", data["pair_index"], 0, 9)
+        seeding.check_count("per_class_cap", data["per_class_cap"])
+    with _section("ablation"):
+        pk_total = seeding.check_count("pk_total", ablation["pk_total"])
+        ablation["k_values"] = _counts("k_values", ablation["k_values"], 1)
+        ablation["depths"] = _counts("depths", ablation["depths"], 1,
+                                     seeding.MAX_DEPTH)
+        for k in ablation["k_values"]:
+            if pk_total % k != 0:
+                raise ValueError(f"pk_total={pk_total} is not divisible by "
+                                 f"K={k} of k_values")
+    tc = out["theory"]
+    with _section("theory"):
+        seeding.check_count("n_groups", tc["n_groups"])
+        for name in ("b_low", "b_high"):
+            tc[name] = seeding.check_real(name, tc[name], 0, many=False)
+        if tc["c_grid"] is not None:
+            tc["c_grid"] = seeding.check_real("c_grid", tc["c_grid"], 0,
+                                              many=True).tolist()
     with _section("limits"):   # NaN or inf would pass any guard
-        seeding.check_real("max_memory_gb", out["limits"]["max_memory_gb"], 0)
-    if seeds is not None:
-        out["seeds"] = [int(s) for s in seeds]
+        out["limits"]["max_memory_gb"] = seeding.check_real(
+            "max_memory_gb", out["limits"]["max_memory_gb"], 0, many=False)
     return out
 
 
 def config_hash(cfg: dict) -> str:
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def _net_config(model_cfg: dict, seed: int, **overrides) -> network.NetConfig:
-    try:
-        return network.NetConfig(**{**model_cfg, **overrides}, seed=seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid model config: {exc}")
 
 
 def _check_memory(floats: int, max_memory_gb: float, reduce: str) -> float:
@@ -244,16 +211,6 @@ def _check_memory(floats: int, max_memory_gb: float, reduce: str) -> float:
             f"estimated memory {est_gb:.1f} GB exceeds limits.max_memory_gb="
             f"{max_memory_gb}; reduce {reduce}, or raise the limit")
     return est_gb
-
-
-def _check_resources(n_total: int, n_train: int, d: int,
-                     cfg: network.NetConfig, threads: int,
-                     max_memory_gb: float, baseline: bool = False) -> float:
-    """Estimated peak memory of a run (:func:`network.peak_floats`) in GB,
-    through :func:`_check_memory`."""
-    return _check_memory(
-        network.peak_floats(cfg, n_total, n_train, d, threads, baseline),
-        max_memory_gb, "blocks/features_per_block/depth or per_class_cap")
 
 
 def _simulated(data_cfg: dict):
@@ -311,8 +268,6 @@ def _experiments(cfg: dict, threads: int) -> list:
     else:
         source, model_prefix = _simulated(data_cfg), "model"
         n_total, n_train, d = data_cfg["n"], data_cfg["n"] // 3, data_cfg["d"]
-        with _section("data"):
-            dataio.SimConfig(n=n_total, d=d, noise_std=0.0)   # checks n, d
     flat_kind = kind in ("simulate", "fmnist")
     baseline = flat_kind and cfg["baseline"]
     save_models = flat_kind and cfg["save_models"]
@@ -328,10 +283,13 @@ def _experiments(cfg: dict, threads: int) -> list:
         variants = [({}, None)]
     networks = []
     for overrides, depths in variants:
-        net_cfg = _net_config(cfg["model"], cfg["seeds"][0], **overrides)
-        est_gb = _check_resources(n_total, n_train, d, net_cfg,
-                                  threads, cfg["limits"]["max_memory_gb"],
-                                  baseline)
+        with _section("model"):
+            net_cfg = network.NetConfig(**{**cfg["model"], **overrides},
+                                        seed=cfg["seeds"][0])
+        est_gb = _check_memory(
+            network.peak_floats(net_cfg, n_total, n_train, d, threads,
+                                baseline), cfg["limits"]["max_memory_gb"],
+            "blocks/features_per_block/depth or per_class_cap")
         networks.append((net_cfg, depths, est_gb))
 
     os.makedirs(cfg["output_dir"], exist_ok=True)
@@ -407,10 +365,8 @@ def run(config_path, seed_override=None, threads: int = 1,
     Every check runs before the output directory is made, so a refused
     config writes nothing.
     """
-    try:
+    with _section():
         threads = seeding.check_count("--threads", threads)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     cfg = validate_config(load_config(config_path), seed_override)
     if output_dir:
         cfg["output_dir"] = output_dir
@@ -514,7 +470,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             seeds = None
-            if args.seed_override:
+            if args.seed_override is not None:
                 try:
                     seeds = [int(s) for s in args.seed_override.split(",")]
                 except ValueError:

@@ -103,18 +103,21 @@ class ModelFormatError(ValueError):
 
 
 def _checked_draws(gamma_low, gamma_high, gamma_grid, bias_range):
-    """``gamma_grid`` as a tuple of floats, or None; refuses weight
-    variances and a bias range that are not positive and finite, which
-    would fail only at the first draw."""
+    """``gamma_low``, ``gamma_high``, ``gamma_grid`` and ``bias_range`` as
+    floats, the grid a tuple or None; refuses weight variances and a bias
+    range that are not positive and finite, which would fail only at the
+    first draw."""
+    low, high = (check_real(name, v, 0, many=False) for name, v in
+                 (("gamma_low", gamma_low), ("gamma_high", gamma_high)))
     if gamma_grid is not None:
-        gamma_grid = tuple(map(float, check_real("gamma_grid", gamma_grid, 0)))
+        gamma_grid = tuple(map(float, check_real("gamma_grid", gamma_grid, 0,
+                                                 many=True)))
         if not gamma_grid:
             raise ValueError("gamma_grid must be non-empty")
-    elif (check_real("gamma_low", gamma_low, 0)
-          >= check_real("gamma_high", gamma_high, 0)):
+    elif low >= high:
         raise ValueError("gamma_low must be below gamma_high")
-    check_real("bias_range", bias_range, 0)
-    return gamma_grid
+    return (low, high, gamma_grid,
+            check_real("bias_range", bias_range, 0, many=False))
 
 
 @dataclass(frozen=True)
@@ -145,16 +148,19 @@ class NetConfig:
             object.__setattr__(self, name,
                                check_count(name, getattr(self, name), low, high))
         grid = tuple(map(float, check_real("lambda_grid", self.lambda_grid,
-                                           0)))
+                                           0, many=True)))
         if not grid or sorted(set(grid)) != list(grid):
             raise ValueError("lambda_grid must be non-empty and strictly "
                              "increasing")
         object.__setattr__(self, "lambda_grid", grid)
-        gg = _checked_draws(self.gamma_low, self.gamma_high, self.gamma_grid,
-                            self.bias_range)
-        if gg is not None and len(gg) != self.blocks:
+        # the checked floats, so 1 and 1.0 make the same config and file
+        for name, value in zip(
+                ("gamma_low", "gamma_high", "gamma_grid", "bias_range"),
+                _checked_draws(self.gamma_low, self.gamma_high,
+                               self.gamma_grid, self.bias_range)):
+            object.__setattr__(self, name, value)
+        if self.gamma_grid is not None and len(self.gamma_grid) != self.blocks:
             raise ValueError("gamma_grid must have one entry per block")
-        object.__setattr__(self, "gamma_grid", gg)
 
     @property
     def n_penalties(self) -> int:
@@ -611,7 +617,8 @@ def flat_random_feature_baseline(split: DataSplit, p_total: int, lambdas,
     """
     check_count("p_total", p_total)
     lam = penalty_grid(lambdas)
-    gamma_grid = _checked_draws(gamma_low, gamma_high, gamma_grid, bias_range)
+    gamma_low, gamma_high, gamma_grid, bias_range = _checked_draws(
+        gamma_low, gamma_high, gamma_grid, bias_range)
     if gamma_grid is not None:
         gamma_grid = np.array(gamma_grid)
     n = split.x_train.shape[0]

@@ -42,12 +42,18 @@ def check_count(name: str, value, low: int = 1, high: int | None = None) -> int:
 
 
 def check_real(name: str, value, low: float | None = None,
-               strict: bool = True) -> float | np.ndarray:
+               strict: bool = True, many: bool | None = None
+               ) -> float | np.ndarray:
     """``value`` as a float, or a float array for a list, tuple or array,
     if every entry is an int, float or numpy real, not a bool, finite and
     above ``low`` (at or above it if not ``strict``); otherwise a
-    ``ValueError`` naming ``name``. ``low`` is None or 0."""
-    many = isinstance(value, (list, tuple, np.ndarray))
+    ``ValueError`` naming ``name``. ``low`` is None or 0. ``many`` True
+    asks for a list, tuple or array, False for one number."""
+    given = isinstance(value, (list, tuple, np.ndarray))
+    if many is not None and many != given:
+        raise ValueError(f"{name} must be a "
+                         + ("list of real numbers" if many else "real number"))
+    many = given
     if not (value.dtype.kind in "iuf" if isinstance(value, np.ndarray)
             else all(isinstance(v, (int, float, np.integer, np.floating))
                      and not isinstance(v, bool)

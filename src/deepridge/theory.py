@@ -316,8 +316,8 @@ def default_curve_params(n_groups: int = 10, b_low: float = 0.5,
                          b_high: float = 1.5) -> TheoryParams:
     """Illustration regime: heterogeneous signal strengths, identity spectra."""
     check_count("n_groups", n_groups)
-    check_real("b_low", b_low, 0)
-    check_real("b_high", b_high, 0)
+    check_real("b_low", b_low, 0, many=False)
+    check_real("b_high", b_high, 0, many=False)
     b = np.linspace(b_low, b_high, n_groups)
     return TheoryParams(c=(1.0,) * n_groups, b=tuple(b))
 

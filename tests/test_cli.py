@@ -155,11 +155,18 @@ def test_empty_seeds_rejected_before_compute(tmp_path):
     with pytest.raises(cli.ConfigError, match="seeds"):
         cli.run(config, output_dir=str(tmp_path / "out"))
     assert not (tmp_path / "out").exists()
+    # an empty override ran the config's own seeds
+    write_config(config)
+    with pytest.raises(cli.ConfigError,
+                       match="^--seed-override must be a non-empty list$"):
+        cli.run(config, seed_override=[], output_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind, ablation, match", [
     ("ablation_k", {"k_values": [1, 2, 3], "pk_total": 8}, "divisible"),
-    ("ablation_k", {"k_values": [1, 0], "pk_total": 8}, "divisible"),
+    ("ablation_k", {"k_values": [1, 0], "pk_total": 8},
+     "k_values entry 0 must be at least 1"),
     ("ablation_depth", {"depths": [2, 0]}, "depths"),
 ], ids=["k-not-divisor", "k-zero", "depth-zero"])
 def test_ablation_lists_rejected_before_compute(tmp_path, monkeypatch, kind,
@@ -188,6 +195,19 @@ def test_nan_penalty_rejected_before_output(tmp_path):
     assert not out.exists()
 
 
+def test_readme_example_config_is_valid():
+    # the config printed under "Command line" in README.md
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as f:
+        text = f.read()
+    block = text[text.index("## Command line"):]
+    block = block[block.index("```json") + len("```json"):]
+    cfg = json.loads(block[:block.index("```")])
+    checked = cli.validate_config(cfg)
+    assert checked["model"]["blocks"] == cfg["model"]["blocks"]
+    assert checked["seeds"] == cfg["seeds"]
+
+
 def test_unknown_kind_rejected(tmp_path):
     config = tmp_path / "cfg.json"
     for kind in ("discombobulate", "baseline"):
@@ -199,7 +219,7 @@ def test_unknown_kind_rejected(tmp_path):
 def test_invalid_field_named_in_error(tmp_path):
     config = tmp_path / "cfg.json"
     write_config(config, data={"n": "many"})
-    with pytest.raises(cli.ConfigError, match="'n'"):
+    with pytest.raises(cli.ConfigError, match="'data': n must be an integer"):
         cli.run(config)
 
 
@@ -249,9 +269,7 @@ def test_memory_estimate_bounds_traced_peak(threads, blocks, p, mode,
     block_fits = [f for f in fits if f.n_features == p]
     assert len(block_fits) == cfg.depth * blocks
     assert {f.mode for f in block_fits} == {mode}
-    est_gb = cli._check_resources(n, n // 3, d, cfg, threads,
-                                  max_memory_gb=math.inf)
-    assert est_gb * 1e9 >= peak
+    assert 8 * network.peak_floats(cfg, n, n // 3, d, threads) >= peak
 
 
 @pytest.mark.parametrize("width, n, d, baseline_larger", [
@@ -280,11 +298,10 @@ def test_memory_estimate_bounds_traced_baseline_peak(width, n, d,
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    est_gb = cli._check_resources(n, n // 3, d, cfg, 1, math.inf,
-                                  baseline=True)
-    network_gb = cli._check_resources(n, n // 3, d, cfg, 1, math.inf)
-    assert (est_gb > network_gb) == baseline_larger
-    assert est_gb * 1e9 >= peak
+    est = 8 * network.peak_floats(cfg, n, n // 3, d, 1, baseline=True)
+    network_est = 8 * network.peak_floats(cfg, n, n // 3, d, 1)
+    assert (est > network_est) == baseline_larger
+    assert est >= peak
 
 
 RSS_RISE_CHILD = """
@@ -343,13 +360,13 @@ def test_paper_default_run_within_memory_estimate(tmp_path):
     write_config(config, seeds=[0],
                  model={"depth": 2, "blocks": 500, "features_per_block": 100},
                  data={"n": 3000, "d": 50, "noise_levels": [1]})
-    net_cfg = cli._net_config(
-        cli.validate_config(cli.load_config(config))["model"], seed=0)
-    est_gb = cli._check_resources(3000, 1000, 50, net_cfg, threads, 4.0,
+    net_cfg = network.NetConfig(
+        **cli.validate_config(cli.load_config(config))["model"], seed=0)
+    est = 8 * network.peak_floats(net_cfg, 3000, 1000, 50, threads,
                                   baseline=True)
     peak = run_child(config, tmp_path / "out", threads)
     assert len(read_csv(tmp_path / "out" / "results.csv")) == 3
-    assert peak <= est_gb * 1e9
+    assert peak <= est
 
 
 @pytest.mark.slow
@@ -362,13 +379,13 @@ def test_one_block_ablation_run_within_memory_estimate(tmp_path):
     write_config(config, kind="ablation_k", seeds=[0], model={"depth": 2},
                  data={"n": 3000, "d": 50, "noise_levels": [1]},
                  ablation={"k_values": [1], "pk_total": 50000})
-    net_cfg = cli._net_config(
-        cli.validate_config(cli.load_config(config))["model"], seed=0,
-        blocks=1, features_per_block=50000)
-    est_gb = cli._check_resources(3000, 1000, 50, net_cfg, threads, 4.0)
+    net_cfg = network.NetConfig(
+        **{**cli.validate_config(cli.load_config(config))["model"],
+           "blocks": 1, "features_per_block": 50000}, seed=0)
+    est = 8 * network.peak_floats(net_cfg, 3000, 1000, 50, threads)
     peak = run_child(config, tmp_path / "out", threads)
     assert len(read_csv(tmp_path / "out" / "results.csv")) == 2
-    assert peak <= est_gb * 1e9
+    assert peak <= est
 
 
 def test_theory_curves_csv(tmp_path):
@@ -656,9 +673,10 @@ def _data(**fields):
      "'theory': b_low must be positive and finite"),
     ({"kind": "theory_curves", "theory": {"c_grid": []}}, [], "c_grid"),
     ({"kind": "theory_curves", "theory": {"c_grid": [True]}}, [], "c_grid"),
-    ({"model": _model(blocks=True)}, [], "'blocks' must be int"),
-    ({"model": _model(depth=True)}, [], "'depth' must be int"),
-    ({"model": _model(gamma_low=True)}, [], "'gamma_low' must be float"),
+    ({"model": _model(blocks=True)}, [], "'model': blocks must be an integer"),
+    ({"model": _model(depth=True)}, [], "'model': depth must be an integer"),
+    ({"model": _model(gamma_low=True)}, [],
+     "'model': gamma_low must be a real number"),
     ({"model": _model(lambda_grid=[True, 2.0])}, [], "lambda_grid"),
     ({"data": _data(noise_levels=[True])}, [], "noise_levels"),
     ({"seeds": [False]}, [], "seeds"),
@@ -666,42 +684,42 @@ def _data(**fields):
     ({"limits": {"max_memory_gb": 0}}, [], "max_memory_gb"),
     ({}, ["--threads", "0"], "--threads"),
     ({}, ["--threads", "-3"], "--threads"),
-    ({"seeds": [0, 1, 0]}, [], "'seeds' must not repeat"),
+    ({"seeds": [0, 1, 0]}, [], "seeds must not repeat"),
     ({}, ["--seed-override", "0,0"], "--seed-override must not repeat"),
     ({"kind": "theory_curves"}, ["--seed-override", "1"],
      "--seed-override does not apply to kind 'theory_curves'"),
     ({"data": _data(noise_levels=[1, 2, 1])}, [],
-     "'noise_levels' must not repeat"),
+     "'data': noise_levels must not repeat"),
     ({"kind": "ablation_k", "ablation": {"k_values": [1, 1], "pk_total": 8}},
-     [], "'k_values' must not repeat"),
+     [], "'ablation': k_values must not repeat"),
     ({"kind": "ablation_depth", "ablation": {"depths": [1, 2, 2]}}, [],
-     "'depths' must not repeat"),
+     "'ablation': depths must not repeat"),
     ({"kind": "ablation_depth", "ablation": {"depths": [1, 101]}}, [],
-     "invalid model config: depth must be in 1..100"),
+     "'ablation': depths entry 101 must be in 1..100"),
     ({"seeds": [0, 2 ** 32]}, [],
-     "'seeds': seed 4294967296 is outside 0..4294967295"),
-    ({"seeds": [-1]}, [], "'seeds': seed -1 is outside"),
+     "seeds entry 4294967296 must be in 0..4294967295"),
+    ({"seeds": [-1]}, [], "seeds entry -1 must be in"),
     ({}, ["--seed-override", f"1,{2 ** 32 + 1}"],
-     "--seed-override: seed 4294967297 is outside"),
+     "--seed-override entry 4294967297 must be in"),
     # each failed only at the first draw, after the output directory was
     # made, with an uncaught OverflowError
     ({"model": _model(gamma_high=math.inf)}, [],
-     "invalid model config: gamma_high must be positive and finite"),
+     "'model': gamma_high must be positive and finite"),
     ({"model": _model(bias_range=math.inf)}, [],
-     "invalid model config: bias_range must be positive and finite"),
+     "'model': bias_range must be positive and finite"),
     ({"model": _model(lambda_grid=[0.1, math.inf])}, [],
-     "invalid model config: lambda_grid must be positive and finite"),
+     "'model': lambda_grid must be positive and finite"),
     # the guard ran only after the first split was drawn: numpy failed to
     # allocate its 1.2 PB
     ({"data": {"n": 3_000_000_000_000}}, [],
      "exceeds limits.max_memory_gb=4.0"),
     # each raised an uncaught OverflowError converting an integer to float
     ({"model": _model(bias_range=10 ** 400)}, [],
-     "config field 'bias_range' holds a number too large for a float"),
+     "'model': bias_range must be positive and finite"),
     ({"model": _model(lambda_grid=[0.1, 10 ** 400])}, [],
-     "config field 'lambda_grid' holds a number too large for a float"),
+     "'model': lambda_grid must be positive and finite"),
     ({"data": _data(noise_levels=[10 ** 400])}, [],
-     "config field 'noise_levels' holds a number too large for a float"),
+     "'data': noise_levels must be finite"),
     ({"kind": "ablation_k",
       "ablation": {"k_values": [1], "pk_total": 10 ** 400}}, [],
      "estimated memory inf GB exceeds limits.max_memory_gb=4.0"),
@@ -714,6 +732,24 @@ def _data(**fields):
     # warned in numpy's linspace before the parameters were refused
     ({"kind": "theory_curves", "theory": {"b_high": math.inf}}, [],
      "'theory': b_high must be positive and finite"),
+    # each ran the config's own seeds
+    ({}, ["--seed-override", ""],
+     "--seed-override must be comma-separated integers"),
+    # each was dropped, and the run went on at the field's default
+    ({"basline": False}, [], "config root has no field 'basline'"),
+    ({"model": _model(block=5)}, [],
+     "config section 'model' has no field 'block'"),
+    ({"data": _data(nn=90)}, [], "config section 'data' has no field 'nn'"),
+    ({"limits": {"max_memory": 1.0}}, [],
+     "config section 'limits' has no field 'max_memory'"),
+    # a list where one number is wanted, or the reverse
+    ({"model": _model(gamma_low=[0.5])}, [],
+     "'model': gamma_low must be a real number"),
+    ({"model": _model(lambda_grid=1.0)}, [],
+     "'model': lambda_grid must be a list of real numbers"),
+    ({"kind": "theory_curves", "theory": {"c_grid": 2.0}}, [],
+     "'theory': c_grid must be a list of real numbers"),
+    ({"data": _data(n="many")}, [], "'data': n must be an integer"),
 ], ids=["guard", "missing-idx", "n-10", "c-grid-negative", "n-groups-0",
         "b-low-negative", "c-grid-empty", "c-grid-bool", "blocks-bool",
         "depth-bool", "gamma-low-bool", "lambda-grid-bool",
@@ -726,7 +762,10 @@ def _data(**fields):
         "bias-range-inf", "lambda-grid-inf", "guard-before-first-draw",
         "bias-range-past-float", "lambda-grid-past-float",
         "noise-level-past-float", "guard-count-past-float",
-        "c-grid-inf", "limit-inf", "b-high-inf"])
+        "c-grid-inf", "limit-inf", "b-high-inf", "seed-override-empty",
+        "root-basline", "model-block", "data-nn", "limits-max-memory",
+        "gamma-low-list", "lambda-grid-number", "c-grid-number",
+        "n-not-an-integer"])
 def test_refused_before_any_output(tmp_path, monkeypatch, capsys, overrides,
                                    argv, message):
     monkeypatch.chdir(tmp_path)

@@ -110,7 +110,12 @@ def test_config_validation():
             (dict(blocks=True), "blocks must be an integer"),
             (dict(features_per_block=True), "features_per_block"),
             (dict(seed=False), "seed must be an integer"),
-            (dict(depth=2.0), "depth must be an integer")):
+            (dict(depth=2.0), "depth must be an integer"),
+            # [0.5] was stored and broadcast against each draw
+            (dict(gamma_low=[0.5]), "gamma_low must be a real number"),
+            (dict(lambda_grid=1.0), "lambda_grid must be a list"),
+            # checked even where gamma_grid is given and they are unused
+            (dict(blocks=1, gamma_grid=(1.0,), gamma_low="x"), "gamma_low")):
         with pytest.raises(ValueError, match=message):
             NetConfig(**bad)
 
@@ -1168,7 +1173,11 @@ def test_save_is_byte_deterministic(split, tmp_path):
     model = train(split, small_cfg())
     save_model(model, tmp_path / "a.drz")
     save_model(model, tmp_path / "b.drz")
-    assert (tmp_path / "a.drz").read_bytes() == (tmp_path / "b.drz").read_bytes()
+    # bias_range=1 spells the default 1.0: the same network and file
+    save_model(train(split, small_cfg(bias_range=1)), tmp_path / "c.drz")
+    a, b, c = ((tmp_path / f"{x}.drz").read_bytes() for x in "abc")
+    assert a == b == c
+    assert type(load_model(tmp_path / "c.drz").config.bias_range) is float
 
 
 def _npy_bytes(arr):

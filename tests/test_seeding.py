@@ -73,6 +73,20 @@ def test_check_real_refuses(value, low, strict, message):
         check_real("x", value, low, strict)
 
 
+@pytest.mark.parametrize("value, many, message", [
+    ([1.0], False, "x must be a real number"),
+    (np.array(1.0), False, "x must be a real number"),
+    (1.0, True, "x must be a list of real numbers"),
+    ("1.0", True, "x must be a list of real numbers"),
+], ids=["list-for-number", "array-for-number", "number-for-list",
+        "string-for-list"])
+def test_check_real_refuses_the_wrong_shape(value, many, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_real("x", value, many=many)
+    assert type(check_real("x", 1, many=False)) is float
+    assert check_real("x", (1,), many=True).dtype == np.float64
+
+
 def test_empty_key_is_refused():
     # SeedSequence zero-pads a key, so () would draw what (0,) draws
     np.testing.assert_array_equal(
