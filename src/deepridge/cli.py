@@ -331,7 +331,6 @@ def _experiments(cfg: dict, threads: int) -> list:
                         split, net_cfg.layer_width, net_cfg.lambda_grid,
                         gamma_low=net_cfg.gamma_low,
                         gamma_high=net_cfg.gamma_high,
-                        gamma_grid=net_cfg.gamma_grid,
                         bias_range=net_cfg.bias_range, seed=seed)
                     add((seed, "flat_rf", level, "", ""), res.metrics,
                         time.perf_counter() - t0)

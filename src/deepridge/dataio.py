@@ -72,7 +72,7 @@ class SimConfig:
         if check_count("n", self.n) % 3 != 0:
             raise ValueError("n must be a positive multiple of 3")
         check_count("d", self.d)
-        check_real("noise_std", self.noise_std, 0, strict=False)
+        check_real("noise_std", self.noise_std, 0, strict=False, many=False)
         if self.activation not in ("relu", "sigmoid"):
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -243,7 +243,7 @@ def add_feature_noise(split: DataSplit, level: int, seed: int = 0) -> DataSplit:
     of x_train (fallback 1.0 when the features are constant). Level 0
     returns the input unchanged; labels are never touched.
     """
-    level = check_real("level", level, 0, strict=False)
+    level = check_real("level", level, 0, strict=False, many=False)
     if level == 0:
         return split
     pooled = float(np.sqrt(np.mean(np.var(split.x_train, axis=0))))

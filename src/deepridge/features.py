@@ -30,10 +30,10 @@ def draw_block(stream_key: tuple, gamma: float, p: int, input_dim: int,
                bias_range: float) -> FeatureBlock:
     """Draw a block of ``p`` features; the content depends only on
     ``stream_key``."""
-    check_real("gamma", gamma, 0)
+    check_real("gamma", gamma, 0, many=False)
     check_count("block width p", p)
     check_count("input_dim", input_dim)
-    check_real("bias_range", bias_range, 0)
+    check_real("bias_range", bias_range, 0, many=False)
     rng = stream_rng(*stream_key)
     weights = rng.standard_normal((input_dim, p))
     weights *= np.sqrt(gamma)   # in place: one (D, P) array per draw

@@ -77,7 +77,7 @@ DEFAULT_LAMBDA_GRID = (
 )
 
 MODEL_FORMAT = "deepridge-model"
-MODEL_FORMAT_VERSION = 8
+MODEL_FORMAT_VERSION = 9
 
 # feature columns per transform GEMM: narrow enough that each worker's
 # (D, columns) weight buffer and (rows, columns) features stay small, wide
@@ -102,22 +102,16 @@ class ModelFormatError(ValueError):
     """Raised for corrupt or incompatible serialized models."""
 
 
-def _checked_draws(gamma_low, gamma_high, gamma_grid, bias_range):
-    """``gamma_low``, ``gamma_high``, ``gamma_grid`` and ``bias_range`` as
-    floats, the grid a tuple or None; refuses weight variances and a bias
-    range that are not positive and finite, which would fail only at the
-    first draw."""
+def _checked_draws(gamma_low, gamma_high, bias_range):
+    """``gamma_low``, ``gamma_high`` and ``bias_range`` as floats; refuses
+    weight variances and a bias range that are not positive and finite,
+    which would fail only at the first draw. Equal ends fix every variance
+    at that value."""
     low, high = (check_real(name, v, 0, many=False) for name, v in
                  (("gamma_low", gamma_low), ("gamma_high", gamma_high)))
-    if gamma_grid is not None:
-        gamma_grid = tuple(map(float, check_real("gamma_grid", gamma_grid, 0,
-                                                 many=True)))
-        if not gamma_grid:
-            raise ValueError("gamma_grid must be non-empty")
-    elif low >= high:
-        raise ValueError("gamma_low must be below gamma_high")
-    return (low, high, gamma_grid,
-            check_real("bias_range", bias_range, 0, many=False))
+    if low > high:
+        raise ValueError("gamma_low must not exceed gamma_high")
+    return low, high, check_real("bias_range", bias_range, 0, many=False)
 
 
 @dataclass(frozen=True)
@@ -125,10 +119,10 @@ class NetConfig:
     """Architecture and randomness settings for one network.
 
     ``depth`` counts feature layers before the final ridge, at most
-    ``MAX_DEPTH``. Block weight variances come either from ``gamma_grid``
-    (one entry per block) or are drawn uniformly from (gamma_low,
-    gamma_high) per block and layer. ``seed`` keys every stream, so it
-    lies in 0..``KEY_MAX``.
+    ``MAX_DEPTH``. Each block's weight variance is drawn uniformly from
+    (gamma_low, gamma_high) per block and layer; equal ends give every
+    block that variance. ``seed`` keys every stream, so it lies in
+    0..``KEY_MAX``.
     """
 
     depth: int = 2
@@ -137,7 +131,6 @@ class NetConfig:
     lambda_grid: tuple = DEFAULT_LAMBDA_GRID
     gamma_low: float = 0.25
     gamma_high: float = 1.25
-    gamma_grid: tuple | None = None
     bias_range: float = 1.0
     seed: int = 0
 
@@ -155,12 +148,10 @@ class NetConfig:
         object.__setattr__(self, "lambda_grid", grid)
         # the checked floats, so 1 and 1.0 make the same config and file
         for name, value in zip(
-                ("gamma_low", "gamma_high", "gamma_grid", "bias_range"),
+                ("gamma_low", "gamma_high", "bias_range"),
                 _checked_draws(self.gamma_low, self.gamma_high,
-                               self.gamma_grid, self.bias_range)):
+                               self.bias_range)):
             object.__setattr__(self, name, value)
-        if self.gamma_grid is not None and len(self.gamma_grid) != self.blocks:
-            raise ValueError("gamma_grid must have one entry per block")
 
     @property
     def n_penalties(self) -> int:
@@ -283,8 +274,6 @@ class BaselineResult:
 
 
 def _block_gammas(cfg: NetConfig, layer_index: int) -> np.ndarray:
-    if cfg.gamma_grid is not None:
-        return np.asarray(cfg.gamma_grid, dtype=float)
     return np.array([
         stream_rng(cfg.seed, TAG_GAMMA, layer_index, k).uniform(
             cfg.gamma_low, cfg.gamma_high)
@@ -580,11 +569,13 @@ def evaluate(predictions, y_test, y_train_mean: float) -> Metrics:
 
     Accuracy is included only for 0/1 labels, thresholding at 0.5.
     """
-    y_train_mean = check_real("y_train_mean", y_train_mean)
+    y_train_mean = check_real("y_train_mean", y_train_mean, many=False)
     predictions = np.asarray(predictions, dtype=float).ravel()
     y_test = np.asarray(y_test, dtype=float).ravel()
     if predictions.shape != y_test.shape:
         raise ValueError("predictions and labels must have equal length")
+    if not y_test.size:
+        raise ValueError("predictions and labels must be non-empty")
     resid = y_test - predictions
     denom = float(np.sum((y_test - y_train_mean) ** 2))
     if denom == 0.0:
@@ -600,15 +591,14 @@ def evaluate(predictions, y_test, y_train_mean: float) -> Metrics:
 def flat_random_feature_baseline(split: DataSplit, p_total: int, lambdas,
                                  gamma_low: float = 0.25,
                                  gamma_high: float = 1.25,
-                                 gamma_grid=None, bias_range: float = 1.0,
+                                 bias_range: float = 1.0,
                                  seed: int = 0) -> BaselineResult:
     """Single giant random-feature block with one validation-tuned ridge.
 
     Each of the ``p_total`` features gets its own weight variance, drawn
-    uniformly from (gamma_low, gamma_high) or cycled from ``gamma_grid``.
-    The features come in keyed column groups, as a layer's blocks do:
-    group g is drawn from the stream (seed, 202, g) and redrawn whenever it
-    is needed again. With no more features than training rows there is one
+    uniformly from (gamma_low, gamma_high). The features come in keyed
+    column groups, as a layer's blocks do: group g is drawn from the
+    stream (seed, 202, g) and redrawn whenever it is needed again. With no more features than training rows there is one
     group, fit by :func:`fit_grid`; with more, the groups are the
     ``GROUP_COLUMNS``-wide ranges of :func:`group_bounds`, and the dual
     Gram ZZ'/n, the sum of their Z_g Z_g'/n, is solved once for the (n, L)
@@ -617,10 +607,8 @@ def flat_random_feature_baseline(split: DataSplit, p_total: int, lambdas,
     """
     check_count("p_total", p_total)
     lam = penalty_grid(lambdas)
-    gamma_low, gamma_high, gamma_grid, bias_range = _checked_draws(
-        gamma_low, gamma_high, gamma_grid, bias_range)
-    if gamma_grid is not None:
-        gamma_grid = np.array(gamma_grid)
+    gamma_low, gamma_high, bias_range = _checked_draws(
+        gamma_low, gamma_high, bias_range)
     n = split.x_train.shape[0]
     dual = p_total > n
     groups = group_bounds(p_total, 1) if dual else [(0, p_total)]
@@ -628,10 +616,7 @@ def flat_random_feature_baseline(split: DataSplit, p_total: int, lambdas,
     def draw(g):
         a, b = groups[g]
         rng = stream_rng(seed, TAG_BASELINE, g)
-        if gamma_grid is None:
-            gammas = rng.uniform(gamma_low, gamma_high, size=b - a)
-        else:
-            gammas = gamma_grid[np.arange(a, b) % gamma_grid.size]
+        gammas = rng.uniform(gamma_low, gamma_high, size=b - a)
         weights = rng.standard_normal((split.d, b - a))
         weights *= np.sqrt(gammas)   # in place: one (d, columns) array
         biases = rng.uniform(-bias_range, bias_range, size=b - a)

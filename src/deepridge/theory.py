@@ -213,7 +213,8 @@ def _flat_risk(a, lam, ck, bb):
 def sub_model_risk(alpha: float, lam: float, k: int, params: TheoryParams) -> float:
     """Asymptotic risk of group k's ridge fit, scaled by ``alpha``."""
     check_count("group index", k, 0, params.n_groups - 1)
-    alpha = check_real("alpha", alpha)
+    alpha = check_real("alpha", alpha, many=False)
+    lam = check_real("lam", lam, 0, many=False)
     return float(_weighted_risk(alpha, _group_quadratic(
         lam, params.b[k], params.c[k], params.b_bar)))
 
@@ -221,7 +222,7 @@ def sub_model_risk(alpha: float, lam: float, k: int, params: TheoryParams) -> fl
 def ensemble_risk(alphas, lams, params: TheoryParams) -> float:
     """Risk of the weighted sum of group fits; cross terms vanish."""
     alphas = np.ravel(check_real("alphas", alphas))
-    lams = np.asarray(lams, dtype=float).ravel()
+    lams = np.ravel(check_real("lams", lams, 0))
     if alphas.size != params.n_groups or lams.size != params.n_groups:
         raise ValueError("need one weight and one penalty per group")
     return _total(_weighted_risk(alphas, _group_quadratic(
@@ -237,6 +238,7 @@ def optimal_lambda(params: TheoryParams, k: int) -> float:
 def optimal_alpha(lam: float, params: TheoryParams, k: int) -> float:
     """Group k's risk-minimizing weight at a fixed penalty."""
     check_count("group index", k, 0, params.n_groups - 1)
+    lam = check_real("lam", lam, 0, many=False)
     _, lin, quad = _group_quadratic(lam, params.b[k], params.c[k],
                                     params.b_bar)
     return float(lin / quad)
@@ -255,8 +257,9 @@ def flat_risk(a: float, lam: float, params: TheoryParams) -> float:
     The resolvent functionals are evaluated at the pooled aspect ratio
     c*K; requires equal group sizes.
     """
-    return float(_flat_risk(check_real("a", a), lam, _flat_aspect(params),
-                            params.b_bar))
+    a = check_real("a", a, many=False)
+    lam = check_real("lam", lam, 0, many=False)
+    return float(_flat_risk(a, lam, _flat_aspect(params), params.b_bar))
 
 
 def flat_optima(params: TheoryParams, lam: float | None = None):
@@ -269,7 +272,7 @@ def flat_optima(params: TheoryParams, lam: float | None = None):
     ck = _flat_aspect(params)
     bb = params.b_bar
     lambda_bar = ck / bb
-    at = lambda_bar if lam is None else float(lam)
+    at = lambda_bar if lam is None else check_real("lam", lam, 0, many=False)
     nu, nu_prime, nu_hat = nu_family(at, ck)
     a_bar = bb * nu / (bb * nu_hat - ck * nu_prime)
     return float(lambda_bar), float(a_bar)
@@ -512,15 +515,15 @@ def _parse_spec(est, offsets):
     if kind == "submodel":
         _, k, lam, alpha = est
         check_count(f"submodel group index {k!r}", k, 0, n_groups - 1)
-        lam = check_real("submodel lam", lam, 0)
-        alpha = check_real("submodel alpha", alpha)
+        lam = check_real("submodel lam", lam, 0, many=False)
+        alpha = check_real("submodel alpha", alpha, many=False)
         group = (offsets[k], offsets[k + 1])
         return (f"submodel[k={k},lam={lam:g},alpha={alpha:g}]",
                 slice(*group), [(group, lam, alpha, whole)])
     if kind == "flat":
         _, lam, scale = est
-        lam = check_real("flat lam", lam, 0)
-        scale = check_real("flat scale", scale)
+        lam = check_real("flat lam", lam, 0, many=False)
+        scale = check_real("flat scale", scale, many=False)
         return (f"flat[lam={lam:g},a={scale:g}]", whole,
                 [(full, lam, scale, whole)])
     if kind not in ("ensemble", "multi_penalty"):

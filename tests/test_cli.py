@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -195,17 +197,34 @@ def test_nan_penalty_rejected_before_output(tmp_path):
     assert not out.exists()
 
 
-def test_readme_example_config_is_valid():
-    # the config printed under "Command line" in README.md
+def readme_text():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as f:
-        text = f.read()
+        return f.read()
+
+
+def test_readme_example_config_is_valid():
+    # the config printed under "Command line" in README.md
+    text = readme_text()
     block = text[text.index("## Command line"):]
     block = block[block.index("```json") + len("```json"):]
     cfg = json.loads(block[:block.index("```")])
     checked = cli.validate_config(cfg)
     assert checked["model"]["blocks"] == cfg["model"]["blocks"]
     assert checked["seeds"] == cfg["seeds"]
+
+
+def test_readme_names_every_model_field():
+    # the sentence under "Command line" in README.md that lists the fields
+    # a config's model section may set
+    text = readme_text()
+    lead = ("The `model` section may set the fields of `NetConfig` except "
+            "`seed`:")
+    sentence = text[text.index(lead) + len(lead):]
+    sentence = sentence[:sentence.index(".")]
+    fields = [f.name for f in dataclasses.fields(network.NetConfig)]
+    assert re.findall(r"`(\w+)`", sentence) == [
+        name for name in fields if name != "seed"]
 
 
 def test_unknown_kind_rejected(tmp_path):
@@ -750,6 +769,9 @@ def _data(**fields):
     ({"kind": "theory_curves", "theory": {"c_grid": 2.0}}, [],
      "'theory': c_grid must be a list of real numbers"),
     ({"data": _data(n="many")}, [], "'data': n must be an integer"),
+    # block variances come only from the gamma_low..gamma_high draw
+    ({"model": _model(gamma_grid=[0.5, 1.0])}, [],
+     "config section 'model' has no field 'gamma_grid'"),
 ], ids=["guard", "missing-idx", "n-10", "c-grid-negative", "n-groups-0",
         "b-low-negative", "c-grid-empty", "c-grid-bool", "blocks-bool",
         "depth-bool", "gamma-low-bool", "lambda-grid-bool",
@@ -765,7 +787,7 @@ def _data(**fields):
         "c-grid-inf", "limit-inf", "b-high-inf", "seed-override-empty",
         "root-basline", "model-block", "data-nn", "limits-max-memory",
         "gamma-low-list", "lambda-grid-number", "c-grid-number",
-        "n-not-an-integer"])
+        "n-not-an-integer", "model-gamma-grid"])
 def test_refused_before_any_output(tmp_path, monkeypatch, capsys, overrides,
                                    argv, message):
     monkeypatch.chdir(tmp_path)

@@ -301,6 +301,21 @@ def test_noise_level_not_finite_refused_before_any_draw(level, monkeypatch):
         dataio.add_feature_noise(_small_split(), level)
 
 
+@pytest.mark.parametrize("call, name", [
+    # [0.5] and [1] ran as if given the number; [0.5, 0.1] failed in the
+    # draw with numpy's broadcast error
+    (lambda: SimConfig(n=30, d=2, noise_std=[0.5]), "noise_std"),
+    (lambda: SimConfig(n=30, d=2, noise_std=[0.5, 0.1]), "noise_std"),
+    (lambda: dataio.add_feature_noise(_small_split(), [1]), "level"),
+], ids=["noise-std", "noise-std-pair", "feature-noise-level"])
+def test_scalar_settings_refuse_a_list(call, name, monkeypatch):
+    def no_draws(*key):
+        raise AssertionError("drawn before the setting was checked")
+    monkeypatch.setattr(dataio, "stream_rng", no_draws)
+    with pytest.raises(ValueError, match=f"^{name} must be a real number$"):
+        call()
+
+
 # --- DataSplit invariants ----------------------------------------------------
 
 def test_datasplit_validation():

@@ -91,6 +91,21 @@ def test_invalid_specs(bad):
         draw_block(**args)
 
 
+@pytest.mark.parametrize("bad", [
+    # each died in the draw with a TypeError
+    dict(gamma=[1.0]),
+    dict(bias_range=[1.0]),
+    dict(gamma=np.array([1.0])),
+], ids=["gamma-list", "bias-range-list", "gamma-array"])
+def test_scalar_settings_refuse_a_list(bad):
+    args = dict(stream_key=(0, 0, 0), gamma=1.0, p=3, input_dim=2,
+                bias_range=1.0)
+    args.update(bad)
+    with pytest.raises(ValueError,
+                       match=f"^{next(iter(bad))} must be a real number$"):
+        draw_block(**args)
+
+
 def test_a_key_element_that_is_not_an_integer_is_refused():
     # drew what the key (1, 1, 0) draws
     with pytest.raises(ValueError,

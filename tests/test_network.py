@@ -95,15 +95,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NetConfig(gamma_low=1.5, gamma_high=1.0)
     with pytest.raises(ValueError):
-        NetConfig(blocks=3, gamma_grid=(0.5, 1.0))   # wrong length
-    with pytest.raises(ValueError):
         NetConfig(bias_range=0.0)
     NetConfig(seed=KEY_MAX)
     for bad, message in (
             (dict(gamma_high=INF), "gamma_high must be positive and finite"),
             (dict(bias_range=INF), "bias_range"),
             (dict(lambda_grid=(1.0, INF)), "lambda_grid"),
-            (dict(blocks=2, gamma_grid=(1.0, INF)), "gamma_grid"),
             (dict(seed=-1), "seed"),
             (dict(seed=KEY_MAX + 1), "seed"),
             (dict(depth=True), "depth must be an integer"),
@@ -113,19 +110,16 @@ def test_config_validation():
             (dict(depth=2.0), "depth must be an integer"),
             # [0.5] was stored and broadcast against each draw
             (dict(gamma_low=[0.5]), "gamma_low must be a real number"),
-            (dict(lambda_grid=1.0), "lambda_grid must be a list"),
-            # checked even where gamma_grid is given and they are unused
-            (dict(blocks=1, gamma_grid=(1.0,), gamma_low="x"), "gamma_low")):
+            (dict(lambda_grid=1.0), "lambda_grid must be a list")):
         with pytest.raises(ValueError, match=message):
             NetConfig(**bad)
 
 
 @pytest.mark.parametrize("build, message", [
     (lambda s: NetConfig(lambda_grid=(0.1, NAN, 1.0)), "lambda_grid"),
-    (lambda s: NetConfig(blocks=2, gamma_grid=(1.0, NAN)), "gamma_grid"),
     (lambda s: flat_random_feature_baseline(s, 4, SMALL_GRID,
-                                            gamma_grid=(1.0, NAN)),
-     "gamma_grid"),
+                                            gamma_high=NAN),
+     "gamma_high"),
     (lambda s: theory.TheoryParams(c=(NAN,), b=(1.0,)),
      "c must be positive and finite"),
     (lambda s: theory.TheoryParams(c=(1.0,), b=(NAN,)),
@@ -135,21 +129,41 @@ def test_config_validation():
     (lambda s: theory.default_curve_params(b_high=NAN), "b_high"),
     (lambda s: theory.risk_curves(theory.default_curve_params(), [0.5, NAN]),
      "c_grid"),
-], ids=["lambda_grid", "gamma_grid", "baseline-gammas", "theory-c",
+], ids=["lambda_grid", "baseline-gammas", "theory-c",
         "theory-b", "scenario-b", "curve-b-high", "curve-c-grid"])
 def test_positivity_checks_refuse_nan(split, build, message):
     with pytest.raises(ValueError, match=message):
         build(split)
 
 
-def test_explicit_gamma_grid_used_verbatim(split, monkeypatch):
-    cfg = small_cfg(gamma_grid=(0.3, 0.6, 0.9), depth=1)
+def test_equal_gamma_ends_fix_every_variance(split, monkeypatch):
+    # uniform(g, g) is g exactly, drawn from the same stream
+    cfg = small_cfg(gamma_low=0.7, gamma_high=0.7)
     draws = recorded_draws(monkeypatch)
     model = train(split, cfg)
-    assert [args[1] for args, _ in draws] == [0.3, 0.6, 0.9]
+    assert [args[1] for args, _ in draws] == [0.7] * (2 * cfg.blocks)
     draws.clear()
     predict(model, split.x_test)
-    assert [args[1] for args, _ in draws] == [0.3, 0.6, 0.9]
+    assert [args[1] for args, _ in draws] == [0.7] * (2 * cfg.blocks)
+    # every baseline column's weights are its group's normals times
+    # sqrt(0.7), the normals drawn after the variances
+    applied, real = [], network.apply_block
+
+    def record(block, x):
+        applied.append(block)
+        return real(block, x)
+
+    monkeypatch.setattr(network, "apply_block", record)
+    flat_random_feature_baseline(split, STREAMED_WIDTH, SMALL_GRID,
+                                 gamma_low=0.7, gamma_high=0.7, seed=4)
+    expected = []
+    for g, (a, b) in enumerate(network.group_bounds(STREAMED_WIDTH, 1)):
+        rng = network.stream_rng(4, TAG_BASELINE, g)
+        rng.uniform(size=b - a)
+        expected.append(rng.standard_normal((split.d, b - a)) * np.sqrt(0.7))
+    assert len(expected) > 1 and len(applied) == 4 * len(expected)
+    assert all(any(np.array_equal(block.weights, w) for w in expected)
+               for block in applied)
 
 
 # --- layer training ----------------------------------------------------------
@@ -968,6 +982,22 @@ def test_evaluate_degenerate_labels():
         evaluate(np.zeros(3), np.full(3, 2.0), y_train_mean=2.0)
 
 
+def test_evaluate_refuses_empty_input():
+    # was reported as degenerate labels
+    with pytest.raises(ValueError,
+                       match="predictions and labels must be non-empty"):
+        evaluate([], [], 0.0)
+
+
+@pytest.mark.parametrize("y_train_mean", [[0.0], (0.0,), np.array([0.0])],
+                         ids=["list", "tuple", "array"])
+def test_scalar_settings_refuse_a_list(y_train_mean):
+    # each ran as if given the number
+    with pytest.raises(ValueError,
+                       match="^y_train_mean must be a real number$"):
+        evaluate(np.zeros(3), np.arange(3.0), y_train_mean)
+
+
 # --- flat baseline -----------------------------------------------------------
 
 def test_baseline_single_feature(split):
@@ -998,20 +1028,17 @@ def test_baseline_rejects_bad_width(split):
 
 @pytest.mark.parametrize("kwargs, message", [
     (dict(gamma_low=-1.0), "gamma_low must be positive and finite"),
-    (dict(gamma_low=1.0, gamma_high=0.5), "gamma_low must be below gamma_high"),
+    (dict(gamma_low=1.0, gamma_high=0.5),
+     "gamma_low must not exceed gamma_high"),
     (dict(bias_range=0.0), "bias_range must be positive"),
-    (dict(gamma_grid=()), "gamma_grid must be non-empty"),
-    (dict(gamma_grid=(1.0, -1.0)), "gamma_grid must be positive and finite"),
     (dict(gamma_high=INF), "gamma_high must be positive and finite"),
     (dict(bias_range=INF), "bias_range must be positive and finite"),
-    (dict(gamma_grid=(1.0, INF)), "gamma_grid must be positive and finite"),
     (dict(lambdas=(0.1, INF)), "penalties must be positive and finite"),
     # True ran one feature; 2.5 raised a TypeError
     (dict(p_total=True), "p_total must be an integer"),
     (dict(p_total=2.5), "p_total must be an integer"),
 ], ids=["negative-gamma", "reversed-gammas", "zero-bias-range",
-        "empty-gamma-grid", "negative-gamma-grid", "infinite-gamma-high",
-        "infinite-bias-range", "infinite-gamma-grid", "infinite-penalty",
+        "infinite-gamma-high", "infinite-bias-range", "infinite-penalty",
         "bool-width", "float-width"])
 def test_baseline_rejects_bad_arguments_before_any_draw(split, kwargs,
                                                        message, monkeypatch):
@@ -1029,27 +1056,23 @@ def test_baseline_rejects_bad_arguments_before_any_draw(split, kwargs,
 STREAMED_WIDTH = 3 * network.GROUP_COLUMNS + 300
 
 
-def baseline_group(rng, d, cols, gammas=None):
+def baseline_group(rng, d, cols):
     """``cols`` baseline features on ``d`` inputs, drawn from ``rng`` as the
-    baseline draws a column group: variances (unless ``gammas`` gives
-    them), weights, then biases."""
-    if gammas is None:
-        gammas = rng.uniform(0.25, 1.25, size=cols)
+    baseline draws a column group: variances, weights, then biases."""
+    gammas = rng.uniform(0.25, 1.25, size=cols)
     weights = rng.standard_normal((d, cols)) * np.sqrt(gammas)
     return FeatureBlock(weights=weights,
                         biases=rng.uniform(-1.0, 1.0, size=cols))
 
 
-def baseline_block(d, p_total, n_train, seed, gamma_grid=None):
+def baseline_block(d, p_total, n_train, seed):
     """The flat baseline's whole feature block: one group when p_total <=
     n_train, else the groups of ``group_bounds(p_total, 1)``, group g drawn
-    from the keyed stream (seed, 202, g); feature j's variance is
-    gamma_grid[j % len(gamma_grid)] when a grid is given."""
+    from the keyed stream (seed, 202, g)."""
     groups = ([(0, p_total)] if p_total <= n_train
               else network.group_bounds(p_total, 1))
-    cycled = None if gamma_grid is None else np.resize(gamma_grid, p_total)
     parts = [baseline_group(network.stream_rng(seed, TAG_BASELINE, g),
-                            d, b - a, None if cycled is None else cycled[a:b])
+                            d, b - a)
              for g, (a, b) in enumerate(groups)]
     return FeatureBlock(weights=np.hstack([p.weights for p in parts]),
                         biases=np.concatenate([p.biases for p in parts]))
@@ -1069,7 +1092,7 @@ def dense_baseline(split, block):
                                      float(np.mean(split.y_train)))
 
 
-def recorded_baseline(split, p_total, seed, monkeypatch, **kwargs):
+def recorded_baseline(split, p_total, seed, monkeypatch):
     """The baseline's result and its validation MSEs."""
     selected, real = [], network._selected
 
@@ -1078,8 +1101,7 @@ def recorded_baseline(split, p_total, seed, monkeypatch, **kwargs):
         return selected[-1]
 
     monkeypatch.setattr(network, "_selected", record)
-    res = flat_random_feature_baseline(split, p_total, SMALL_GRID, seed=seed,
-                                       **kwargs)
+    res = flat_random_feature_baseline(split, p_total, SMALL_GRID, seed=seed)
     [(_, valid_mse)] = selected
     return res, valid_mse
 
@@ -1092,22 +1114,6 @@ def test_streamed_baseline_matches_dense_fit(split, monkeypatch):
     res, valid_mse = recorded_baseline(split, STREAMED_WIDTH, 4, monkeypatch)
     ref_mse, ref_star, ref_metrics = dense_baseline(
         split, baseline_block(split.d, STREAMED_WIDTH, n_train, 4))
-    assert res.lambda_star_index == ref_star
-    np.testing.assert_allclose(valid_mse, ref_mse, rtol=1e-10)
-    np.testing.assert_allclose(res.metrics.mse, ref_metrics.mse, rtol=1e-10)
-
-
-def test_grouped_baseline_cycles_gamma_grid_across_groups(split,
-                                                           monkeypatch):
-    # feature j takes gamma_grid[j % 3] in whichever group it falls;
-    # GROUP_COLUMNS is not a multiple of 3, so each group starts at another
-    # grid entry
-    grid = (0.3, 0.7, 1.1)
-    res, valid_mse = recorded_baseline(split, STREAMED_WIDTH, 4, monkeypatch,
-                                       gamma_grid=grid)
-    ref_mse, ref_star, ref_metrics = dense_baseline(
-        split, baseline_block(split.d, STREAMED_WIDTH,
-                              split.x_train.shape[0], 4, gamma_grid=grid))
     assert res.lambda_star_index == ref_star
     np.testing.assert_allclose(valid_mse, ref_mse, rtol=1e-10)
     np.testing.assert_allclose(res.metrics.mse, ref_metrics.mse, rtol=1e-10)
@@ -1273,10 +1279,11 @@ def test_load_rejects_future_version(split, tmp_path, monkeypatch):
 def test_load_rejects_v2_file(split, tmp_path, monkeypatch):
     # and a v4 file: its later layers drew on the dense columns, so its
     # depth-2 predictions cannot be reproduced; and a v5 file, which stores
-    # betas and scales and dense final ridges, not the bases
+    # betas and scales and dense final ridges, not the bases; and a v8 file,
+    # whose header config names gamma_grid
     model = train(split, small_cfg())
     path = tmp_path / "model.drz"
-    for version in (2, 4, 5):
+    for version in (2, 4, 5, 8):
         monkeypatch.setattr(network, "MODEL_FORMAT_VERSION", version)
         save_model(model, path)
         monkeypatch.undo()
@@ -1351,7 +1358,7 @@ def test_archive_holds_one_array_per_layer_and_two_per_fit(split, tmp_path):
         "final1.coef.npy", "final1.valid_mse.npy",
         "final2.coef.npy", "final2.valid_mse.npy", "header.json",
         "layer1.maps.npy", "layer2.maps.npy"]
-    assert header["format_version"] == 8
+    assert header["format_version"] == 9
     assert sorted(header) == ["config", "final_fits", "format",
                               "format_version", "input_dim",
                               "library_version", "ranks"]

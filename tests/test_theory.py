@@ -147,6 +147,47 @@ def test_settings_not_finite_refused_naming_them(call, message, monkeypatch):
         call()
 
 
+def _oracle(spec):
+    return monte_carlo_risk(RiskScenario(n=20, p=(10,), b=(1.0,)), [spec], 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sub_model_risk([1.0], 1.0, 0, params_k3()),
+     "alpha must be a real number"),
+    (lambda: sub_model_risk(1.0, [1.0], 0, params_k3()),
+     "lam must be a real number"),
+    (lambda: flat_risk([1.0], 1.0, params_k3()), "a must be a real number"),
+    (lambda: flat_risk(1.0, [1.0, 2.0], params_k3()),
+     "lam must be a real number"),
+    (lambda: optimal_alpha([1.0], params_k3(), 0),
+     "lam must be a real number"),
+    (lambda: flat_optima(params_k3(), [1.0]), "lam must be a real number"),
+    (lambda: ensemble_risk([1.0], ["x"], TheoryParams(c=(1.0,), b=(1.0,))),
+     "lams must be a real number"),
+    (lambda: ensemble_risk([1.0], [-1.0], TheoryParams(c=(1.0,), b=(1.0,))),
+     "lams must be positive and finite"),
+    (lambda: _oracle(("submodel", 0, [1.0], 1.0)),
+     "submodel lam must be a real number"),
+    (lambda: _oracle(("submodel", 0, 1.0, [1.0])),
+     "submodel alpha must be a real number"),
+    (lambda: _oracle(("flat", [1.0], 1.0)), "flat lam must be a real number"),
+    (lambda: _oracle(("flat", 1.0, [1.0])),
+     "flat scale must be a real number"),
+], ids=["submodel-alpha", "submodel-lam", "flat-a", "flat-lam",
+        "optimal-alpha-lam", "flat-optima-lam", "ensemble-lams",
+        "ensemble-lams-negative", "spec-submodel-lam", "spec-submodel-alpha",
+        "spec-flat-lam", "spec-flat-scale"])
+def test_scalar_settings_refuse_a_list(call, message, monkeypatch):
+    # each raised a TypeError, but the ensemble's lams: numpy's conversion
+    # error for "x", a "lam" error for -1.0. The oracle specs fail before
+    # any draw
+    def no_draws(*key):
+        raise AssertionError("a replication started before the checks")
+    monkeypatch.setattr(theory, "stream_rng", no_draws)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 # --- xi and the nu family ----------------------------------------------------
 
 def test_xi_value_and_consistency():
